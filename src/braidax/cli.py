@@ -24,8 +24,10 @@ from .diagram import axis_link_diagram, closure_diagram, component_count, linkin
 from .experiments import EXPERIMENTS, ExperimentError
 from .words import (
     BraidWord,
+    ExchangeForm,
     WordError,
     admits_exchange,
+    canonical_odd_knot_braid,
     cycle_decomposition,
     exchange_split,
     exponent_sum,
@@ -118,7 +120,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="use the odd-strand canonical family (prop25)")
     p_exp.add_argument("--m-min", type=int, help="first m of the sample range")
     p_exp.add_argument("--m-max", type=int, help="last m of the sample range")
-    p_exp.add_argument("--corpus", type=str, help="corpus TSV path (table8)")
+    p_exp.add_argument("--corpus", dest="path", type=str, help="corpus TSV path (table8)")
     p_exp.add_argument("--out", type=str, default=".", help="report output directory")
     p_exp.add_argument("--format", dest="out_format", default="both",
                        choices=("tsv", "json", "both"))
@@ -189,44 +191,39 @@ def _cmd_invariant(cfg: RunConfig) -> int:
     return OK if ok else CHECK_FAILURE
 
 
+# experiment -> (options passed on as keyword arguments of the same name, the
+# usage hint when all of them are required, whether it samples a family over
+# m and so takes --jobs, --m-min and --m-max)
+_EXPERIMENT_ARGS = {
+    "prop25": ((), None, True),
+    "dn": (("n",), "--n (odd, >= 5)", True),
+    "lemma64": (("n1", "n2"), "--n1 and --n2", True),
+    "eq54": (("n",), "--n (>= 4)", True),
+    "table8": (("path",), None, False),
+}
+
+
 def _cmd_experiment(cfg: RunConfig, args) -> int:
     name = cfg.extra["name"]
-    kwargs = {}
-    if cfg.m_min is not None:
-        kwargs["m_range"] = range(cfg.m_min, cfg.m_max + 1)
+    options, required, family = _EXPERIMENT_ARGS[name]
+    kwargs = {opt: getattr(args, opt) for opt in options if getattr(args, opt) is not None}
+    if required is not None and len(kwargs) < len(options):
+        raise WordError(f"{name} needs {required}")
+    if family:
+        kwargs["jobs"] = cfg.jobs
+        if cfg.m_min is not None:
+            kwargs["m_range"] = range(cfg.m_min, cfg.m_max + 1)
+    elif cfg.m_min is not None:
+        raise WordError(f"{name} takes no --m-min/--m-max")
     if name == "prop25":
         if args.canonical_odd is not None:
-            from .words import canonical_odd_knot_braid
-
             kwargs["form"] = canonical_odd_knot_braid(args.canonical_odd)
         elif args.alpha is not None or args.beta is not None:
             if args.n is None or args.alpha is None or args.beta is None:
                 raise WordError("prop25 with explicit words needs --n, --alpha, --beta")
-            from .words import ExchangeForm
-
             kwargs["form"] = ExchangeForm(
                 args.n, parse_word(args.alpha, args.n), parse_word(args.beta, args.n)
             )
-        kwargs["jobs"] = cfg.jobs
-    elif name == "dn":
-        if args.n is None:
-            raise WordError("dn needs --n (odd, >= 5)")
-        kwargs["n"] = args.n
-        kwargs["jobs"] = cfg.jobs
-    elif name == "lemma64":
-        if args.n1 is None or args.n2 is None:
-            raise WordError("lemma64 needs --n1 and --n2")
-        kwargs["n1"] = args.n1
-        kwargs["n2"] = args.n2
-        kwargs["jobs"] = cfg.jobs
-    elif name == "eq54":
-        if args.n is None:
-            raise WordError("eq54 needs --n (>= 4)")
-        kwargs["n"] = args.n
-        kwargs["jobs"] = cfg.jobs
-    elif name == "table8":
-        if args.corpus is not None:
-            kwargs["path"] = args.corpus
 
     t0 = time.perf_counter()
     report = EXPERIMENTS[name](**kwargs)

@@ -195,8 +195,13 @@ def _as_lk_rows(m: LinkingMatrix | list | tuple) -> list[list[int]]:
     return out
 
 
-def _det_bareiss(m: list[list[int]]) -> int:
-    """Exact integer determinant (fraction-free Gaussian elimination)."""
+def _det_bareiss(m: list[list]):
+    """Exact determinant by fraction-free Gaussian elimination (Bareiss 1968).
+
+    Works over any integral domain whose elements support ``+ - *``, exact
+    ``//`` and truthiness, with integers mixed in: the integers themselves,
+    and ``burau.LaurentPoly``.  A singular matrix gives its ring's zero.
+    """
     n = len(m)
     if n == 0:
         return 1
@@ -204,14 +209,14 @@ def _det_bareiss(m: list[list[int]]) -> int:
     sgn = 1
     denom = 1
     for k in range(n - 1):
-        if m[k][k] == 0:
+        if not m[k][k]:
             for r in range(k + 1, n):
-                if m[r][k] != 0:
+                if m[r][k]:
                     m[k], m[r] = m[r], m[k]
                     sgn = -sgn
                     break
             else:
-                return 0
+                return m[k][k]
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // denom

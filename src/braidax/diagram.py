@@ -10,16 +10,12 @@ that it links every strand positively.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .kernels import get_kernels
 from .words import BraidWord, cycle_decomposition, permutation_of
-
-PD_FORMAT = "braidax-pd"
-PD_VERSION = 1
 
 # port roles within a crossing
 OVER_IN, OVER_OUT, UNDER_IN, UNDER_OUT = 0, 1, 2, 3
@@ -376,57 +372,3 @@ def component_count(d: LinkDiagram) -> int:
     K = get_kernels()
     _, ncomp, _ = K.trace_inports(d.conn)
     return ncomp + d.free_loops
-
-
-# ---------------------------------------------------------------------------
-# serialization (debugging / cache keys)
-
-_ROLE_NAMES = ("over_in", "over_out", "under_in", "under_out")
-
-
-def to_pd_json(d: LinkDiagram) -> str:
-    """Serialize as a planar-diagram code: numbered arcs, per-crossing port
-    tuples, and the crossing signs."""
-    arc_id = {}
-    for x in range(1, d.conn.shape[0], 2):  # out-ports, ascending
-        arc_id[x] = len(arc_id)
-        arc_id[int(d.conn[x])] = arc_id[x]
-    crossings = []
-    for c in range(d.crossings):
-        ports = {name: arc_id[4 * c + r] for r, name in enumerate(_ROLE_NAMES)}
-        crossings.append({"sign": int(d.sign[c]), "ports": ports})
-    doc = {
-        "format": PD_FORMAT,
-        "version": PD_VERSION,
-        "free_loops": d.free_loops,
-        "crossings": crossings,
-    }
-    return json.dumps(doc, sort_keys=True)
-
-
-def from_pd_json(text: str) -> LinkDiagram:
-    doc = json.loads(text)
-    if doc.get("format") != PD_FORMAT or doc.get("version") != PD_VERSION:
-        raise DiagramError("unrecognized diagram serialization")
-    crossings = doc["crossings"]
-    ncross = len(crossings)
-    conn = np.full(4 * ncross, -1, dtype=np.int32)
-    sign = np.zeros(ncross, dtype=np.int8)
-    arc_out: dict[int, int] = {}
-    arc_in: dict[int, int] = {}
-    for c, entry in enumerate(crossings):
-        sign[c] = int(entry["sign"])
-        for r, name in enumerate(_ROLE_NAMES):
-            a = int(entry["ports"][name])
-            side = arc_out if r % 2 == 1 else arc_in
-            if a in side:
-                raise DiagramError(f"arc {a} used twice as an {'out' if r % 2 else 'in'} end")
-            side[a] = 4 * c + r
-    if set(arc_out) != set(arc_in):
-        raise DiagramError("arcs do not form a perfect out/in matching")
-    for a, x in arc_out.items():
-        conn[x] = arc_in[a]
-        conn[arc_in[a]] = x
-    d = LinkDiagram(conn, sign, int(doc.get("free_loops", 0)), None)
-    d.validate()
-    return d

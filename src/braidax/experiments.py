@@ -181,8 +181,8 @@ def axis_sequence(
 ) -> CoefficientSequence:
     """a_degree of the axis link of each family member (or of its square)."""
     ms = list(m_range)
-    if ms != list(range(ms[0], ms[0] + len(ms))):
-        raise ExperimentError("m_range must be contiguous")
+    if not ms or ms != list(range(ms[0], ms[0] + len(ms))):
+        raise ExperimentError("m_range must be a nonempty contiguous range")
     vals = _map_family(form, ms, squared, degree, None, engine, jobs)
     return CoefficientSequence(degree, ms[0], tuple(vals))
 
@@ -258,12 +258,15 @@ def progression_check(
     if form is None:
         form = ExchangeForm(4, BraidWord(4, (-1, -2)), BraidWord(4, (-3,)))
     n = form.strands
+    ms = list(m_range)
+    if len(ms) < 2:
+        raise ExperimentError("need at least two m values for a first difference")
     word = form.word()
     perm = permutation_of(word)
     dec = cycle_decomposition(perm, normalized=True)  # errors unless a knot
     l = dec.one_index
     expected_abs = abs(n + 1 - 2 * l)
-    seq = axis_sequence(form, False, m_range, 3, engine, jobs)
+    seq = axis_sequence(form, False, ms, 3, engine, jobs)
     diffs = [seq.values[i + 1] - seq.values[i] for i in range(len(seq.values) - 1)]
     constant = all(d == diffs[0] for d in diffs)
     notes = [
@@ -275,7 +278,7 @@ def progression_check(
     return _finish(
         "prop25",
         {"strands": n, "alpha": str(form.alpha), "beta": str(form.beta),
-         "m_range": list(m_range)},
+         "m_range": ms},
         {"abs_difference": expected_abs,
          "origin": "closed form |n + 1 - 2l| from the strand-by-strand linking count"},
         {"sequence": list(seq.values), "differences": diffs,
@@ -498,8 +501,11 @@ def load_corpus(path=None) -> list[tuple[str, str]]:
     if path is None:
         text = default_corpus_path().read_text()
     else:
-        with open(path) as f:
-            text = f.read()
+        try:
+            with open(path) as f:
+                text = f.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ExperimentError(f"cannot read corpus: {exc}") from exc
     rows = []
     lines = text.splitlines()
     start = 1 if lines and lines[0].split("\t")[0] == "knot" else 0

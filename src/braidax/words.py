@@ -168,10 +168,6 @@ def mirror(w: BraidWord) -> BraidWord:
     return BraidWord(w.strands, tuple(-k for k in w.letters))
 
 
-def reverse_word(w: BraidWord) -> BraidWord:
-    return BraidWord(w.strands, tuple(reversed(w.letters)))
-
-
 def cyclic_rotate(w: BraidWord, k: int) -> BraidWord:
     """Move the first k letters to the end (conjugation by the prefix)."""
     if not w.letters:
@@ -211,13 +207,6 @@ def concat_power(w: BraidWord, m: int) -> BraidWord:
 
 def square(w: BraidWord) -> BraidWord:
     return compose(w, w)
-
-
-def stabilize(w: BraidWord, sign: int = 1) -> BraidWord:
-    """Markov stabilization: append the new last generator on n+1 strands."""
-    if sign not in (1, -1):
-        raise WordError("stabilization sign must be +1 or -1")
-    return BraidWord(w.strands + 1, w.letters + (sign * w.strands,))
 
 
 def exponent_sum(w: BraidWord) -> int:
@@ -315,17 +304,6 @@ def strand_linking(w: BraidWord, a_set: Iterable[int], b_set: Iterable[int]) -> 
 
 # ---------------------------------------------------------------------------
 # twists, the exchange band, and families
-
-
-def full_twist_word(n: int, i: int, j: int, count: int = 1) -> BraidWord:
-    """Full twist on strands i..j: the cycle word (sigma_i .. sigma_{j-1})
-    raised to the (j-i+1)-st power, repeated ``count`` times (negative count
-    gives the inverse word)."""
-    if not (1 <= i < j <= n):
-        raise WordError(f"need 1 <= i < j <= n, got i={i}, j={j}, n={n}")
-    base = tuple(range(i, j)) * (j - i + 1)
-    word = BraidWord(n, base)
-    return concat_power(word, count)
 
 
 def kappa_word(n: int) -> BraidWord:

@@ -1,9 +1,14 @@
 """The command line: parsing, outputs, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import braidax
 from braidax.cli import main, _extract_word_tokens
 
 
@@ -112,6 +117,24 @@ class TestExperiment:
         )
         assert code == 0
         assert "expected.abs_difference\t0" in out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("prop25", "--m-min", "0", "--m-max", "0"),
+            ("table8", "--corpus", "missing.tsv"),
+            ("table8", "--m-min", "0", "--m-max", "1"),
+        ],
+    )
+    def test_out_of_domain_input_exits_2(self, tmp_path, argv):
+        env = dict(os.environ, PYTHONPATH=str(Path(braidax.__file__).resolve().parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "braidax.cli", "experiment", *argv],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
     def test_missing_parameter(self, capsys, tmp_path):
         code, _, err = run(capsys, "experiment", "dn", "--out", str(tmp_path))

@@ -13,7 +13,6 @@ from braidax import (
     component_count,
     cycle_decomposition,
     delete_component,
-    from_pd_json,
     is_split,
     linking_matrix,
     mirror,
@@ -23,7 +22,6 @@ from braidax import (
     smooth_crossing,
     strand_linking,
     switch_crossing,
-    to_pd_json,
     trace_components,
 )
 
@@ -233,24 +231,3 @@ class TestSplitDetection:
 
     def test_single_unknot_not_split(self):
         assert not is_split(simplify(closure_diagram(w(2, 1))))
-
-
-class TestSerialization:
-    @given(braid_words())
-    def test_roundtrip(self, word):
-        d = axis_link_diagram(word)
-        back = from_pd_json(to_pd_json(d))
-        back.validate()
-        assert back.crossings == d.crossings
-        assert component_count(back) == component_count(d)
-        assert sorted(x for r in linking_matrix(back).entries for x in r) == sorted(
-            x for r in linking_matrix(d).entries for x in r
-        )
-
-    def test_rejects_bad_format(self):
-        with pytest.raises(DiagramError):
-            from_pd_json('{"format": "other", "version": 1, "crossings": []}')
-
-    def test_deterministic(self):
-        d = closure_diagram(w(3, 1, -2, 1))
-        assert to_pd_json(d) == to_pd_json(d)

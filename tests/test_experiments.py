@@ -74,8 +74,9 @@ class TestAxisSequence:
 
     def test_requires_contiguous_range(self, engine):
         form = ExchangeForm(4, BraidWord(4, (1,)), BraidWord(4, (3,)))
-        with pytest.raises(ExperimentError):
-            axis_sequence(form, False, [0, 2], 4, engine)
+        for ms in ([0, 2], []):
+            with pytest.raises(ExperimentError):
+                axis_sequence(form, False, ms, 4, engine)
 
     def test_regression_baseline(self, engine):
         # frozen from the engine's own first verified run; guards against drift

@@ -19,16 +19,13 @@ from braidax import (
     exponent_sum,
     family_member,
     free_reduce,
-    full_twist_word,
     inverse,
     kappa_word,
     mirror,
     nonconjugacy_criterion,
     parse_word,
     permutation_of,
-    reverse_word,
     square,
-    stabilize,
     strand_linking,
 )
 
@@ -60,9 +57,6 @@ class TestElementaryOps:
     def test_inverse_antihomomorphism(self):
         assert inverse(w(3, 1, 2)).letters == (-2, -1)
 
-    def test_reverse(self):
-        assert reverse_word(w(3, 1, 2)).letters == (2, 1)
-
     def test_cyclic_rotate(self):
         assert cyclic_rotate(w(4, 1, 2, 3), 1).letters == (2, 3, 1)
 
@@ -74,8 +68,6 @@ class TestElementaryOps:
 
     def test_square_and_stabilize(self):
         assert square(w(2, 1)).letters == (1, 1)
-        stab = stabilize(w(2, 1), 1)
-        assert stab.strands == 3 and stab.letters == (1, 2)
 
     def test_letter_validation(self):
         with pytest.raises(WordError):
@@ -175,19 +167,6 @@ class TestStrandLinking:
 
 
 class TestTwistWords:
-    def test_two_strand_full_twist(self):
-        assert full_twist_word(2, 1, 2).letters == (1, 1)
-
-    def test_zero_count_is_identity(self):
-        assert full_twist_word(5, 2, 4, 0).letters == ()
-
-    @given(st.integers(2, 7), st.data())
-    def test_full_twist_is_pure(self, n, data):
-        i = data.draw(st.integers(1, n - 1))
-        j = data.draw(st.integers(i + 1, n))
-        for count in (-1, 1):
-            assert permutation_of(full_twist_word(n, i, j, count)).is_identity()
-
     def test_band_word_small(self):
         assert kappa_word(4).letters == (1, 2, 2, 1)
         assert kappa_word(3).letters == (1, 1)
