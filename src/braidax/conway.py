@@ -4,8 +4,15 @@ The engine resolves a diagram against the descending order: traversing the
 components from basepoints, the first crossing met on its under strand is
 switched (same degree budget, strictly closer to descending) and smoothed
 (budget less one, times z, signed).  Descending diagrams are unlinks, worth
-1 for a knot and 0 otherwise.  Branches are pruned when the diagram is split
-or its component count already exceeds what the remaining budget can pay for.
+1 for a knot and 0 otherwise.
+
+Every node is handed its component count p, free loops included: smoothing a
+crossing whose two strands lie on one component splits it (p + 1), smoothing
+any other crossing joins two (p - 1), and switching keeps p.  Leaves close
+from p alone, before any Reidemeister move: a node whose budget is below
+p - 1 is pruned, and at budget p - 1 the linking numbers give the lowest
+coefficient (both are link invariants).  Only the remaining nodes are
+simplified, checked for being split, looked up in the memo and recursed on.
 
 All coefficients are exact integers; there is no floating point here.
 """
@@ -17,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagram import LinkDiagram, LinkingMatrix, component_count
+from .diagram import LinkDiagram, LinkingMatrix
 from .kernels import get_kernels
 
 
@@ -51,10 +58,12 @@ class TruncatedPoly:
 class SkeinEngine:
     """Reusable evaluator with a memo cache shared across calls.
 
-    ``hoste_base=True`` closes branches whose budget has shrunk to the
-    component count minus one directly from the linking numbers; disable it
-    to force the pure skein recursion (the two must agree, and the test
-    suite checks that they do).
+    A node costs, in order: the prune (budget below the carried component
+    count p minus one, no kernel call); with ``hoste_base=True``, the leaf at
+    budget p - 1, closed from the linking numbers after one ``compact`` and
+    one trace; otherwise Reidemeister simplification, the split check, the
+    memo and the recursion.  ``hoste_base=False`` forces the pure skein
+    recursion (the two must agree, and the test suite checks that they do).
     """
 
     def __init__(
@@ -74,9 +83,11 @@ class SkeinEngine:
     def truncated(self, d: LinkDiagram, max_degree: int) -> TruncatedPoly:
         if max_degree < 0:
             raise ConwayError("max_degree must be >= 0")
-        p = component_count(d)
         conn, sign = d.arrays()
-        coeffs = self._eval(conn, sign, d.free_loops, max_degree)
+        p = d.free_loops
+        if sign.shape[0]:
+            p += int(self.k.trace_inports(conn)[1])
+        coeffs = self._eval(conn, sign, d.free_loops, p, max_degree)
         return TruncatedPoly(max_degree, coeffs, p)
 
     # -- internals ---------------------------------------------------------
@@ -90,28 +101,30 @@ class SkeinEngine:
             [ports[j][self.rng.integers(len(ports[j]))] for j in order], dtype=np.int32
         )
 
-    def _eval(self, conn, sign, loops, budget) -> tuple[int, ...]:
+    def _eval(self, conn, sign, loops, p, budget) -> tuple[int, ...]:
         K = self.k
         self.nodes += 1
-        if sign.shape[0]:
-            loops += int(K.reidemeister_simplify(conn, sign))
-            conn, sign = K.compact(conn, sign)
         zero = (0,) * (budget + 1)
-        if sign.shape[0] == 0:
+        if budget < p - 1:
+            return zero
+        if self.hoste_base and budget == p - 1:
+            if loops:
+                return (1,) if p == 1 else zero
+            conn, sign = K.compact(conn, sign)
+            labels, ncomp, _ = K.trace_inports(conn)
+            return (0,) * budget + (self._hoste(conn, sign, labels, ncomp),)
+        loops += int(K.reidemeister_simplify(conn, sign))
+        if not sign.any():
             if loops == 1:
                 return (1,) + (0,) * budget
             return zero
         if loops:
             return zero  # crossing-free loop beside crossings: split link
+        if not sign.all():
+            conn, sign = K.compact(conn, sign)
         labels, ncomp, starts = K.trace_inports(conn)
-        p = ncomp
-        if budget < p - 1:
+        if ncomp >= 2 and K.split_components(conn, labels, ncomp):
             return zero
-        if p >= 2 and K.split_components(conn, labels, ncomp):
-            return zero
-        if self.hoste_base and budget == p - 1:
-            a = self._hoste(conn, sign, labels, ncomp)
-            return (0,) * budget + (a,)
         key = None
         if self.memo is not None:
             key = (conn.tobytes(), sign.tobytes(), budget)
@@ -125,15 +138,17 @@ class SkeinEngine:
         coeffs = [1 if p == 1 else 0] + [0] * budget
         if budget >= 1:
             for i in range(int(nbad)):
+                c = int(bad_ids[i])
                 bconn = conn.copy()
                 bsign = sign.copy()
-                bloops = int(K.smooth_inplace(bconn, bsign, int(bad_ids[i])))
-                sub = self._eval(bconn, bsign, bloops, budget - 1)
+                bloops = int(K.smooth_inplace(bconn, bsign, c))
+                bp = p + 1 if labels[4 * c] == labels[4 * c + 2] else p - 1
+                sub = self._eval(bconn, bsign, bloops, bp, budget - 1)
                 e = int(eps[i])
                 for j in range(1, budget + 1):
                     coeffs[j] += e * sub[j - 1]
                 if i + 1 < nbad:
-                    K.switch_inplace(conn, sign, int(bad_ids[i]))
+                    K.switch_inplace(conn, sign, c)
         out = tuple(coeffs)
         if key is not None:
             self.memo[key] = out

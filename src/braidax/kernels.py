@@ -294,24 +294,13 @@ def _build(jit: bool) -> SimpleNamespace:
     @dec
     def compact(conn, sign):
         """Drop removed crossings and renumber the rest, preserving order."""
-        ncross = sign.shape[0]
-        newidx = np.full(ncross, -1, dtype=np.int32)
-        nalive = 0
-        for c in range(ncross):
-            if sign[c] != 0:
-                newidx[c] = nalive
-                nalive += 1
-        new_conn = np.empty(4 * nalive, dtype=np.int32)
-        new_sign = np.empty(nalive, dtype=np.int8)
-        for c in range(ncross):
-            k = newidx[c]
-            if k < 0:
-                continue
-            new_sign[k] = sign[c]
-            for r in range(4):
-                p = conn[4 * c + r]
-                new_conn[4 * k + r] = 4 * newidx[p >> 2] + (p & 3)
-        return new_conn, new_sign
+        live = sign != 0
+        # new first port of each crossing; cumsum runs on an int32 copy of the
+        # mask so numpy and numba accumulate in the same integer type
+        first = 4 * live.astype(np.int32).cumsum() - 4
+        kept = conn[live.repeat(4)]
+        new_conn = (first[kept >> 2] + (kept & 3)).astype(np.int32)
+        return new_conn, sign[live].astype(np.int8)
 
     @dec
     def delete_marked_components(conn, sign, labels, kill):

@@ -1,11 +1,13 @@
 """Skein-engine values, invariants, and the lowest-coefficient formula."""
 
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import braidax.diagram
 from braidax import (
     BraidWord,
     ConwayError,
@@ -19,11 +21,15 @@ from braidax import (
     full_conway,
     hoste_lowest,
     inverse,
+    joint_cycle_check,
     linking_matrix,
     mirror_diagram,
     spanning_tree_sum_enumerate,
     spanning_tree_sum_matrix_tree,
+    squared_family_check,
+    two_cycle_check,
 )
+from braidax.kernels import PYTHON_KERNELS
 
 from conftest import braid_words
 
@@ -188,3 +194,76 @@ class TestEngineReuse:
         second = eng.truncated(d, 3).coeffs
         assert first == second
         assert eng.hits > 0 or eng.nodes == nodes_after_first + 1
+
+
+class CountingKernels(SimpleNamespace):
+    """The plain kernels, with every call counted by name."""
+
+    def __init__(self):
+        super().__init__(calls={})
+        for name, f in vars(PYTHON_KERNELS).items():
+            if callable(f):
+                setattr(self, name, self._counted(name, f))
+
+    def _counted(self, name, f):
+        def run(*args):
+            self.calls[name] = self.calls.get(name, 0) + 1
+            return f(*args)
+
+        return run
+
+
+class CarriedCountEngine(SkeinEngine):
+    """Checks at every node that the component count handed down by the
+    smoothing rule equals a fresh trace of the node's diagram."""
+
+    def _eval(self, conn, sign, loops, p, budget):
+        c, _ = PYTHON_KERNELS.compact(conn, sign)
+        assert p == PYTHON_KERNELS.trace_inports(c)[1] + loops
+        return super()._eval(conn, sign, loops, p, budget)
+
+
+class TestLeafFirstEngine:
+    @given(
+        braid_words(max_letters=8),
+        st.booleans(),
+        st.booleans(),
+        st.one_of(st.none(), st.integers(0, 2**31 - 1)),
+    )
+    def test_carried_component_count(self, word, axis, hoste_base, seed):
+        d = axis_link_diagram(word) if axis else closure_diagram(word)
+        budget = min(component_count(d) + 1, 4)
+        eng = CarriedCountEngine(
+            PYTHON_KERNELS, hoste_base=hoste_base, shuffle_seed=seed
+        )
+        ref = SkeinEngine(PYTHON_KERNELS, hoste_base=hoste_base, shuffle_seed=seed)
+        assert eng.truncated(d, budget).coeffs == ref.truncated(d, budget).coeffs
+
+    def test_root_is_traced_with_the_engines_kernels(self, monkeypatch):
+        axis = axis_link_diagram(w(3, 1, -2, 1))
+        expected = conway_truncated(axis, 3).coeffs
+
+        def process_wide(*_):
+            raise AssertionError("engine reached the process-wide kernels")
+
+        monkeypatch.setattr(braidax.diagram, "get_kernels", process_wide)
+        kernels = CountingKernels()
+        # three components at budget 0: pruned from the root's count alone
+        split = closure_diagram(w(3, 1, 1, 2, 2))
+        assert SkeinEngine(kernels).truncated(split, 0).coeffs == (0,)
+        assert kernels.calls == {"trace_inports": 1}
+        assert SkeinEngine(kernels).truncated(axis, 3).coeffs == expected
+
+    @pytest.mark.parametrize(
+        "run, nodes, hits",
+        [
+            (lambda eng: squared_family_check(9, engine=eng), 465, 4),
+            (lambda eng: joint_cycle_check(5, engine=eng), 633, 28),
+            (lambda eng: two_cycle_check(2, 3, engine=eng), 1161, 67),
+        ],
+        ids=["squared_family_9", "joint_cycle_5", "two_cycle_2_3"],
+    )
+    def test_pinned_node_counts(self, run, nodes, hits):
+        eng = SkeinEngine()
+        assert run(eng).passed
+        assert (eng.nodes, eng.hits) == (nodes, hits)

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from braidax import SkeinEngine, axis_link_diagram, closure_diagram
+from braidax import BraidWord, LinkDiagram, SkeinEngine, axis_link_diagram, closure_diagram
 from braidax.kernels import NUMBA_AVAILABLE, PYTHON_KERNELS, get_kernels
 
 from conftest import braid_words
@@ -62,6 +63,60 @@ class TestDualPath:
         jit_eng = SkeinEngine(get_kernels("numba"))
         py_eng = SkeinEngine(get_kernels("python"))
         assert jit_eng.truncated(d, 3).coeffs == py_eng.truncated(d, 3).coeffs
+
+
+def compact_reference(conn, sign):
+    """Crossing-by-crossing renumbering, the loop the kernel must match."""
+    newidx = {}
+    for c in range(sign.shape[0]):
+        if sign[c] != 0:
+            newidx[c] = len(newidx)
+    new_conn = np.empty(4 * len(newidx), dtype=np.int32)
+    new_sign = np.empty(len(newidx), dtype=np.int8)
+    for c, k in newidx.items():
+        new_sign[k] = sign[c]
+        for r in range(4):
+            q = int(conn[4 * c + r])
+            new_conn[4 * k + r] = 4 * newidx[q >> 2] + (q & 3)
+    return new_conn, new_sign
+
+
+class TestCompact:
+    """The plain path alone, so it is checked whether or not numba is installed."""
+
+    def check(self, conn, sign):
+        got_conn, got_sign = PYTHON_KERNELS.compact(conn, sign)
+        ref_conn, ref_sign = compact_reference(conn, sign)
+        assert got_conn.dtype == np.int32 and got_sign.dtype == np.int8
+        assert got_conn.tolist() == ref_conn.tolist()
+        assert got_sign.tolist() == ref_sign.tolist()
+        LinkDiagram(got_conn, got_sign).validate()
+        return got_conn, got_sign
+
+    @given(braid_words(max_letters=10), st.booleans(), st.data())
+    def test_matches_loop_after_surgery(self, word, axis, data):
+        d = axis_link_diagram(word) if axis else closure_diagram(word)
+        conn, sign = d.arrays()
+        for _ in range(data.draw(st.integers(0, 3))):
+            live = np.flatnonzero(sign)
+            if live.size == 0:
+                break
+            c = data.draw(st.sampled_from(live.tolist()))
+            PYTHON_KERNELS.smooth_inplace(conn, sign, c)
+        PYTHON_KERNELS.reidemeister_simplify(conn, sign)
+        self.check(conn, sign)
+
+    def test_nothing_removed_is_identity(self):
+        d = axis_link_diagram(BraidWord(3, (1, -2, 1)))
+        conn, sign = self.check(*d.arrays())
+        assert conn.tolist() == d.conn.tolist() and sign.tolist() == d.sign.tolist()
+
+    def test_everything_removed_is_empty(self):
+        conn, sign = closure_diagram(BraidWord(3, (1, -1, 2, -2))).arrays()
+        assert PYTHON_KERNELS.reidemeister_simplify(conn, sign) == 3
+        assert not sign.any()
+        conn, sign = self.check(conn, sign)
+        assert conn.shape == (0,) and sign.shape == (0,)
 
 
 class TestFlavorSelection:
