@@ -6,8 +6,8 @@ for its inverse); the strand count is always explicit via ``--n`` and never
 inferred.  Data outputs are deterministic: identical inputs give byte
 identical reports, and runtime metadata goes to stderr.
 
-Exit codes: 0 all checks passed, 1 an assertion failed, 2 usage or parse
-error.
+Exit codes: 0 all checks passed, 1 an assertion failed, 2 usage, parse or
+file-system error.
 """
 
 from __future__ import annotations
@@ -60,8 +60,6 @@ class RunConfig:
             raise WordError("--degree must be >= 0")
         if self.jobs < 1:
             raise WordError("--jobs must be >= 1")
-        if self.out_format not in ("tsv", "json", "both"):
-            raise WordError("--format must be tsv, json, or both")
         if (self.m_min is None) != (self.m_max is None):
             raise WordError("--m-min and --m-max must be given together")
         if self.m_min is not None and self.m_min > self.m_max:
@@ -225,11 +223,11 @@ def _cmd_experiment(cfg: RunConfig, args) -> int:
                 args.n, parse_word(args.alpha, args.n), parse_word(args.beta, args.n)
             )
 
+    cfg.out_dir.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
     report = EXPERIMENTS[name](**kwargs)
     elapsed = time.perf_counter() - t0
 
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
     stem = cfg.out_dir / f"braidax_{name}"
     if cfg.out_format in ("json", "both"):
         (stem.with_suffix(".json")).write_text(report.to_json())
@@ -269,7 +267,7 @@ def main(argv=None) -> int:
         if args.command == "invariant":
             return _cmd_invariant(cfg)
         return _cmd_experiment(cfg, args)
-    except (WordError, ExperimentError) as exc:
+    except (WordError, ExperimentError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -156,14 +156,9 @@ class SkeinEngine:
 
     def _hoste(self, conn, sign, labels, ncomp) -> int:
         counts = self.k.linking_counts(conn, sign, labels, ncomp)
-        lk = [[0] * ncomp for _ in range(ncomp)]
-        for a in range(ncomp):
-            for b in range(ncomp):
-                c = int(counts[a, b])
-                if c % 2:
-                    raise ConwayError("odd inter-component crossing count")
-                lk[a][b] = c // 2
-        return spanning_tree_sum_matrix_tree(lk)
+        if (counts & 1).any():
+            raise ConwayError("odd inter-component crossing count")
+        return _laplacian_cofactor((counts >> 1).tolist())
 
 
 def conway_truncated(
@@ -239,22 +234,21 @@ def _det_bareiss(m: list[list]):
     return sgn * m[n - 1][n - 1]
 
 
+def _laplacian_cofactor(rows: list[list[int]]) -> int:
+    """The (0, 0) cofactor of the Laplacian of a square, symmetric,
+    zero-diagonal integer matrix given as nested lists."""
+    minor = [[-x for x in row[1:]] for row in rows[1:]]
+    for i, row in enumerate(rows[1:]):
+        minor[i][i] = sum(row)
+    return _det_bareiss(minor)
+
+
 def spanning_tree_sum_matrix_tree(lk) -> int:
     """Sum over spanning trees of edge-weight products, as a Laplacian cofactor."""
     rows = _as_lk_rows(lk)
-    p = len(rows)
-    if p == 0:
+    if not rows:
         raise ConwayError("need at least one component")
-    if p == 1:
-        return 1
-    lap = [[0] * p for _ in range(p)]
-    for i in range(p):
-        for j in range(p):
-            if i != j:
-                lap[i][j] = -rows[i][j]
-        lap[i][i] = sum(rows[i][j] for j in range(p) if j != i)
-    minor = [row[1:] for row in lap[1:]]
-    return _det_bareiss(minor)
+    return _laplacian_cofactor(rows)
 
 
 def spanning_tree_sum_enumerate(lk) -> int:

@@ -2,8 +2,11 @@
 
 A diagram with c crossings is stored as two arrays:
 
-* ``sign``: int8[c], the crossing sign (+1 or -1); 0 marks a removed crossing
-  awaiting compaction.
+* ``sign``: int8[c], the crossing sign (+1 or -1); 0 marks a removed crossing.
+  Until ``compact`` drops it, strands pass straight through a removed
+  crossing (in-port q to out-port q+1) and its ports are scratch: every
+  removal goes through ``splice_out``, which reconnects the live ports
+  around it at once.
 * ``conn``: int32[4c], a symmetric arc pairing between ports.  Crossing k owns
   ports 4k..4k+3 with roles over-in (0), over-out (1), under-in (2),
   under-out (3).  Even ports are in-ports, odd ports are out-ports, and a
@@ -182,64 +185,50 @@ def _build(jit: bool) -> SimpleNamespace:
             sign[c] = -sign[c]
 
     @dec
-    def remove_set(conn, sign, dead, wire):
-        """Delete the crossings marked in ``dead``, splicing strands through.
+    def splice_out(conn, sign, ids):
+        """Remove crossings ``ids``, passing every strand straight through.
 
-        ``wire[q]`` gives, for an in-port q of a dead crossing, the out-port
-        its strand continues through (-1 when that strand is being discarded
-        entirely).  Surviving strands are reconnected; closed strands that no
-        longer meet any live crossing are counted and returned as free loops.
+        A strand arriving from a live crossing is reconnected to the live
+        in-port it reaches; a strand that closes up inside the removed
+        crossings is counted and returned as a free loop.  The removed
+        crossings' in-ports are overwritten with -1 as they are walked.
         """
-        nport = conn.shape[0]
-        handled = np.zeros(nport, dtype=np.bool_)
-        loops = 0
-        # pass 1: strands entering the dead region from a live crossing
-        for c in range(dead.shape[0]):
-            if not dead[c]:
-                continue
+        for c in ids:
+            sign[c] = 0
+        for c in ids:
             for q in (4 * c, 4 * c + 2):
-                if wire[q] < 0 or handled[q]:
-                    continue
                 feeder = conn[q]
-                if dead[feeder >> 2]:
+                if feeder < 0 or sign[feeder >> 2] == 0:
                     continue
                 cur = q
-                while cur >= 0 and dead[cur >> 2]:
-                    handled[cur] = True
-                    out = wire[cur]
-                    if out < 0:
-                        raise ValueError("surviving strand runs into an unwired port")
-                    cur = conn[out]
+                while sign[cur >> 2] == 0:
+                    nxt = conn[cur + 1]
+                    conn[cur] = -1
+                    cur = nxt
                 conn[feeder] = cur
                 conn[cur] = feeder
-        # pass 2: strands living entirely inside the dead region become loops
-        for c in range(dead.shape[0]):
-            if not dead[c]:
-                continue
+        loops = 0
+        for c in ids:
             for q in (4 * c, 4 * c + 2):
-                if wire[q] < 0 or handled[q]:
+                if conn[q] < 0:
                     continue
                 loops += 1
                 cur = q
-                while not handled[cur]:
-                    handled[cur] = True
-                    cur = conn[wire[cur]]
-        for c in range(dead.shape[0]):
-            if dead[c]:
-                sign[c] = 0
+                while conn[cur] >= 0:
+                    conn[cur] = -1
+                    cur = conn[cur + 1]
         return loops
 
     @dec
     def smooth_inplace(conn, sign, c):
         """Oriented smoothing: over-in continues to under-out, under-in to
         over-out, and the crossing disappears.  Returns split-off loops."""
-        ncross = sign.shape[0]
-        dead = np.zeros(ncross, dtype=np.bool_)
-        wire = np.full(4 * ncross, -1, dtype=np.int32)
-        dead[c] = True
-        wire[4 * c] = 4 * c + 3
-        wire[4 * c + 2] = 4 * c + 1
-        return remove_set(conn, sign, dead, wire)
+        oo = 4 * c + 1
+        uo = oo + 2
+        a = conn[oo]
+        b = conn[uo]
+        conn[oo], conn[uo], conn[a], conn[b] = b, a, uo, oo
+        return splice_out(conn, sign, (c,))
 
     @dec
     def reidemeister_simplify(conn, sign):
@@ -263,12 +252,7 @@ def _build(jit: bool) -> SimpleNamespace:
                 ui = oi + 2
                 uo = oi + 3
                 if conn[oo] == ui or conn[uo] == oi:
-                    dead = np.zeros(ncross, dtype=np.bool_)
-                    wire = np.full(4 * ncross, -1, dtype=np.int32)
-                    dead[c] = True
-                    wire[oi] = oo
-                    wire[ui] = uo
-                    loops += remove_set(conn, sign, dead, wire)
+                    loops += splice_out(conn, sign, (c,))
                     changed = True
                     continue
                 # clasp cancellation: our over strand runs straight into d's
@@ -279,15 +263,8 @@ def _build(jit: bool) -> SimpleNamespace:
                     parallel = conn[uo] == 4 * d + 2
                     antiparallel = conn[4 * d + 3] == ui
                     if parallel or antiparallel:
-                        dead = np.zeros(ncross, dtype=np.bool_)
-                        wire = np.full(4 * ncross, -1, dtype=np.int32)
-                        dead[c] = True
-                        dead[d] = True
-                        wire[oi] = oo
-                        wire[ui] = uo
-                        wire[4 * d] = 4 * d + 1
-                        wire[4 * d + 2] = 4 * d + 3
-                        loops += remove_set(conn, sign, dead, wire)
+                        # one integer type in the tuple, so numba can loop it
+                        loops += splice_out(conn, sign, (c, np.int64(d)))
                         changed = True
         return loops
 
@@ -306,23 +283,13 @@ def _build(jit: bool) -> SimpleNamespace:
     def delete_marked_components(conn, sign, labels, kill):
         """Remove every component whose label is marked in ``kill``.
 
-        Crossings internal to killed components vanish; crossings they share
-        with survivors are retracted by splicing the surviving strand through.
-        Returns free loops split off among the survivors.
+        Every crossing a killed component meets is removed, and the surviving
+        strands pass straight through.  Each killed component closes into one
+        cycle inside the removed crossings, which is not a loop of the
+        result.  Returns free loops split off among the survivors.
         """
-        ncross = sign.shape[0]
-        dead = np.zeros(ncross, dtype=np.bool_)
-        wire = np.full(4 * ncross, -1, dtype=np.int32)
-        for c in range(ncross):
-            over_dies = kill[labels[4 * c]]
-            under_dies = kill[labels[4 * c + 2]]
-            if over_dies or under_dies:
-                dead[c] = True
-                if not over_dies:
-                    wire[4 * c] = 4 * c + 1
-                if not under_dies:
-                    wire[4 * c + 2] = 4 * c + 3
-        return remove_set(conn, sign, dead, wire)
+        ids = np.flatnonzero(kill[labels[0::4]] | kill[labels[2::4]])
+        return splice_out(conn, sign, ids) - np.count_nonzero(kill)
 
     return SimpleNamespace(
         jitted=jit,
@@ -332,7 +299,6 @@ def _build(jit: bool) -> SimpleNamespace:
         chain_scan=chain_scan,
         switch_inplace=switch_inplace,
         mirror_inplace=mirror_inplace,
-        remove_set=remove_set,
         smooth_inplace=smooth_inplace,
         reidemeister_simplify=reidemeister_simplify,
         compact=compact,

@@ -124,9 +124,12 @@ class TestExperiment:
             ("prop25", "--m-min", "0", "--m-max", "0"),
             ("table8", "--corpus", "missing.tsv"),
             ("table8", "--m-min", "0", "--m-max", "1"),
+            ("dn", "--n", "5", "--out", "taken"),
+            ("dn", "--n", "5", "--out", "taken/sub"),
         ],
     )
     def test_out_of_domain_input_exits_2(self, tmp_path, argv):
+        (tmp_path / "taken").write_text("")  # a file where --out wants a directory
         env = dict(os.environ, PYTHONPATH=str(Path(braidax.__file__).resolve().parents[1]))
         proc = subprocess.run(
             [sys.executable, "-m", "braidax.cli", "experiment", *argv],

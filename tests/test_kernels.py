@@ -56,6 +56,27 @@ class TestDualPath:
             assert la == lb
             assert (np.asarray(a.compact(ca, sa)[0]) == np.asarray(b.compact(cb, sb)[0])).all()
 
+    @given(braid_words(max_letters=8), st.booleans(), st.data())
+    @settings(max_examples=25)
+    def test_smooth_and_delete_agree(self, word, axis, data):
+        d = axis_link_diagram(word) if axis else closure_diagram(word)
+        if d.crossings == 0:
+            return
+        jit = get_kernels("numba")
+        py = get_kernels("python")
+        c = data.draw(st.integers(0, d.crossings - 1))
+        labels, ncomp, _ = py.trace_inports(d.conn)
+        kill = np.array(data.draw(st.lists(st.booleans(), min_size=ncomp, max_size=ncomp)))
+        for op in (
+            lambda K, conn, sign: K.smooth_inplace(conn, sign, c),
+            lambda K, conn, sign: K.delete_marked_components(conn, sign, labels, kill),
+        ):
+            ca, sa = d.arrays()
+            cb, sb = d.arrays()
+            assert int(op(jit, ca, sa)) == int(op(py, cb, sb))
+            for x, y in zip(jit.compact(ca, sa), py.compact(cb, sb)):
+                assert np.asarray(x).tolist() == np.asarray(y).tolist()
+
     @given(braid_words(max_letters=10, max_strands=5))
     @settings(max_examples=15)
     def test_engine_results_identical(self, word):
@@ -117,6 +138,149 @@ class TestCompact:
         assert not sign.any()
         conn, sign = self.check(conn, sign)
         assert conn.shape == (0,) and sign.shape == (0,)
+
+
+def remove_set_reference(conn, sign, dead, wire):
+    """Delete the crossings marked in ``dead``; ``wire[q]`` is the out-port
+    the strand entering at in-port q of a dead crossing continues through,
+    or -1 when that strand is discarded.  Returns the loops split off."""
+    handled = np.zeros(conn.shape[0], dtype=np.bool_)
+    loops = 0
+    # strands entering the dead region from a live crossing
+    for c in np.flatnonzero(dead):
+        for q in (4 * c, 4 * c + 2):
+            if wire[q] < 0 or handled[q]:
+                continue
+            feeder = conn[q]
+            if dead[feeder >> 2]:
+                continue
+            cur = q
+            while dead[cur >> 2]:
+                handled[cur] = True
+                assert wire[cur] >= 0, "surviving strand runs into an unwired port"
+                cur = conn[wire[cur]]
+            conn[feeder] = cur
+            conn[cur] = feeder
+    # strands living entirely inside the dead region become loops
+    for c in np.flatnonzero(dead):
+        for q in (4 * c, 4 * c + 2):
+            if wire[q] < 0 or handled[q]:
+                continue
+            loops += 1
+            cur = q
+            while not handled[cur]:
+                handled[cur] = True
+                cur = conn[wire[cur]]
+    sign[dead] = 0
+    return loops
+
+
+def _dead_wire(sign, wiring):
+    """``dead``/``wire`` arrays removing the crossings of ``wiring``
+    ({in-port: out-port or -1})."""
+    dead = np.zeros(sign.shape[0], dtype=np.bool_)
+    wire = np.full(4 * sign.shape[0], -1, dtype=np.int32)
+    for q, out in wiring.items():
+        dead[q >> 2] = True
+        wire[q] = out
+    return dead, wire
+
+
+def smooth_reference(conn, sign, c):
+    wiring = {4 * c: 4 * c + 3, 4 * c + 2: 4 * c + 1}
+    return remove_set_reference(conn, sign, *_dead_wire(sign, wiring))
+
+
+def simplify_reference(conn, sign):
+    """Kinks and cancelling clasps, removed in the kernel's scan order."""
+    loops = 0
+    changed = True
+    while changed:
+        changed = False
+        for c in range(sign.shape[0]):
+            if sign[c] == 0:
+                continue
+            oi, oo, ui, uo = 4 * c, 4 * c + 1, 4 * c + 2, 4 * c + 3
+            if conn[oo] == ui or conn[uo] == oi:
+                wiring = {oi: oo, ui: uo}
+                loops += remove_set_reference(conn, sign, *_dead_wire(sign, wiring))
+                changed = True
+                continue
+            nxt = conn[oo]
+            d = nxt >> 2
+            if (nxt & 3) == 0 and d != c and sign[d] == -sign[c]:
+                if conn[uo] == 4 * d + 2 or conn[4 * d + 3] == ui:
+                    wiring = {oi: oo, ui: uo, 4 * d: 4 * d + 1, 4 * d + 2: 4 * d + 3}
+                    loops += remove_set_reference(conn, sign, *_dead_wire(sign, wiring))
+                    changed = True
+    return loops
+
+
+def delete_reference(conn, sign, labels, kill):
+    wiring = {}
+    for c in range(sign.shape[0]):
+        over_dies = kill[labels[4 * c]]
+        under_dies = kill[labels[4 * c + 2]]
+        if over_dies or under_dies:
+            wiring[4 * c] = -1 if over_dies else 4 * c + 1
+            wiring[4 * c + 2] = -1 if under_dies else 4 * c + 3
+    return remove_set_reference(conn, sign, *_dead_wire(sign, wiring))
+
+
+class TestSplice:
+    """Every removal against the dead/wire loop reference, on the plain path."""
+
+    def check(self, d, op, ref):
+        conn, sign = d.arrays()
+        rconn, rsign = d.arrays()
+        assert int(op(conn, sign)) == ref(rconn, rsign)
+        got = PYTHON_KERNELS.compact(conn, sign)
+        want = compact_reference(rconn, rsign)
+        assert [a.tolist() for a in got] == [a.tolist() for a in want]
+        return got
+
+    @given(braid_words(max_letters=10), st.booleans(), st.data())
+    def test_matches_reference(self, word, axis, data):
+        d = axis_link_diagram(word) if axis else closure_diagram(word)
+        K = PYTHON_KERNELS
+        self.check(d, K.reidemeister_simplify, simplify_reference)
+        if d.crossings == 0:
+            return
+        c = data.draw(st.integers(0, d.crossings - 1))
+        self.check(
+            d,
+            lambda conn, sign: K.smooth_inplace(conn, sign, c),
+            lambda conn, sign: smooth_reference(conn, sign, c),
+        )
+        labels, ncomp, _ = K.trace_inports(d.conn)
+        killed = data.draw(st.sets(st.integers(0, ncomp - 1), min_size=1))
+        kill = np.isin(np.arange(ncomp), list(killed))
+        self.check(
+            d,
+            lambda conn, sign: K.delete_marked_components(conn, sign, labels, kill),
+            lambda conn, sign: delete_reference(conn, sign, labels, kill),
+        )
+
+    def test_kink_closure_is_one_loop(self):
+        conn, sign = closure_diagram(BraidWord(2, (1,))).arrays()
+        assert PYTHON_KERNELS.reidemeister_simplify(conn, sign) == 1
+        assert PYTHON_KERNELS.compact(conn, sign)[1].shape == (0,)
+
+    def test_clasp_closure_is_two_loops(self):
+        conn, sign = closure_diagram(BraidWord(2, (1, -1))).arrays()
+        assert PYTHON_KERNELS.reidemeister_simplify(conn, sign) == 2
+        assert not sign.any()
+
+    def test_smoothing_a_kink_splits_off_its_loop(self):
+        d = closure_diagram(BraidWord(3, (1, 1, 2)))
+        assert d.conn[4 * 2 + 1] == 4 * 2 + 2  # crossing 2 is a kink
+        conn, sign = self.check(
+            d,
+            lambda conn, sign: PYTHON_KERNELS.smooth_inplace(conn, sign, 2),
+            lambda conn, sign: smooth_reference(conn, sign, 2),
+        )
+        assert sign.tolist() == [1, 1]
+        assert PYTHON_KERNELS.trace_inports(conn)[1] == 2
 
 
 class TestFlavorSelection:
