@@ -60,10 +60,11 @@ class SkeinEngine:
 
     A node costs, in order: the prune (budget below the carried component
     count p minus one, no kernel call); with ``hoste_base=True``, the leaf at
-    budget p - 1, closed from the linking numbers after one ``compact`` and
-    one trace; otherwise Reidemeister simplification, the split check, the
-    memo and the recursion.  ``hoste_base=False`` forces the pure skein
-    recursion (the two must agree, and the test suite checks that they do).
+    budget p - 1, closed from the linking numbers by one ``linking_counts``
+    call on the uncompacted arrays, which must trace p components; otherwise
+    Reidemeister simplification, the split check, the memo and the recursion.
+    ``hoste_base=False`` forces the pure skein recursion (the two must agree,
+    and the test suite checks that they do).
     """
 
     def __init__(
@@ -110,9 +111,7 @@ class SkeinEngine:
         if self.hoste_base and budget == p - 1:
             if loops:
                 return (1,) if p == 1 else zero
-            conn, sign = K.compact(conn, sign)
-            labels, ncomp, _ = K.trace_inports(conn)
-            return (0,) * budget + (self._hoste(conn, sign, labels, ncomp),)
+            return (0,) * budget + (self._hoste(conn, sign, p),)
         loops += int(K.reidemeister_simplify(conn, sign))
         if not sign.any():
             if loops == 1:
@@ -154,11 +153,15 @@ class SkeinEngine:
             self.memo[key] = out
         return out
 
-    def _hoste(self, conn, sign, labels, ncomp) -> int:
-        counts = self.k.linking_counts(conn, sign, labels, ncomp)
-        if (counts & 1).any():
-            raise ConwayError("odd inter-component crossing count")
-        return _laplacian_cofactor((counts >> 1).tolist())
+    def _hoste(self, conn, sign, p) -> int:
+        ncomp, counts = self.k.linking_counts(conn, sign)
+        if ncomp != p:
+            raise ConwayError(f"leaf traced {ncomp} components, carried {p}")
+        for x in counts:
+            if x & 1:
+                raise ConwayError("odd inter-component crossing count")
+        half = [x >> 1 for x in counts]
+        return _laplacian_cofactor([half[i : i + p] for i in range(0, p * p, p)])
 
 
 def conway_truncated(

@@ -253,7 +253,7 @@ def linking_matrix(d: LinkDiagram) -> LinkingMatrix:
     out = [[0] * p for _ in range(p)]
     if d.crossings:
         labels, ncomp, starts = K.trace_inports(d.conn)
-        counts = K.linking_counts(d.conn, d.sign, labels, ncomp)
+        _, counts = K.linking_counts(d.conn, d.sign)
         # map public labels to traced labels through their entry ports
         pub_to_traced = {}
         for j, info in enumerate(labeling.infos):
@@ -265,7 +265,7 @@ def linking_matrix(d: LinkDiagram) -> LinkingMatrix:
             for k, tk in pub_to_traced.items():
                 if j == k:
                     continue
-                c = int(counts[tj, tk])
+                c = counts[tj * ncomp + tk]
                 if c % 2:
                     raise DiagramError("odd inter-component crossing count")
                 out[j][k] = c // 2

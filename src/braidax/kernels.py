@@ -16,6 +16,12 @@ A diagram with c crossings is stored as two arrays:
 Crossing-free loop components are counted separately by the caller; the
 surgery routines here return how many such loops they split off.
 
+``linking_counts`` is the one kernel that reads uncompacted arrays: it walks
+only the live in-ports and numbers the components in ``trace_inports`` order,
+so a Hoste leaf needs neither ``compact`` nor a second trace.  Its plain
+flavor walks ``conn.tolist()`` and ``sign.tolist()``, since a Python list item
+is read several times faster than an ndarray item.
+
 The hot functions are compiled with numba when available.  Set
 ``BRAIDAX_KERNELS=python`` to force the uncompiled path (the same source);
 ``get_kernels()`` returns the active namespace and both flavors stay
@@ -100,16 +106,50 @@ def _build(jit: bool) -> SimpleNamespace:
         return roots > 1
 
     @dec
-    def linking_counts(conn, sign, labels, ncomp):
-        """Signed inter-component crossing counts (twice the linking numbers)."""
-        m = np.zeros((ncomp, ncomp), dtype=np.int64)
-        for c in range(sign.shape[0]):
+    def _linking_counts(conn, sign):
+        """Component count and signed inter-component crossing counts.
+
+        Runs on uncompacted arrays: the live in-ports (``sign[q >> 2] != 0``)
+        are numbered by component in discovery order from the smallest one,
+        the order ``trace_inports`` gives after ``compact``, since every
+        live out-port is already spliced to a live in-port.  Returns
+        ``(ncomp, counts)`` with ``counts[a * ncomp + b]`` twice the linking
+        number of components a and b, a flat row-major list.
+        """
+        nport = len(conn)
+        labels = [-1] * nport
+        ncomp = 0
+        for q in range(0, nport, 2):
+            if labels[q] >= 0 or sign[q >> 2] == 0:
+                continue
+            cur = q
+            while True:
+                labels[cur] = ncomp
+                cur = conn[cur + 1]
+                if cur == q:
+                    break
+            ncomp += 1
+        counts = [0] * (ncomp * ncomp)
+        for c in range(len(sign)):
+            s = sign[c]
+            if s == 0:
+                continue
             a = labels[4 * c]
             b = labels[4 * c + 2]
             if a != b:
-                m[a, b] += sign[c]
-                m[b, a] += sign[c]
-        return m
+                counts[a * ncomp + b] += s
+                counts[b * ncomp + a] += s
+        return ncomp, counts
+
+    if jit:
+        linking_counts = _linking_counts
+    else:
+
+        def linking_counts(conn, sign):
+            # a list item is read several times faster than an ndarray item
+            return _linking_counts(conn.tolist(), sign.tolist())
+
+        linking_counts.__doc__ = _linking_counts.__doc__
 
     @dec
     def chain_scan(conn, sign, starts):

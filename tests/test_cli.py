@@ -1,5 +1,7 @@
 """The command line: parsing, outputs, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -7,6 +9,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import braidax
 from braidax.cli import main, _extract_word_tokens
@@ -156,3 +160,85 @@ class TestExperiment:
         with pytest.raises(SystemExit) as exc:
             main(["experiment", "unknown"])
         assert exc.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# fuzzing the exit-code contract
+
+_WORDS = st.sampled_from(["1", "1 2", "-3 1", "2 2 2", "9", "x", ""])
+_PATHS = st.sampled_from(["dir", "taken", "taken/sub", "new/nested", "junk.tsv", "missing.tsv"])
+# every value small enough that a valid experiment takes well under a second
+_EXPERIMENT_FLAGS = {
+    "--n": st.sampled_from(["-1", "3", "4", "5", "x"]),
+    "--n1": st.sampled_from(["1", "2", "3", "x"]),
+    "--n2": st.sampled_from(["1", "2", "3", "x"]),
+    "--alpha": _WORDS,
+    "--beta": _WORDS,
+    "--canonical-odd": st.sampled_from(["3", "5", "x"]),
+    "--m-min": st.sampled_from(["-2", "0", "2", "x"]),
+    "--m-max": st.sampled_from(["-2", "0", "2", "x"]),
+    "--corpus": _PATHS,
+    "--out": _PATHS,
+    "--format": st.sampled_from(["tsv", "json", "both", "xml"]),
+    "--jobs": st.sampled_from(["-1", "0", "1", "x"]),  # never a worker pool
+}
+
+
+@st.composite
+def cli_vectors(draw):
+    """Argument vectors for info, invariant and experiment: strand counts up
+    to 4 (5 for experiments), at most five letters, degree at most 3,
+    out-of-range letters, non-integer tokens, missing or contradictory
+    flags, and paths that are files, directories or absent."""
+    command = draw(st.sampled_from(["info", "invariant", "experiment"]))
+    argv = [command]
+    if command == "experiment":
+        argv.append(draw(st.sampled_from(["dn", "eq54", "lemma64", "prop25", "table8", "nope"])))
+        flags = draw(st.lists(st.sampled_from(sorted(_EXPERIMENT_FLAGS)), max_size=4, unique=True))
+        for flag in flags:
+            argv += [flag, draw(_EXPERIMENT_FLAGS[flag])]
+    else:
+        n = draw(st.sampled_from(["1", "2", "3", "4", "0", "x", None]))
+        if n is not None:
+            argv += ["--n", n]
+        if command == "invariant":
+            if draw(st.booleans()):
+                argv += ["--degree", draw(st.sampled_from(["-1", "0", "1", "2", "3", "x"]))]
+            if draw(st.booleans()):
+                argv.append("--no-cache")
+        top = int(n) if n not in (None, "x") else 3  # letters 0 and +-top are out of range
+        letters = st.sampled_from([str(k) for k in range(-top, top + 1)] + ["x"])
+        if draw(st.sampled_from([True, True, True, False])):  # the word, mostly
+            argv += ["--", *draw(st.lists(letters, max_size=5))]
+    stray = draw(st.sampled_from([None] * 6 + ["--degree", "--bogus", "7"]))
+    if stray is not None:
+        argv.insert(draw(st.integers(1, len(argv))), stray)
+    return argv
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    base = tmp_path_factory.mktemp("fuzz")
+    (base / "dir").mkdir()
+    (base / "taken").write_text("")  # a file where a directory is wanted
+    (base / "junk.tsv").write_text("not a row\n1\t2\t3\n")
+    return base
+
+
+class TestFuzz:
+    @given(cli_vectors())
+    @settings(max_examples=300)
+    def test_exit_code_contract(self, fuzz_dir, argv):
+        out, err = io.StringIO(), io.StringIO()
+        cwd = os.getcwd()
+        os.chdir(fuzz_dir)  # reports without --out land here
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:  # argparse
+                    code = exc.code
+        finally:
+            os.chdir(cwd)
+        assert code in (0, 1, 2), (argv, err.getvalue())
+        assert "Traceback" not in err.getvalue()

@@ -223,6 +223,14 @@ class CarriedCountEngine(SkeinEngine):
         return super()._eval(conn, sign, loops, p, budget)
 
 
+class MiscountingEngine(SkeinEngine):
+    """Hands every node one component too many, budget to match: a slip in
+    the carried count that reaches the leaves."""
+
+    def _eval(self, conn, sign, loops, p, budget):
+        return super()._eval(conn, sign, loops, p + 1, budget + 1)
+
+
 class TestLeafFirstEngine:
     @given(
         braid_words(max_letters=8),
@@ -253,6 +261,16 @@ class TestLeafFirstEngine:
         assert SkeinEngine(kernels).truncated(split, 0).coeffs == (0,)
         assert kernels.calls == {"trace_inports": 1}
         assert SkeinEngine(kernels).truncated(axis, 3).coeffs == expected
+
+    def test_hoste_leaf_is_one_kernel_call(self):
+        kernels = CountingKernels()
+        # the Hopf link at budget 1 is a Hoste leaf at the root
+        assert SkeinEngine(kernels).truncated(closure_diagram(w(2, 1, 1)), 1).coeffs == (0, 1)
+        assert kernels.calls == {"trace_inports": 1, "linking_counts": 1}
+
+    def test_leaf_rejects_a_wrong_component_count(self):
+        with pytest.raises(ConwayError, match="carried 3"):
+            MiscountingEngine(PYTHON_KERNELS).truncated(closure_diagram(w(2, 1, 1)), 1)
 
     @pytest.mark.parametrize(
         "run, nodes, hits",

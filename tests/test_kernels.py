@@ -77,6 +77,16 @@ class TestDualPath:
             for x, y in zip(jit.compact(ca, sa), py.compact(cb, sb)):
                 assert np.asarray(x).tolist() == np.asarray(y).tolist()
 
+    @given(braid_words(max_letters=8), st.booleans(), st.data())
+    @settings(max_examples=25)
+    def test_linking_counts_agree_uncompacted(self, word, axis, data):
+        d = axis_link_diagram(word) if axis else closure_diagram(word)
+        conn, sign = d.arrays()
+        if d.crossings:
+            PYTHON_KERNELS.smooth_inplace(conn, sign, data.draw(st.integers(0, d.crossings - 1)))
+        nj, cj = get_kernels("numba").linking_counts(conn, sign)
+        assert (int(nj), [int(x) for x in cj]) == get_kernels("python").linking_counts(conn, sign)
+
     @given(braid_words(max_letters=10, max_strands=5))
     @settings(max_examples=15)
     def test_engine_results_identical(self, word):
@@ -100,6 +110,20 @@ def compact_reference(conn, sign):
             q = int(conn[4 * c + r])
             new_conn[4 * k + r] = 4 * newidx[q >> 2] + (q & 3)
     return new_conn, new_sign
+
+
+def linking_counts_reference(conn, sign):
+    """``compact``, a full ``trace_inports`` and a per-crossing loop: the
+    route a Hoste leaf took before the kernel read uncompacted arrays."""
+    conn, sign = PYTHON_KERNELS.compact(conn, sign)
+    labels, ncomp, _ = PYTHON_KERNELS.trace_inports(conn)
+    m = np.zeros((ncomp, ncomp), dtype=np.int64)
+    for c in range(sign.shape[0]):
+        a, b = labels[4 * c], labels[4 * c + 2]
+        if a != b:
+            m[a, b] += sign[c]
+            m[b, a] += sign[c]
+    return ncomp, m.ravel().tolist()
 
 
 class TestCompact:
@@ -281,6 +305,50 @@ class TestSplice:
         )
         assert sign.tolist() == [1, 1]
         assert PYTHON_KERNELS.trace_inports(conn)[1] == 2
+
+
+class TestLinkingCounts:
+    """The one-walk leaf kernel against compact + trace + loop, uncompacted."""
+
+    def check(self, conn, sign):
+        got = PYTHON_KERNELS.linking_counts(conn, sign)
+        assert got == linking_counts_reference(conn, sign)
+        assert all(type(x) is int for x in got[1])
+        return got
+
+    @given(braid_words(max_letters=10), st.booleans(), st.data())
+    def test_matches_reference_after_surgery(self, word, axis, data):
+        d = axis_link_diagram(word) if axis else closure_diagram(word)
+        K = PYTHON_KERNELS
+        conn, sign = d.arrays()
+        self.check(conn, sign)
+        if d.crossings == 0:
+            return
+        if data.draw(st.booleans()):
+            labels, ncomp, _ = K.trace_inports(conn)
+            killed = data.draw(st.sets(st.integers(0, ncomp - 1)))
+            K.delete_marked_components(conn, sign, labels, np.isin(np.arange(ncomp), list(killed)))
+            self.check(conn, sign)
+        for _ in range(data.draw(st.integers(0, 3))):
+            live = np.flatnonzero(sign)
+            if live.size == 0:
+                break
+            K.smooth_inplace(conn, sign, data.draw(st.sampled_from(live.tolist())))
+            self.check(conn, sign)
+        K.reidemeister_simplify(conn, sign)
+        self.check(conn, sign)
+
+    def test_only_self_crossings_count_zero(self):
+        # two trefoils joined by a cancelling clasp, which simplify removes
+        conn, sign = closure_diagram(BraidWord(4, (2, -2, 1, 1, 1, 3, 3, 3))).arrays()
+        PYTHON_KERNELS.reidemeister_simplify(conn, sign)
+        assert sign.tolist()[:2] == [0, 0] and sign[2:].all()
+        assert self.check(conn, sign) == (2, [0, 0, 0, 0])
+
+    @pytest.mark.parametrize("e", [1, -1])
+    def test_hopf_link(self, e):
+        d = closure_diagram(BraidWord(2, (e, e)))
+        assert self.check(*d.arrays()) == (2, [0, 2 * e, 2 * e, 0])
 
 
 class TestFlavorSelection:
