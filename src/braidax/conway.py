@@ -20,9 +20,8 @@ All coefficients are exact integers; there is no floating point here.
 from __future__ import annotations
 
 import itertools
+import random
 from dataclasses import dataclass
-
-import numpy as np
 
 from .diagram import LinkDiagram, LinkingMatrix
 from .kernels import get_kernels
@@ -77,7 +76,7 @@ class SkeinEngine:
         self.k = kernels if kernels is not None else get_kernels()
         self.memo: dict | None = {} if memo else None
         self.hoste_base = hoste_base
-        self.rng = np.random.default_rng(shuffle_seed) if shuffle_seed is not None else None
+        self.rng = random.Random(shuffle_seed) if shuffle_seed is not None else None
         self.nodes = 0
         self.hits = 0
 
@@ -86,8 +85,8 @@ class SkeinEngine:
             raise ConwayError("max_degree must be >= 0")
         conn, sign = d.arrays()
         p = d.free_loops
-        if sign.shape[0]:
-            p += int(self.k.trace_inports(conn)[1])
+        if sign:
+            p += self.k.trace_inports(conn)[1]
         coeffs = self._eval(conn, sign, d.free_loops, p, max_degree)
         return TruncatedPoly(max_degree, coeffs, p)
 
@@ -95,12 +94,11 @@ class SkeinEngine:
 
     def _shuffled_starts(self, labels, ncomp):
         ports = [[] for _ in range(ncomp)]
-        for q in range(0, labels.shape[0], 2):
+        for q in range(0, len(labels), 2):
             ports[labels[q]].append(q)
-        order = self.rng.permutation(ncomp)
-        return np.array(
-            [ports[j][self.rng.integers(len(ports[j]))] for j in order], dtype=np.int32
-        )
+        order = list(range(ncomp))
+        self.rng.shuffle(order)
+        return [self.rng.choice(ports[j]) for j in order]
 
     def _eval(self, conn, sign, loops, p, budget) -> tuple[int, ...]:
         K = self.k
@@ -112,21 +110,21 @@ class SkeinEngine:
             if loops:
                 return (1,) if p == 1 else zero
             return (0,) * budget + (self._hoste(conn, sign, p),)
-        loops += int(K.reidemeister_simplify(conn, sign))
-        if not sign.any():
+        loops += K.reidemeister_simplify(conn, sign)
+        if not any(sign):
             if loops == 1:
                 return (1,) + (0,) * budget
             return zero
         if loops:
             return zero  # crossing-free loop beside crossings: split link
-        if not sign.all():
+        if 0 in sign:
             conn, sign = K.compact(conn, sign)
         labels, ncomp, starts = K.trace_inports(conn)
         if ncomp >= 2 and K.split_components(conn, labels, ncomp):
             return zero
         key = None
         if self.memo is not None:
-            key = (conn.tobytes(), sign.tobytes(), budget)
+            key = (tuple(conn), tuple(sign), budget)
             hit = self.memo.get(key)
             if hit is not None:
                 self.hits += 1
@@ -136,14 +134,14 @@ class SkeinEngine:
         nbad, bad_ids, eps = K.chain_scan(conn, sign, starts)
         coeffs = [1 if p == 1 else 0] + [0] * budget
         if budget >= 1:
-            for i in range(int(nbad)):
-                c = int(bad_ids[i])
-                bconn = conn.copy()
-                bsign = sign.copy()
-                bloops = int(K.smooth_inplace(bconn, bsign, c))
+            for i in range(nbad):
+                c = bad_ids[i]
+                bconn = conn[:]
+                bsign = sign[:]
+                bloops = K.smooth_inplace(bconn, bsign, c)
                 bp = p + 1 if labels[4 * c] == labels[4 * c + 2] else p - 1
                 sub = self._eval(bconn, bsign, bloops, bp, budget - 1)
-                e = int(eps[i])
+                e = eps[i]
                 for j in range(1, budget + 1):
                     coeffs[j] += e * sub[j - 1]
                 if i + 1 < nbad:

@@ -1,18 +1,17 @@
 """Oriented planar link diagrams: braid closures, axis-addition links, and
 crossing surgery.
 
-Diagrams are values; every operation returns a new diagram.  The arrays
-follow the port conventions of :mod:`braidax.kernels`.  Positive braid
-letters put the strand entering from the smaller position on top, and the
-crossing sign always equals the letter sign.  The braid axis is oriented so
+Diagrams are values: a diagram holds its arrays as tuples, and every
+operation copies them to lists for the kernels and returns a new diagram.
+The arrays follow the port conventions of :mod:`braidax.kernels`.  Positive
+braid letters put the strand entering from the smaller position on top, and
+the crossing sign always equals the letter sign.  The braid axis is oriented so
 that it links every strand positively.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from .kernels import get_kernels
 from .words import BraidWord, cycle_decomposition, permutation_of
@@ -73,41 +72,37 @@ class LinkDiagram:
     """A link diagram: crossing signs, the arc pairing of ports, and a count
     of crossing-free loop components."""
 
-    conn: np.ndarray
-    sign: np.ndarray
+    conn: tuple[int, ...]
+    sign: tuple[int, ...]
     free_loops: int = 0
     meta: tuple[ComponentInfo, ...] | None = None
 
     def __post_init__(self):
-        if self.conn.shape[0] != 4 * self.sign.shape[0]:
+        # frozen here, so a diagram built from the kernels' lists is a value
+        object.__setattr__(self, "conn", tuple(self.conn))
+        object.__setattr__(self, "sign", tuple(self.sign))
+        if len(self.conn) != 4 * len(self.sign):
             raise DiagramError("conn must hold four ports per crossing")
 
     @property
     def crossings(self) -> int:
-        return int(self.sign.shape[0])
+        return len(self.sign)
 
-    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
+    def arrays(self) -> tuple[list[int], list[int]]:
         """Fresh mutable copies of the underlying arrays."""
-        return self.conn.copy(), self.sign.copy()
+        return list(self.conn), list(self.sign)
 
     def validate(self) -> None:
         """Check the arc pairing is a perfect out/in matching."""
         conn = self.conn
-        for x in range(conn.shape[0]):
-            y = int(conn[x])
-            if y < 0 or y >= conn.shape[0] or int(conn[y]) != x:
+        for x, y in enumerate(conn):
+            if y < 0 or y >= len(conn) or conn[y] != x:
                 raise DiagramError(f"port {x} is not consistently paired")
             if (x & 1) == (y & 1):
                 raise DiagramError(f"arc {x}-{y} does not join an out-port to an in-port")
-        for s in np.asarray(self.sign):
+        for s in self.sign:
             if s not in (-1, 1):
                 raise DiagramError("crossing signs must be +1 or -1")
-
-
-def _empty_diagram(loops: int, meta=None) -> LinkDiagram:
-    return LinkDiagram(
-        np.empty(0, dtype=np.int32), np.empty(0, dtype=np.int8), loops, meta
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -123,8 +118,8 @@ def _braid_part(w: BraidWord, extra: int):
     """
     n = w.strands
     ncross = len(w.letters) + extra
-    conn = np.full(4 * ncross, -1, dtype=np.int32)
-    sign = np.zeros(ncross, dtype=np.int8)
+    conn = [-1] * (4 * ncross)
+    sign = [0] * ncross
     cur = [-1] * n
     first_in = [-1] * n
     for c, k in enumerate(w.letters):
@@ -221,6 +216,25 @@ def axis_link_diagram(w: BraidWord) -> LinkDiagram:
 # tracing and linking
 
 
+def _traced(d: LinkDiagram) -> tuple[ComponentLabeling, list[int] | None]:
+    """The public labeling and the in-port labels of one trace (None for a
+    crossing-free diagram), so callers that need both trace once."""
+    if d.crossings == 0:
+        infos = d.meta if d.meta is not None else tuple(
+            ComponentInfo("loop") for _ in range(d.free_loops)
+        )
+        return ComponentLabeling(d.free_loops, tuple(infos)), None
+    K = get_kernels()
+    labels, ncomp, starts = K.trace_inports(d.conn)
+    if d.meta is not None:
+        if len(d.meta) != ncomp + d.free_loops:
+            raise DiagramError("stored labeling does not match traced components")
+        return ComponentLabeling(ncomp + d.free_loops, d.meta), labels
+    infos = [ComponentInfo("unknown", entry=q) for q in starts]
+    infos += [ComponentInfo("loop") for _ in range(d.free_loops)]
+    return ComponentLabeling(ncomp + d.free_loops, tuple(infos)), labels
+
+
 def trace_components(d: LinkDiagram) -> ComponentLabeling:
     """Deterministic component labeling.
 
@@ -229,36 +243,22 @@ def trace_components(d: LinkDiagram) -> ComponentLabeling:
     to first-port discovery order.  Crossing-free loops come after the
     crossing components in the fallback order.
     """
-    K = get_kernels()
-    if d.crossings == 0:
-        infos = d.meta if d.meta is not None else tuple(
-            ComponentInfo("loop") for _ in range(d.free_loops)
-        )
-        return ComponentLabeling(d.free_loops, tuple(infos))
-    labels, ncomp, starts = K.trace_inports(d.conn)
-    if d.meta is not None:
-        if len(d.meta) != ncomp + d.free_loops:
-            raise DiagramError("stored labeling does not match traced components")
-        return ComponentLabeling(ncomp + d.free_loops, d.meta)
-    infos = [ComponentInfo("unknown", entry=int(starts[j])) for j in range(ncomp)]
-    infos += [ComponentInfo("loop") for _ in range(d.free_loops)]
-    return ComponentLabeling(ncomp + d.free_loops, tuple(infos))
+    return _traced(d)[0]
 
 
 def linking_matrix(d: LinkDiagram) -> LinkingMatrix:
     """Half the signed inter-component crossing counts, in label order."""
     K = get_kernels()
-    labeling = trace_components(d)
+    labeling, labels = _traced(d)
     p = labeling.count
     out = [[0] * p for _ in range(p)]
     if d.crossings:
-        labels, ncomp, starts = K.trace_inports(d.conn)
-        _, counts = K.linking_counts(d.conn, d.sign)
+        ncomp, counts = K.linking_counts(d.conn, d.sign)
         # map public labels to traced labels through their entry ports
         pub_to_traced = {}
         for j, info in enumerate(labeling.infos):
             if info.entry >= 0:
-                pub_to_traced[j] = int(labels[info.entry])
+                pub_to_traced[j] = labels[info.entry]
         if len(pub_to_traced) != ncomp:
             raise DiagramError("component entries do not cover all traced components")
         for j, tj in pub_to_traced.items():
@@ -301,7 +301,7 @@ def smooth_crossing(d: LinkDiagram, c: int) -> LinkDiagram:
     _check_crossing(d, c)
     K = get_kernels()
     conn, sign = d.arrays()
-    loops = int(K.smooth_inplace(conn, sign, c))
+    loops = K.smooth_inplace(conn, sign, c)
     return _rebuild(conn, sign, d.free_loops + loops)
 
 
@@ -326,19 +326,18 @@ def delete_component(d: LinkDiagram, j: int) -> LinkDiagram:
     """Remove component j (by public label); crossings it shares with
     survivors are retracted by pulling the surviving strand straight."""
     K = get_kernels()
-    labeling = trace_components(d)
+    labeling, labels = _traced(d)
     if not (0 <= j < labeling.count):
         raise DiagramError(f"no component {j} among {labeling.count}")
     info = labeling.infos[j]
     if info.entry < 0:
         if d.free_loops < 1:
             raise DiagramError("loop component missing")
-        return LinkDiagram(d.conn.copy(), d.sign.copy(), d.free_loops - 1, None)
+        return LinkDiagram(d.conn, d.sign, d.free_loops - 1, None)
     conn, sign = d.arrays()
-    labels, ncomp, starts = K.trace_inports(conn)
-    kill = np.zeros(ncomp, dtype=np.bool_)
-    kill[int(labels[info.entry])] = True
-    loops = int(K.delete_marked_components(conn, sign, labels, kill))
+    kill = [False] * (labeling.count - d.free_loops)  # one per traced component
+    kill[labels[info.entry]] = True
+    loops = K.delete_marked_components(conn, sign, labels, kill)
     return _rebuild(conn, sign, d.free_loops + loops)
 
 
@@ -349,7 +348,7 @@ def simplify(d: LinkDiagram) -> LinkDiagram:
         return d
     K = get_kernels()
     conn, sign = d.arrays()
-    loops = int(K.reidemeister_simplify(conn, sign))
+    loops = K.reidemeister_simplify(conn, sign)
     return _rebuild(conn, sign, d.free_loops + loops)
 
 
@@ -362,7 +361,7 @@ def is_split(d: LinkDiagram) -> bool:
         total += ncomp
         if d.free_loops > 0:
             return True
-        return bool(K.split_components(d.conn, labels, ncomp))
+        return K.split_components(d.conn, labels, ncomp)
     return total > 1
 
 

@@ -1,371 +1,310 @@
-"""Array-level primitives for oriented link diagrams.
+"""List-level primitives for oriented link diagrams.
 
-A diagram with c crossings is stored as two arrays:
+A diagram with c crossings is stored as two Python lists of ints:
 
-* ``sign``: int8[c], the crossing sign (+1 or -1); 0 marks a removed crossing.
-  Until ``compact`` drops it, strands pass straight through a removed
-  crossing (in-port q to out-port q+1) and its ports are scratch: every
-  removal goes through ``splice_out``, which reconnects the live ports
+* ``sign``: c entries, the crossing sign (+1 or -1); 0 marks a removed
+  crossing.  Until ``compact`` drops it, strands pass straight through a
+  removed crossing (in-port q to out-port q+1) and its ports are scratch:
+  every removal goes through ``splice_out``, which reconnects the live ports
   around it at once.
-* ``conn``: int32[4c], a symmetric arc pairing between ports.  Crossing k owns
-  ports 4k..4k+3 with roles over-in (0), over-out (1), under-in (2),
+* ``conn``: 4c entries, a symmetric arc pairing between ports.  Crossing k
+  owns ports 4k..4k+3 with roles over-in (0), over-out (1), under-in (2),
   under-out (3).  Even ports are in-ports, odd ports are out-ports, and a
   strand entering at in-port q leaves through out-port q+1.  For every arc,
   ``conn[out] == in`` and ``conn[in] == out``.
 
 Crossing-free loop components are counted separately by the caller; the
-surgery routines here return how many such loops they split off.
+surgery routines here return how many such loops they split off.  The
+read-only kernels accept tuples too (a ``LinkDiagram`` holds tuples); the
+in-place ones need lists.
 
 ``linking_counts`` is the one kernel that reads uncompacted arrays: it walks
 only the live in-ports and numbers the components in ``trace_inports`` order,
-so a Hoste leaf needs neither ``compact`` nor a second trace.  Its plain
-flavor walks ``conn.tolist()`` and ``sign.tolist()``, since a Python list item
-is read several times faster than an ndarray item.
+so a Hoste leaf needs neither ``compact`` nor a second trace.
 
-The hot functions are compiled with numba when available.  Set
-``BRAIDAX_KERNELS=python`` to force the uncompiled path (the same source);
-``get_kernels()`` returns the active namespace and both flavors stay
-importable for benchmarks and cross-checks.
+Every kernel is a plain Python function: the engine reads single items in
+loops, and a list item is read several times faster than an ndarray item.
+``get_kernels()`` returns the namespace the skein engine calls through, so a
+caller can hand the engine a wrapped copy (to count or time the calls).
 """
 
 from __future__ import annotations
 
-import os
 from types import SimpleNamespace
 
-import numpy as np
 
-try:
-    from numba import njit as _njit
+def trace_inports(conn):
+    """Label every in-port with its component id, discovery-ordered.
 
-    NUMBA_AVAILABLE = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    _njit = None
-    NUMBA_AVAILABLE = False
-
-
-def _build(jit: bool) -> SimpleNamespace:
-    """Create the kernel namespace, optionally jit-compiling every function.
-
-    All kernels are defined inside this factory so the compiled variants can
-    call each other through closure references while the plain variants stay
-    genuine Python functions.
+    Returns (labels, ncomp, starts) where labels has one entry per port (-1
+    on out-ports) and starts[j] is the smallest in-port of component j.
     """
+    nport = len(conn)
+    labels = [-1] * nport
+    starts = []
+    ncomp = 0
+    for q in range(0, nport, 2):
+        if labels[q] >= 0:
+            continue
+        starts.append(q)
+        cur = q
+        while True:
+            labels[cur] = ncomp
+            cur = conn[cur + 1]
+            if cur == q:
+                break
+        ncomp += 1
+    return labels, ncomp, starts
 
-    if jit:
-        dec = _njit(cache=False)
-    else:
-        dec = lambda f: f
 
-    @dec
-    def trace_inports(conn):
-        """Label every in-port with its component id, discovery-ordered.
+def split_components(conn, labels, ncomp):
+    """True when the crossing-adjacency graph of components is disconnected."""
+    if ncomp <= 1:
+        return False
+    parent = list(range(ncomp))
+    for c in range(len(conn) // 4):
+        a = labels[4 * c]
+        b = labels[4 * c + 2]
+        # find roots
+        ra = a
+        while parent[ra] != ra:
+            ra = parent[ra]
+        rb = b
+        while parent[rb] != rb:
+            rb = parent[rb]
+        if ra != rb:
+            parent[rb] = ra
+    roots = 0
+    for j in range(ncomp):
+        if parent[j] == j:
+            roots += 1
+    return roots > 1
 
-        Returns (labels, ncomp, starts) where labels is int32[4c] (-1 on
-        out-ports) and starts[j] is the smallest in-port of component j.
-        """
-        nport = conn.shape[0]
-        labels = np.full(nport, -1, dtype=np.int32)
-        starts = np.full(nport // 4 + 1, -1, dtype=np.int32)
-        ncomp = 0
-        for q in range(0, nport, 2):
-            if labels[q] >= 0:
+
+def linking_counts(conn, sign):
+    """Component count and signed inter-component crossing counts.
+
+    Runs on uncompacted arrays: the live in-ports (``sign[q >> 2] != 0``)
+    are numbered by component in discovery order from the smallest one, the
+    order ``trace_inports`` gives after ``compact``, since every live
+    out-port is already spliced to a live in-port.  Returns ``(ncomp,
+    counts)`` with ``counts[a * ncomp + b]`` twice the linking number of
+    components a and b, a flat row-major list.
+    """
+    nport = len(conn)
+    labels = [-1] * nport
+    ncomp = 0
+    for q in range(0, nport, 2):
+        if labels[q] >= 0 or sign[q >> 2] == 0:
+            continue
+        cur = q
+        while True:
+            labels[cur] = ncomp
+            cur = conn[cur + 1]
+            if cur == q:
+                break
+        ncomp += 1
+    counts = [0] * (ncomp * ncomp)
+    for c in range(len(sign)):
+        s = sign[c]
+        if s == 0:
+            continue
+        a = labels[4 * c]
+        b = labels[4 * c + 2]
+        if a != b:
+            counts[a * ncomp + b] += s
+            counts[b * ncomp + a] += s
+    return ncomp, counts
+
+
+def chain_scan(conn, sign, starts):
+    """Walk all components in order and list the descending violations.
+
+    A crossing first met on its under strand is 'bad'.  Switching the bad
+    crossings in encounter order turns the diagram descending, and the
+    strand path itself never changes, so a single read-only pass suffices.
+    Returns (nbad, bad_ids, eps) with eps the sign before switching.
+    """
+    visited = [False] * len(sign)
+    bad_ids = []
+    eps = []
+    for start in starts:
+        cur = start
+        while True:
+            c = cur >> 2
+            if not visited[c]:
+                visited[c] = True
+                if cur & 2:  # entered on the under strand
+                    bad_ids.append(c)
+                    eps.append(sign[c])
+            cur = conn[cur + 1]
+            if cur == start:
+                break
+    return len(bad_ids), bad_ids, eps
+
+
+def switch_inplace(conn, sign, c):
+    """Exchange the over and under strands of crossing c and flip its sign."""
+    oi = 4 * c
+    oo = oi + 1
+    ui = oi + 2
+    uo = oi + 3
+    p_oi = conn[oi]
+    p_ui = conn[ui]
+    n_oo = conn[oo]
+    n_uo = conn[uo]
+
+    # remap the endpoints of the (up to four) incident arcs: for ports of
+    # crossing c, over<->under means XOR with 2
+    def f(p):
+        if p >> 2 == c:
+            return p ^ 2
+        return p
+
+    a1o, a1i = f(p_oi), ui
+    a2o, a2i = f(p_ui), oi
+    a3o, a3i = uo, f(n_oo)
+    a4o, a4i = oo, f(n_uo)
+    conn[a1o] = a1i
+    conn[a1i] = a1o
+    conn[a2o] = a2i
+    conn[a2i] = a2o
+    conn[a3o] = a3i
+    conn[a3i] = a3o
+    conn[a4o] = a4i
+    conn[a4i] = a4o
+    sign[c] = -sign[c]
+
+
+def mirror_inplace(conn, sign):
+    """Switch every crossing: reflect the diagram through the plane."""
+    out = conn[:]
+    for x in range(len(conn)):
+        out[x ^ 2] = conn[x] ^ 2
+    conn[:] = out
+    sign[:] = [-s for s in sign]
+
+
+def splice_out(conn, sign, ids):
+    """Remove crossings ``ids``, passing every strand straight through.
+
+    A strand arriving from a live crossing is reconnected to the live
+    in-port it reaches; a strand that closes up inside the removed crossings
+    is counted and returned as a free loop.  The removed crossings' in-ports
+    are overwritten with -1 as they are walked.
+    """
+    for c in ids:
+        sign[c] = 0
+    for c in ids:
+        for q in (4 * c, 4 * c + 2):
+            feeder = conn[q]
+            if feeder < 0 or sign[feeder >> 2] == 0:
                 continue
-            starts[ncomp] = q
             cur = q
-            while True:
-                labels[cur] = ncomp
-                cur = conn[cur + 1]
-                if cur == q:
-                    break
-            ncomp += 1
-        return labels, ncomp, starts[:ncomp]
-
-    @dec
-    def split_components(conn, labels, ncomp):
-        """True when the crossing-adjacency graph of components is disconnected."""
-        if ncomp <= 1:
-            return False
-        parent = np.arange(ncomp, dtype=np.int32)
-        for c in range(conn.shape[0] // 4):
-            a = labels[4 * c]
-            b = labels[4 * c + 2]
-            # find roots
-            ra = a
-            while parent[ra] != ra:
-                ra = parent[ra]
-            rb = b
-            while parent[rb] != rb:
-                rb = parent[rb]
-            if ra != rb:
-                parent[rb] = ra
-        roots = 0
-        for j in range(ncomp):
-            if parent[j] == j:
-                roots += 1
-        return roots > 1
-
-    @dec
-    def _linking_counts(conn, sign):
-        """Component count and signed inter-component crossing counts.
-
-        Runs on uncompacted arrays: the live in-ports (``sign[q >> 2] != 0``)
-        are numbered by component in discovery order from the smallest one,
-        the order ``trace_inports`` gives after ``compact``, since every
-        live out-port is already spliced to a live in-port.  Returns
-        ``(ncomp, counts)`` with ``counts[a * ncomp + b]`` twice the linking
-        number of components a and b, a flat row-major list.
-        """
-        nport = len(conn)
-        labels = [-1] * nport
-        ncomp = 0
-        for q in range(0, nport, 2):
-            if labels[q] >= 0 or sign[q >> 2] == 0:
+            while sign[cur >> 2] == 0:
+                nxt = conn[cur + 1]
+                conn[cur] = -1
+                cur = nxt
+            conn[feeder] = cur
+            conn[cur] = feeder
+    loops = 0
+    for c in ids:
+        for q in (4 * c, 4 * c + 2):
+            if conn[q] < 0:
                 continue
+            loops += 1
             cur = q
-            while True:
-                labels[cur] = ncomp
+            while conn[cur] >= 0:
+                conn[cur] = -1
                 cur = conn[cur + 1]
-                if cur == q:
-                    break
-            ncomp += 1
-        counts = [0] * (ncomp * ncomp)
-        for c in range(len(sign)):
-            s = sign[c]
-            if s == 0:
+    return loops
+
+
+def smooth_inplace(conn, sign, c):
+    """Oriented smoothing: over-in continues to under-out, under-in to
+    over-out, and the crossing disappears.  Returns split-off loops."""
+    oo = 4 * c + 1
+    uo = oo + 2
+    a = conn[oo]
+    b = conn[uo]
+    conn[oo], conn[uo], conn[a], conn[b] = b, a, uo, oo
+    return splice_out(conn, sign, (c,))
+
+
+def reidemeister_simplify(conn, sign):
+    """Remove kinks and cancelling clasps until none remain.
+
+    Kink: one of the crossing's out-ports is arced straight back into the
+    in-port of its other strand.  Cancelling clasp: two crossings of
+    opposite sign joined by two direct arcs with the same strand on top at
+    both.  Returns the number of free loops split off.
+    """
+    ncross = len(sign)
+    loops = 0
+    changed = True
+    while changed:
+        changed = False
+        for c in range(ncross):
+            if sign[c] == 0:
                 continue
-            a = labels[4 * c]
-            b = labels[4 * c + 2]
-            if a != b:
-                counts[a * ncomp + b] += s
-                counts[b * ncomp + a] += s
-        return ncomp, counts
-
-    if jit:
-        linking_counts = _linking_counts
-    else:
-
-        def linking_counts(conn, sign):
-            # a list item is read several times faster than an ndarray item
-            return _linking_counts(conn.tolist(), sign.tolist())
-
-        linking_counts.__doc__ = _linking_counts.__doc__
-
-    @dec
-    def chain_scan(conn, sign, starts):
-        """Walk all components in order and list the descending violations.
-
-        A crossing first met on its under strand is 'bad'.  Switching the bad
-        crossings in encounter order turns the diagram descending, and the
-        strand path itself never changes, so a single read-only pass suffices.
-        Returns (nbad, bad_ids, eps) with eps the sign before switching.
-        """
-        ncross = sign.shape[0]
-        visited = np.zeros(ncross, dtype=np.bool_)
-        bad_ids = np.empty(ncross, dtype=np.int32)
-        eps = np.empty(ncross, dtype=np.int8)
-        nbad = 0
-        for j in range(starts.shape[0]):
-            start = starts[j]
-            cur = start
-            while True:
-                c = cur >> 2
-                if not visited[c]:
-                    visited[c] = True
-                    if cur & 2:  # entered on the under strand
-                        bad_ids[nbad] = c
-                        eps[nbad] = sign[c]
-                        nbad += 1
-                cur = conn[cur + 1]
-                if cur == start:
-                    break
-        return nbad, bad_ids[:nbad], eps[:nbad]
-
-    @dec
-    def switch_inplace(conn, sign, c):
-        """Exchange the over and under strands of crossing c and flip its sign."""
-        oi = 4 * c
-        oo = oi + 1
-        ui = oi + 2
-        uo = oi + 3
-        p_oi = conn[oi]
-        p_ui = conn[ui]
-        n_oo = conn[oo]
-        n_uo = conn[uo]
-
-        # remap the endpoints of the (up to four) incident arcs: for ports of
-        # crossing c, over<->under means XOR with 2
-        def f(p):
-            if p >> 2 == c:
-                return p ^ 2
-            return p
-
-        a1o, a1i = f(p_oi), ui
-        a2o, a2i = f(p_ui), oi
-        a3o, a3i = uo, f(n_oo)
-        a4o, a4i = oo, f(n_uo)
-        conn[a1o] = a1i
-        conn[a1i] = a1o
-        conn[a2o] = a2i
-        conn[a2i] = a2o
-        conn[a3o] = a3i
-        conn[a3i] = a3o
-        conn[a4o] = a4i
-        conn[a4i] = a4o
-        sign[c] = -sign[c]
-
-    @dec
-    def mirror_inplace(conn, sign):
-        """Switch every crossing: reflect the diagram through the plane."""
-        out = conn.copy()
-        for x in range(conn.shape[0]):
-            out[x ^ 2] = conn[x] ^ 2
-        conn[:] = out
-        for c in range(sign.shape[0]):
-            sign[c] = -sign[c]
-
-    @dec
-    def splice_out(conn, sign, ids):
-        """Remove crossings ``ids``, passing every strand straight through.
-
-        A strand arriving from a live crossing is reconnected to the live
-        in-port it reaches; a strand that closes up inside the removed
-        crossings is counted and returned as a free loop.  The removed
-        crossings' in-ports are overwritten with -1 as they are walked.
-        """
-        for c in ids:
-            sign[c] = 0
-        for c in ids:
-            for q in (4 * c, 4 * c + 2):
-                feeder = conn[q]
-                if feeder < 0 or sign[feeder >> 2] == 0:
-                    continue
-                cur = q
-                while sign[cur >> 2] == 0:
-                    nxt = conn[cur + 1]
-                    conn[cur] = -1
-                    cur = nxt
-                conn[feeder] = cur
-                conn[cur] = feeder
-        loops = 0
-        for c in ids:
-            for q in (4 * c, 4 * c + 2):
-                if conn[q] < 0:
-                    continue
-                loops += 1
-                cur = q
-                while conn[cur] >= 0:
-                    conn[cur] = -1
-                    cur = conn[cur + 1]
-        return loops
-
-    @dec
-    def smooth_inplace(conn, sign, c):
-        """Oriented smoothing: over-in continues to under-out, under-in to
-        over-out, and the crossing disappears.  Returns split-off loops."""
-        oo = 4 * c + 1
-        uo = oo + 2
-        a = conn[oo]
-        b = conn[uo]
-        conn[oo], conn[uo], conn[a], conn[b] = b, a, uo, oo
-        return splice_out(conn, sign, (c,))
-
-    @dec
-    def reidemeister_simplify(conn, sign):
-        """Remove kinks and cancelling clasps until none remain.
-
-        Kink: one of the crossing's out-ports is arced straight back into the
-        in-port of its other strand.  Cancelling clasp: two crossings of
-        opposite sign joined by two direct arcs with the same strand on top
-        at both.  Returns the number of free loops split off.
-        """
-        ncross = sign.shape[0]
-        loops = 0
-        changed = True
-        while changed:
-            changed = False
-            for c in range(ncross):
-                if sign[c] == 0:
-                    continue
-                oi = 4 * c
-                oo = oi + 1
-                ui = oi + 2
-                uo = oi + 3
-                if conn[oo] == ui or conn[uo] == oi:
-                    loops += splice_out(conn, sign, (c,))
+            oi = 4 * c
+            oo = oi + 1
+            ui = oi + 2
+            uo = oi + 3
+            if conn[oo] == ui or conn[uo] == oi:
+                loops += splice_out(conn, sign, (c,))
+                changed = True
+                continue
+            # clasp cancellation: our over strand runs straight into d's
+            # over-in, and the under strands are joined directly too
+            nxt = conn[oo]
+            d = nxt >> 2
+            if (nxt & 3) == 0 and d != c and sign[d] == -sign[c]:
+                parallel = conn[uo] == 4 * d + 2
+                antiparallel = conn[4 * d + 3] == ui
+                if parallel or antiparallel:
+                    loops += splice_out(conn, sign, (c, d))
                     changed = True
-                    continue
-                # clasp cancellation: our over strand runs straight into d's
-                # over-in, and the under strands are joined directly too
-                nxt = conn[oo]
-                d = nxt >> 2
-                if (nxt & 3) == 0 and d != c and sign[d] == -sign[c]:
-                    parallel = conn[uo] == 4 * d + 2
-                    antiparallel = conn[4 * d + 3] == ui
-                    if parallel or antiparallel:
-                        # one integer type in the tuple, so numba can loop it
-                        loops += splice_out(conn, sign, (c, np.int64(d)))
-                        changed = True
-        return loops
-
-    @dec
-    def compact(conn, sign):
-        """Drop removed crossings and renumber the rest, preserving order."""
-        live = sign != 0
-        # new first port of each crossing; cumsum runs on an int32 copy of the
-        # mask so numpy and numba accumulate in the same integer type
-        first = 4 * live.astype(np.int32).cumsum() - 4
-        kept = conn[live.repeat(4)]
-        new_conn = (first[kept >> 2] + (kept & 3)).astype(np.int32)
-        return new_conn, sign[live].astype(np.int8)
-
-    @dec
-    def delete_marked_components(conn, sign, labels, kill):
-        """Remove every component whose label is marked in ``kill``.
-
-        Every crossing a killed component meets is removed, and the surviving
-        strands pass straight through.  Each killed component closes into one
-        cycle inside the removed crossings, which is not a loop of the
-        result.  Returns free loops split off among the survivors.
-        """
-        ids = np.flatnonzero(kill[labels[0::4]] | kill[labels[2::4]])
-        return splice_out(conn, sign, ids) - np.count_nonzero(kill)
-
-    return SimpleNamespace(
-        jitted=jit,
-        trace_inports=trace_inports,
-        split_components=split_components,
-        linking_counts=linking_counts,
-        chain_scan=chain_scan,
-        switch_inplace=switch_inplace,
-        mirror_inplace=mirror_inplace,
-        smooth_inplace=smooth_inplace,
-        reidemeister_simplify=reidemeister_simplify,
-        compact=compact,
-        delete_marked_components=delete_marked_components,
-    )
+    return loops
 
 
-PYTHON_KERNELS = _build(False)
-NUMBA_KERNELS = _build(True) if NUMBA_AVAILABLE else None
-
-_FLAVOR = os.environ.get("BRAIDAX_KERNELS", "numba").strip().lower()
-if _FLAVOR not in ("numba", "python"):
-    raise ValueError(f"BRAIDAX_KERNELS must be 'numba' or 'python', got {_FLAVOR!r}")
-if _FLAVOR == "numba" and NUMBA_KERNELS is not None:
-    ACTIVE_KERNELS = NUMBA_KERNELS
-else:
-    ACTIVE_KERNELS = PYTHON_KERNELS
+def compact(conn, sign):
+    """Drop removed crossings and renumber the rest, preserving order."""
+    live = [c for c, s in enumerate(sign) if s]
+    first = [0] * len(sign)  # new first port of each live crossing
+    for k, c in enumerate(live):
+        first[c] = 4 * k
+    new_conn = [first[q >> 2] + (q & 3) for c in live for q in conn[4 * c : 4 * c + 4]]
+    return new_conn, [sign[c] for c in live]
 
 
-def get_kernels(flavor: str | None = None) -> SimpleNamespace:
-    """Return a kernel namespace: the active one, or an explicit flavor."""
-    if flavor is None:
-        return ACTIVE_KERNELS
-    if flavor == "python":
-        return PYTHON_KERNELS
-    if flavor == "numba":
-        if NUMBA_KERNELS is None:
-            raise RuntimeError("numba kernels requested but numba is unavailable")
-        return NUMBA_KERNELS
-    raise ValueError(f"unknown kernel flavor {flavor!r}")
+def delete_marked_components(conn, sign, labels, kill):
+    """Remove every component whose label is marked in ``kill``.
+
+    Every crossing a killed component meets is removed, and the surviving
+    strands pass straight through.  Each killed component closes into one
+    cycle inside the removed crossings, which is not a loop of the result.
+    Returns free loops split off among the survivors.
+    """
+    ids = [c for c in range(len(sign)) if kill[labels[4 * c]] or kill[labels[4 * c + 2]]]
+    return splice_out(conn, sign, ids) - sum(kill)
+
+
+KERNELS = SimpleNamespace(
+    jitted=False,  # the benchmark records it as the kernel flavor
+    trace_inports=trace_inports,
+    split_components=split_components,
+    linking_counts=linking_counts,
+    chain_scan=chain_scan,
+    switch_inplace=switch_inplace,
+    mirror_inplace=mirror_inplace,
+    smooth_inplace=smooth_inplace,
+    reidemeister_simplify=reidemeister_simplify,
+    compact=compact,
+    delete_marked_components=delete_marked_components,
+)
+
+
+def get_kernels() -> SimpleNamespace:
+    """The kernel namespace the skein engine and the diagram functions call."""
+    return KERNELS

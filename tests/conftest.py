@@ -1,10 +1,13 @@
+from types import SimpleNamespace
+
 import hypothesis
 import pytest
 from hypothesis import strategies as st
 
 from braidax import BraidWord, ExchangeForm, SkeinEngine
+from braidax.kernels import get_kernels
 
-# numba compilation happens on first kernel use; never let it trip a deadline
+# the skein engine's run time varies a lot between examples; no deadlines
 hypothesis.settings.register_profile(
     "braidax", deadline=None, max_examples=60, derandomize=True
 )
@@ -46,3 +49,20 @@ def exchange_forms(draw, min_strands=4, max_strands=6, max_letters=5):
 def engine():
     """One memoized engine shared across a test session."""
     return SkeinEngine()
+
+
+class CountingKernels(SimpleNamespace):
+    """The kernels, with every call counted by name."""
+
+    def __init__(self):
+        super().__init__(calls={})
+        for name, f in vars(get_kernels()).items():
+            if callable(f):
+                setattr(self, name, self._counted(name, f))
+
+    def _counted(self, name, f):
+        def run(*args):
+            self.calls[name] = self.calls.get(name, 0) + 1
+            return f(*args)
+
+        return run

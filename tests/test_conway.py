@@ -1,7 +1,6 @@
 """Skein-engine values, invariants, and the lowest-coefficient formula."""
 
 import random
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given
@@ -29,9 +28,9 @@ from braidax import (
     squared_family_check,
     two_cycle_check,
 )
-from braidax.kernels import PYTHON_KERNELS
+from braidax.kernels import get_kernels
 
-from conftest import braid_words
+from conftest import CountingKernels, braid_words
 
 
 def w(n, *letters):
@@ -108,6 +107,29 @@ class TestEngineEquivalences:
         a = conway_truncated(d, budget).coeffs
         b = conway_truncated(d, budget, shuffle_seed=seed).coeffs
         assert a == b
+
+    def test_seeded_shuffle_is_reproducible_and_exact(self):
+        # two engines with one seed walk the same tree; the seeded walk may
+        # visit other nodes than the unshuffled one, never other values
+        rng = random.Random(7)
+        moved = 0
+        for seed in range(40):
+            n = rng.randint(2, 5)
+            size = rng.randint(0, 10)
+            letters = [rng.choice((-1, 1)) * rng.randint(1, n - 1) for _ in range(size)]
+            word = BraidWord(n, tuple(letters))
+            for d in (closure_diagram(word), axis_link_diagram(word)):
+                budget = min(component_count(d) + 1, 4)
+                plain = SkeinEngine()
+                want = plain.truncated(d, budget).coeffs
+                runs = []
+                for _ in range(2):
+                    eng = SkeinEngine(shuffle_seed=seed)
+                    runs.append((eng.truncated(d, budget).coeffs, eng.nodes, eng.hits))
+                assert runs[0] == runs[1]
+                assert runs[0][0] == want
+                moved += runs[0][1] != plain.nodes
+        assert moved > 0
 
     @given(braid_words(max_letters=10))
     def test_parity_and_low_degree_vanishing(self, word):
@@ -196,30 +218,13 @@ class TestEngineReuse:
         assert eng.hits > 0 or eng.nodes == nodes_after_first + 1
 
 
-class CountingKernels(SimpleNamespace):
-    """The plain kernels, with every call counted by name."""
-
-    def __init__(self):
-        super().__init__(calls={})
-        for name, f in vars(PYTHON_KERNELS).items():
-            if callable(f):
-                setattr(self, name, self._counted(name, f))
-
-    def _counted(self, name, f):
-        def run(*args):
-            self.calls[name] = self.calls.get(name, 0) + 1
-            return f(*args)
-
-        return run
-
-
 class CarriedCountEngine(SkeinEngine):
     """Checks at every node that the component count handed down by the
     smoothing rule equals a fresh trace of the node's diagram."""
 
     def _eval(self, conn, sign, loops, p, budget):
-        c, _ = PYTHON_KERNELS.compact(conn, sign)
-        assert p == PYTHON_KERNELS.trace_inports(c)[1] + loops
+        c, _ = get_kernels().compact(conn, sign)
+        assert p == get_kernels().trace_inports(c)[1] + loops
         return super()._eval(conn, sign, loops, p, budget)
 
 
@@ -242,9 +247,9 @@ class TestLeafFirstEngine:
         d = axis_link_diagram(word) if axis else closure_diagram(word)
         budget = min(component_count(d) + 1, 4)
         eng = CarriedCountEngine(
-            PYTHON_KERNELS, hoste_base=hoste_base, shuffle_seed=seed
+            get_kernels(), hoste_base=hoste_base, shuffle_seed=seed
         )
-        ref = SkeinEngine(PYTHON_KERNELS, hoste_base=hoste_base, shuffle_seed=seed)
+        ref = SkeinEngine(get_kernels(), hoste_base=hoste_base, shuffle_seed=seed)
         assert eng.truncated(d, budget).coeffs == ref.truncated(d, budget).coeffs
 
     def test_root_is_traced_with_the_engines_kernels(self, monkeypatch):
@@ -270,7 +275,7 @@ class TestLeafFirstEngine:
 
     def test_leaf_rejects_a_wrong_component_count(self):
         with pytest.raises(ConwayError, match="carried 3"):
-            MiscountingEngine(PYTHON_KERNELS).truncated(closure_diagram(w(2, 1, 1)), 1)
+            MiscountingEngine(get_kernels()).truncated(closure_diagram(w(2, 1, 1)), 1)
 
     @pytest.mark.parametrize(
         "run, nodes, hits",

@@ -1,113 +1,42 @@
-"""The compiled and plain kernel paths must be interchangeable."""
+"""The list kernels against loop references, and the engine's list-only path."""
 
-import numpy as np
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
-from braidax import BraidWord, LinkDiagram, SkeinEngine, axis_link_diagram, closure_diagram
-from braidax.kernels import NUMBA_AVAILABLE, PYTHON_KERNELS, get_kernels
+import braidax
+from braidax import (
+    BraidWord,
+    LinkDiagram,
+    SkeinEngine,
+    axis_link_diagram,
+    closure_diagram,
+    component_count,
+)
+from braidax.kernels import get_kernels
 
-from conftest import braid_words
+from conftest import CountingKernels, braid_words
 
-needs_numba = pytest.mark.skipif(not NUMBA_AVAILABLE, reason="numba not installed")
-
-
-@needs_numba
-class TestDualPath:
-    @given(braid_words(max_letters=8))
-    @settings(max_examples=25)
-    def test_trace_and_split_agree(self, word):
-        d = axis_link_diagram(word)
-        jit = get_kernels("numba")
-        py = get_kernels("python")
-        lj, nj, sj = jit.trace_inports(d.conn)
-        lp, np_, sp_ = py.trace_inports(d.conn)
-        assert nj == np_
-        assert (np.asarray(lj) == np.asarray(lp)).all()
-        assert (np.asarray(sj) == np.asarray(sp_)).all()
-        assert jit.split_components(d.conn, lj, nj) == py.split_components(d.conn, lp, np_)
-
-    @given(braid_words(max_letters=8))
-    @settings(max_examples=25)
-    def test_chain_scan_agrees(self, word):
-        d = closure_diagram(word)
-        if d.crossings == 0:
-            return
-        jit = get_kernels("numba")
-        py = get_kernels("python")
-        labels, ncomp, starts = py.trace_inports(d.conn)
-        nb_j, ids_j, eps_j = jit.chain_scan(d.conn, d.sign, starts)
-        nb_p, ids_p, eps_p = py.chain_scan(d.conn, d.sign, starts)
-        assert nb_j == nb_p
-        assert list(ids_j) == list(ids_p)
-        assert list(eps_j) == list(eps_p)
-
-    @given(braid_words(max_letters=8))
-    @settings(max_examples=25)
-    def test_simplify_agrees(self, word):
-        d = closure_diagram(word)
-        for flavor_pair in [("numba", "python")]:
-            a, b = (get_kernels(f) for f in flavor_pair)
-            ca, sa = d.arrays()
-            cb, sb = d.arrays()
-            la = int(a.reidemeister_simplify(ca, sa))
-            lb = int(b.reidemeister_simplify(cb, sb))
-            assert la == lb
-            assert (np.asarray(a.compact(ca, sa)[0]) == np.asarray(b.compact(cb, sb)[0])).all()
-
-    @given(braid_words(max_letters=8), st.booleans(), st.data())
-    @settings(max_examples=25)
-    def test_smooth_and_delete_agree(self, word, axis, data):
-        d = axis_link_diagram(word) if axis else closure_diagram(word)
-        if d.crossings == 0:
-            return
-        jit = get_kernels("numba")
-        py = get_kernels("python")
-        c = data.draw(st.integers(0, d.crossings - 1))
-        labels, ncomp, _ = py.trace_inports(d.conn)
-        kill = np.array(data.draw(st.lists(st.booleans(), min_size=ncomp, max_size=ncomp)))
-        for op in (
-            lambda K, conn, sign: K.smooth_inplace(conn, sign, c),
-            lambda K, conn, sign: K.delete_marked_components(conn, sign, labels, kill),
-        ):
-            ca, sa = d.arrays()
-            cb, sb = d.arrays()
-            assert int(op(jit, ca, sa)) == int(op(py, cb, sb))
-            for x, y in zip(jit.compact(ca, sa), py.compact(cb, sb)):
-                assert np.asarray(x).tolist() == np.asarray(y).tolist()
-
-    @given(braid_words(max_letters=8), st.booleans(), st.data())
-    @settings(max_examples=25)
-    def test_linking_counts_agree_uncompacted(self, word, axis, data):
-        d = axis_link_diagram(word) if axis else closure_diagram(word)
-        conn, sign = d.arrays()
-        if d.crossings:
-            PYTHON_KERNELS.smooth_inplace(conn, sign, data.draw(st.integers(0, d.crossings - 1)))
-        nj, cj = get_kernels("numba").linking_counts(conn, sign)
-        assert (int(nj), [int(x) for x in cj]) == get_kernels("python").linking_counts(conn, sign)
-
-    @given(braid_words(max_letters=10, max_strands=5))
-    @settings(max_examples=15)
-    def test_engine_results_identical(self, word):
-        d = axis_link_diagram(word)
-        jit_eng = SkeinEngine(get_kernels("numba"))
-        py_eng = SkeinEngine(get_kernels("python"))
-        assert jit_eng.truncated(d, 3).coeffs == py_eng.truncated(d, 3).coeffs
+K = get_kernels()
 
 
 def compact_reference(conn, sign):
     """Crossing-by-crossing renumbering, the loop the kernel must match."""
     newidx = {}
-    for c in range(sign.shape[0]):
-        if sign[c] != 0:
+    for c, s in enumerate(sign):
+        if s != 0:
             newidx[c] = len(newidx)
-    new_conn = np.empty(4 * len(newidx), dtype=np.int32)
-    new_sign = np.empty(len(newidx), dtype=np.int8)
+    new_conn = [0] * (4 * len(newidx))
+    new_sign = [0] * len(newidx)
     for c, k in newidx.items():
         new_sign[k] = sign[c]
         for r in range(4):
-            q = int(conn[4 * c + r])
+            q = conn[4 * c + r]
             new_conn[4 * k + r] = 4 * newidx[q >> 2] + (q & 3)
     return new_conn, new_sign
 
@@ -115,26 +44,27 @@ def compact_reference(conn, sign):
 def linking_counts_reference(conn, sign):
     """``compact``, a full ``trace_inports`` and a per-crossing loop: the
     route a Hoste leaf took before the kernel read uncompacted arrays."""
-    conn, sign = PYTHON_KERNELS.compact(conn, sign)
-    labels, ncomp, _ = PYTHON_KERNELS.trace_inports(conn)
-    m = np.zeros((ncomp, ncomp), dtype=np.int64)
-    for c in range(sign.shape[0]):
+    conn, sign = K.compact(conn, sign)
+    labels, ncomp, _ = K.trace_inports(conn)
+    m = [[0] * ncomp for _ in range(ncomp)]
+    for c, s in enumerate(sign):
         a, b = labels[4 * c], labels[4 * c + 2]
         if a != b:
-            m[a, b] += sign[c]
-            m[b, a] += sign[c]
-    return ncomp, m.ravel().tolist()
+            m[a][b] += s
+            m[b][a] += s
+    return ncomp, [x for row in m for x in row]
+
+
+def live_crossings(sign):
+    return [c for c, s in enumerate(sign) if s]
 
 
 class TestCompact:
-    """The plain path alone, so it is checked whether or not numba is installed."""
-
     def check(self, conn, sign):
-        got_conn, got_sign = PYTHON_KERNELS.compact(conn, sign)
-        ref_conn, ref_sign = compact_reference(conn, sign)
-        assert got_conn.dtype == np.int32 and got_sign.dtype == np.int8
-        assert got_conn.tolist() == ref_conn.tolist()
-        assert got_sign.tolist() == ref_sign.tolist()
+        got_conn, got_sign = K.compact(conn, sign)
+        assert type(got_conn) is list and type(got_sign) is list
+        assert all(type(x) is int for x in got_conn + got_sign)
+        assert (got_conn, got_sign) == compact_reference(conn, sign)
         LinkDiagram(got_conn, got_sign).validate()
         return got_conn, got_sign
 
@@ -143,35 +73,34 @@ class TestCompact:
         d = axis_link_diagram(word) if axis else closure_diagram(word)
         conn, sign = d.arrays()
         for _ in range(data.draw(st.integers(0, 3))):
-            live = np.flatnonzero(sign)
-            if live.size == 0:
+            live = live_crossings(sign)
+            if not live:
                 break
-            c = data.draw(st.sampled_from(live.tolist()))
-            PYTHON_KERNELS.smooth_inplace(conn, sign, c)
-        PYTHON_KERNELS.reidemeister_simplify(conn, sign)
+            K.smooth_inplace(conn, sign, data.draw(st.sampled_from(live)))
+        K.reidemeister_simplify(conn, sign)
         self.check(conn, sign)
 
     def test_nothing_removed_is_identity(self):
         d = axis_link_diagram(BraidWord(3, (1, -2, 1)))
         conn, sign = self.check(*d.arrays())
-        assert conn.tolist() == d.conn.tolist() and sign.tolist() == d.sign.tolist()
+        assert conn == list(d.conn) and sign == list(d.sign)
 
     def test_everything_removed_is_empty(self):
         conn, sign = closure_diagram(BraidWord(3, (1, -1, 2, -2))).arrays()
-        assert PYTHON_KERNELS.reidemeister_simplify(conn, sign) == 3
-        assert not sign.any()
-        conn, sign = self.check(conn, sign)
-        assert conn.shape == (0,) and sign.shape == (0,)
+        assert K.reidemeister_simplify(conn, sign) == 3
+        assert not any(sign)
+        assert self.check(conn, sign) == ([], [])
 
 
 def remove_set_reference(conn, sign, dead, wire):
     """Delete the crossings marked in ``dead``; ``wire[q]`` is the out-port
     the strand entering at in-port q of a dead crossing continues through,
     or -1 when that strand is discarded.  Returns the loops split off."""
-    handled = np.zeros(conn.shape[0], dtype=np.bool_)
+    handled = [False] * len(conn)
+    dead_ids = [c for c, x in enumerate(dead) if x]
     loops = 0
     # strands entering the dead region from a live crossing
-    for c in np.flatnonzero(dead):
+    for c in dead_ids:
         for q in (4 * c, 4 * c + 2):
             if wire[q] < 0 or handled[q]:
                 continue
@@ -186,7 +115,7 @@ def remove_set_reference(conn, sign, dead, wire):
             conn[feeder] = cur
             conn[cur] = feeder
     # strands living entirely inside the dead region become loops
-    for c in np.flatnonzero(dead):
+    for c in dead_ids:
         for q in (4 * c, 4 * c + 2):
             if wire[q] < 0 or handled[q]:
                 continue
@@ -195,15 +124,16 @@ def remove_set_reference(conn, sign, dead, wire):
             while not handled[cur]:
                 handled[cur] = True
                 cur = conn[wire[cur]]
-    sign[dead] = 0
+    for c in dead_ids:
+        sign[c] = 0
     return loops
 
 
 def _dead_wire(sign, wiring):
-    """``dead``/``wire`` arrays removing the crossings of ``wiring``
+    """``dead``/``wire`` lists removing the crossings of ``wiring``
     ({in-port: out-port or -1})."""
-    dead = np.zeros(sign.shape[0], dtype=np.bool_)
-    wire = np.full(4 * sign.shape[0], -1, dtype=np.int32)
+    dead = [False] * len(sign)
+    wire = [-1] * (4 * len(sign))
     for q, out in wiring.items():
         dead[q >> 2] = True
         wire[q] = out
@@ -221,7 +151,7 @@ def simplify_reference(conn, sign):
     changed = True
     while changed:
         changed = False
-        for c in range(sign.shape[0]):
+        for c in range(len(sign)):
             if sign[c] == 0:
                 continue
             oi, oo, ui, uo = 4 * c, 4 * c + 1, 4 * c + 2, 4 * c + 3
@@ -242,7 +172,7 @@ def simplify_reference(conn, sign):
 
 def delete_reference(conn, sign, labels, kill):
     wiring = {}
-    for c in range(sign.shape[0]):
+    for c in range(len(sign)):
         over_dies = kill[labels[4 * c]]
         under_dies = kill[labels[4 * c + 2]]
         if over_dies or under_dies:
@@ -252,21 +182,19 @@ def delete_reference(conn, sign, labels, kill):
 
 
 class TestSplice:
-    """Every removal against the dead/wire loop reference, on the plain path."""
+    """Every removal against the dead/wire loop reference."""
 
     def check(self, d, op, ref):
         conn, sign = d.arrays()
         rconn, rsign = d.arrays()
-        assert int(op(conn, sign)) == ref(rconn, rsign)
-        got = PYTHON_KERNELS.compact(conn, sign)
-        want = compact_reference(rconn, rsign)
-        assert [a.tolist() for a in got] == [a.tolist() for a in want]
+        assert op(conn, sign) == ref(rconn, rsign)
+        got = K.compact(conn, sign)
+        assert got == compact_reference(rconn, rsign)
         return got
 
     @given(braid_words(max_letters=10), st.booleans(), st.data())
     def test_matches_reference(self, word, axis, data):
         d = axis_link_diagram(word) if axis else closure_diagram(word)
-        K = PYTHON_KERNELS
         self.check(d, K.reidemeister_simplify, simplify_reference)
         if d.crossings == 0:
             return
@@ -278,7 +206,7 @@ class TestSplice:
         )
         labels, ncomp, _ = K.trace_inports(d.conn)
         killed = data.draw(st.sets(st.integers(0, ncomp - 1), min_size=1))
-        kill = np.isin(np.arange(ncomp), list(killed))
+        kill = [j in killed for j in range(ncomp)]
         self.check(
             d,
             lambda conn, sign: K.delete_marked_components(conn, sign, labels, kill),
@@ -287,31 +215,31 @@ class TestSplice:
 
     def test_kink_closure_is_one_loop(self):
         conn, sign = closure_diagram(BraidWord(2, (1,))).arrays()
-        assert PYTHON_KERNELS.reidemeister_simplify(conn, sign) == 1
-        assert PYTHON_KERNELS.compact(conn, sign)[1].shape == (0,)
+        assert K.reidemeister_simplify(conn, sign) == 1
+        assert K.compact(conn, sign)[1] == []
 
     def test_clasp_closure_is_two_loops(self):
         conn, sign = closure_diagram(BraidWord(2, (1, -1))).arrays()
-        assert PYTHON_KERNELS.reidemeister_simplify(conn, sign) == 2
-        assert not sign.any()
+        assert K.reidemeister_simplify(conn, sign) == 2
+        assert not any(sign)
 
     def test_smoothing_a_kink_splits_off_its_loop(self):
         d = closure_diagram(BraidWord(3, (1, 1, 2)))
         assert d.conn[4 * 2 + 1] == 4 * 2 + 2  # crossing 2 is a kink
         conn, sign = self.check(
             d,
-            lambda conn, sign: PYTHON_KERNELS.smooth_inplace(conn, sign, 2),
+            lambda conn, sign: K.smooth_inplace(conn, sign, 2),
             lambda conn, sign: smooth_reference(conn, sign, 2),
         )
-        assert sign.tolist() == [1, 1]
-        assert PYTHON_KERNELS.trace_inports(conn)[1] == 2
+        assert sign == [1, 1]
+        assert K.trace_inports(conn)[1] == 2
 
 
 class TestLinkingCounts:
     """The one-walk leaf kernel against compact + trace + loop, uncompacted."""
 
     def check(self, conn, sign):
-        got = PYTHON_KERNELS.linking_counts(conn, sign)
+        got = K.linking_counts(conn, sign)
         assert got == linking_counts_reference(conn, sign)
         assert all(type(x) is int for x in got[1])
         return got
@@ -319,7 +247,6 @@ class TestLinkingCounts:
     @given(braid_words(max_letters=10), st.booleans(), st.data())
     def test_matches_reference_after_surgery(self, word, axis, data):
         d = axis_link_diagram(word) if axis else closure_diagram(word)
-        K = PYTHON_KERNELS
         conn, sign = d.arrays()
         self.check(conn, sign)
         if d.crossings == 0:
@@ -327,13 +254,13 @@ class TestLinkingCounts:
         if data.draw(st.booleans()):
             labels, ncomp, _ = K.trace_inports(conn)
             killed = data.draw(st.sets(st.integers(0, ncomp - 1)))
-            K.delete_marked_components(conn, sign, labels, np.isin(np.arange(ncomp), list(killed)))
+            K.delete_marked_components(conn, sign, labels, [j in killed for j in range(ncomp)])
             self.check(conn, sign)
         for _ in range(data.draw(st.integers(0, 3))):
-            live = np.flatnonzero(sign)
-            if live.size == 0:
+            live = live_crossings(sign)
+            if not live:
                 break
-            K.smooth_inplace(conn, sign, data.draw(st.sampled_from(live.tolist())))
+            K.smooth_inplace(conn, sign, data.draw(st.sampled_from(live)))
             self.check(conn, sign)
         K.reidemeister_simplify(conn, sign)
         self.check(conn, sign)
@@ -341,8 +268,8 @@ class TestLinkingCounts:
     def test_only_self_crossings_count_zero(self):
         # two trefoils joined by a cancelling clasp, which simplify removes
         conn, sign = closure_diagram(BraidWord(4, (2, -2, 1, 1, 1, 3, 3, 3))).arrays()
-        PYTHON_KERNELS.reidemeister_simplify(conn, sign)
-        assert sign.tolist()[:2] == [0, 0] and sign[2:].all()
+        K.reidemeister_simplify(conn, sign)
+        assert sign[:2] == [0, 0] and all(sign[2:])
         assert self.check(conn, sign) == (2, [0, 0, 0, 0])
 
     @pytest.mark.parametrize("e", [1, -1])
@@ -353,14 +280,55 @@ class TestLinkingCounts:
 
 class TestFlavorSelection:
     def test_python_flavor_is_plain_functions(self):
-        assert PYTHON_KERNELS.jitted is False
-        assert get_kernels("python").trace_inports.__class__.__name__ == "function"
+        assert get_kernels().jitted is False
+        assert get_kernels().trace_inports.__class__.__name__ == "function"
 
-    @needs_numba
-    def test_numba_flavor_is_compiled(self):
-        assert get_kernels("numba").jitted is True
-        assert get_kernels("numba").trace_inports.__class__.__name__ != "function"
 
-    def test_unknown_flavor_rejected(self):
-        with pytest.raises(ValueError):
-            get_kernels("fortran")
+class ListOnlyKernels(CountingKernels):
+    """The kernels, asserting that every diagram argument is a list."""
+
+    def _counted(self, name, f):
+        sign_arg = name not in ("trace_inports", "split_components")
+
+        def run(*args):
+            assert type(args[0]) is list, f"{name} got conn as {type(args[0]).__name__}"
+            if sign_arg:
+                assert type(args[1]) is list, f"{name} got sign as {type(args[1]).__name__}"
+            return f(*args)
+
+        return super()._counted(name, run)
+
+
+class TestEngineRunsOnLists:
+    """An ndarray slipping back into the hot path would stay correct
+    but slow; this catches it at the first kernel call."""
+
+    @given(braid_words(max_letters=8), st.booleans(), st.booleans())
+    def test_every_kernel_call_gets_lists(self, word, axis, hoste_base):
+        d = axis_link_diagram(word) if axis else closure_diagram(word)
+        budget = min(component_count(d) + 1, 4)
+        kernels = ListOnlyKernels()
+        got = SkeinEngine(kernels, hoste_base=hoste_base).truncated(d, budget)
+        assert got == SkeinEngine(hoste_base=hoste_base).truncated(d, budget)
+        assert kernels.calls or d.crossings == 0
+
+
+def test_braidax_runs_without_numpy():
+    """Import and run the library and the CLI with numpy made unimportable."""
+    script = (
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from braidax import *\n"
+        "from braidax.cli import main\n"
+        "d = closure_diagram(BraidWord(3, (1, 1, 2, 2)))\n"
+        "assert full_conway(d).coeffs == (0, 0, 1, 0, 0)\n"
+        "assert linking_matrix(d).entries == ((0, 1, 0), (1, 0, 1), (0, 1, 0))\n"
+        "assert component_count(delete_component(d, 0)) == 2\n"
+        "sys.exit(main(['info', '--n', '3', '--', '1', '1', '2']))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(braidax.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "numpy" not in proc.stderr
