@@ -11,8 +11,17 @@ crossing whose two strands lie on one component splits it (p + 1), smoothing
 any other crossing joins two (p - 1), and switching keeps p.  Leaves close
 from p alone, before any Reidemeister move: a node whose budget is below
 p - 1 is pruned, and at budget p - 1 the linking numbers give the lowest
-coefficient (both are link invariants).  Only the remaining nodes are
-simplified, checked for being split, looked up in the memo and recursed on.
+coefficient (both are link invariants; Hoste, Proc. AMS 94, 1985).  Only the
+remaining nodes are simplified, checked for being split, looked up in the
+memo and recursed on; each checks that its trace finds p components.
+
+Most leaves are the children of such a node, and the node closes them
+itself.  Smoothing a self-crossing adds a component and spends one degree,
+so that child is pruned when the node's budget is at most p and is a Hoste
+leaf when it is p + 1.  At budget p + 1 the node walks its components once
+(``leaf_frame``); the linking numbers of each smoothing then come from one
+pass over the shorter of the two arcs it makes (``leaf_counts``), with no
+copy, splice or trace of the child.
 
 All coefficients are exact integers; there is no floating point here.
 """
@@ -62,8 +71,15 @@ class SkeinEngine:
     budget p - 1, closed from the linking numbers by one ``linking_counts``
     call on the uncompacted arrays, which must trace p components; otherwise
     Reidemeister simplification, the split check, the memo and the recursion.
-    ``hoste_base=False`` forces the pure skein recursion (the two must agree,
-    and the test suite checks that they do).
+    A child that would be pruned or (with ``hoste_base=True``) a Hoste leaf
+    is closed in its parent without being built, and only the children that
+    recurse are copied and smoothed.  ``hoste_base=False`` forces the pure
+    skein recursion (the two must agree, and the test suite checks that
+    they do).
+
+    ``nodes`` counts every node, closed children included, ``hits`` the memo
+    hits, and ``leaves`` the Hoste leaves closed from linking numbers, at
+    the root or in a parent (a free-loop child is split, not a Hoste leaf).
     """
 
     def __init__(
@@ -79,6 +95,7 @@ class SkeinEngine:
         self.rng = random.Random(shuffle_seed) if shuffle_seed is not None else None
         self.nodes = 0
         self.hits = 0
+        self.leaves = 0
 
     def truncated(self, d: LinkDiagram, max_degree: int) -> TruncatedPoly:
         if max_degree < 0:
@@ -120,6 +137,8 @@ class SkeinEngine:
         if 0 in sign:
             conn, sign = K.compact(conn, sign)
         labels, ncomp, starts = K.trace_inports(conn)
+        if ncomp != p:
+            raise ConwayError(f"node traced {ncomp} components, carried {p}")
         if ncomp >= 2 and K.split_components(conn, labels, ncomp):
             return zero
         key = None
@@ -134,18 +153,37 @@ class SkeinEngine:
         nbad, bad_ids, eps = K.chain_scan(conn, sign, starts)
         coeffs = [1 if p == 1 else 0] + [0] * budget
         if budget >= 1:
+            # smoothing a self-crossing leaves p + 1 components and budget - 1:
+            # such a child is pruned when budget <= p and a Hoste leaf when
+            # budget == p + 1; both are closed here without building them
+            frame = None
+            if self.hoste_base and budget == p + 1:
+                frame = K.leaf_frame(conn, sign, labels, starts)
             for i in range(nbad):
                 c = bad_ids[i]
-                bconn = conn[:]
-                bsign = sign[:]
-                bloops = K.smooth_inplace(bconn, bsign, c)
-                bp = p + 1 if labels[4 * c] == labels[4 * c + 2] else p - 1
-                sub = self._eval(bconn, bsign, bloops, bp, budget - 1)
                 e = eps[i]
-                for j in range(1, budget + 1):
-                    coeffs[j] += e * sub[j - 1]
+                a = labels[4 * c]
+                b = labels[4 * c + 2]
+                if a == b and (budget <= p or frame is not None):
+                    self.nodes += 1
+                    if frame is not None:
+                        rows = K.leaf_counts(frame, sign, labels, c)
+                        if rows is not None:  # else a free loop: the child is split
+                            self.leaves += 1
+                            coeffs[budget] += e * _tree_sum(rows)  # the leaf's a_p, times z
+                else:
+                    bconn = conn[:]
+                    bsign = sign[:]
+                    bloops = K.smooth_inplace(bconn, bsign, c)
+                    sub = self._eval(bconn, bsign, bloops, p + 1 if a == b else p - 1, budget - 1)
+                    for j in range(1, budget + 1):
+                        coeffs[j] += e * sub[j - 1]
                 if i + 1 < nbad:
                     K.switch_inplace(conn, sign, c)
+                    if frame is not None and a != b:
+                        counts = frame[2]
+                        counts[a][b] -= 2 * e
+                        counts[b][a] -= 2 * e
         out = tuple(coeffs)
         if key is not None:
             self.memo[key] = out
@@ -155,11 +193,19 @@ class SkeinEngine:
         ncomp, counts = self.k.linking_counts(conn, sign)
         if ncomp != p:
             raise ConwayError(f"leaf traced {ncomp} components, carried {p}")
-        for x in counts:
+        self.leaves += 1
+        return _tree_sum([counts[i : i + p] for i in range(0, p * p, p)])
+
+
+def _tree_sum(counts: list[list[int]]) -> int:
+    """Hoste's lowest coefficient from doubled linking numbers, as rows."""
+    for row in counts:
+        for x in row:
             if x & 1:
                 raise ConwayError("odd inter-component crossing count")
-        half = [x >> 1 for x in counts]
-        return _laplacian_cofactor([half[i : i + p] for i in range(0, p * p, p)])
+    # the cofactor of n rows is a minor of order n - 1, so halving every
+    # entry divides it by 2^(n - 1)
+    return _laplacian_cofactor(counts) >> (len(counts) - 1)
 
 
 def conway_truncated(

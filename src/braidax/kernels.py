@@ -20,7 +20,10 @@ in-place ones need lists.
 
 ``linking_counts`` is the one kernel that reads uncompacted arrays: it walks
 only the live in-ports and numbers the components in ``trace_inports`` order,
-so a Hoste leaf needs neither ``compact`` nor a second trace.
+so a Hoste leaf at the root needs neither ``compact`` nor a second trace.
+Every other Hoste leaf is closed in its parent: ``leaf_frame`` walks the
+parent's components once, and ``leaf_counts`` gives the linking numbers
+after one smoothing from that frame, without building the child.
 
 Every kernel is a plain Python function: the engine reads single items in
 loops, and a list item is read several times faster than an ndarray item.
@@ -115,6 +118,86 @@ def linking_counts(conn, sign):
             counts[a * ncomp + b] += s
             counts[b * ncomp + a] += s
     return ncomp, counts
+
+
+def leaf_frame(conn, sign, labels, starts):
+    """What a node needs to close its Hoste-leaf children without building them.
+
+    Runs on compacted arrays.  Returns ``(walks, pos, counts)``: ``walks[j]``
+    lists the in-ports of component j in walk order from its start (indexed
+    by label, since ``starts`` may come in any order), ``pos[q]`` is in-port
+    q's position on its walk, and ``counts[a][b]`` is twice the linking
+    number of components a and b.  A crossing switch changes the ports a
+    strand uses but not which strands pass a crossing, so the frame keeps
+    the node's port numbers; the caller moves ``counts`` on each switch.
+    """
+    ncomp = len(starts)
+    walks = [None] * ncomp
+    pos = [0] * len(conn)
+    for s in starts:
+        walk = []
+        cur = s
+        while True:
+            pos[cur] = len(walk)
+            walk.append(cur)
+            cur = conn[cur + 1]
+            if cur == s:
+                break
+        walks[labels[s]] = walk
+    counts = [[0] * ncomp for _ in range(ncomp)]
+    for c in range(len(sign)):
+        a = labels[4 * c]
+        b = labels[4 * c + 2]
+        if a != b:
+            s = sign[c]
+            counts[a][b] += s
+            counts[b][a] += s
+    return walks, pos, counts
+
+
+def leaf_counts(frame, sign, labels, c):
+    """``counts`` of the diagram with self-crossing c smoothed, from its frame.
+
+    Smoothing c splits its component j into the two arcs between c's visits.
+    The new component p (the last row) is the shorter arc, walked once with
+    the live ``sign``; row j is the rest of j.  Returns None when an arc
+    meets no other crossing, a free loop, which makes the child split.
+    """
+    walks, pos, counts = frame
+    j = labels[4 * c]
+    walk = walks[j]
+    n = len(walk)
+    a = pos[4 * c]
+    b = pos[4 * c + 2]
+    if a > b:
+        a, b = b, a
+    if b - a == 1 or b - a == n - 1:
+        return None
+    inner = 2 * (b - a) <= n
+    arc = walk[a + 1 : b] if inner else walk[b + 1 :] + walk[:a]
+    p = len(counts)
+    row = [0] * (p + 1)  # the arc against every component, the rest of j last
+    for q in arc:
+        r = q ^ 2
+        m = labels[r]
+        if m != j:
+            row[m] += sign[q >> 2]
+        elif (a < pos[r] < b) != inner:  # the crossing's other visit is off the arc
+            row[p] += sign[q >> 2]
+    rows = []
+    for m in range(p):
+        out = counts[m][:]
+        out[j] -= row[m]
+        out.append(row[m])
+        rows.append(out)
+    rj = rows[j]
+    for m in range(p):
+        rj[m] -= row[m]
+    rj[p] = row[p]
+    row[j] = row[p]
+    row[p] = 0
+    rows.append(row)
+    return rows
 
 
 def chain_scan(conn, sign, starts):
@@ -295,6 +378,8 @@ KERNELS = SimpleNamespace(
     trace_inports=trace_inports,
     split_components=split_components,
     linking_counts=linking_counts,
+    leaf_frame=leaf_frame,
+    leaf_counts=leaf_counts,
     chain_scan=chain_scan,
     switch_inplace=switch_inplace,
     mirror_inplace=mirror_inplace,

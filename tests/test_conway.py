@@ -269,24 +269,33 @@ class TestLeafFirstEngine:
 
     def test_hoste_leaf_is_one_kernel_call(self):
         kernels = CountingKernels()
+        eng = SkeinEngine(kernels)
         # the Hopf link at budget 1 is a Hoste leaf at the root
-        assert SkeinEngine(kernels).truncated(closure_diagram(w(2, 1, 1)), 1).coeffs == (0, 1)
+        assert eng.truncated(closure_diagram(w(2, 1, 1)), 1).coeffs == (0, 1)
         assert kernels.calls == {"trace_inports": 1, "linking_counts": 1}
+        assert eng.leaves == 1
 
     def test_leaf_rejects_a_wrong_component_count(self):
         with pytest.raises(ConwayError, match="carried 3"):
             MiscountingEngine(get_kernels()).truncated(closure_diagram(w(2, 1, 1)), 1)
 
+    def test_interior_node_rejects_a_wrong_component_count(self):
+        # the trefoil at budget 2 is interior at the root; its Hoste-leaf
+        # children close in the root's frame and are never traced
+        with pytest.raises(ConwayError, match="traced 1 components, carried 2"):
+            MiscountingEngine(get_kernels()).truncated(closure_diagram(w(2, 1, 1, 1)), 2)
+
     @pytest.mark.parametrize(
-        "run, nodes, hits",
+        "run, nodes, hits, leaves",
         [
-            (lambda eng: squared_family_check(9, engine=eng), 465, 4),
-            (lambda eng: joint_cycle_check(5, engine=eng), 633, 28),
-            (lambda eng: two_cycle_check(2, 3, engine=eng), 1161, 67),
+            (lambda eng: squared_family_check(9, engine=eng), 465, 4, 435),
+            (lambda eng: joint_cycle_check(5, engine=eng), 633, 28, 491),
+            (lambda eng: two_cycle_check(2, 3, engine=eng), 1161, 67, 830),
         ],
         ids=["squared_family_9", "joint_cycle_5", "two_cycle_2_3"],
     )
-    def test_pinned_node_counts(self, run, nodes, hits):
+    def test_pinned_node_counts(self, run, nodes, hits, leaves):
+        # leaves: the linking_counts calls of the engine that built every leaf
         eng = SkeinEngine()
         assert run(eng).passed
-        assert (eng.nodes, eng.hits) == (nodes, hits)
+        assert (eng.nodes, eng.hits, eng.leaves) == (nodes, hits, leaves)

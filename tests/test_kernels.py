@@ -18,6 +18,7 @@ from braidax import (
     closure_diagram,
     component_count,
 )
+from braidax.conway import _laplacian_cofactor, _tree_sum
 from braidax.kernels import get_kernels
 
 from conftest import CountingKernels, braid_words
@@ -278,6 +279,83 @@ class TestLinkingCounts:
         assert self.check(*d.arrays()) == (2, [0, 2 * e, 2 * e, 0])
 
 
+def leaf_reference(conn, sign, c):
+    """The Hoste leaf built as a child: copy, smooth c, then a free loop
+    (None) or the doubled linking numbers from ``linking_counts``, as rows."""
+    conn, sign = conn[:], sign[:]
+    if K.smooth_inplace(conn, sign, c):
+        return None
+    ncomp, counts = K.linking_counts(conn, sign)
+    return [counts[i : i + ncomp] for i in range(0, ncomp * ncomp, ncomp)]
+
+
+def tree_value_reference(rows):
+    assert all(x % 2 == 0 for row in rows for x in row)
+    return _laplacian_cofactor([[x >> 1 for x in row] for row in rows])
+
+
+class TestLeafCounts:
+    """Hoste leaves closed from the parent's frame against building each child."""
+
+    def check(self, conn, sign, labels, frame):
+        # the frame keeps the node's labels, which a switch does not move
+        ncomp = len(frame[2])
+        counts = [[0] * ncomp for _ in range(ncomp)]
+        for c, s in enumerate(sign):
+            a, b = labels[4 * c], labels[4 * c + 2]
+            if a != b:
+                counts[a][b] += s
+                counts[b][a] += s
+        assert frame[2] == counts
+        for c in range(len(sign)):
+            if labels[4 * c] != labels[4 * c + 2]:
+                continue
+            got = K.leaf_counts(frame, sign, labels, c)
+            want = leaf_reference(conn, sign, c)
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert len(got) == len(want) == ncomp + 1
+                assert _tree_sum(got) == tree_value_reference(want)
+                # equal up to renumbering the components
+                assert sorted(map(sorted, got)) == sorted(map(sorted, want))
+        assert frame[2] == counts
+
+    @given(braid_words(max_letters=10), st.booleans(), st.booleans(), st.data())
+    def test_matches_building_the_child(self, word, axis, shuffled, data):
+        d = axis_link_diagram(word) if axis else closure_diagram(word)
+        conn, sign = d.arrays()
+        if data.draw(st.booleans()):
+            K.reidemeister_simplify(conn, sign)
+            conn, sign = K.compact(conn, sign)
+        labels, ncomp, starts = K.trace_inports(conn)
+        if shuffled:
+            ports = [[] for _ in range(ncomp)]
+            for q in range(0, len(conn), 2):
+                ports[labels[q]].append(q)
+            order = data.draw(st.permutations(range(ncomp)))
+            starts = [data.draw(st.sampled_from(ports[j])) for j in order]
+        nbad, bad_ids, eps = K.chain_scan(conn, sign, starts)
+        frame = K.leaf_frame(conn, sign, labels, starts)
+        counts = frame[2]
+        for i in range(data.draw(st.integers(0, nbad))):
+            c = bad_ids[i]
+            K.switch_inplace(conn, sign, c)
+            a, b = labels[4 * c], labels[4 * c + 2]
+            if a != b:
+                counts[a][b] -= 2 * eps[i]
+                counts[b][a] -= 2 * eps[i]
+        self.check(conn, sign, labels, frame)
+
+    def test_kink_is_a_free_loop(self):
+        conn, sign = closure_diagram(BraidWord(3, (1, 1, 2))).arrays()
+        assert conn[4 * 2 + 1] == 4 * 2 + 2  # crossing 2 is a kink
+        labels, _, starts = K.trace_inports(conn)
+        frame = K.leaf_frame(conn, sign, labels, starts)
+        assert K.leaf_counts(frame, sign, labels, 2) is None
+        assert leaf_reference(conn, sign, 2) is None
+        self.check(conn, sign, labels, frame)
+
+
 class TestFlavorSelection:
     def test_python_flavor_is_plain_functions(self):
         assert get_kernels().jitted is False
@@ -288,10 +366,12 @@ class ListOnlyKernels(CountingKernels):
     """The kernels, asserting that every diagram argument is a list."""
 
     def _counted(self, name, f):
+        conn_arg = name != "leaf_counts"  # it reads the frame, not conn
         sign_arg = name not in ("trace_inports", "split_components")
 
         def run(*args):
-            assert type(args[0]) is list, f"{name} got conn as {type(args[0]).__name__}"
+            if conn_arg:
+                assert type(args[0]) is list, f"{name} got conn as {type(args[0]).__name__}"
             if sign_arg:
                 assert type(args[1]) is list, f"{name} got sign as {type(args[1]).__name__}"
             return f(*args)
