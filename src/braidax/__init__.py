@@ -41,19 +41,13 @@ from .diagram import (
     closure_diagram,
     component_count,
     delete_component,
-    is_split,
     linking_matrix,
-    mirror_diagram,
-    simplify,
-    smooth_crossing,
-    switch_crossing,
     trace_components,
 )
 from .conway import (
     ConwayError,
     SkeinEngine,
     TruncatedPoly,
-    a_coefficient,
     conway_truncated,
     full_conway,
     hoste_lowest,

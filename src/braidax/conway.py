@@ -13,7 +13,8 @@ from p alone, before any Reidemeister move: a node whose budget is below
 p - 1 is pruned, and at budget p - 1 the linking numbers give the lowest
 coefficient (both are link invariants; Hoste, Proc. AMS 94, 1985).  Only the
 remaining nodes are simplified, checked for being split, looked up in the
-memo and recursed on; each checks that its trace finds p components.
+memo and recursed on; each checks that its trace finds p components.  The
+root is closed from its first trace.
 
 Most leaves are the children of such a node, and the node closes them
 itself.  Smoothing a self-crossing adds a component and spends one degree,
@@ -66,16 +67,15 @@ class TruncatedPoly:
 class SkeinEngine:
     """Reusable evaluator with a memo cache shared across calls.
 
-    A node costs, in order: the prune (budget below the carried component
-    count p minus one, no kernel call); with ``hoste_base=True``, the leaf at
-    budget p - 1, closed from the linking numbers by one ``linking_counts``
-    call on the uncompacted arrays, which must trace p components; otherwise
-    Reidemeister simplification, the split check, the memo and the recursion.
-    A child that would be pruned or (with ``hoste_base=True``) a Hoste leaf
-    is closed in its parent without being built, and only the children that
-    recurse are copied and smoothed.  ``hoste_base=False`` forces the pure
-    skein recursion (the two must agree, and the test suite checks that
-    they do).
+    The root is pruned when its budget is below its component count p minus
+    one; with ``hoste_base=True`` it is a Hoste leaf at budget p - 1, closed
+    by one ``linking_counts`` call on the labels of its one trace.  A child
+    that would be pruned or (with ``hoste_base=True``) a Hoste leaf is
+    closed in its parent without being built.  Every other node costs
+    Reidemeister simplification, a trace that must find p components, the
+    split check, the memo and the recursion; only the children that recurse
+    are copied and smoothed.  ``hoste_base=False`` forces the pure skein
+    recursion (the two must agree, and the test suite checks that they do).
 
     ``nodes`` counts every node, closed children included, ``hits`` the memo
     hits, and ``leaves`` the Hoste leaves closed from linking numbers, at
@@ -101,11 +101,25 @@ class SkeinEngine:
         if max_degree < 0:
             raise ConwayError("max_degree must be >= 0")
         conn, sign = d.arrays()
-        p = d.free_loops
+        loops = d.free_loops
+        p = loops
         if sign:
-            p += self.k.trace_inports(conn)[1]
-        coeffs = self._eval(conn, sign, d.free_loops, p, max_degree)
-        return TruncatedPoly(max_degree, coeffs, p)
+            labels, ncomp, _ = self.k.trace_inports(conn)
+            p += ncomp
+        # a child that could be pruned or be a Hoste leaf is closed by its
+        # parent, so only the root is closed here
+        if max_degree < p - 1 or (self.hoste_base and max_degree == p - 1):
+            self.nodes += 1
+            coeffs = [0] * (max_degree + 1)
+            if max_degree == p - 1:
+                if not loops:
+                    self.leaves += 1
+                    coeffs[-1] = _tree_sum(self.k.linking_counts(sign, labels, p))
+                elif p == 1:
+                    coeffs[0] = 1
+        else:
+            coeffs = self._eval(conn, sign, loops, p, max_degree)
+        return TruncatedPoly(max_degree, tuple(coeffs), p)
 
     # -- internals ---------------------------------------------------------
 
@@ -121,12 +135,6 @@ class SkeinEngine:
         K = self.k
         self.nodes += 1
         zero = (0,) * (budget + 1)
-        if budget < p - 1:
-            return zero
-        if self.hoste_base and budget == p - 1:
-            if loops:
-                return (1,) if p == 1 else zero
-            return (0,) * budget + (self._hoste(conn, sign, p),)
         loops += K.reidemeister_simplify(conn, sign)
         if not any(sign):
             if loops == 1:
@@ -189,13 +197,6 @@ class SkeinEngine:
             self.memo[key] = out
         return out
 
-    def _hoste(self, conn, sign, p) -> int:
-        ncomp, counts = self.k.linking_counts(conn, sign)
-        if ncomp != p:
-            raise ConwayError(f"leaf traced {ncomp} components, carried {p}")
-        self.leaves += 1
-        return _tree_sum([counts[i : i + p] for i in range(0, p * p, p)])
-
 
 def _tree_sum(counts: list[list[int]]) -> int:
     """Hoste's lowest coefficient from doubled linking numbers, as rows."""
@@ -214,19 +215,9 @@ def conway_truncated(
     *,
     memo: bool = True,
     hoste_base: bool = True,
-    kernels=None,
-    shuffle_seed: int | None = None,
 ) -> TruncatedPoly:
     """Coefficients a_0..a_max_degree of the diagram's link, exact."""
-    eng = SkeinEngine(kernels, memo=memo, hoste_base=hoste_base, shuffle_seed=shuffle_seed)
-    return eng.truncated(d, max_degree)
-
-
-def a_coefficient(d: LinkDiagram, m: int, **kw) -> int:
-    """The single coefficient a_m = [nabla]_m."""
-    if m < 0:
-        raise ConwayError("coefficient index must be >= 0")
-    return conway_truncated(d, m, **kw)[m]
+    return SkeinEngine(memo=memo, hoste_base=hoste_base).truncated(d, max_degree)
 
 
 def full_conway(d: LinkDiagram, **kw) -> TruncatedPoly:

@@ -1,5 +1,5 @@
 """Oriented planar link diagrams: braid closures, axis-addition links, and
-crossing surgery.
+component deletion.
 
 Diagrams are values: a diagram holds its arrays as tuples, and every
 operation copies them to lists for the kernels and returns a new diagram.
@@ -253,7 +253,8 @@ def linking_matrix(d: LinkDiagram) -> LinkingMatrix:
     p = labeling.count
     out = [[0] * p for _ in range(p)]
     if d.crossings:
-        ncomp, counts = K.linking_counts(d.conn, d.sign)
+        ncomp = p - d.free_loops
+        counts = K.linking_counts(d.sign, labels, ncomp)
         # map public labels to traced labels through their entry ports
         pub_to_traced = {}
         for j, info in enumerate(labeling.infos):
@@ -265,7 +266,7 @@ def linking_matrix(d: LinkDiagram) -> LinkingMatrix:
             for k, tk in pub_to_traced.items():
                 if j == k:
                     continue
-                c = counts[tj * ncomp + tk]
+                c = counts[tj][tk]
                 if c % 2:
                     raise DiagramError("odd inter-component crossing count")
                 out[j][k] = c // 2
@@ -274,52 +275,6 @@ def linking_matrix(d: LinkDiagram) -> LinkingMatrix:
 
 # ---------------------------------------------------------------------------
 # surgery
-
-
-def _rebuild(conn, sign, loops, meta=None) -> LinkDiagram:
-    K = get_kernels()
-    conn2, sign2 = K.compact(conn, sign)
-    return LinkDiagram(conn2, sign2, loops, meta)
-
-
-def _check_crossing(d: LinkDiagram, c: int) -> None:
-    if not (0 <= c < d.crossings):
-        raise DiagramError(f"no crossing {c} in a {d.crossings}-crossing diagram")
-
-
-def switch_crossing(d: LinkDiagram, c: int) -> LinkDiagram:
-    """Flip crossing c: over and under strands trade places, sign negates."""
-    _check_crossing(d, c)
-    K = get_kernels()
-    conn, sign = d.arrays()
-    K.switch_inplace(conn, sign, c)
-    return LinkDiagram(conn, sign, d.free_loops, d.meta)
-
-
-def smooth_crossing(d: LinkDiagram, c: int) -> LinkDiagram:
-    """Oriented smoothing at crossing c (the zero tangle of the skein triple)."""
-    _check_crossing(d, c)
-    K = get_kernels()
-    conn, sign = d.arrays()
-    loops = K.smooth_inplace(conn, sign, c)
-    return _rebuild(conn, sign, d.free_loops + loops)
-
-
-def mirror_diagram(d: LinkDiagram) -> LinkDiagram:
-    """Mirror image: every crossing switched (roles swapped, signs flipped)."""
-    if d.crossings == 0:
-        return d
-    K = get_kernels()
-    conn, sign = d.arrays()
-    K.mirror_inplace(conn, sign)
-    meta = d.meta
-    if meta is not None:
-        # ports swap roles under the mirror, so entry ports move with them
-        meta = tuple(
-            ComponentInfo(i.kind, i.strands, i.entry ^ 2 if i.entry >= 0 else -1)
-            for i in meta
-        )
-    return LinkDiagram(conn, sign, d.free_loops, meta)
 
 
 def delete_component(d: LinkDiagram, j: int) -> LinkDiagram:
@@ -338,31 +293,8 @@ def delete_component(d: LinkDiagram, j: int) -> LinkDiagram:
     kill = [False] * (labeling.count - d.free_loops)  # one per traced component
     kill[labels[info.entry]] = True
     loops = K.delete_marked_components(conn, sign, labels, kill)
-    return _rebuild(conn, sign, d.free_loops + loops)
-
-
-def simplify(d: LinkDiagram) -> LinkDiagram:
-    """Remove kinks and cancelling clasps and split off crossing-free loops;
-    the link type is unchanged."""
-    if d.crossings == 0:
-        return d
-    K = get_kernels()
-    conn, sign = d.arrays()
-    loops = K.reidemeister_simplify(conn, sign)
-    return _rebuild(conn, sign, d.free_loops + loops)
-
-
-def is_split(d: LinkDiagram) -> bool:
-    """True when the components fall into two groups sharing no crossing."""
-    K = get_kernels()
-    total = d.free_loops
-    if d.crossings:
-        labels, ncomp, starts = K.trace_inports(d.conn)
-        total += ncomp
-        if d.free_loops > 0:
-            return True
-        return K.split_components(d.conn, labels, ncomp)
-    return total > 1
+    conn, sign = K.compact(conn, sign)
+    return LinkDiagram(conn, sign, d.free_loops + loops)
 
 
 def component_count(d: LinkDiagram) -> int:

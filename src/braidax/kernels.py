@@ -18,12 +18,12 @@ surgery routines here return how many such loops they split off.  The
 read-only kernels accept tuples too (a ``LinkDiagram`` holds tuples); the
 in-place ones need lists.
 
-``linking_counts`` is the one kernel that reads uncompacted arrays: it walks
-only the live in-ports and numbers the components in ``trace_inports`` order,
-so a Hoste leaf at the root needs neither ``compact`` nor a second trace.
-Every other Hoste leaf is closed in its parent: ``leaf_frame`` walks the
-parent's components once, and ``leaf_counts`` gives the linking numbers
-after one smoothing from that frame, without building the child.
+``linking_counts`` reads the labels of a ``trace_inports`` call the caller
+has already made, so ``linking_matrix`` and a Hoste leaf at the root walk
+their diagram once.  Every other Hoste leaf is closed in its parent:
+``leaf_frame`` walks the parent's components once, and ``leaf_counts`` gives
+the linking numbers after one smoothing from that frame, without building
+the child.
 
 Every kernel is a plain Python function: the engine reads single items in
 loops, and a list item is read several times faster than an ndarray item.
@@ -84,40 +84,22 @@ def split_components(conn, labels, ncomp):
     return roots > 1
 
 
-def linking_counts(conn, sign):
-    """Component count and signed inter-component crossing counts.
+def linking_counts(sign, labels, ncomp):
+    """Twice the linking numbers of the ``ncomp`` traced components.
 
-    Runs on uncompacted arrays: the live in-ports (``sign[q >> 2] != 0``)
-    are numbered by component in discovery order from the smallest one, the
-    order ``trace_inports`` gives after ``compact``, since every live
-    out-port is already spliced to a live in-port.  Returns ``(ncomp,
-    counts)`` with ``counts[a * ncomp + b]`` twice the linking number of
-    components a and b, a flat row-major list.
+    ``labels`` is the ``trace_inports`` labeling of the same compacted
+    diagram.  Returns rows: ``counts[a][b]`` is the signed count of the
+    crossings between components a and b.
     """
-    nport = len(conn)
-    labels = [-1] * nport
-    ncomp = 0
-    for q in range(0, nport, 2):
-        if labels[q] >= 0 or sign[q >> 2] == 0:
-            continue
-        cur = q
-        while True:
-            labels[cur] = ncomp
-            cur = conn[cur + 1]
-            if cur == q:
-                break
-        ncomp += 1
-    counts = [0] * (ncomp * ncomp)
+    counts = [[0] * ncomp for _ in range(ncomp)]
     for c in range(len(sign)):
-        s = sign[c]
-        if s == 0:
-            continue
         a = labels[4 * c]
         b = labels[4 * c + 2]
         if a != b:
-            counts[a * ncomp + b] += s
-            counts[b * ncomp + a] += s
-    return ncomp, counts
+            s = sign[c]
+            counts[a][b] += s
+            counts[b][a] += s
+    return counts
 
 
 def leaf_frame(conn, sign, labels, starts):
@@ -144,15 +126,7 @@ def leaf_frame(conn, sign, labels, starts):
             if cur == s:
                 break
         walks[labels[s]] = walk
-    counts = [[0] * ncomp for _ in range(ncomp)]
-    for c in range(len(sign)):
-        a = labels[4 * c]
-        b = labels[4 * c + 2]
-        if a != b:
-            s = sign[c]
-            counts[a][b] += s
-            counts[b][a] += s
-    return walks, pos, counts
+    return walks, pos, linking_counts(sign, labels, ncomp)
 
 
 def leaf_counts(frame, sign, labels, c):
@@ -257,15 +231,6 @@ def switch_inplace(conn, sign, c):
     conn[a4o] = a4i
     conn[a4i] = a4o
     sign[c] = -sign[c]
-
-
-def mirror_inplace(conn, sign):
-    """Switch every crossing: reflect the diagram through the plane."""
-    out = conn[:]
-    for x in range(len(conn)):
-        out[x ^ 2] = conn[x] ^ 2
-    conn[:] = out
-    sign[:] = [-s for s in sign]
 
 
 def splice_out(conn, sign, ids):
@@ -382,7 +347,6 @@ KERNELS = SimpleNamespace(
     leaf_counts=leaf_counts,
     chain_scan=chain_scan,
     switch_inplace=switch_inplace,
-    mirror_inplace=mirror_inplace,
     smooth_inplace=smooth_inplace,
     reidemeister_simplify=reidemeister_simplify,
     compact=compact,

@@ -27,7 +27,7 @@ from braidax import (
     inverse,
     joint_cycle_check,
     linking_matrix,
-    mirror_diagram,
+    mirror,
     progression_check,
     spanning_tree_sum_enumerate,
     spanning_tree_sum_matrix_tree,
@@ -180,7 +180,7 @@ class TestCriterion6OracleEquivalence:
                     failures.append((idx, "e"))
 
             # (f) mirror rule
-            mirrored = engine.truncated(mirror_diagram(closure), budget).coeffs
+            mirrored = engine.truncated(closure_diagram(mirror(word)), budget).coeffs
             if mirrored != tuple((-1) ** m * x for m, x in enumerate(poly.coeffs)):
                 failures.append((idx, "f"))
 

@@ -1,0 +1,46 @@
+"""The names the benchmark in ``perfbench/`` reads from braidax.
+
+The benchmark wraps these names to trace them, so deleting or renaming one
+breaks it; these tests fail first.  ``perfbench/tracing.py`` and
+``perfbench/worker.py`` import neither numpy nor sympy at module level.
+"""
+
+from pathlib import Path
+
+import pytest
+
+import braidax
+from braidax.kernels import get_kernels
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@pytest.fixture(scope="module")
+def perfbench():
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(PERFBENCH))
+        import tracing
+        import worker
+    return tracing, worker
+
+
+def test_kernel_names(perfbench):
+    tracing, _ = perfbench
+    K = get_kernels()
+    for name in ("jitted",) + tracing.ENGINE_KERNELS:
+        assert hasattr(K, name), name
+
+
+def test_boundary_names(perfbench):
+    _, worker = perfbench
+    for module, name, _layer in worker.BOUNDARY:
+        assert callable(getattr(getattr(braidax, module), name)), f"{module}.{name}"
+
+
+def test_engine_runs_on_traced_kernels(perfbench):
+    tracing, _ = perfbench
+    tracer = tracing.Tracer()
+    eng = braidax.SkeinEngine(kernels=tracer.kernels(get_kernels()))
+    d = braidax.closure_diagram(braidax.BraidWord(2, (1, 1, 1)))
+    assert eng.truncated(d, 2).coeffs == (1, 0, 1)
+    assert tracer.totals()["kernels.trace_inports"]["calls"] >= 1

@@ -11,7 +11,6 @@ from braidax import (
     BraidWord,
     ConwayError,
     SkeinEngine,
-    a_coefficient,
     axis_link_diagram,
     closure_diagram,
     component_count,
@@ -22,7 +21,7 @@ from braidax import (
     inverse,
     joint_cycle_check,
     linking_matrix,
-    mirror_diagram,
+    mirror,
     spanning_tree_sum_enumerate,
     spanning_tree_sum_matrix_tree,
     squared_family_check,
@@ -41,6 +40,8 @@ class TestBaseValues:
     def test_unknot_any_budget(self):
         d = closure_diagram(w(2, 1))
         assert conway_truncated(d, 5).coeffs == (1, 0, 0, 0, 0, 0)
+        # a crossing-free unknot at budget 0 is a Hoste leaf at the root
+        assert conway_truncated(closure_diagram(BraidWord(1)), 0).coeffs == (1,)
 
     def test_positive_hopf(self):
         # one skein step by hand: switching gives the 2-unlink (0),
@@ -66,12 +67,9 @@ class TestBaseValues:
 
     def test_unlinks_vanish(self):
         d = closure_diagram(BraidWord(3))
-        assert conway_truncated(d, 4).coeffs == (0, 0, 0, 0, 0)
-
-    def test_a_coefficient(self):
-        assert a_coefficient(closure_diagram(w(2, 1, 1)), 1) == 1
-        assert a_coefficient(closure_diagram(w(2, 1, 1, 1)), 0) == 1
-        assert a_coefficient(axis_link_diagram(BraidWord(2)), 2) == 1
+        # pruned at budget 1, a Hoste leaf at budget 2, interior at budget 4
+        for budget in (1, 2, 4):
+            assert conway_truncated(d, budget).coeffs == (0,) * (budget + 1)
 
     def test_budget_zero_multicomponent_terminates(self):
         d = closure_diagram(w(3, 1, 1, 2, 2))
@@ -105,7 +103,7 @@ class TestEngineEquivalences:
         d = closure_diagram(word)
         budget = min(component_count(d) + 1, 4)
         a = conway_truncated(d, budget).coeffs
-        b = conway_truncated(d, budget, shuffle_seed=seed).coeffs
+        b = SkeinEngine(shuffle_seed=seed).truncated(d, budget).coeffs
         assert a == b
 
     def test_seeded_shuffle_is_reproducible_and_exact(self):
@@ -166,7 +164,7 @@ class TestEngineEquivalences:
         d = closure_diagram(word)
         budget = min(component_count(d) + 2, 5)
         a = conway_truncated(d, budget).coeffs
-        b = conway_truncated(mirror_diagram(d), budget).coeffs
+        b = conway_truncated(closure_diagram(mirror(word)), budget).coeffs
         assert b == tuple((-1) ** m * x for m, x in enumerate(a))
 
     def test_split_links_vanish(self):
@@ -275,15 +273,16 @@ class TestLeafFirstEngine:
         assert kernels.calls == {"trace_inports": 1, "linking_counts": 1}
         assert eng.leaves == 1
 
-    def test_leaf_rejects_a_wrong_component_count(self):
-        with pytest.raises(ConwayError, match="carried 3"):
-            MiscountingEngine(get_kernels()).truncated(closure_diagram(w(2, 1, 1)), 1)
-
     def test_interior_node_rejects_a_wrong_component_count(self):
-        # the trefoil at budget 2 is interior at the root; its Hoste-leaf
-        # children close in the root's frame and are never traced
-        with pytest.raises(ConwayError, match="traced 1 components, carried 2"):
-            MiscountingEngine(get_kernels()).truncated(closure_diagram(w(2, 1, 1, 1)), 2)
+        # both roots are interior (a root leaf is closed from its own trace);
+        # the trefoil's Hoste-leaf children close in the root's frame and are
+        # never traced
+        for word, budget, message in (
+            (w(2, 1, 1, 1), 2, "traced 1 components, carried 2"),
+            (w(2, 1, 1), 3, "traced 2 components, carried 3"),
+        ):
+            with pytest.raises(ConwayError, match=message):
+                MiscountingEngine(get_kernels()).truncated(closure_diagram(word), budget)
 
     @pytest.mark.parametrize(
         "run, nodes, hits, leaves",

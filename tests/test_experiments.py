@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import braidax.experiments
 from braidax import (
     BraidWord,
     CoefficientSequence,
@@ -137,6 +138,17 @@ class TestFamilyChecks:
         assert report.computed["family_cubic"] == "0"
         assert report.computed["even_in_m"]
 
+    def test_lemma64_without_a_pair_m_minus_m(self, engine):
+        # 1..5 holds no pair m, -m, so evenness is neither claimed nor checked
+        report = two_cycle_check(2, 2, m_range=range(1, 6), engine=engine)
+        assert report.passed
+        assert "even_in_m" not in report.computed
+        assert any("evenness" in note for note in report.notes)
+
+    def test_dn_n5_on_two_worker_processes(self):
+        pooled = squared_family_check(5, jobs=2).data_dict()
+        assert pooled == squared_family_check(5, jobs=1).data_dict()
+
     def test_eq54_n4(self, engine):
         report = joint_cycle_check(4, engine=engine)
         assert report.passed
@@ -173,6 +185,14 @@ class TestCorpus:
         report = corpus_check(path)
         assert not report.passed
         assert report.computed["failures"] == 2
+
+    def test_check_does_not_hide_a_fault_as_a_parse_failure(self, monkeypatch):
+        def faulty(text, strands):
+            raise TypeError("not a word error")
+
+        monkeypatch.setattr(braidax.experiments, "parse_word", faulty)
+        with pytest.raises(TypeError):
+            corpus_check()
 
 
 class TestReports:

@@ -42,18 +42,21 @@ def compact_reference(conn, sign):
     return new_conn, new_sign
 
 
-def linking_counts_reference(conn, sign):
-    """``compact``, a full ``trace_inports`` and a per-crossing loop: the
-    route a Hoste leaf took before the kernel read uncompacted arrays."""
-    conn, sign = K.compact(conn, sign)
-    labels, ncomp, _ = K.trace_inports(conn)
-    m = [[0] * ncomp for _ in range(ncomp)]
-    for c, s in enumerate(sign):
-        a, b = labels[4 * c], labels[4 * c + 2]
-        if a != b:
-            m[a][b] += s
-            m[b][a] += s
-    return ncomp, [x for row in m for x in row]
+def linking_counts_reference(conn, sign, labels, starts):
+    """Walk every component and add the sign of each crossing whose other
+    strand lies on another component, the loop the kernel must match."""
+    m = [[0] * len(starts) for _ in starts]
+    for start in starts:
+        a = labels[start]
+        q = start
+        while True:
+            b = labels[q ^ 2]
+            if b != a:
+                m[a][b] += sign[q >> 2]
+            q = conn[q + 1]
+            if q == start:
+                break
+    return m
 
 
 def live_crossings(sign):
@@ -237,12 +240,14 @@ class TestSplice:
 
 
 class TestLinkingCounts:
-    """The one-walk leaf kernel against compact + trace + loop, uncompacted."""
+    """The counts over a caller's trace against a walk of each component."""
 
     def check(self, conn, sign):
-        got = K.linking_counts(conn, sign)
-        assert got == linking_counts_reference(conn, sign)
-        assert all(type(x) is int for x in got[1])
+        conn, sign = K.compact(conn, sign)
+        labels, ncomp, starts = K.trace_inports(conn)
+        got = K.linking_counts(sign, labels, ncomp)
+        assert got == linking_counts_reference(conn, sign, labels, starts)
+        assert all(type(x) is int for row in got for x in row)
         return got
 
     @given(braid_words(max_letters=10), st.booleans(), st.data())
@@ -271,22 +276,23 @@ class TestLinkingCounts:
         conn, sign = closure_diagram(BraidWord(4, (2, -2, 1, 1, 1, 3, 3, 3))).arrays()
         K.reidemeister_simplify(conn, sign)
         assert sign[:2] == [0, 0] and all(sign[2:])
-        assert self.check(conn, sign) == (2, [0, 0, 0, 0])
+        assert self.check(conn, sign) == [[0, 0], [0, 0]]
 
     @pytest.mark.parametrize("e", [1, -1])
     def test_hopf_link(self, e):
         d = closure_diagram(BraidWord(2, (e, e)))
-        assert self.check(*d.arrays()) == (2, [0, 2 * e, 2 * e, 0])
+        assert self.check(*d.arrays()) == [[0, 2 * e], [2 * e, 0]]
 
 
 def leaf_reference(conn, sign, c):
     """The Hoste leaf built as a child: copy, smooth c, then a free loop
-    (None) or the doubled linking numbers from ``linking_counts``, as rows."""
+    (None) or the doubled linking numbers of the compacted, traced child."""
     conn, sign = conn[:], sign[:]
     if K.smooth_inplace(conn, sign, c):
         return None
-    ncomp, counts = K.linking_counts(conn, sign)
-    return [counts[i : i + ncomp] for i in range(0, ncomp * ncomp, ncomp)]
+    conn, sign = K.compact(conn, sign)
+    labels, ncomp, _ = K.trace_inports(conn)
+    return K.linking_counts(sign, labels, ncomp)
 
 
 def tree_value_reference(rows):
@@ -365,15 +371,19 @@ class TestFlavorSelection:
 class ListOnlyKernels(CountingKernels):
     """The kernels, asserting that every diagram argument is a list."""
 
+    # where each kernel takes conn and sign, by argument position
+    CONN_AT = {"leaf_counts": None, "linking_counts": None}
+    SIGN_AT = {"trace_inports": None, "split_components": None, "linking_counts": 0}
+
     def _counted(self, name, f):
-        conn_arg = name != "leaf_counts"  # it reads the frame, not conn
-        sign_arg = name not in ("trace_inports", "split_components")
+        conn_at = self.CONN_AT.get(name, 0)
+        sign_at = self.SIGN_AT.get(name, 1)
 
         def run(*args):
-            if conn_arg:
-                assert type(args[0]) is list, f"{name} got conn as {type(args[0]).__name__}"
-            if sign_arg:
-                assert type(args[1]) is list, f"{name} got sign as {type(args[1]).__name__}"
+            for what, at in (("conn", conn_at), ("sign", sign_at)):
+                if at is not None:
+                    got = type(args[at]).__name__
+                    assert type(args[at]) is list, f"{name} got {what} as {got}"
             return f(*args)
 
         return super()._counted(name, run)
