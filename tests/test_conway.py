@@ -273,16 +273,25 @@ class TestLeafFirstEngine:
         assert kernels.calls == {"trace_inports": 1, "linking_counts": 1}
         assert eng.leaves == 1
 
+    def test_leaf_rejects_a_wrong_component_count(self):
+        # the trefoil at budget 2 has Hoste-leaf children, closed in the
+        # root's frame and never traced: a wrong count reaching them is
+        # rejected by the root's trace before any leaf is closed
+        eng = MiscountingEngine(get_kernels())
+        with pytest.raises(ConwayError, match="traced 1 components, carried 2"):
+            eng.truncated(closure_diagram(w(2, 1, 1, 1)), 2)
+        assert eng.leaves == 0
+        # the Hopf link at budget 1 is a root leaf: it reads the labels of
+        # its own trace, so no carried count can reach it
+        eng = MiscountingEngine(get_kernels())
+        assert eng.truncated(closure_diagram(w(2, 1, 1)), 1).coeffs == (0, 1)
+        assert eng.leaves == 1
+
     def test_interior_node_rejects_a_wrong_component_count(self):
-        # both roots are interior (a root leaf is closed from its own trace);
-        # the trefoil's Hoste-leaf children close in the root's frame and are
-        # never traced
-        for word, budget, message in (
-            (w(2, 1, 1, 1), 2, "traced 1 components, carried 2"),
-            (w(2, 1, 1), 3, "traced 2 components, carried 3"),
-        ):
-            with pytest.raises(ConwayError, match=message):
-                MiscountingEngine(get_kernels()).truncated(closure_diagram(word), budget)
+        # the Hopf link at budget 3 is interior at the root, and so are the
+        # children of its inter-component crossings
+        with pytest.raises(ConwayError, match="traced 2 components, carried 3"):
+            MiscountingEngine(get_kernels()).truncated(closure_diagram(w(2, 1, 1)), 3)
 
     @pytest.mark.parametrize(
         "run, nodes, hits, leaves",
