@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .burau import conway_matches_alexander
@@ -52,14 +52,11 @@ class RunConfig:
     out_dir: Path = Path(".")
     out_format: str = "both"  # tsv | json | both
     cache: bool = True
-    jobs: int = 1
-    extra: dict = field(default_factory=dict)
+    name: str | None = None  # experiment name
 
     def validate(self):
         if self.degree < 0:
             raise WordError("--degree must be >= 0")
-        if self.jobs < 1:
-            raise WordError("--jobs must be >= 1")
         if (self.m_min is None) != (self.m_max is None):
             raise WordError("--m-min and --m-max must be given together")
         if self.m_min is not None and self.m_min > self.m_max:
@@ -122,8 +119,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--out", type=str, default=".", help="report output directory")
     p_exp.add_argument("--format", dest="out_format", default="both",
                        choices=("tsv", "json", "both"))
-    p_exp.add_argument("--jobs", type=int, default=1,
-                       help="parallel worker processes for family evaluations")
     return parser
 
 
@@ -191,7 +186,7 @@ def _cmd_invariant(cfg: RunConfig) -> int:
 
 # experiment -> (options passed on as keyword arguments of the same name, the
 # usage hint when all of them are required, whether it samples a family over
-# m and so takes --jobs, --m-min and --m-max)
+# m and so takes --m-min and --m-max)
 _EXPERIMENT_ARGS = {
     "prop25": ((), None, True),
     "dn": (("n",), "--n (odd, >= 5)", True),
@@ -202,17 +197,15 @@ _EXPERIMENT_ARGS = {
 
 
 def _cmd_experiment(cfg: RunConfig, args) -> int:
-    name = cfg.extra["name"]
+    name = cfg.name
     options, required, family = _EXPERIMENT_ARGS[name]
     kwargs = {opt: getattr(args, opt) for opt in options if getattr(args, opt) is not None}
     if required is not None and len(kwargs) < len(options):
         raise WordError(f"{name} needs {required}")
-    if family:
-        kwargs["jobs"] = cfg.jobs
-        if cfg.m_min is not None:
-            kwargs["m_range"] = range(cfg.m_min, cfg.m_max + 1)
-    elif cfg.m_min is not None:
-        raise WordError(f"{name} takes no --m-min/--m-max")
+    if cfg.m_min is not None:
+        if not family:
+            raise WordError(f"{name} takes no --m-min/--m-max")
+        kwargs["m_range"] = range(cfg.m_min, cfg.m_max + 1)
     if name == "prop25":
         if args.canonical_odd is not None:
             kwargs["form"] = canonical_odd_knot_braid(args.canonical_odd)
@@ -259,8 +252,7 @@ def main(argv=None) -> int:
             cfg.m_max = args.m_max
             cfg.out_dir = Path(args.out)
             cfg.out_format = args.out_format
-            cfg.jobs = args.jobs
-            cfg.extra["name"] = args.name
+            cfg.name = args.name
         cfg.validate()
         if args.command == "info":
             return _cmd_info(cfg)

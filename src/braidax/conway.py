@@ -30,7 +30,6 @@ All coefficients are exact integers; there is no floating point here.
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
 
 from .diagram import LinkDiagram, LinkingMatrix
@@ -65,7 +64,7 @@ class TruncatedPoly:
 
 
 class SkeinEngine:
-    """Reusable evaluator with a memo cache shared across calls.
+    """Reusable skein engine with a memo cache shared across calls.
 
     The root is pruned when its budget is below its component count p minus
     one; with ``hoste_base=True`` it is a Hoste leaf at budget p - 1, closed
@@ -80,19 +79,17 @@ class SkeinEngine:
     ``nodes`` counts every node, closed children included, ``hits`` the memo
     hits, and ``leaves`` the Hoste leaves closed from linking numbers, at
     the root or in a parent (a free-loop child is split, not a Hoste leaf).
+
+    Every kernel call goes through ``kernels`` (``get_kernels()`` by
+    default).  Each node resolves its crossings from the basepoints its
+    ``trace_inports`` call returns, so a kernels namespace that permutes
+    those basepoints walks another skein tree to the same coefficients.
     """
 
-    def __init__(
-        self,
-        kernels=None,
-        memo: bool = True,
-        hoste_base: bool = True,
-        shuffle_seed: int | None = None,
-    ):
+    def __init__(self, kernels=None, memo: bool = True, hoste_base: bool = True):
         self.k = kernels if kernels is not None else get_kernels()
         self.memo: dict | None = {} if memo else None
         self.hoste_base = hoste_base
-        self.rng = random.Random(shuffle_seed) if shuffle_seed is not None else None
         self.nodes = 0
         self.hits = 0
         self.leaves = 0
@@ -123,14 +120,6 @@ class SkeinEngine:
 
     # -- internals ---------------------------------------------------------
 
-    def _shuffled_starts(self, labels, ncomp):
-        ports = [[] for _ in range(ncomp)]
-        for q in range(0, len(labels), 2):
-            ports[labels[q]].append(q)
-        order = list(range(ncomp))
-        self.rng.shuffle(order)
-        return [self.rng.choice(ports[j]) for j in order]
-
     def _eval(self, conn, sign, loops, p, budget) -> tuple[int, ...]:
         K = self.k
         self.nodes += 1
@@ -156,8 +145,6 @@ class SkeinEngine:
             if hit is not None:
                 self.hits += 1
                 return hit
-        if self.rng is not None:
-            starts = self._shuffled_starts(labels, ncomp)
         nbad, bad_ids, eps = K.chain_scan(conn, sign, starts)
         coeffs = [1 if p == 1 else 0] + [0] * budget
         if budget >= 1:
@@ -319,24 +306,17 @@ def spanning_tree_sum_enumerate(lk) -> int:
     return total
 
 
-def hoste_lowest(m: LinkingMatrix | list | tuple, evaluator: str = "auto") -> int:
+def hoste_lowest(m: LinkingMatrix | list | tuple) -> int:
     """Lowest Conway coefficient a_{p-1} of a p-component link from its
     linking numbers, summed over spanning trees of the complete graph.
 
-    ``evaluator``: "matrix_tree", "enumerate", "both" (must agree), or
-    "auto" (both up to 7 components, the cofactor determinant beyond).
+    Up to 7 components the Laplacian cofactor and the tree enumeration are
+    both computed and must agree; beyond, the cofactor alone is used.
     """
     rows = _as_lk_rows(m)
-    if evaluator == "auto":
-        evaluator = "both" if len(rows) <= 7 else "matrix_tree"
-    if evaluator == "matrix_tree":
-        return spanning_tree_sum_matrix_tree(rows)
-    if evaluator == "enumerate":
-        return spanning_tree_sum_enumerate(rows)
-    if evaluator == "both":
-        a = spanning_tree_sum_matrix_tree(rows)
-        b = spanning_tree_sum_enumerate(rows)
-        if a != b:
-            raise ConwayError(f"evaluator disagreement: {a} vs {b}")
-        return a
-    raise ConwayError(f"unknown evaluator {evaluator!r}")
+    total = spanning_tree_sum_matrix_tree(rows)
+    if len(rows) <= 7:
+        enumerated = spanning_tree_sum_enumerate(rows)
+        if enumerated != total:
+            raise ConwayError(f"spanning-tree sums disagree: {total} vs {enumerated}")
+    return total

@@ -132,59 +132,36 @@ class ExperimentReport:
 # sequences and exact fits
 
 
-def _one_member_coefficient(engine: SkeinEngine, args) -> int:
-    """a_degree of the axis link of one family member.
-
-    Cyclic reduction conjugates the word, which preserves the axis link but
-    relabels strands, so plain reduction is used whenever a named strand's
-    component is about to be deleted.
-    """
-    strands, alpha, beta, m, squared, degree, delete_strand = args
-    form = ExchangeForm(strands, BraidWord(strands, alpha), BraidWord(strands, beta))
-    w = family_member(form, m)
-    if squared:
-        w = square(w)
-    w = free_reduce(w) if delete_strand is not None else cyclic_free_reduce(w)
-    d = axis_link_diagram(w)
-    if delete_strand is not None:
-        lab = trace_components(d).label_containing_strand(delete_strand)
-        d = delete_component(d, lab)
-    return engine.truncated(d, degree)[degree]
-
-
-def _one_member_worker(args) -> int:
-    # process-pool entry point: each worker builds its own engine
-    return _one_member_coefficient(SkeinEngine(), args)
-
-
-def _map_family(form, ms, squared, degree, delete_strand, engine, jobs):
-    """Coefficients for each m in order, on a shared engine or fanned out."""
-    tasks = [
-        (form.strands, form.alpha.letters, form.beta.letters, m, squared, degree, delete_strand)
-        for m in ms
-    ]
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as ex:
-            return list(ex.map(_one_member_worker, tasks))
-    eng = engine if engine is not None else SkeinEngine()
-    return [_one_member_coefficient(eng, t) for t in tasks]
-
-
 def axis_sequence(
     form: ExchangeForm,
     squared: bool,
     m_range,
     degree: int,
     engine: SkeinEngine | None = None,
-    jobs: int = 1,
+    delete_strand: int | None = None,
 ) -> CoefficientSequence:
-    """a_degree of the axis link of each family member (or of its square)."""
+    """a_degree of the axis link of each family member (or of its square),
+    in m order on one engine.
+
+    With ``delete_strand`` the component through that strand is deleted
+    before evaluating.  Cyclic reduction conjugates the word, which preserves
+    the axis link but relabels strands, so plain reduction is used then.
+    """
     ms = list(m_range)
     if not ms or ms != list(range(ms[0], ms[0] + len(ms))):
         raise ExperimentError("m_range must be a nonempty contiguous range")
-    vals = _map_family(form, ms, squared, degree, None, engine, jobs)
+    eng = engine if engine is not None else SkeinEngine()
+    vals = []
+    for m in ms:
+        w = family_member(form, m)
+        if squared:
+            w = square(w)
+        w = free_reduce(w) if delete_strand is not None else cyclic_free_reduce(w)
+        d = axis_link_diagram(w)
+        if delete_strand is not None:
+            lab = trace_components(d).label_containing_strand(delete_strand)
+            d = delete_component(d, lab)
+        vals.append(eng.truncated(d, degree)[degree])
     return CoefficientSequence(degree, ms[0], tuple(vals))
 
 
@@ -247,7 +224,6 @@ def progression_check(
     form: ExchangeForm | None = None,
     m_range=range(-2, 3),
     engine: SkeinEngine | None = None,
-    jobs: int = 1,
 ) -> ExperimentReport:
     """Arithmetic progression of a_3 along an axis-link family of a knot.
 
@@ -267,7 +243,7 @@ def progression_check(
     dec = cycle_decomposition(perm, normalized=True)  # errors unless a knot
     l = dec.one_index
     expected_abs = abs(n + 1 - 2 * l)
-    seq = axis_sequence(form, False, ms, 3, engine, jobs)
+    seq = axis_sequence(form, False, ms, 3, engine)
     diffs = [seq.values[i + 1] - seq.values[i] for i in range(len(seq.values) - 1)]
     constant = all(d == diffs[0] for d in diffs)
     notes = [
@@ -304,7 +280,7 @@ def second_difference_target(n: int) -> int:
 
 
 def squared_family_check(
-    n: int, m_range=range(-1, 2), engine: SkeinEngine | None = None, jobs: int = 1
+    n: int, m_range=range(-1, 2), engine: SkeinEngine | None = None
 ) -> ExperimentReport:
     """Second difference of a_3 over the squared odd-strand canonical family.
 
@@ -318,7 +294,7 @@ def squared_family_check(
     ms = list(m_range)
     if len(ms) < 3:
         raise ExperimentError("need at least three m values for a second difference")
-    seq = axis_sequence(form, True, ms, 3, engine, jobs)
+    seq = axis_sequence(form, True, ms, 3, engine)
     second = [
         seq.values[i + 2] - 2 * seq.values[i + 1] + seq.values[i]
         for i in range(len(seq.values) - 2)
@@ -341,7 +317,6 @@ def two_cycle_check(
     n2: int,
     m_range=range(-2, 3),
     engine: SkeinEngine | None = None,
-    jobs: int = 1,
 ) -> ExperimentReport:
     """a_4 along the two-cycle family is cubic-free in m, even in m for the
     bare seed, and the quadratic coefficients of the family and its mirror
@@ -358,7 +333,7 @@ def two_cycle_check(
     quads = []
     family_seq = None
     for tag, f in (("family", form), ("mirror", form.mirrored())):
-        seq = axis_sequence(f, False, m_range, 4, eng, jobs)
+        seq = axis_sequence(f, False, m_range, 4, eng)
         if tag == "family":
             family_seq = seq
         try:
@@ -416,7 +391,7 @@ def joint_cycle_target(n: int) -> int:
 
 
 def joint_cycle_check(
-    n: int, m_range=range(-1, 3), engine: SkeinEngine | None = None, jobs: int = 1
+    n: int, m_range=range(-1, 3), engine: SkeinEngine | None = None
 ) -> ExperimentReport:
     """Quadratic growth of a_4 over the squared joint-cycle family.
 
@@ -438,10 +413,6 @@ def joint_cycle_check(
         " linking-dependent part of the quadratic target drops out",
     ]
 
-    def eval_family(delete_strand: int | None):
-        vals = _map_family(form, ms, True, 4, delete_strand, eng, jobs)
-        return CoefficientSequence(4, ms[0], tuple(vals))
-
     if n % 2 == 0:
         variants = {"direct": None}
         notes.append("even strand count: no component deletion")
@@ -461,7 +432,7 @@ def joint_cycle_check(
         )
     quads = {}
     for tag, strand in variants.items():
-        seq = eval_family(strand)
+        seq = axis_sequence(form, True, ms, 4, eng, strand)
         try:
             fit = fit_polynomial(seq, 2)
         except FitError as exc:

@@ -28,7 +28,9 @@ the child.
 Every kernel is a plain Python function: the engine reads single items in
 loops, and a list item is read several times faster than an ndarray item.
 ``get_kernels()`` returns the namespace the skein engine calls through, so a
-caller can hand the engine a wrapped copy (to count or time the calls).
+caller can hand the engine a wrapped copy (to count or time the calls).  The
+same seam is how the tests permute basepoints: a copy whose ``trace_inports``
+returns its ``starts`` shuffled and re-picked must not change a coefficient.
 """
 
 from __future__ import annotations

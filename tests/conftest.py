@@ -1,3 +1,4 @@
+import random
 from types import SimpleNamespace
 
 import hypothesis
@@ -66,3 +67,25 @@ class CountingKernels(SimpleNamespace):
             return f(*args)
 
         return run
+
+
+class ShuffledStartsKernels(SimpleNamespace):
+    """The kernels, with the basepoints of every trace permuted: the
+    components in a seeded random order, each started from a seeded random
+    in-port of its own.  Coefficients must not depend on the basepoints."""
+
+    def __init__(self, seed):
+        super().__init__(**vars(get_kernels()))
+        rng = random.Random(seed)
+        trace = self.trace_inports
+
+        def trace_inports(conn):
+            labels, ncomp, _ = trace(conn)
+            ports = [[] for _ in range(ncomp)]
+            for q in range(0, len(labels), 2):
+                ports[labels[q]].append(q)
+            order = list(range(ncomp))
+            rng.shuffle(order)
+            return labels, ncomp, [rng.choice(ports[j]) for j in order]
+
+        self.trace_inports = trace_inports

@@ -44,3 +44,24 @@ def test_engine_runs_on_traced_kernels(perfbench):
     d = braidax.closure_diagram(braidax.BraidWord(2, (1, 1, 1)))
     assert eng.truncated(d, 2).coeffs == (1, 0, 1)
     assert tracer.totals()["kernels.trace_inports"]["calls"] >= 1
+
+
+@pytest.mark.parametrize("kind", ["dn", "prop25", "eq54", "lemma64", "twocycle", "oracle"])
+def test_runners_call_braidax(perfbench, kind):
+    # the smallest group of each kind the benchmark generates, run the way
+    # the benchmark runs it: a changed signature fails here, not as a
+    # failed benchmark operation
+    _, worker = perfbench
+    workloads = worker.workloads
+    groups = [
+        g
+        for name in workloads.WORKLOADS
+        for g in workloads.generate(name, 0)
+        if g["kind"] == kind
+    ]
+    g = min(groups, key=lambda g: (
+        g.get("n", 0) + g.get("n1", 0) + g.get("n2", 0) + g.get("strands", 0),
+        sum(len(g.get(part, ())) for part in ("alpha", "beta", "letters")),
+    ))
+    _, problem = worker.RUNNERS[kind](braidax, braidax.SkeinEngine(), g)
+    assert problem is None, problem

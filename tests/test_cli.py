@@ -22,6 +22,15 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_process(cwd, *argv):
+    """The CLI in a fresh interpreter, so that a traceback would show."""
+    env = dict(os.environ, PYTHONPATH=str(Path(braidax.__file__).resolve().parents[1]))
+    return subprocess.run(
+        [sys.executable, "-m", "braidax.cli", *argv],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
 class TestWordExtraction:
     def test_word_after_separator(self):
         word, rest = _extract_word_tokens(["info", "--n", "4", "--", "-3", "1", "2"])
@@ -134,14 +143,16 @@ class TestExperiment:
     )
     def test_out_of_domain_input_exits_2(self, tmp_path, argv):
         (tmp_path / "taken").write_text("")  # a file where --out wants a directory
-        env = dict(os.environ, PYTHONPATH=str(Path(braidax.__file__).resolve().parents[1]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "braidax.cli", "experiment", *argv],
-            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
-        )
+        proc = run_process(tmp_path, "experiment", *argv)
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+    def test_removed_jobs_flag_exits_2(self, tmp_path):
+        proc = run_process(tmp_path, "experiment", "dn", "--n", "5", "--jobs", "2")
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert "unrecognized arguments: --jobs 2" in proc.stderr
 
     def test_missing_parameter(self, capsys, tmp_path):
         code, _, err = run(capsys, "experiment", "dn", "--out", str(tmp_path))
@@ -180,7 +191,7 @@ _EXPERIMENT_FLAGS = {
     "--corpus": _PATHS,
     "--out": _PATHS,
     "--format": st.sampled_from(["tsv", "json", "both", "xml"]),
-    "--jobs": st.sampled_from(["-1", "0", "1", "x"]),  # never a worker pool
+    "--jobs": st.sampled_from(["-1", "0", "1", "x"]),  # removed: argparse rejects it
 }
 
 

@@ -29,7 +29,7 @@ from braidax import (
 )
 from braidax.kernels import get_kernels
 
-from conftest import CountingKernels, braid_words
+from conftest import CountingKernels, ShuffledStartsKernels, braid_words
 
 
 def w(n, *letters):
@@ -103,11 +103,11 @@ class TestEngineEquivalences:
         d = closure_diagram(word)
         budget = min(component_count(d) + 1, 4)
         a = conway_truncated(d, budget).coeffs
-        b = SkeinEngine(shuffle_seed=seed).truncated(d, budget).coeffs
+        b = SkeinEngine(ShuffledStartsKernels(seed)).truncated(d, budget).coeffs
         assert a == b
 
     def test_seeded_shuffle_is_reproducible_and_exact(self):
-        # two engines with one seed walk the same tree; the seeded walk may
+        # two engines with one seed walk the same tree; the shuffled walk may
         # visit other nodes than the unshuffled one, never other values
         rng = random.Random(7)
         moved = 0
@@ -122,7 +122,7 @@ class TestEngineEquivalences:
                 want = plain.truncated(d, budget).coeffs
                 runs = []
                 for _ in range(2):
-                    eng = SkeinEngine(shuffle_seed=seed)
+                    eng = SkeinEngine(ShuffledStartsKernels(seed))
                     runs.append((eng.truncated(d, budget).coeffs, eng.nodes, eng.hits))
                 assert runs[0] == runs[1]
                 assert runs[0][0] == want
@@ -184,7 +184,7 @@ class TestSpanningTreeSum:
         m = [[0, 1, 2], [1, 0, 3], [2, 3, 0]]
         assert spanning_tree_sum_enumerate(m) == 11
         assert spanning_tree_sum_matrix_tree(m) == 11
-        assert hoste_lowest(m, evaluator="both") == 11
+        assert hoste_lowest(m) == 11
 
     @pytest.mark.parametrize("p", range(1, 8))
     def test_evaluators_agree_on_random_matrices(self, p):
@@ -244,10 +244,12 @@ class TestLeafFirstEngine:
     def test_carried_component_count(self, word, axis, hoste_base, seed):
         d = axis_link_diagram(word) if axis else closure_diagram(word)
         budget = min(component_count(d) + 1, 4)
-        eng = CarriedCountEngine(
-            get_kernels(), hoste_base=hoste_base, shuffle_seed=seed
-        )
-        ref = SkeinEngine(get_kernels(), hoste_base=hoste_base, shuffle_seed=seed)
+
+        def kernels():
+            return get_kernels() if seed is None else ShuffledStartsKernels(seed)
+
+        eng = CarriedCountEngine(kernels(), hoste_base=hoste_base)
+        ref = SkeinEngine(kernels(), hoste_base=hoste_base)
         assert eng.truncated(d, budget).coeffs == ref.truncated(d, budget).coeffs
 
     def test_root_is_traced_with_the_engines_kernels(self, monkeypatch):

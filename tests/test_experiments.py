@@ -145,10 +145,6 @@ class TestFamilyChecks:
         assert "even_in_m" not in report.computed
         assert any("evenness" in note for note in report.notes)
 
-    def test_dn_n5_on_two_worker_processes(self):
-        pooled = squared_family_check(5, jobs=2).data_dict()
-        assert pooled == squared_family_check(5, jobs=1).data_dict()
-
     def test_eq54_n4(self, engine):
         report = joint_cycle_check(4, engine=engine)
         assert report.passed
@@ -160,6 +156,13 @@ class TestFamilyChecks:
         assert report.computed["deletion_choices_agree"]
         assert report.computed["delete_with_strand_3_quadratic"] == "2"
         assert report.computed["delete_other_quadratic"] == "2"
+
+    @pytest.mark.parametrize("n", [4, 5])
+    @pytest.mark.parametrize("ms", [range(-2, 6, 2), [2, 1, 0, -1]])
+    def test_eq54_requires_contiguous_range(self, engine, n, ms):
+        # samples at other m than the fit assumes would be fitted as m, m+1, ...
+        with pytest.raises(ExperimentError, match="contiguous"):
+            joint_cycle_check(n, m_range=ms, engine=engine)
 
 
 class TestCorpus:
