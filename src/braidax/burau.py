@@ -48,14 +48,6 @@ class LaurentPoly:
         return cls(0, ())
 
     @classmethod
-    def from_dict(cls, d: dict[int, int]) -> "LaurentPoly":
-        d = {e: c for e, c in d.items() if c}
-        if not d:
-            return cls.zero()
-        lo, hi = min(d), max(d)
-        return cls(lo, tuple(d.get(e, 0) for e in range(lo, hi + 1)))
-
-    @classmethod
     def _trimmed(cls, min_exp: int, coeffs: list[int]) -> "LaurentPoly":
         lo, hi = 0, len(coeffs)
         while lo < hi and not coeffs[lo]:

@@ -7,7 +7,8 @@ inferred.  Data outputs are deterministic: identical inputs give byte
 identical reports, and runtime metadata goes to stderr.
 
 Exit codes: 0 all checks passed, 1 an assertion failed, 2 usage, parse or
-file-system error.
+file-system error.  A flag that the named experiment does not take is a usage
+error, as is ``prop25 --canonical-odd`` given together with explicit words.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 from .burau import conway_matches_alexander
@@ -37,30 +37,6 @@ from .words import (
 )
 
 USAGE_ERROR, CHECK_FAILURE, OK = 2, 1, 0
-
-
-@dataclass
-class RunConfig:
-    """Validated invocation parameters for one CLI run."""
-
-    command: str
-    strands: int | None = None
-    word: tuple[int, ...] | None = None
-    degree: int = 3
-    m_min: int | None = None
-    m_max: int | None = None
-    out_dir: Path = Path(".")
-    out_format: str = "both"  # tsv | json | both
-    cache: bool = True
-    name: str | None = None  # experiment name
-
-    def validate(self):
-        if self.degree < 0:
-            raise WordError("--degree must be >= 0")
-        if (self.m_min is None) != (self.m_max is None):
-            raise WordError("--m-min and --m-max must be given together")
-        if self.m_min is not None and self.m_min > self.m_max:
-            raise WordError("--m-min must not exceed --m-max")
 
 
 def _extract_word_tokens(argv: list[str]):
@@ -102,7 +78,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_inv.add_argument("--n", type=int, required=True, help="strand count")
     p_inv.add_argument("--degree", type=int, default=3, help="truncation degree")
-    p_inv.add_argument("--no-cache", action="store_true", help="disable the skein memo cache")
 
     p_exp = sub.add_parser("experiment", help="run a named family experiment")
     p_exp.add_argument("name", choices=sorted(EXPERIMENTS), help="experiment name")
@@ -126,8 +101,7 @@ def _build_parser() -> argparse.ArgumentParser:
 # commands
 
 
-def _cmd_info(cfg: RunConfig) -> int:
-    w = BraidWord(cfg.strands, cfg.word)
+def _cmd_info(w: BraidWord) -> int:
     perm = permutation_of(w)
     dec = cycle_decomposition(perm)
     adm = admits_exchange(w)
@@ -153,13 +127,12 @@ def _cmd_info(cfg: RunConfig) -> int:
     return OK
 
 
-def _cmd_invariant(cfg: RunConfig) -> int:
-    w = BraidWord(cfg.strands, cfg.word)
-    engine = SkeinEngine(memo=cfg.cache)
+def _cmd_invariant(w: BraidWord, degree: int) -> int:
+    engine = SkeinEngine()
     closure = closure_diagram(w)
     axis = axis_link_diagram(w)
-    closure_poly = engine.truncated(closure, cfg.degree)
-    axis_poly = engine.truncated(axis, cfg.degree)
+    closure_poly = engine.truncated(closure, degree)
+    axis_poly = engine.truncated(axis, degree)
     print(f"word\t{w}")
     print(f"closure_components\t{component_count(closure)}")
     print(f"closure_nabla\t{' '.join(map(str, closure_poly.coeffs))}")
@@ -170,13 +143,13 @@ def _cmd_invariant(cfg: RunConfig) -> int:
         print(f"axis_linking_row_{i}\t{' '.join(map(str, row))}")
     # lowest-coefficient cross-check: pure skein against the spanning-tree formula
     p = component_count(axis)
-    skein_low = conway_truncated(axis, p - 1, memo=cfg.cache, hoste_base=False)[p - 1]
+    skein_low = conway_truncated(axis, p - 1, hoste_base=False)[p - 1]
     formula_low = hoste_lowest(lk)
     match = "match" if skein_low == formula_low else f"MISMATCH {skein_low} vs {formula_low}"
     print(f"hoste_check\t{match}")
     burau_ok = None
     if len(w.letters) <= 16:
-        burau_ok = conway_matches_alexander(full_conway(closure, memo=cfg.cache).coeffs, w)
+        burau_ok = conway_matches_alexander(full_conway(closure).coeffs, w)
         print(f"burau_check\t{'match' if burau_ok else 'MISMATCH'}")
     else:
         print("burau_check\tskipped (word longer than 16 letters)")
@@ -184,47 +157,63 @@ def _cmd_invariant(cfg: RunConfig) -> int:
     return OK if ok else CHECK_FAILURE
 
 
-# experiment -> (options passed on as keyword arguments of the same name, the
-# usage hint when all of them are required, whether it samples a family over
-# m and so takes --m-min and --m-max)
+# experiment -> (the options it takes, passed on as keyword arguments of the
+# same name except for prop25's; the usage hint when all of them are required;
+# whether it samples a family over m and so takes --m-min and --m-max)
 _EXPERIMENT_ARGS = {
-    "prop25": ((), None, True),
+    "prop25": (("n", "alpha", "beta", "canonical_odd"), None, True),
     "dn": (("n",), "--n (odd, >= 5)", True),
     "lemma64": (("n1", "n2"), "--n1 and --n2", True),
     "eq54": (("n",), "--n (>= 4)", True),
     "table8": (("path",), None, False),
 }
+_OPTIONS = sorted({opt for options, _, _ in _EXPERIMENT_ARGS.values() for opt in options})
 
 
-def _cmd_experiment(cfg: RunConfig, args) -> int:
-    name = cfg.name
+def _flag(option: str) -> str:
+    return "--corpus" if option == "path" else "--" + option.replace("_", "-")
+
+
+def _cmd_experiment(args) -> int:
+    name = args.name
+    if (args.m_min is None) != (args.m_max is None):
+        raise WordError("--m-min and --m-max must be given together")
+    if args.m_min is not None and args.m_min > args.m_max:
+        raise WordError("--m-min must not exceed --m-max")
     options, required, family = _EXPERIMENT_ARGS[name]
+    stray = [opt for opt in _OPTIONS if getattr(args, opt) is not None and opt not in options]
+    if stray:
+        raise WordError(f"{name} takes no {', '.join(map(_flag, stray))}")
     kwargs = {opt: getattr(args, opt) for opt in options if getattr(args, opt) is not None}
     if required is not None and len(kwargs) < len(options):
         raise WordError(f"{name} needs {required}")
-    if cfg.m_min is not None:
+    if args.m_min is not None:
         if not family:
             raise WordError(f"{name} takes no --m-min/--m-max")
-        kwargs["m_range"] = range(cfg.m_min, cfg.m_max + 1)
+        kwargs["m_range"] = range(args.m_min, args.m_max + 1)
     if name == "prop25":
-        if args.canonical_odd is not None:
-            kwargs["form"] = canonical_odd_knot_braid(args.canonical_odd)
-        elif args.alpha is not None or args.beta is not None:
-            if args.n is None or args.alpha is None or args.beta is None:
+        odd = kwargs.pop("canonical_odd", None)
+        n, alpha, beta = (kwargs.pop(opt, None) for opt in ("n", "alpha", "beta"))
+        explicit = (n, alpha, beta) != (None, None, None)
+        if odd is not None:
+            if explicit:
+                raise WordError("prop25 takes --canonical-odd or --n, --alpha, --beta, not both")
+            kwargs["form"] = canonical_odd_knot_braid(odd)
+        elif explicit:
+            if None in (n, alpha, beta):
                 raise WordError("prop25 with explicit words needs --n, --alpha, --beta")
-            kwargs["form"] = ExchangeForm(
-                args.n, parse_word(args.alpha, args.n), parse_word(args.beta, args.n)
-            )
+            kwargs["form"] = ExchangeForm(n, parse_word(alpha, n), parse_word(beta, n))
 
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
     report = EXPERIMENTS[name](**kwargs)
     elapsed = time.perf_counter() - t0
 
-    stem = cfg.out_dir / f"braidax_{name}"
-    if cfg.out_format in ("json", "both"):
+    stem = out_dir / f"braidax_{name}"
+    if args.out_format in ("json", "both"):
         (stem.with_suffix(".json")).write_text(report.to_json())
-    if cfg.out_format in ("tsv", "both"):
+    if args.out_format in ("tsv", "both"):
         (stem.with_suffix(".tsv")).write_text(report.to_tsv())
     sys.stdout.write(report.to_tsv())
     print(f"result\t{'PASS' if report.passed else 'FAIL'}")
@@ -238,27 +227,16 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(rest)
     try:
-        cfg = RunConfig(command=args.command)
-        if args.command in ("info", "invariant"):
-            if word_tokens is None:
-                raise WordError("missing braid word: give it after --")
-            cfg.strands = args.n
-            cfg.word = tuple(parse_word(word_tokens, args.n).letters)
-            if args.command == "invariant":
-                cfg.degree = args.degree
-                cfg.cache = not args.no_cache
-        else:
-            cfg.m_min = args.m_min
-            cfg.m_max = args.m_max
-            cfg.out_dir = Path(args.out)
-            cfg.out_format = args.out_format
-            cfg.name = args.name
-        cfg.validate()
+        if args.command == "experiment":
+            return _cmd_experiment(args)
+        if word_tokens is None:
+            raise WordError("missing braid word: give it after --")
+        w = parse_word(word_tokens, args.n)
         if args.command == "info":
-            return _cmd_info(cfg)
-        if args.command == "invariant":
-            return _cmd_invariant(cfg)
-        return _cmd_experiment(cfg, args)
+            return _cmd_info(w)
+        if args.degree < 0:
+            raise WordError("--degree must be >= 0")
+        return _cmd_invariant(w, args.degree)
     except (WordError, ExperimentError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -17,7 +17,6 @@ differences are direction-independent.
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
@@ -76,7 +75,6 @@ class PolynomialFit:
     """Exact interpolating polynomial in the power basis, coefficients as
     rationals from finite differences."""
 
-    degree_bound: int
     coeffs: tuple[Fraction, ...]  # coeffs[k] multiplies m^k
 
     def coefficient(self, k: int) -> Fraction:
@@ -92,8 +90,7 @@ class PolynomialFit:
 @dataclass(frozen=True)
 class ExperimentReport:
     """Outcome of one experiment: parameters, targets with their origin,
-    computed values, and a verdict.  The runtime is log-only metadata and is
-    excluded from the serialized data section."""
+    computed values, and a verdict."""
 
     experiment: str
     parameters: dict
@@ -101,7 +98,6 @@ class ExperimentReport:
     computed: dict
     passed: bool
     notes: tuple[str, ...] = ()
-    runtime: float = 0.0
 
     def data_dict(self) -> dict:
         return {
@@ -192,7 +188,7 @@ def fit_polynomial(seq: CoefficientSequence, degree_bound: int) -> PolynomialFit
             basis = [b / k for b in basis]
         for i, b in enumerate(basis):
             coeffs[i] += table[k] * b
-    fit = PolynomialFit(degree_bound, tuple(coeffs))
+    fit = PolynomialFit(tuple(coeffs))
     for m, v in zip(seq.m_values, vals):
         if fit.evaluate(m) != v:
             raise FitError(
@@ -207,16 +203,14 @@ def fit_polynomial(seq: CoefficientSequence, degree_bound: int) -> PolynomialFit
 # the experiments
 
 
-def _finish(name, params, expected, computed, checks, notes, t0) -> ExperimentReport:
-    passed = all(checks)
+def _finish(name, params, expected, computed, checks, notes) -> ExperimentReport:
     return ExperimentReport(
         experiment=name,
         parameters=params,
         expected=expected,
         computed=computed,
-        passed=passed,
+        passed=all(checks),
         notes=tuple(notes),
-        runtime=time.perf_counter() - t0,
     )
 
 
@@ -231,7 +225,6 @@ def progression_check(
     the position of the entry 1 in the permutation cycle written to end on n;
     the difference vanishes exactly when n is odd and l lands in the middle.
     """
-    t0 = time.perf_counter()
     if form is None:
         form = ExchangeForm(4, BraidWord(4, (-1, -2)), BraidWord(4, (-3,)))
     n = form.strands
@@ -262,7 +255,6 @@ def progression_check(
          "constant": constant, "abs_difference": abs(diffs[0])},
         [constant, abs(diffs[0]) == expected_abs],
         notes,
-        t0,
     )
 
 
@@ -288,7 +280,6 @@ def squared_family_check(
     sits in the excluded middle-position case, where only the square braid
     separates the family, with a second difference given in closed form.
     """
-    t0 = time.perf_counter()
     form = canonical_odd_knot_braid(n)
     target = second_difference_target(n)
     ms = list(m_range)
@@ -308,7 +299,6 @@ def squared_family_check(
         {"sequence": list(seq.values), "second_differences": second},
         [constant, second[0] == target],
         [],
-        t0,
     )
 
 
@@ -321,7 +311,6 @@ def two_cycle_check(
     """a_4 along the two-cycle family is cubic-free in m, even in m for the
     bare seed, and the quadratic coefficients of the family and its mirror
     add up to 2(n1-1)(n2-1)."""
-    t0 = time.perf_counter()
     if len(list(m_range)) < 5:
         raise ExperimentError("need at least 5 samples for the cubic fit")
     form = canonical_split_cycle_braid(n1, n2)
@@ -346,7 +335,6 @@ def two_cycle_check(
                 {f"{tag}_sequence": list(seq.values), "fit_error": str(exc)},
                 [False],
                 [],
-                t0,
             )
         cubic = fit.coefficient(3)
         quad = fit.coefficient(2)
@@ -373,7 +361,6 @@ def two_cycle_check(
         computed,
         checks,
         notes,
-        t0,
     )
 
 
@@ -399,7 +386,6 @@ def joint_cycle_check(
     them is deleted before evaluating; both deletion choices are computed and
     compared.  For even n the axis link of the square is used directly.
     """
-    t0 = time.perf_counter()
     ms = list(m_range)
     if len(ms) < 4:
         raise ExperimentError("need at least 4 samples for the quadratic fit")
@@ -439,7 +425,7 @@ def joint_cycle_check(
             computed[f"{tag}_sequence"] = list(seq.values)
             computed["fit_error"] = str(exc)
             return _finish("eq54", {"n": n, "m_range": ms}, {"quadratic": target},
-                           computed, [False], notes, t0)
+                           computed, [False], notes)
         quads[tag] = fit.coefficient(2)
         computed[f"{tag}_sequence"] = list(seq.values)
         computed[f"{tag}_quadratic"] = str(quads[tag])
@@ -457,7 +443,6 @@ def joint_cycle_check(
         computed,
         checks,
         notes,
-        t0,
     )
 
 
@@ -495,7 +480,6 @@ def load_corpus(path=None) -> list[tuple[str, str]]:
 def corpus_check(path=None) -> ExperimentReport:
     """Every corpus word must parse as a 4-braid, admit an exchange move,
     close to a knot, and satisfy the non-conjugacy criterion."""
-    t0 = time.perf_counter()
     rows = load_corpus(path)
     failures = []
     for name, text in rows:
@@ -522,7 +506,6 @@ def corpus_check(path=None) -> ExperimentReport:
         {"rows": len(rows), "failures": len(failures)},
         [passed],
         tuple(failures[:20]),
-        t0,
     )
 
 

@@ -63,15 +63,6 @@ class Permutation:
     def size(self) -> int:
         return len(self.images)
 
-    def then(self, other: "Permutation") -> "Permutation":
-        """Composition acting left to right: (self.then(other))(k) = other(self(k))."""
-        if other.size != self.size:
-            raise WordError("size mismatch in permutation composition")
-        return Permutation(tuple(other.images[i - 1] for i in self.images))
-
-    def is_identity(self) -> bool:
-        return all(v == k + 1 for k, v in enumerate(self.images))
-
 
 @dataclass(frozen=True)
 class CycleDecomposition:

@@ -139,6 +139,8 @@ class TestExperiment:
             ("table8", "--m-min", "0", "--m-max", "1"),
             ("dn", "--n", "5", "--out", "taken"),
             ("dn", "--n", "5", "--out", "taken/sub"),
+            ("table8", "--n", "4"),
+            ("prop25", "--canonical-odd", "5", "--n", "4", "--alpha", "1", "--beta", "3"),
         ],
     )
     def test_out_of_domain_input_exits_2(self, tmp_path, argv):
@@ -148,11 +150,19 @@ class TestExperiment:
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
-    def test_removed_jobs_flag_exits_2(self, tmp_path):
-        proc = run_process(tmp_path, "experiment", "dn", "--n", "5", "--jobs", "2")
+    @pytest.mark.parametrize(
+        "argv, stray",
+        [
+            (("experiment", "dn", "--n", "5", "--jobs", "2"), "--jobs 2"),
+            (("invariant", "--n", "2", "--no-cache", "--", "1", "1"), "--no-cache"),
+        ],
+        ids=["jobs", "no-cache"],
+    )
+    def test_removed_flag_exits_2(self, tmp_path, argv, stray):
+        proc = run_process(tmp_path, *argv)
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
-        assert "unrecognized arguments: --jobs 2" in proc.stderr
+        assert f"unrecognized arguments: {stray}" in proc.stderr
 
     def test_missing_parameter(self, capsys, tmp_path):
         code, _, err = run(capsys, "experiment", "dn", "--out", str(tmp_path))
@@ -216,7 +226,7 @@ def cli_vectors(draw):
             if draw(st.booleans()):
                 argv += ["--degree", draw(st.sampled_from(["-1", "0", "1", "2", "3", "x"]))]
             if draw(st.booleans()):
-                argv.append("--no-cache")
+                argv.append("--no-cache")  # removed: argparse rejects it
         top = int(n) if n not in (None, "x") else 3  # letters 0 and +-top are out of range
         letters = st.sampled_from([str(k) for k in range(-top, top + 1)] + ["x"])
         if draw(st.sampled_from([True, True, True, False])):  # the word, mostly

@@ -36,6 +36,16 @@ def w(n, *letters):
     return BraidWord(n, letters)
 
 
+class NeverHits:
+    """A memo that stores nothing, so every lookup misses."""
+
+    def get(self, key):
+        return None
+
+    def __setitem__(self, key, value):
+        pass
+
+
 class TestBaseValues:
     def test_unknot_any_budget(self):
         d = closure_diagram(w(2, 1))
@@ -94,9 +104,12 @@ class TestEngineEquivalences:
     def test_memo_and_hoste_base_do_not_change_results(self, word):
         d = axis_link_diagram(word)
         budget = min(component_count(d) + 1, 4)
-        reference = conway_truncated(d, budget, memo=False, hoste_base=False).coeffs
-        assert conway_truncated(d, budget, memo=True, hoste_base=False).coeffs == reference
-        assert conway_truncated(d, budget, memo=True, hoste_base=True).coeffs == reference
+        unmemoized = SkeinEngine(hoste_base=False)
+        unmemoized.memo = NeverHits()
+        reference = unmemoized.truncated(d, budget).coeffs
+        assert unmemoized.hits == 0
+        assert conway_truncated(d, budget, hoste_base=False).coeffs == reference
+        assert conway_truncated(d, budget).coeffs == reference
 
     @given(braid_words(max_letters=8), st.integers(0, 2**31 - 1))
     def test_basepoint_independence(self, word, seed):
