@@ -38,6 +38,7 @@ from .diagram import (
     LinkDiagram,
     LinkingMatrix,
     axis_link_diagram,
+    axis_word,
     closure_diagram,
     component_count,
     delete_component,
@@ -56,10 +57,9 @@ from .conway import (
 )
 from .burau import (
     LaurentPoly,
-    alexander_burau,
+    OracleError,
     conway_matches_alexander,
-    conway_to_laurent,
-    equal_up_to_units,
+    conway_polynomial,
 )
 from .experiments import (
     CoefficientSequence,

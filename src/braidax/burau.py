@@ -1,35 +1,35 @@
-"""One-variable Alexander polynomial of braid closures, via the reduced
-Burau representation.
+"""Exact Conway polynomial of braid closures, via the reduced Burau
+representation.
 
-This is a validation oracle for the skein engine, built on entirely
-different mathematics: the determinant det(rho(b) - I) divided by
-(1 + t + .. + t^{n-1}) gives the Alexander polynomial of the closure up to
-a unit +-t^k (Kassel-Turaev, *Braid Groups*, section 3).  Substituting
-z = t^(1/2) - t^(-1/2) into a fully computed Conway polynomial must agree,
-again up to units.
+This is a second route to the coefficients the skein engine computes, built
+on entirely different mathematics.  For a braid b on N strands with
+exponent sum e, and t = s^2 (Kassel-Turaev, *Braid Groups*, Thm 3.13):
+
+    Delta(s) = (-1)^e * s^-(e-N+1) * det(rho(b) - I) / (1 + t + .. + t^(N-1))
+
+is the Conway-normalised Alexander polynomial of the closure, with its
+sign and its power of s fixed, and nabla(s - 1/s) = Delta(s).  Peeling off
+the top power of z = s - 1/s gives the coefficients a_0, a_1, .. exactly.
 
 Everything is exact integer arithmetic on Laurent polynomials in the
-half-power variable s with t = s^2, so all exponents stay integral.  The
-Burau matrix is built by column operations, its determinant comes from the
-same fraction-free elimination that evaluates Hoste's cofactor
-(``conway._det_bareiss``), and the final division is exact: a nonzero
-remainder raises ``OracleError`` instead of returning a wrong polynomial.
+half-power variable s, so all exponents stay integral.  The Burau matrix is
+built by column operations, each entry one sum of shifted neighbours; its
+determinant comes from the same fraction-free elimination that evaluates
+Hoste's cofactor (``conway._det_bareiss``); the division and the peeling
+are exact: anything left over raises ``OracleError`` instead of returning a
+wrong polynomial.
 """
 
 from __future__ import annotations
 
-import operator
-from dataclasses import dataclass
-
 from .conway import _det_bareiss
-from .words import BraidWord
+from .words import BraidWord, exponent_sum
 
 
 class OracleError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
 class LaurentPoly:
     """Integer Laurent polynomial in one variable.
 
@@ -38,25 +38,40 @@ class LaurentPoly:
     coefficients, and the zero polynomial is the empty tuple.  The ring
     operations take a ``LaurentPoly`` or an integer as the right operand,
     and ``*`` also an integer on the left; ``//`` is exact division.
+    Instances are treated as immutable.
     """
 
-    min_exp: int
-    coeffs: tuple[int, ...]
+    __slots__ = ("min_exp", "coeffs")
+
+    def __init__(self, min_exp: int, coeffs: tuple[int, ...]):
+        self.min_exp = min_exp
+        self.coeffs = coeffs
 
     @classmethod
     def zero(cls) -> "LaurentPoly":
-        return cls(0, ())
+        return _ZERO
 
-    @classmethod
-    def _trimmed(cls, min_exp: int, coeffs: list[int]) -> "LaurentPoly":
+    @staticmethod
+    def _trimmed(min_exp: int, coeffs: list[int]) -> "LaurentPoly":
         lo, hi = 0, len(coeffs)
         while lo < hi and not coeffs[lo]:
             lo += 1
-        while hi > lo and not coeffs[hi - 1]:
-            hi -= 1
         if lo == hi:
-            return cls.zero()
-        return cls(min_exp + lo, tuple(coeffs[lo:hi]))
+            return _ZERO
+        while not coeffs[hi - 1]:
+            hi -= 1
+        return LaurentPoly(min_exp + lo, tuple(coeffs[lo:hi]))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, LaurentPoly):
+            return NotImplemented
+        return self.min_exp == other.min_exp and self.coeffs == other.coeffs
+
+    def __hash__(self) -> int:
+        return hash((self.min_exp, self.coeffs))
+
+    def __repr__(self) -> str:
+        return f"LaurentPoly({self.min_exp}, {self.coeffs})"
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -65,44 +80,62 @@ class LaurentPoly:
         return bool(self.coeffs)
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly(self.min_exp, tuple(-c for c in self.coeffs))
+        return LaurentPoly(self.min_exp, tuple([-c for c in self.coeffs]))
 
-    def __add__(self, other) -> "LaurentPoly":
-        other = _as_poly(other)
-        if not other.coeffs:
+    def _plus(self, other: "LaurentPoly", sign: int) -> "LaurentPoly":
+        """self + sign * other, for sign +-1."""
+        b = other.coeffs
+        if not b:
             return self
-        if not self.coeffs:
-            return other
+        a = self.coeffs
+        if not a:
+            return other if sign > 0 else -other
         lo = min(self.min_exp, other.min_exp)
-        hi = max(self.min_exp + len(self.coeffs), other.min_exp + len(other.coeffs))
+        hi = max(self.min_exp + len(a), other.min_exp + len(b))
         out = [0] * (hi - lo)
-        for p in (self, other):
-            off = p.min_exp - lo
-            for i, c in enumerate(p.coeffs):
-                out[off + i] += c
+        off = self.min_exp - lo
+        out[off:off + len(a)] = a
+        off = other.min_exp - lo
+        for i, c in enumerate(b, off):
+            out[i] += sign * c
         return LaurentPoly._trimmed(lo, out)
 
+    def __add__(self, other) -> "LaurentPoly":
+        return self._plus(_as_poly(other), 1)
+
     def __sub__(self, other) -> "LaurentPoly":
-        return self + -_as_poly(other)
+        return self._plus(_as_poly(other), -1)
 
     def __mul__(self, other) -> "LaurentPoly":
-        other = _as_poly(other)
-        if not self.coeffs or not other.coeffs:
-            return LaurentPoly.zero()
-        b = other.coeffs
-        out = [0] * (len(self.coeffs) + len(b) - 1)
-        for i, x in enumerate(self.coeffs):
-            if x:
-                for j, y in enumerate(b):
-                    out[i + j] += x * y
-        # over the integers the extreme products are nonzero: already trimmed
-        return LaurentPoly(self.min_exp + other.min_exp, tuple(out))
+        a = self.coeffs
+        if isinstance(other, LaurentPoly):
+            b = other.coeffs
+            if not a or not b:
+                return _ZERO
+            if len(a) > len(b):
+                a, b = b, a
+            out = [0] * (len(a) + len(b) - 1)
+            for i, x in enumerate(a):
+                if x:
+                    for j, y in enumerate(b, i):
+                        out[j] += x * y
+            # over the integers the extreme products are nonzero: already trimmed
+            return LaurentPoly(self.min_exp + other.min_exp, tuple(out))
+        k = other.__index__()
+        if k == 1:
+            return self
+        if not k or not a:
+            return _ZERO
+        return LaurentPoly(self.min_exp, tuple([k * x for x in a]))
 
     __rmul__ = __mul__
 
     def __floordiv__(self, other) -> "LaurentPoly":
         """Exact quotient; ``OracleError`` when the remainder is not zero."""
-        other = _as_poly(other)
+        if not isinstance(other, LaurentPoly):
+            if other == 1:
+                return self
+            other = _as_poly(other)
         b = other.coeffs
         if not b:
             raise ZeroDivisionError("division by the zero polynomial")
@@ -115,18 +148,11 @@ class LaurentPoly:
             q[k], r = divmod(rem[k + len(b) - 1], b[-1])
             if r:
                 break
-            for i, y in enumerate(b):
-                rem[k + i] -= q[k] * y
+            for i, y in enumerate(b, k):
+                rem[i] -= q[k] * y
         if any(rem):
             raise OracleError(f"{self} is not divisible by {other}")
         return LaurentPoly(self.min_exp - other.min_exp, tuple(q))
-
-    def unit_normalized(self) -> "LaurentPoly":
-        """Canonical representative up to multiplication by +-s^k."""
-        if self.is_zero():
-            return LaurentPoly.zero()
-        flip = -1 if self.coeffs[0] < 0 else 1
-        return LaurentPoly(0, tuple(flip * c for c in self.coeffs))
 
     def __str__(self):
         if self.is_zero():
@@ -138,22 +164,37 @@ class LaurentPoly:
         return " + ".join(terms)
 
 
+_ZERO = LaurentPoly(0, ())
+_ONE = LaurentPoly(0, (1,))
+
+
 def _as_poly(x) -> LaurentPoly:
     if isinstance(x, LaurentPoly):
         return x
-    return LaurentPoly._trimmed(0, [operator.index(x)])
-
-
-def equal_up_to_units(a: LaurentPoly, b: LaurentPoly) -> bool:
-    return a.unit_normalized() == b.unit_normalized()
+    x = x.__index__()
+    return LaurentPoly(0, (x,)) if x else _ZERO
 
 
 # ---------------------------------------------------------------------------
 # reduced Burau matrices over t = s^2
 
-_ONE = LaurentPoly(0, (1,))
-_T = LaurentPoly(2, (1,))
-_T_INV = LaurentPoly(-2, (1,))
+
+def _shifted_sum(left: LaurentPoly, mid: LaurentPoly, right: LaurentPoly,
+                 sl: int, sm: int, sr: int) -> LaurentPoly:
+    """s^sl * left - s^sm * mid + s^sr * right, as one trimmed polynomial."""
+    terms = [(p.min_exp + sh, p.coeffs, sign)
+             for p, sh, sign in ((left, sl, 1), (mid, sm, -1), (right, sr, 1)) if p.coeffs]
+    if len(terms) < 2:
+        if not terms:
+            return _ZERO
+        e, c, sign = terms[0]  # a shifted trimmed polynomial stays trimmed
+        return LaurentPoly(e, c if sign > 0 else tuple([-x for x in c]))
+    lo = min(e for e, _, _ in terms)
+    out = [0] * (max(e + len(c) for e, c, _ in terms) - lo)
+    for e, c, sign in terms:
+        for i, x in enumerate(c, e - lo):
+            out[i] += sign * x
+    return LaurentPoly._trimmed(lo, out)
 
 
 def reduced_burau(w: BraidWord) -> list[list[LaurentPoly]]:
@@ -162,50 +203,70 @@ def reduced_burau(w: BraidWord) -> list[list[LaurentPoly]]:
     Right multiplication by the image of sigma_i changes only column
     j = i-1, which becomes t*col_{j-1} - t*col_j + col_{j+1}; by the image
     of sigma_i^-1 it becomes col_{j-1} - t^-1*col_j + t^-1*col_{j+1}.
-    Columns outside the matrix count as zero.
+    Columns outside the matrix count as zero.  With t = s^2 every product
+    is a shift of exponents by 0 or +-2.
     """
     size = w.strands - 1
-    m = [[_ONE if r == c else LaurentPoly.zero() for c in range(size)] for r in range(size)]
+    m = [[_ONE if r == c else _ZERO for c in range(size)] for r in range(size)]
     for letter in w.letters:
         j = abs(letter) - 1
-        left, mid, right = (_T, -_T, _ONE) if letter > 0 else (_ONE, -_T_INV, _T_INV)
+        shifts = (2, 2, 0) if letter > 0 else (0, -2, -2)
         for row in m:
-            x = row[j] * mid
-            if j > 0:
-                x = x + row[j - 1] * left
-            if j < size - 1:
-                x = x + row[j + 1] * right
-            row[j] = x
+            left = row[j - 1] if j > 0 else _ZERO
+            right = row[j + 1] if j < size - 1 else _ZERO
+            row[j] = _shifted_sum(left, row[j], right, *shifts)
     return m
 
 
-def alexander_burau(w: BraidWord) -> LaurentPoly:
-    """Alexander polynomial of the closure, in s with t = s^2, up to +-s^k."""
+# ---------------------------------------------------------------------------
+# the Conway polynomial
+
+
+def _peel(min_exp: int, coeffs: list[int]) -> tuple[int, ...]:
+    """Coefficients a_0..a_D of nabla with nabla(s - 1/s) equal to the
+    polynomial sum_i coeffs[i] s^(min_exp+i), whose top coefficient is
+    nonzero; ``OracleError`` when no such nabla exists."""
+    top = min_exp + len(coeffs) - 1
+    if 0 <= top and -top <= min_exp:
+        c = [0] * (min_exp + top) + list(coeffs)  # c[i] is the coefficient of s^(i - top)
+        out = [0] * (top + 1)
+        for k in range(top, -1, -1):
+            a = c[k + top]
+            if not a:
+                continue
+            out[k] = a
+            # subtract a * (s - 1/s)^k = a * sum_i (-1)^i C(k, i) s^(k - 2i)
+            binom = a
+            for i in range(k + 1):
+                c[k - 2 * i + top] -= binom
+                binom = -binom * (k - i) // (i + 1)
+        if not any(c):
+            return tuple(out)
+    raise OracleError(f"{LaurentPoly(min_exp, tuple(coeffs))} is no polynomial in s - 1/s")
+
+
+def conway_polynomial(w: BraidWord) -> tuple[int, ...]:
+    """Coefficients a_0..a_deg of the closure's Conway polynomial, exactly;
+    ``(0,)`` for a split closure."""
     n = w.strands
     if n == 1:
-        return _ONE
+        return (1,)
     m = reduced_burau(w)
     for i, row in enumerate(m):
-        row[i] = row[i] - 1
-    return _det_bareiss(m) // LaurentPoly(0, (1, 0) * (n - 1) + (1,))
-
-
-# ---------------------------------------------------------------------------
-# Conway-side substitution
-
-
-def conway_to_laurent(coeffs) -> LaurentPoly:
-    """Substitute z = s - 1/s into a coefficient list a_0, a_1, ..."""
-    z = LaurentPoly(-1, (-1, 0, 1))
-    power = _ONE
-    acc = LaurentPoly.zero()
-    for a in coeffs:
-        acc = acc + power * a
-        power = power * z
-    return acc
+        row[i] = row[i] - _ONE
+    det = _det_bareiss(m)
+    if not det:
+        return (0,)
+    delta = det // LaurentPoly(0, (1, 0) * (n - 1) + (1,))
+    e = exponent_sum(w)
+    sign = -1 if e % 2 else 1
+    return _peel(delta.min_exp - (e - n + 1), [sign * c for c in delta.coeffs])
 
 
 def conway_matches_alexander(coeffs, w: BraidWord) -> bool:
-    """Does the full Conway polynomial agree with the Burau-side Alexander
-    polynomial of the closure, up to units?"""
-    return equal_up_to_units(conway_to_laurent(coeffs), alexander_burau(w))
+    """Is ``coeffs`` (a_0, a_1, .., trailing zeros allowed) exactly the Conway
+    polynomial of the closure that the Burau route gives?"""
+    coeffs = list(coeffs)
+    while len(coeffs) > 1 and not coeffs[-1]:
+        coeffs.pop()
+    return tuple(coeffs or (0,)) == conway_polynomial(w)

@@ -18,9 +18,15 @@ import sys
 import time
 from pathlib import Path
 
-from .burau import conway_matches_alexander
+from .burau import OracleError, conway_matches_alexander, conway_polynomial
 from .conway import SkeinEngine, conway_truncated, full_conway, hoste_lowest
-from .diagram import axis_link_diagram, closure_diagram, component_count, linking_matrix
+from .diagram import (
+    axis_link_diagram,
+    axis_word,
+    closure_diagram,
+    component_count,
+    linking_matrix,
+)
 from .experiments import EXPERIMENTS, ExperimentError
 from .words import (
     BraidWord,
@@ -147,14 +153,32 @@ def _cmd_invariant(w: BraidWord, degree: int) -> int:
     formula_low = hoste_lowest(lk)
     match = "match" if skein_low == formula_low else f"MISMATCH {skein_low} vs {formula_low}"
     print(f"hoste_check\t{match}")
-    burau_ok = None
-    if len(w.letters) <= 16:
-        burau_ok = conway_matches_alexander(full_conway(closure).coeffs, w)
-        print(f"burau_check\t{'match' if burau_ok else 'MISMATCH'}")
+    closure_ok = None
+    if len(w.letters) <= 16:  # bounds the full skein evaluation, not Burau
+        closure_ok = _burau_check("burau_check", full_conway(closure).coeffs, w)
     else:
         print("burau_check\tskipped (word longer than 16 letters)")
-    ok = skein_low == formula_low and burau_ok is not False
+    axis_ok = _burau_check("axis_burau_check", axis_poly.coeffs, axis_word(w), window=True)
+    ok = skein_low == formula_low and closure_ok is not False and axis_ok
     return OK if ok else CHECK_FAILURE
+
+
+def _burau_check(name: str, coeffs, word: BraidWord, window: bool = False) -> bool:
+    """Print and return whether the skein's ``coeffs`` equal the Burau
+    route's polynomial of the closure of ``word``: all of it, or with
+    ``window`` its coefficients a_0..a_{len(coeffs)-1}.  A Burau computation
+    that fails its own exactness check is a mismatch too."""
+    try:
+        if window:
+            burau = conway_polynomial(word) + (0,) * len(coeffs)
+            ok = tuple(coeffs) == burau[:len(coeffs)]
+        else:
+            ok = conway_matches_alexander(coeffs, word)
+    except OracleError as exc:
+        print(f"{name}\tMISMATCH ({exc})")
+        return False
+    print(f"{name}\t{'match' if ok else 'MISMATCH'}")
+    return ok
 
 
 # experiment -> (the options it takes, passed on as keyword arguments of the

@@ -230,8 +230,11 @@ def _det_bareiss(m: list[list]):
     """Exact determinant by fraction-free Gaussian elimination (Bareiss 1968).
 
     Works over any integral domain whose elements support ``+ - *``, exact
-    ``//`` and truthiness, with integers mixed in: the integers themselves,
-    and ``burau.LaurentPoly``.  A singular matrix gives its ring's zero.
+    ``//`` and truthiness, with integers mixed in: the integers themselves
+    (Hoste's cofactor), and ``burau.LaurentPoly`` (the Burau route), whose
+    ``*`` and ``//`` take an integer operand without building a polynomial,
+    so the first pass's ``// 1`` returns its dividend.  A singular matrix
+    gives its ring's zero.
     """
     n = len(m)
     if n == 0:

@@ -169,6 +169,14 @@ def closure_diagram(w: BraidWord) -> LinkDiagram:
     return LinkDiagram(conn, sign, loops, meta)
 
 
+def axis_word(w: BraidWord) -> BraidWord:
+    """beta * s_n .. s_1 s_1 .. s_n on n + 1 strands: the braid whose closure
+    is the axis link of ``w`` (the axis becomes strand n + 1)."""
+    n = w.strands
+    loop = tuple(range(n, 0, -1)) + tuple(range(1, n + 1))
+    return BraidWord(n + 1, w.letters + loop)
+
+
 def axis_link_diagram(w: BraidWord) -> LinkDiagram:
     """Closure plus the braid axis: an unknotted circle passing over every
     strand once and back under every strand, linking each component by its

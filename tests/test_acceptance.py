@@ -173,7 +173,7 @@ class TestCriterion6OracleEquivalence:
             ):
                 failures.append((idx, "d"))
 
-            # (e) Alexander-polynomial agreement on knots
+            # (e) exact agreement with the Burau route on knots
             if p_cl == 1 and len(word.letters) <= 10:
                 burau_checked += 1
                 if not conway_matches_alexander(full_conway(closure).coeffs, word):
@@ -188,7 +188,7 @@ class TestCriterion6OracleEquivalence:
         report(
             f"{'PASS' if ok else 'FAIL'} criterion 6: oracle equivalence on"
             f" {len(words)} random braids (skein/formula, both evaluators, parity,"
-            f" conjugation, {burau_checked} Alexander checks, mirror rule);"
+            f" conjugation, {burau_checked} Burau checks, mirror rule);"
             f" failures: {failures[:5] if failures else 'none'}"
         )
         assert ok

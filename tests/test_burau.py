@@ -1,4 +1,5 @@
-"""The Alexander-polynomial oracle and its agreement with the skein engine."""
+"""The Burau route to the Conway polynomial and its agreement with the skein
+engine."""
 
 import pytest
 from hypothesis import given
@@ -6,20 +7,99 @@ from hypothesis import given
 from braidax import (
     BraidWord,
     LaurentPoly,
-    alexander_burau,
+    axis_link_diagram,
+    axis_word,
+    canonical_odd_knot_braid,
     closure_diagram,
     conway_matches_alexander,
-    conway_to_laurent,
-    equal_up_to_units,
+    conway_polynomial,
+    cyclic_free_reduce,
+    family_member,
     full_conway,
+    square,
 )
-from braidax.burau import OracleError, reduced_burau
+from braidax.burau import OracleError, _peel, reduced_burau
+from braidax.conway import _det_bareiss
 
 from conftest import braid_words
 
 
 def w(n, *letters):
     return BraidWord(n, letters)
+
+
+def skein(d):
+    """The skein engine's full polynomial, trailing zeros stripped."""
+    coeffs = list(full_conway(d).coeffs)
+    while len(coeffs) > 1 and not coeffs[-1]:
+        coeffs.pop()
+    return tuple(coeffs)
+
+
+# ---------------------------------------------------------------------------
+# the earlier route, kept as a reference: the Alexander polynomial up to a
+# unit +-s^k, from a Burau matrix built with generic polynomial products
+
+
+_T = LaurentPoly(2, (1,))
+_T_INV = LaurentPoly(-2, (1,))
+
+
+def reference_burau(word):
+    size = word.strands - 1
+    m = [[LaurentPoly(0, (1,)) if r == c else LaurentPoly.zero() for c in range(size)]
+         for r in range(size)]
+    for letter in word.letters:
+        j = abs(letter) - 1
+        left, mid, right = (_T, -_T, 1) if letter > 0 else (1, -_T_INV, _T_INV)
+        for row in m:
+            x = row[j] * mid
+            if j > 0:
+                x = x + row[j - 1] * left
+            if j < size - 1:
+                x = x + row[j + 1] * right
+            row[j] = x
+    return m
+
+
+def alexander_burau(word):
+    """Alexander polynomial of the closure, in s with t = s^2, up to +-s^k."""
+    n = word.strands
+    if n == 1:
+        return LaurentPoly(0, (1,))
+    m = reference_burau(word)
+    for i, row in enumerate(m):
+        row[i] = row[i] - 1
+    return _det_bareiss(m) // LaurentPoly(0, (1, 0) * (n - 1) + (1,))
+
+
+def unit_normalized(p):
+    """Canonical representative up to multiplication by +-s^k."""
+    if p.is_zero():
+        return p
+    flip = -1 if p.coeffs[0] < 0 else 1
+    return LaurentPoly(0, tuple(flip * c for c in p.coeffs))
+
+
+def equal_up_to_units(a, b):
+    return unit_normalized(a) == unit_normalized(b)
+
+
+def conway_to_laurent(coeffs):
+    """Substitute z = s - 1/s into a coefficient list a_0, a_1, ..."""
+    z = LaurentPoly(-1, (-1, 0, 1))
+    power = LaurentPoly(0, (1,))
+    acc = LaurentPoly.zero()
+    for a in coeffs:
+        acc = acc + power * a
+        power = power * z
+    return acc
+
+
+def dn_axis_word(n, m=1):
+    """The axis word of a squared dn family member, as the dn experiment
+    builds it."""
+    return axis_word(cyclic_free_reduce(square(family_member(canonical_odd_knot_braid(n), m))))
 
 
 class TestRepresentation:
@@ -35,36 +115,42 @@ class TestRepresentation:
         assert reduced_burau(w(n, i, -i)) == reduced_burau(w(n))
         assert reduced_burau(w(n, -i, i)) == reduced_burau(w(n))
 
+    @given(braid_words(max_letters=8, max_strands=5))
+    def test_shifts_match_products(self, word):
+        assert reduced_burau(word) == reference_burau(word)
+
 
 class TestAlexanderValues:
     def test_unknot(self):
-        assert alexander_burau(w(2, 1)).unit_normalized() == LaurentPoly(0, (1,))
+        assert conway_polynomial(w(2, 1)) == (1,)
 
     def test_trefoil(self):
-        # 1x1 reduced matrix (-t)^3 by hand: det(-t^3 - 1), normalized to
-        # 1 - t + t^2 in t = s^2
-        got = alexander_burau(w(2, 1, 1, 1)).unit_normalized()
-        assert got == LaurentPoly(0, (1, 0, -1, 0, 1))
+        # 1x1 reduced matrix (-t)^3: det = -t^3 - 1, over 1 + t that is
+        # -(1 - t + t^2); times (-1)^3 s^-2 it is s^2 - 1 + s^-2 = z^2 + 1
+        assert conway_polynomial(w(2, 1, 1, 1)) == (1, 0, 1)
+        assert conway_polynomial(w(2, -1, -1, -1)) == (1, 0, 1)
 
     def test_figure_eight(self):
-        got = alexander_burau(w(3, 1, -2, 1, -2)).unit_normalized()
-        assert got == LaurentPoly(0, (1, 0, -3, 0, 1))
+        assert conway_polynomial(w(3, 1, -2, 1, -2)) == (1, 0, -1)
 
     def test_hopf(self):
-        got = alexander_burau(w(2, 1, 1)).unit_normalized()
-        assert got == LaurentPoly(0, (1, 0, -1))
+        assert conway_polynomial(w(2, 1, 1)) == (0, 1)
+
+    def test_negative_hopf(self):
+        assert conway_polynomial(w(2, -1, -1)) == (0, -1)
 
     def test_five_two(self):
         # leading coefficient 2 is no unit: Bareiss must divide exactly
-        got = alexander_burau(w(3, 1, 1, 1, 2, -1, 2)).unit_normalized()
-        assert got == LaurentPoly(0, (2, 0, -3, 0, 2))
+        assert conway_polynomial(w(3, 1, 1, 1, 2, -1, 2)) == (1, 0, 2)
 
     def test_five_one(self):
-        got = alexander_burau(w(2, 1, 1, 1, 1, 1)).unit_normalized()
-        assert got == LaurentPoly(0, (1, 0, -1, 0, 1, 0, -1, 0, 1))
+        assert conway_polynomial(w(2, 1, 1, 1, 1, 1)) == (1, 0, 3, 0, 1)
 
     def test_split_closure_vanishes(self):
-        assert alexander_burau(w(3, 1)).is_zero()
+        assert conway_polynomial(w(3, 1)) == (0,)
+
+    def test_one_strand(self):
+        assert conway_polynomial(w(1)) == (1,)
 
     def test_mirror_invariance_up_to_units(self):
         a = alexander_burau(w(2, 1, 1, 1))
@@ -75,7 +161,7 @@ class TestAlexanderValues:
 class TestLaurentHelpers:
     def test_normalization(self):
         p = LaurentPoly(-3, (-2, 0, 4))
-        assert p.unit_normalized() == LaurentPoly(0, (2, 0, -4))
+        assert unit_normalized(p) == LaurentPoly(0, (2, 0, -4))
 
     def test_zero(self):
         assert (LaurentPoly(2, (3,)) - LaurentPoly(2, (3,))).is_zero()
@@ -92,17 +178,42 @@ class TestLaurentHelpers:
         assert LaurentPoly(0, (-1, 0, 1)) // LaurentPoly(0, (1, 1)) == LaurentPoly(0, (-1, 1))
         assert LaurentPoly(-2, (2, 4)) // 2 == LaurentPoly(-2, (1, 2))
 
+    def test_integer_operands(self):
+        p = LaurentPoly(-1, (3, 0, -2))
+        assert p // 1 is p and p * 1 is p
+        assert (p * 0).is_zero() and (0 * p).is_zero()
+        assert -2 * p == LaurentPoly(-1, (-6, 0, 4))
+        assert LaurentPoly(0, (1, 5)) - 1 == LaurentPoly(1, (5,))
+
     @pytest.mark.parametrize(
         "num,den",
         [
             (LaurentPoly(0, (1, 1)), LaurentPoly(0, (1, 0, 1))),  # remainder 1 + s
             (LaurentPoly(0, (1, 0, 1)), LaurentPoly(0, (1, 1))),  # remainder 2
             (LaurentPoly(0, (1, 2)), LaurentPoly(0, (2,))),  # not over the integers
+            (LaurentPoly(0, (1, 2)), 2),
         ],
     )
     def test_inexact_division_raises(self, num, den):
         with pytest.raises(OracleError):
             num // den
+
+    @pytest.mark.parametrize(
+        "min_exp,coeffs",
+        [
+            (0, [1, 0, 1]),  # 1 + s^2 is not symmetric
+            (-3, [1, 0, 0, 0, 1]),  # s^-3 + s
+            (-2, [1]),  # s^-2 alone
+        ],
+    )
+    def test_peel_rejects_leftovers(self, min_exp, coeffs):
+        with pytest.raises(OracleError):
+            _peel(min_exp, coeffs)
+
+    def test_peel(self):
+        # z^4 = s^4 - 4s^2 + 6 - 4s^-2 + s^-4 and z^2 = s^2 - 2 + s^-2,
+        # so s^4 - 2 + s^-4 = z^4 + 4z^2
+        assert _peel(-4, [1, 0, 0, 0, -2, 0, 0, 0, 1]) == (0, 0, 4, 0, 1)
 
 
 class TestOracleAgreement:
@@ -127,3 +238,31 @@ class TestOracleAgreement:
     def test_random_words(self, word):
         coeffs = full_conway(closure_diagram(word)).coeffs
         assert conway_matches_alexander(coeffs, word)
+
+    def test_sign_is_checked(self):
+        # -z and -(1 + z^2) agree with the Hopf link and the trefoil up to units
+        assert not conway_matches_alexander((0, -1), w(2, 1, 1))
+        assert not conway_matches_alexander((-1, 0, -1), w(2, 1, 1, 1))
+
+    def test_trailing_zeros(self):
+        assert conway_matches_alexander((1, 0, 1, 0, 0), w(2, 1, 1, 1))
+        assert conway_matches_alexander((0, 0, 0), w(3, 1))
+        assert not conway_matches_alexander((1, 0, 1, 0, 1), w(2, 1, 1, 1))
+
+
+class TestExactRoute:
+    @given(braid_words(max_letters=8, max_strands=5))
+    def test_equals_skein_on_closures_and_axis_links(self, word):
+        assert conway_polynomial(word) == skein(closure_diagram(word))
+        assert conway_polynomial(axis_word(word)) == skein(axis_link_diagram(word))
+
+    @given(braid_words(max_letters=8, max_strands=5))
+    def test_reference_agrees_up_to_units(self, word):
+        for b in (word, axis_word(word)):
+            got = conway_to_laurent(conway_polynomial(b))
+            assert equal_up_to_units(got, alexander_burau(b))
+
+    def test_reference_agrees_on_dn_axis_word(self):
+        b = dn_axis_word(13)
+        got = conway_to_laurent(conway_polynomial(b))
+        assert equal_up_to_units(got, alexander_burau(b))

@@ -13,6 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import braidax
+import braidax.burau
+import braidax.cli
+from braidax.burau import OracleError
 from braidax.cli import main, _extract_word_tokens
 
 
@@ -90,6 +93,34 @@ class TestInvariant:
         assert code == 0
         assert "closure_nabla\t1 0 1" in out
         assert "burau_check\tmatch" in out
+
+    def test_axis_burau_check(self, capsys):
+        code, out, _ = run(capsys, "invariant", "--n", "3", "--", "1", "-2", "1", "--degree", "2")
+        assert code == 0
+        assert "axis_nabla\t0 0 5" in out
+        assert "axis_burau_check\tmatch" in out
+
+    def test_axis_burau_check_on_long_word(self, capsys):
+        code, out, _ = run(capsys, "invariant", "--n", "2", "--", *["1"] * 17, "--degree", "1")
+        assert code == 0
+        assert "burau_check\tskipped (word longer than 16 letters)" in out
+        assert "axis_burau_check\tmatch" in out
+
+    @pytest.mark.parametrize("fail", ["raise", "wrong"])
+    def test_burau_failure_exits_1(self, capsys, monkeypatch, fail):
+        def broken(word):
+            if fail == "raise":
+                raise OracleError("left over")
+            return (7,)
+
+        monkeypatch.setattr(braidax.burau, "conway_polynomial", broken)
+        monkeypatch.setattr(braidax.cli, "conway_polynomial", broken)
+        code, out, err = run(capsys, "invariant", "--n", "2", "--", "1", "1", "1", "--degree", "2")
+        assert code == 1
+        suffix = " (left over)" if fail == "raise" else ""
+        assert f"\nburau_check\tMISMATCH{suffix}\n" in out
+        assert f"\naxis_burau_check\tMISMATCH{suffix}\n" in out
+        assert "Traceback" not in err
 
     def test_deterministic_output(self, capsys):
         args = ("invariant", "--n", "3", "--", "1", "-2", "1", "--degree", "2")
@@ -201,8 +232,10 @@ _EXPERIMENT_FLAGS = {
     "--corpus": _PATHS,
     "--out": _PATHS,
     "--format": st.sampled_from(["tsv", "json", "both", "xml"]),
-    "--jobs": st.sampled_from(["-1", "0", "1", "x"]),  # removed: argparse rejects it
 }
+# removed flags, which argparse rejects before any work: drawn into about one
+# vector in ten, so that most vectors reach the commands
+_RARELY = st.sampled_from([False] * 9 + [True])
 
 
 @st.composite
@@ -218,6 +251,8 @@ def cli_vectors(draw):
         flags = draw(st.lists(st.sampled_from(sorted(_EXPERIMENT_FLAGS)), max_size=4, unique=True))
         for flag in flags:
             argv += [flag, draw(_EXPERIMENT_FLAGS[flag])]
+        if draw(_RARELY):
+            argv += ["--jobs", draw(st.sampled_from(["-1", "0", "1", "x"]))]
     else:
         n = draw(st.sampled_from(["1", "2", "3", "4", "0", "x", None]))
         if n is not None:
@@ -225,8 +260,8 @@ def cli_vectors(draw):
         if command == "invariant":
             if draw(st.booleans()):
                 argv += ["--degree", draw(st.sampled_from(["-1", "0", "1", "2", "3", "x"]))]
-            if draw(st.booleans()):
-                argv.append("--no-cache")  # removed: argparse rejects it
+            if draw(_RARELY):
+                argv.append("--no-cache")
         top = int(n) if n not in (None, "x") else 3  # letters 0 and +-top are out of range
         letters = st.sampled_from([str(k) for k in range(-top, top + 1)] + ["x"])
         if draw(st.sampled_from([True, True, True, False])):  # the word, mostly

@@ -10,8 +10,10 @@ from braidax import (
     DiagramError,
     LinkDiagram,
     axis_link_diagram,
+    axis_word,
     closure_diagram,
     component_count,
+    conway_polynomial,
     conway_truncated,
     cycle_decomposition,
     delete_component,
@@ -105,6 +107,19 @@ class TestAxisConstruction:
         for j, info in enumerate(labeling.infos):
             if j != axis:
                 assert lk[j, axis] == len(info.strands)
+
+    def test_axis_word(self):
+        assert axis_word(w(2, 1, 1, 1)) == w(3, 1, 1, 1, 2, 1, 1, 2)
+        assert axis_word(BraidWord(1)) == w(2, 1, 1)
+
+    @pytest.mark.parametrize(
+        "word", [BraidWord(1), w(2, 1), w(2, -1, -1, -1), w(3, 1, -2, 1, -2), w(4, 1, 3)]
+    )
+    def test_axis_word_closes_to_axis_link(self, word):
+        d = axis_link_diagram(word)
+        nabla = conway_truncated(d, d.crossings).coeffs
+        burau = conway_polynomial(axis_word(word))
+        assert nabla == burau + (0,) * (len(nabla) - len(burau))
 
 
 class TestLinkingMatrix:
