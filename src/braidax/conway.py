@@ -20,9 +20,11 @@ Most leaves are the children of such a node, and the node closes them
 itself.  Smoothing a self-crossing adds a component and spends one degree,
 so that child is pruned when the node's budget is at most p and is a Hoste
 leaf when it is p + 1.  At budget p + 1 the node walks its components once
-(``leaf_frame``); the linking numbers of each smoothing then come from one
-pass over the shorter of the two arcs it makes (``leaf_counts``), with no
-copy, splice or trace of the child.
+(``leaf_frame``); one pass over the shorter arc of a smoothing counts it
+against every component (``leaf_counts``), without building the child.  Any
+Laplacian cofactor gives Hoste's sum, so the leaf's deletes the rest of the
+split component j: the parent's Laplacian less row and column j, cached per
+j, bordered by the arc.  After the last built child a switch only flips a sign.
 
 All coefficients are exact integers; there is no floating point here.
 """
@@ -75,10 +77,12 @@ class SkeinEngine:
     one; with ``hoste_base=True`` it is a Hoste leaf at budget p - 1, closed
     by one ``linking_counts`` call on the labels of its one trace.  A child
     that would be pruned or (with ``hoste_base=True``) a Hoste leaf is
-    closed in its parent without being built.  Every other node costs
-    Reidemeister simplification, a trace that must find p components, the
-    split check, the memo and the recursion; only the children that recurse
-    are copied and smoothed.  ``hoste_base=False`` forces the pure skein
+    closed in its parent without being built, a Hoste leaf as a bordered
+    minor of the parent's Laplacian.  Every other node costs Reidemeister
+    simplification, a trace that must find p components, the split check,
+    the memo and the recursion; only the children that recurse are copied
+    and smoothed, and after the last of them crossings are switched in
+    ``sign`` alone.  ``hoste_base=False`` forces the pure skein
     recursion (the two must agree, and the test suite checks that they do).
 
     ``nodes`` counts every node, closed children included, ``hits`` the memo
@@ -157,18 +161,28 @@ class SkeinEngine:
             frame = None
             if self.hoste_base and budget == p + 1:
                 frame = K.leaf_frame(conn, sign, labels, starts)
+                counts = _even(frame[2])
+                minors = [None] * p  # the Laplacian of counts less row and column j
+            closes = budget <= p or frame is not None
+            last = nbad - 1  # the last child that is copied and smoothed
+            while closes and last >= 0 and (
+                labels[4 * bad_ids[last]] == labels[4 * bad_ids[last] + 2]
+            ):
+                last -= 1
             for i in range(nbad):
                 c = bad_ids[i]
                 e = eps[i]
                 a = labels[4 * c]
                 b = labels[4 * c + 2]
-                if a == b and (budget <= p or frame is not None):
+                if a == b and closes:
                     self.nodes += 1
                     if frame is not None:
-                        rows = K.leaf_counts(frame, sign, labels, c)
-                        if rows is not None:  # else a free loop: the child is split
+                        row = K.leaf_counts(frame, sign, labels, c)
+                        if row is not None:  # else a free loop: the child is split
                             self.leaves += 1
-                            coeffs[budget] += e * _tree_sum(rows)  # the leaf's a_p, times z
+                            if minors[a] is None:
+                                minors[a] = _laplacian_minor(counts, a)
+                            coeffs[budget] += e * _bordered_tree_sum(minors[a], row, a)  # times z
                 else:
                     bconn = conn[:]
                     bsign = sign[:]
@@ -177,25 +191,52 @@ class SkeinEngine:
                     for j in range(1, budget + 1):
                         coeffs[j] += e * sub[j - 1]
                 if i + 1 < nbad:
-                    K.switch_inplace(conn, sign, c)
+                    if i < last:
+                        K.switch_inplace(conn, sign, c)
+                    else:
+                        sign[c] = -e  # no later child is built, and the frame never reads conn
                     if frame is not None and a != b:
-                        counts = frame[2]
                         counts[a][b] -= 2 * e
                         counts[b][a] -= 2 * e
+                        minors = [None] * p
         out = tuple(coeffs)
         self.memo[key] = out
         return out
 
 
-def _tree_sum(counts: list[list[int]]) -> int:
-    """Hoste's lowest coefficient from doubled linking numbers, as rows."""
-    for row in counts:
+def _even(rows: list[list[int]]) -> list[list[int]]:
+    """``rows`` of doubled linking numbers, checked to be even."""
+    for row in rows:
         for x in row:
             if x & 1:
                 raise ConwayError("odd inter-component crossing count")
+    return rows
+
+
+def _tree_sum(counts: list[list[int]]) -> int:
+    """Hoste's lowest coefficient from doubled linking numbers, as rows."""
     # the cofactor of n rows is a minor of order n - 1, so halving every
     # entry divides it by 2^(n - 1)
-    return _laplacian_cofactor(counts) >> (len(counts) - 1)
+    return _det_bareiss(_laplacian_minor(_even(counts), 0)) >> (len(counts) - 1)
+
+
+def _bordered_tree_sum(minor: list[list[int]], row: list[int], j: int) -> int:
+    """``_tree_sum`` of a Hoste leaf that splits its parent's component j
+    into an arc, with doubled counts ``row`` (``row[j]`` against the rest
+    of j), and the rest of j, which takes j's other counts less the arc's.
+
+    Every other component keeps its Laplacian row sum, so the leaf's
+    cofactor that deletes the rest of j is ``minor``, the parent's Laplacian
+    less row and column j, bordered by the arc: a minor of order len(row).
+    """
+    _even([row])
+    if not minor:  # a knot's leaf, whose a_1 is the linking number of its halves
+        return row[0] >> 1
+    border = [-x for x in row]
+    del border[j]
+    m = [r + [x] for r, x in zip(minor, border)]
+    m.append(border + [sum(row)])
+    return _det_bareiss(m) >> len(row)
 
 
 def conway_truncated(d: LinkDiagram, max_degree: int, *, hoste_base: bool = True) -> TruncatedPoly:
@@ -258,13 +299,11 @@ def _det_bareiss(m: list[list]):
     return sgn * m[n - 1][n - 1]
 
 
-def _laplacian_cofactor(rows: list[list[int]]) -> int:
-    """The (0, 0) cofactor of the Laplacian of a square, symmetric,
-    zero-diagonal integer matrix given as nested lists."""
-    minor = [[-x for x in row[1:]] for row in rows[1:]]
-    for i, row in enumerate(rows[1:]):
-        minor[i][i] = sum(row)
-    return _det_bareiss(minor)
+def _laplacian_minor(rows: list[list[int]], j: int) -> list[list[int]]:
+    """The Laplacian of a square, symmetric, zero-diagonal integer matrix
+    given as nested lists, less row and column j."""
+    keep = [i for i in range(len(rows)) if i != j]
+    return [[sum(rows[i]) if i == k else -rows[i][k] for k in keep] for i in keep]
 
 
 def spanning_tree_sum_matrix_tree(lk) -> int:
@@ -272,7 +311,7 @@ def spanning_tree_sum_matrix_tree(lk) -> int:
     rows = _as_lk_rows(lk)
     if not rows:
         raise ConwayError("need at least one component")
-    return _laplacian_cofactor(rows)
+    return _det_bareiss(_laplacian_minor(rows, 0))
 
 
 def spanning_tree_sum_enumerate(lk) -> int:

@@ -22,8 +22,9 @@ in-place ones need lists.
 has already made, so ``linking_matrix`` and a Hoste leaf at the root walk
 their diagram once.  Every other Hoste leaf is closed in its parent:
 ``leaf_frame`` walks the parent's components once, and ``leaf_counts`` gives
-the linking numbers after one smoothing from that frame, without building
-the child.
+the row a smoothing adds to the linking numbers from that frame, without
+building the child or reading ``conn``; the engine borders a minor of the
+parent's Laplacian with it.
 
 Every kernel is a plain Python function: the engine reads single items in
 loops, and a list item is read several times faster than an ndarray item.
@@ -132,14 +133,15 @@ def leaf_frame(conn, sign, labels, starts):
 
 
 def leaf_counts(frame, sign, labels, c):
-    """``counts`` of the diagram with self-crossing c smoothed, from its frame.
+    """The smoothing of self-crossing c against the components, from its frame.
 
     Smoothing c splits its component j into the two arcs between c's visits.
-    The new component p (the last row) is the shorter arc, walked once with
-    the live ``sign``; row j is the rest of j.  Returns None when an arc
-    meets no other crossing, a free loop, which makes the child split.
+    The shorter arc is walked once with the live ``sign``; ``row[m]`` is its
+    doubled linking number with component m, and ``row[j]`` with the rest
+    of j.  Returns None when an arc meets no other crossing, a free loop,
+    which makes the child split.
     """
-    walks, pos, counts = frame
+    walks, pos, _ = frame
     j = labels[4 * c]
     walk = walks[j]
     n = len(walk)
@@ -151,29 +153,17 @@ def leaf_counts(frame, sign, labels, c):
         return None
     inner = 2 * (b - a) <= n
     arc = walk[a + 1 : b] if inner else walk[b + 1 :] + walk[:a]
-    p = len(counts)
-    row = [0] * (p + 1)  # the arc against every component, the rest of j last
+    row = [0] * len(walks)
+    rest = 0
     for q in arc:
         r = q ^ 2
         m = labels[r]
         if m != j:
             row[m] += sign[q >> 2]
         elif (a < pos[r] < b) != inner:  # the crossing's other visit is off the arc
-            row[p] += sign[q >> 2]
-    rows = []
-    for m in range(p):
-        out = counts[m][:]
-        out[j] -= row[m]
-        out.append(row[m])
-        rows.append(out)
-    rj = rows[j]
-    for m in range(p):
-        rj[m] -= row[m]
-    rj[p] = row[p]
-    row[j] = row[p]
-    row[p] = 0
-    rows.append(row)
-    return rows
+            rest += sign[q >> 2]
+    row[j] = rest
+    return row
 
 
 def chain_scan(conn, sign, starts):

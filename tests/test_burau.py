@@ -2,7 +2,8 @@
 engine."""
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from braidax import (
     BraidWord,
@@ -11,8 +12,10 @@ from braidax import (
     axis_word,
     canonical_odd_knot_braid,
     closure_diagram,
+    component_count,
     conway_matches_alexander,
     conway_polynomial,
+    conway_truncated,
     cyclic_free_reduce,
     family_member,
     full_conway,
@@ -21,7 +24,7 @@ from braidax import (
 from braidax.burau import OracleError, _peel, reduced_burau
 from braidax.conway import _det_bareiss
 
-from conftest import braid_words
+from conftest import braid_words, exchange_forms
 
 
 def w(n, *letters):
@@ -261,6 +264,16 @@ class TestExactRoute:
         for b in (word, axis_word(word)):
             got = conway_to_laurent(conway_polynomial(b))
             assert equal_up_to_units(got, alexander_burau(b))
+
+    @given(exchange_forms(), st.integers(-2, 2))
+    def test_equals_skein_on_family_members(self, form, m):
+        # the a_0..a_3 window the experiments read, on the axis link; from
+        # five components on, both routes would give zeros alone
+        member = family_member(form, m)
+        d = axis_link_diagram(member)
+        assume(component_count(d) <= 4)
+        window = (conway_polynomial(axis_word(member)) + (0,) * 4)[:4]
+        assert window == conway_truncated(d, 3).coeffs
 
     def test_reference_agrees_on_dn_axis_word(self):
         b = dn_axis_word(13)

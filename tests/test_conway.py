@@ -1,6 +1,7 @@
 """Skein-engine values, invariants, and the lowest-coefficient formula."""
 
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given
@@ -308,17 +309,37 @@ class TestLeafFirstEngine:
         with pytest.raises(ConwayError, match="traced 2 components, carried 3"):
             MiscountingEngine(get_kernels()).truncated(closure_diagram(w(2, 1, 1)), 3)
 
+    def test_odd_frame_counts_are_rejected(self):
+        # the engine checks a frame's counts once, where it builds the frame:
+        # its inter-component switches move them by even steps
+        kernels = SimpleNamespace(**vars(get_kernels()))
+
+        def leaf_frame(*args):
+            walks, pos, counts = get_kernels().leaf_frame(*args)
+            counts[0][1] += 1
+            counts[1][0] += 1
+            return walks, pos, counts
+
+        kernels.leaf_frame = leaf_frame
+        d = closure_diagram(w(3, 1, 1, 1, 2, 2))  # a trefoil linked with an unknot
+        with pytest.raises(ConwayError, match="odd inter-component crossing count"):
+            SkeinEngine(kernels).truncated(d, 3)
+
     @pytest.mark.parametrize(
-        "run, nodes, hits, leaves",
+        "run, nodes, hits, leaves, switches",
         [
-            (lambda eng: squared_family_check(9, engine=eng), 465, 4, 435),
-            (lambda eng: joint_cycle_check(5, engine=eng), 633, 28, 491),
-            (lambda eng: two_cycle_check(2, 3, engine=eng), 1161, 67, 830),
+            (lambda eng: squared_family_check(9, engine=eng), 465, 4, 435, 109),
+            (lambda eng: joint_cycle_check(5, engine=eng), 633, 28, 491, 295),
+            (lambda eng: two_cycle_check(2, 3, engine=eng), 1161, 67, 830, 503),
         ],
         ids=["squared_family_9", "joint_cycle_5", "two_cycle_2_3"],
     )
-    def test_pinned_node_counts(self, run, nodes, hits, leaves):
-        # leaves: the linking_counts calls of the engine that built every leaf
-        eng = SkeinEngine()
+    def test_pinned_node_counts(self, run, nodes, hits, leaves, switches):
+        # leaves: the linking_counts calls of the engine that built every leaf;
+        # switches: a node switches crossings in conn only up to its last
+        # built child, and after it flips their signs alone
+        kernels = CountingKernels()
+        eng = SkeinEngine(kernels)
         assert run(eng).passed
         assert (eng.nodes, eng.hits, eng.leaves) == (nodes, hits, leaves)
+        assert kernels.calls["switch_inplace"] == switches

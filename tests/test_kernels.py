@@ -12,13 +12,20 @@ from hypothesis import strategies as st
 import braidax
 from braidax import (
     BraidWord,
+    ConwayError,
     LinkDiagram,
     SkeinEngine,
     axis_link_diagram,
     closure_diagram,
     component_count,
 )
-from braidax.conway import _laplacian_cofactor, _tree_sum
+from braidax.conway import (
+    _bordered_tree_sum,
+    _det_bareiss,
+    _even,
+    _laplacian_minor,
+    _tree_sum,
+)
 from braidax.kernels import get_kernels
 
 from conftest import CountingKernels, braid_words
@@ -296,15 +303,38 @@ def leaf_reference(conn, sign, c):
 
 
 def tree_value_reference(rows):
+    """Hoste's sum as the (0, 0) cofactor of the halved counts' Laplacian."""
     assert all(x % 2 == 0 for row in rows for x in row)
-    return _laplacian_cofactor([[x >> 1 for x in row] for row in rows])
+    minor = [[-(x >> 1) for x in row[1:]] for row in rows[1:]]
+    for i, row in enumerate(rows[1:]):
+        minor[i][i] = sum(row) >> 1
+    return _det_bareiss(minor)
+
+
+def child_rows(counts, j, row):
+    """The leaf's full count matrix from its parent's counts and the arc's
+    row: the rest of j stays row j, and the arc is the last row."""
+    p = len(counts)
+    rows = [counts[m][:] + [row[m]] for m in range(p)]
+    for m in range(p):
+        if m != j:
+            rows[m][j] -= row[m]
+            rows[j][m] -= row[m]
+    return rows + [row + [0]]
+
+
+def bordered_value(counts, j, row):
+    return _bordered_tree_sum(_laplacian_minor(_even(counts), j), row, j)
 
 
 class TestLeafCounts:
     """Hoste leaves closed from the parent's frame against building each child."""
 
-    def check(self, conn, sign, labels, frame):
+    def check(self, sign, labels, frame, ref_conn, ref_sign):
+        """The frame route on ``sign`` against children built from the
+        fully switched ``ref_conn``, ``ref_sign``."""
         # the frame keeps the node's labels, which a switch does not move
+        assert sign == ref_sign
         ncomp = len(frame[2])
         counts = [[0] * ncomp for _ in range(ncomp)]
         for c, s in enumerate(sign):
@@ -314,16 +344,18 @@ class TestLeafCounts:
                 counts[b][a] += s
         assert frame[2] == counts
         for c in range(len(sign)):
-            if labels[4 * c] != labels[4 * c + 2]:
+            j = labels[4 * c]
+            if j != labels[4 * c + 2]:
                 continue
             got = K.leaf_counts(frame, sign, labels, c)
-            want = leaf_reference(conn, sign, c)
+            want = leaf_reference(ref_conn, ref_sign, c)
             assert (got is None) == (want is None)
             if got is not None:
-                assert len(got) == len(want) == ncomp + 1
-                assert _tree_sum(got) == tree_value_reference(want)
+                assert len(got) == ncomp and len(want) == ncomp + 1
+                rows = child_rows(counts, j, got)
                 # equal up to renumbering the components
-                assert sorted(map(sorted, got)) == sorted(map(sorted, want))
+                assert sorted(map(sorted, rows)) == sorted(map(sorted, want))
+                assert bordered_value(counts, j, got) == tree_value_reference(want)
         assert frame[2] == counts
 
     @given(braid_words(max_letters=10), st.booleans(), st.booleans(), st.data())
@@ -343,14 +375,23 @@ class TestLeafCounts:
         nbad, bad_ids, eps = K.chain_scan(conn, sign, starts)
         frame = K.leaf_frame(conn, sign, labels, starts)
         counts = frame[2]
-        for i in range(data.draw(st.integers(0, nbad))):
+        # full switches up to the last built child, then sign-only flips,
+        # which leave conn behind: the reference keeps switching a copy
+        full = data.draw(st.integers(0, nbad))
+        flips = data.draw(st.integers(0, nbad - full))
+        ref_conn, ref_sign = conn, sign
+        for i in range(full + flips):
             c = bad_ids[i]
-            K.switch_inplace(conn, sign, c)
+            if i == full:
+                ref_conn, ref_sign = conn[:], sign[:]
+            K.switch_inplace(ref_conn, ref_sign, c)
+            if i >= full:
+                sign[c] = -eps[i]
             a, b = labels[4 * c], labels[4 * c + 2]
             if a != b:
                 counts[a][b] -= 2 * eps[i]
                 counts[b][a] -= 2 * eps[i]
-        self.check(conn, sign, labels, frame)
+        self.check(sign, labels, frame, ref_conn, ref_sign)
 
     def test_kink_is_a_free_loop(self):
         conn, sign = closure_diagram(BraidWord(3, (1, 1, 2))).arrays()
@@ -359,7 +400,28 @@ class TestLeafCounts:
         frame = K.leaf_frame(conn, sign, labels, starts)
         assert K.leaf_counts(frame, sign, labels, 2) is None
         assert leaf_reference(conn, sign, 2) is None
-        self.check(conn, sign, labels, frame)
+        self.check(sign, labels, frame, conn, sign)
+
+    @given(st.integers(1, 6), st.data())
+    def test_bordered_minor_is_the_tree_sum(self, p, data):
+        even = st.integers(-4, 4).map(lambda x: 2 * x)
+        counts = [[0] * p for _ in range(p)]
+        for m in range(p):
+            for n in range(m + 1, p):
+                counts[m][n] = counts[n][m] = data.draw(even)
+        for j in range(p):
+            row = data.draw(st.lists(even, min_size=p, max_size=p))
+            assert bordered_value(counts, j, row) == _tree_sum(child_rows(counts, j, row))
+            odd_row = row[:]
+            odd_row[data.draw(st.integers(0, p - 1))] += 1
+            with pytest.raises(ConwayError, match="odd inter-component crossing count"):
+                bordered_value(counts, j, odd_row)
+        if p > 1:
+            m, n = data.draw(st.permutations(range(p)))[:2]
+            counts[m][n] += 1
+            counts[n][m] += 1
+            with pytest.raises(ConwayError, match="odd inter-component crossing count"):
+                bordered_value(counts, 0, [0] * p)
 
 
 class TestFlavorSelection:
