@@ -17,6 +17,7 @@ from .words import (
     cycle_decomposition,
     cyclic_free_reduce,
     cyclic_rotate,
+    delete_component,
     exchange_split,
     exponent_sum,
     family_member,
@@ -32,8 +33,6 @@ from .words import (
     word_str,
 )
 from .diagram import (
-    ComponentInfo,
-    ComponentLabeling,
     DiagramError,
     LinkDiagram,
     LinkingMatrix,
@@ -41,9 +40,7 @@ from .diagram import (
     axis_word,
     closure_diagram,
     component_count,
-    delete_component,
     linking_matrix,
-    trace_components,
 )
 from .conway import (
     ConwayError,

@@ -1,12 +1,13 @@
 """Oriented planar link diagrams: braid closures, axis-addition links, and
-component deletion.
+their linking numbers.
 
 Diagrams are values: a diagram holds its arrays as tuples, and every
 operation copies them to lists for the kernels and returns a new diagram.
 The arrays follow the port conventions of :mod:`braidax.kernels`.  Positive
 braid letters put the strand entering from the smaller position on top, and
 the crossing sign always equals the letter sign.  The braid axis is oriented so
-that it links every strand positively.
+that it links every strand positively.  A component is deleted on the braid
+word (:func:`braidax.words.delete_component`), before the diagram is built.
 """
 
 from __future__ import annotations
@@ -14,43 +15,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .kernels import get_kernels
-from .words import BraidWord, cycle_decomposition, permutation_of
+from .words import BraidWord
 
 # port roles within a crossing
 OVER_IN, OVER_OUT, UNDER_IN, UNDER_OUT = 0, 1, 2, 3
 
 
 class DiagramError(ValueError):
-    """Inconsistent diagram data or invalid surgery target."""
-
-
-@dataclass(frozen=True)
-class ComponentInfo:
-    """One labeled component: which top strand positions it uses (for braid
-    closures), or the axis, or an isolated crossing-free loop."""
-
-    kind: str  # "strand", "axis", "loop", or "unknown"
-    strands: frozenset[int] = frozenset()
-    entry: int = -1
-
-
-@dataclass(frozen=True)
-class ComponentLabeling:
-    count: int
-    infos: tuple[ComponentInfo, ...]
-
-    def label_containing_strand(self, k: int) -> int:
-        for j, info in enumerate(self.infos):
-            if k in info.strands:
-                return j
-        raise DiagramError(f"no component contains strand {k}")
-
-    @property
-    def axis_label(self) -> int | None:
-        for j, info in enumerate(self.infos):
-            if info.kind == "axis":
-                return j
-        return None
+    """Inconsistent diagram data."""
 
 
 @dataclass(frozen=True)
@@ -70,12 +42,18 @@ class LinkingMatrix:
 @dataclass(frozen=True, eq=False)
 class LinkDiagram:
     """A link diagram: crossing signs, the arc pairing of ports, and a count
-    of crossing-free loop components."""
+    of crossing-free loop components.
+
+    A braid-built diagram keeps ``entries``, the first in-port met from each
+    top position (-1 for a crossing-free strand), with the axis's entry last
+    on an axis link; ``linking_matrix`` numbers components in their order of
+    first appearance there.
+    """
 
     conn: tuple[int, ...]
     sign: tuple[int, ...]
     free_loops: int = 0
-    meta: tuple[ComponentInfo, ...] | None = None
+    entries: tuple[int, ...] | None = None
 
     def __post_init__(self):
         # frozen here, so a diagram built from the kernels' lists is a value
@@ -141,19 +119,6 @@ def _braid_part(w: BraidWord, extra: int):
     return conn, sign, cur, first_in
 
 
-def _strand_meta(w: BraidWord, first_in: list[int]) -> list[ComponentInfo]:
-    """Braid components ordered by smallest top-strand position."""
-    cycles = cycle_decomposition(permutation_of(w)).cycles
-    infos = []
-    for cyc in sorted(cycles, key=min):
-        k = min(cyc)
-        if first_in[k - 1] >= 0:
-            infos.append(ComponentInfo("strand", frozenset(cyc), first_in[k - 1]))
-        else:
-            infos.append(ComponentInfo("loop", frozenset(cyc)))
-    return infos
-
-
 def closure_diagram(w: BraidWord) -> LinkDiagram:
     """Closure of a braid word: one crossing per letter, bottom position k
     joined back to top position k."""
@@ -165,8 +130,7 @@ def closure_diagram(w: BraidWord) -> LinkDiagram:
             conn[first_in[p]] = cur[p]
         else:
             loops += 1
-    meta = tuple(_strand_meta(w, first_in))
-    return LinkDiagram(conn, sign, loops, meta)
+    return LinkDiagram(conn, sign, loops, tuple(first_in))
 
 
 def axis_word(w: BraidWord) -> BraidWord:
@@ -214,95 +178,41 @@ def axis_link_diagram(w: BraidWord) -> LinkDiagram:
     for p in range(n):
         conn[cur[p]] = first_in[p]
         conn[first_in[p]] = cur[p]
-    meta = tuple(_strand_meta(w, first_in)) + (
-        ComponentInfo("axis", frozenset(), 4 * over[0] + OVER_IN),
-    )
-    return LinkDiagram(conn, sign, 0, meta)
+    return LinkDiagram(conn, sign, 0, tuple(first_in) + (4 * over[0] + OVER_IN,))
 
 
 # ---------------------------------------------------------------------------
-# tracing and linking
-
-
-def _traced(d: LinkDiagram) -> tuple[ComponentLabeling, list[int] | None]:
-    """The public labeling and the in-port labels of one trace (None for a
-    crossing-free diagram), so callers that need both trace once."""
-    if d.crossings == 0:
-        infos = d.meta if d.meta is not None else tuple(
-            ComponentInfo("loop") for _ in range(d.free_loops)
-        )
-        return ComponentLabeling(d.free_loops, tuple(infos)), None
-    K = get_kernels()
-    labels, ncomp, starts = K.trace_inports(d.conn)
-    if d.meta is not None:
-        if len(d.meta) != ncomp + d.free_loops:
-            raise DiagramError("stored labeling does not match traced components")
-        return ComponentLabeling(ncomp + d.free_loops, d.meta), labels
-    infos = [ComponentInfo("unknown", entry=q) for q in starts]
-    infos += [ComponentInfo("loop") for _ in range(d.free_loops)]
-    return ComponentLabeling(ncomp + d.free_loops, tuple(infos)), labels
-
-
-def trace_components(d: LinkDiagram) -> ComponentLabeling:
-    """Deterministic component labeling.
-
-    Braid-built diagrams keep their construction labels (components by
-    smallest top position, axis last); diagrams produced by surgery fall back
-    to first-port discovery order.  Crossing-free loops come after the
-    crossing components in the fallback order.
-    """
-    return _traced(d)[0]
+# linking
 
 
 def linking_matrix(d: LinkDiagram) -> LinkingMatrix:
-    """Half the signed inter-component crossing counts, in label order."""
+    """Half the signed inter-component crossing counts.
+
+    Components come in their order of first appearance in ``d.entries``, a
+    crossing-free strand counting as one loop: by smallest top position, the
+    axis last.  A diagram without entries (one produced by surgery) numbers
+    its components in discovery order, its free loops last.
+    """
+    if d.crossings == 0:
+        return LinkingMatrix(((0,) * d.free_loops,) * d.free_loops)
     K = get_kernels()
-    labeling, labels = _traced(d)
-    p = labeling.count
-    out = [[0] * p for _ in range(p)]
-    if d.crossings:
-        ncomp = p - d.free_loops
-        counts = K.linking_counts(d.sign, labels, ncomp)
-        # map public labels to traced labels through their entry ports
-        pub_to_traced = {}
-        for j, info in enumerate(labeling.infos):
-            if info.entry >= 0:
-                pub_to_traced[j] = labels[info.entry]
-        if len(pub_to_traced) != ncomp:
-            raise DiagramError("component entries do not cover all traced components")
-        for j, tj in pub_to_traced.items():
-            for k, tk in pub_to_traced.items():
-                if j == k:
-                    continue
-                c = counts[tj][tk]
-                if c % 2:
-                    raise DiagramError("odd inter-component crossing count")
-                out[j][k] = c // 2
-    return LinkingMatrix(tuple(tuple(row) for row in out))
-
-
-# ---------------------------------------------------------------------------
-# surgery
-
-
-def delete_component(d: LinkDiagram, j: int) -> LinkDiagram:
-    """Remove component j (by public label); crossings it shares with
-    survivors are retracted by pulling the surviving strand straight."""
-    K = get_kernels()
-    labeling, labels = _traced(d)
-    if not (0 <= j < labeling.count):
-        raise DiagramError(f"no component {j} among {labeling.count}")
-    info = labeling.infos[j]
-    if info.entry < 0:
-        if d.free_loops < 1:
-            raise DiagramError("loop component missing")
-        return LinkDiagram(d.conn, d.sign, d.free_loops - 1, None)
-    conn, sign = d.arrays()
-    kill = [False] * (labeling.count - d.free_loops)  # one per traced component
-    kill[labels[info.entry]] = True
-    loops = K.delete_marked_components(conn, sign, labels, kill)
-    conn, sign = K.compact(conn, sign)
-    return LinkDiagram(conn, sign, d.free_loops + loops)
+    labels, ncomp, starts = K.trace_inports(d.conn)
+    entries = d.entries if d.entries is not None else tuple(starts) + (-1,) * d.free_loops
+    order = []  # the traced label of each component, None for a free loop
+    for q in entries:
+        t = labels[q] if q >= 0 else None
+        if t is None or t not in order:
+            order.append(t)
+    if len(order) != ncomp + d.free_loops or order.count(None) != d.free_loops:
+        raise DiagramError("entries do not match the traced components")
+    counts = K.linking_counts(d.sign, labels, ncomp)
+    rows = []
+    for tj in order:
+        row = [0 if tj is None or tk is None else counts[tj][tk] for tk in order]
+        if any(c % 2 for c in row):
+            raise DiagramError("odd inter-component crossing count")
+        rows.append(tuple(c // 2 for c in row))
+    return LinkingMatrix(tuple(rows))
 
 
 def component_count(d: LinkDiagram) -> int:

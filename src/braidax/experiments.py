@@ -22,7 +22,7 @@ from fractions import Fraction
 from importlib import resources
 
 from .conway import SkeinEngine
-from .diagram import axis_link_diagram, delete_component, trace_components
+from .diagram import axis_link_diagram
 from .words import (
     BraidWord,
     ExchangeForm,
@@ -33,7 +33,7 @@ from .words import (
     canonical_joint_cycle_braid,
     canonical_odd_knot_braid,
     canonical_split_cycle_braid,
-    free_reduce,
+    delete_component,
     family_member,
     nonconjugacy_criterion,
     parse_word,
@@ -139,9 +139,8 @@ def axis_sequence(
     """a_degree of the axis link of each family member (or of its square),
     in m order on one engine.
 
-    With ``delete_strand`` the component through that strand is deleted
-    before evaluating.  Cyclic reduction conjugates the word, which preserves
-    the axis link but relabels strands, so plain reduction is used then.
+    With ``delete_strand`` the component through that top position of the
+    unreduced word is deleted before evaluating.
     """
     ms = list(m_range)
     if not ms or ms != list(range(ms[0], ms[0] + len(ms))):
@@ -152,11 +151,9 @@ def axis_sequence(
         w = family_member(form, m)
         if squared:
             w = square(w)
-        w = free_reduce(w) if delete_strand is not None else cyclic_free_reduce(w)
-        d = axis_link_diagram(w)
         if delete_strand is not None:
-            lab = trace_components(d).label_containing_strand(delete_strand)
-            d = delete_component(d, lab)
+            w = delete_component(w, delete_strand)
+        d = axis_link_diagram(cyclic_free_reduce(w))
         vals.append(eng.truncated(d, degree)[degree])
     return CoefficientSequence(degree, ms[0], tuple(vals))
 

@@ -318,18 +318,6 @@ def compact(conn, sign):
     return new_conn, [sign[c] for c in live]
 
 
-def delete_marked_components(conn, sign, labels, kill):
-    """Remove every component whose label is marked in ``kill``.
-
-    Every crossing a killed component meets is removed, and the surviving
-    strands pass straight through.  Each killed component closes into one
-    cycle inside the removed crossings, which is not a loop of the result.
-    Returns free loops split off among the survivors.
-    """
-    ids = [c for c in range(len(sign)) if kill[labels[4 * c]] or kill[labels[4 * c + 2]]]
-    return splice_out(conn, sign, ids) - sum(kill)
-
-
 KERNELS = SimpleNamespace(
     jitted=False,  # the benchmark records it as the kernel flavor
     trace_inports=trace_inports,
@@ -342,7 +330,6 @@ KERNELS = SimpleNamespace(
     smooth_inplace=smooth_inplace,
     reidemeister_simplify=reidemeister_simplify,
     compact=compact,
-    delete_marked_components=delete_marked_components,
 )
 
 

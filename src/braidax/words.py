@@ -262,6 +262,35 @@ def cycle_decomposition(p: Permutation, normalized: bool = False) -> CycleDecomp
     return CycleDecomposition(tuple(cycles), tuple(writing), one_index)
 
 
+def delete_component(w: BraidWord, strand: int) -> BraidWord:
+    """The word whose closure is that of ``w`` less the component through
+    top position ``strand``.
+
+    Every letter touching a strand of that permutation cycle is dropped, and
+    each surviving letter is renumbered by its strand's rank among the
+    surviving strands.  Deleting the whole closure is an error.
+    """
+    n = w.strands
+    if not 1 <= strand <= n:
+        raise WordError(f"strand {strand} out of range for {n} strands")
+    p = permutation_of(w)
+    keep = [True] * n  # whether the strand at each position survives
+    k = strand
+    while keep[k - 1]:
+        keep[k - 1] = False
+        k = p(k)
+    if not any(keep):
+        raise WordError("cannot delete the only component of the closure")
+    letters = []
+    for k in w.letters:
+        i = abs(k) - 1
+        if keep[i] and keep[i + 1]:
+            r = sum(keep[:i]) + 1
+            letters.append(r if k > 0 else -r)
+        keep[i], keep[i + 1] = keep[i + 1], keep[i]
+    return BraidWord(sum(keep), tuple(letters))
+
+
 def strand_linking(w: BraidWord, a_set: Iterable[int], b_set: Iterable[int]) -> int:
     """Linking number of the closure sublinks over two disjoint cycle sets.
 

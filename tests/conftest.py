@@ -3,9 +3,10 @@ from types import SimpleNamespace
 
 import hypothesis
 import pytest
+from hypothesis import assume
 from hypothesis import strategies as st
 
-from braidax import BraidWord, ExchangeForm, SkeinEngine
+from braidax import BraidWord, ExchangeForm, SkeinEngine, cycle_decomposition, permutation_of
 from braidax.kernels import get_kernels
 
 # the skein engine's run time varies a lot between examples; no deadlines
@@ -29,7 +30,9 @@ def braid_words(draw, min_strands=2, max_strands=6, max_letters=12, min_letters=
 
 
 @st.composite
-def exchange_forms(draw, min_strands=4, max_strands=6, max_letters=5):
+def exchange_forms(draw, min_strands=4, max_strands=6, max_letters=5, max_cycles=None):
+    """Forms whose closure has at most ``max_cycles`` components, if given:
+    every family member has the permutation of the form's word."""
     n = draw(st.integers(min_strands, max_strands))
     alpha = draw(
         st.lists(
@@ -43,7 +46,10 @@ def exchange_forms(draw, min_strands=4, max_strands=6, max_letters=5):
             max_size=max_letters,
         )
     )
-    return ExchangeForm(n, BraidWord(n, tuple(alpha)), BraidWord(n, tuple(beta)))
+    form = ExchangeForm(n, BraidWord(n, tuple(alpha)), BraidWord(n, tuple(beta)))
+    if max_cycles is not None:
+        assume(cycle_decomposition(permutation_of(form.word())).count <= max_cycles)
+    return form
 
 
 @pytest.fixture(scope="session")

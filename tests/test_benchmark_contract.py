@@ -46,6 +46,19 @@ def test_engine_runs_on_traced_kernels(perfbench):
     assert tracer.totals()["kernels.trace_inports"]["calls"] >= 1
 
 
+def test_boundary_traces_the_deletions(perfbench):
+    # odd eq54 deletes one component per sample and deletion choice: 4 x 2
+    # calls at n = 5, so the benchmark's per-layer row cannot read 0
+    tracing, worker = perfbench
+    tracer = tracing.Tracer()
+    with worker.traced_boundary(braidax, tracer):
+        assert braidax.joint_cycle_check(5).passed
+    totals = tracer.totals()
+    assert totals["diagram.delete_component"]["calls"] == 8
+    assert totals["diagram.axis_link_diagram"]["calls"] == 8
+    assert braidax.experiments.delete_component is braidax.words.delete_component
+
+
 @pytest.mark.parametrize("kind", ["dn", "prop25", "eq54", "lemma64", "twocycle", "oracle"])
 def test_runners_call_braidax(perfbench, kind):
     # the smallest group of each kind the benchmark generates, run the way

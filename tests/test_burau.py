@@ -2,7 +2,7 @@
 engine."""
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import given
 from hypothesis import strategies as st
 
 from braidax import (
@@ -265,13 +265,13 @@ class TestExactRoute:
             got = conway_to_laurent(conway_polynomial(b))
             assert equal_up_to_units(got, alexander_burau(b))
 
-    @given(exchange_forms(), st.integers(-2, 2))
+    @given(exchange_forms(max_cycles=3), st.integers(-2, 2))
     def test_equals_skein_on_family_members(self, form, m):
-        # the a_0..a_3 window the experiments read, on the axis link; from
-        # five components on, both routes would give zeros alone
+        # the a_0..a_3 window the experiments read, on the axis link of at
+        # most four components; from five on, both routes give zeros alone
         member = family_member(form, m)
         d = axis_link_diagram(member)
-        assume(component_count(d) <= 4)
+        assert component_count(d) <= 4
         window = (conway_polynomial(axis_word(member)) + (0,) * 4)[:4]
         assert window == conway_truncated(d, 3).coeffs
 

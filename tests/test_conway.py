@@ -329,7 +329,7 @@ class TestLeafFirstEngine:
         "run, nodes, hits, leaves, switches",
         [
             (lambda eng: squared_family_check(9, engine=eng), 465, 4, 435, 109),
-            (lambda eng: joint_cycle_check(5, engine=eng), 633, 28, 491, 295),
+            (lambda eng: joint_cycle_check(5, engine=eng), 521, 32, 381, 284),
             (lambda eng: two_cycle_check(2, 3, engine=eng), 1161, 67, 830, 503),
         ],
         ids=["squared_family_9", "joint_cycle_5", "two_cycle_2_3"],

@@ -1,4 +1,4 @@
-"""Diagram construction, tracing, linking, and surgery."""
+"""Diagram construction, linking, surgery, and component deletion."""
 
 import pytest
 from hypothesis import given
@@ -9,6 +9,7 @@ from braidax import (
     BraidWord,
     DiagramError,
     LinkDiagram,
+    WordError,
     axis_link_diagram,
     axis_word,
     closure_diagram,
@@ -21,7 +22,6 @@ from braidax import (
     mirror,
     permutation_of,
     strand_linking,
-    trace_components,
 )
 from braidax.kernels import get_kernels
 
@@ -39,6 +39,12 @@ def surgery(d, op, *args):
     conn, sign = d.arrays()
     loops = op(conn, sign, *args) or 0
     return LinkDiagram(*K.compact(conn, sign), d.free_loops + loops)
+
+
+def components(word):
+    """The closure's components as top-position sets, by smallest position:
+    the order ``linking_matrix`` numbers them in, the axis after them."""
+    return [set(c) for c in cycle_decomposition(permutation_of(word)).cycles]
 
 
 def split(d):
@@ -86,10 +92,14 @@ class TestAxisConstruction:
         assert lk[0, 2] == 1 and lk[1, 2] == 1 and lk[0, 1] == 0
 
     def test_axis_label_is_last(self):
-        d = axis_link_diagram(w(2, 1))
-        labeling = trace_components(d)
-        assert labeling.axis_label == labeling.count - 1
-        assert linking_matrix(d)[0, 1] == 2
+        # components (1 2) and (3), then the axis, linking them 2 and 1 times
+        word = w(3, 1)
+        assert components(word) == [{1, 2}, {3}]
+        assert linking_matrix(axis_link_diagram(word)).entries == (
+            (0, 0, 2),
+            (0, 0, 1),
+            (2, 1, 0),
+        )
 
     @given(braid_words(max_strands=8))
     def test_component_count_and_crossings(self, word):
@@ -100,13 +110,11 @@ class TestAxisConstruction:
 
     @given(braid_words(max_strands=8))
     def test_axis_links_each_component_by_strand_count(self, word):
-        d = axis_link_diagram(word)
-        labeling = trace_components(d)
-        lk = linking_matrix(d)
-        axis = labeling.axis_label
-        for j, info in enumerate(labeling.infos):
-            if j != axis:
-                assert lk[j, axis] == len(info.strands)
+        cycles = components(word)
+        lk = linking_matrix(axis_link_diagram(word))
+        assert lk.size == len(cycles) + 1
+        for j, cyc in enumerate(cycles):
+            assert lk[j, len(cycles)] == len(cyc)
 
     def test_axis_word(self):
         assert axis_word(w(2, 1, 1, 1)) == w(3, 1, 1, 1, 2, 1, 1, 2)
@@ -129,14 +137,12 @@ class TestLinkingMatrix:
     @given(braid_words(min_strands=3))
     def test_matches_strand_linking(self, word):
         # independent computation: position tracking through the word
-        d = closure_diagram(word)
-        labeling = trace_components(d)
-        lk = linking_matrix(d)
-        for a in range(labeling.count):
-            for b in range(a + 1, labeling.count):
-                want = strand_linking(
-                    word, labeling.infos[a].strands, labeling.infos[b].strands
-                )
+        cycles = components(word)
+        lk = linking_matrix(closure_diagram(word))
+        assert lk.size == len(cycles)
+        for a in range(len(cycles)):
+            for b in range(a + 1, len(cycles)):
+                want = strand_linking(word, cycles[a], cycles[b])
                 assert lk[a, b] == want
                 assert lk[b, a] == want
 
@@ -145,6 +151,20 @@ class TestLinkingMatrix:
         a = linking_matrix(closure_diagram(word)).entries
         b = linking_matrix(closure_diagram(mirror(word))).entries
         assert a == tuple(tuple(-x for x in row) for row in b)
+
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            lambda e: e[:-1],  # the axis's entry dropped
+            lambda e: e[:1] + e[:-1],  # the axis's entry replaced by a strand's
+            lambda e: e + (-1,),  # a free loop the diagram does not have
+            lambda e: e[:2] + (-1,) + e[3:],  # component (3) taken for a free loop
+        ],
+    )
+    def test_rejects_entries_that_miss_the_traced_components(self, entries):
+        d = axis_link_diagram(w(3, 1, 1))  # components (1), (2), (3) and the axis
+        with pytest.raises(DiagramError, match="entries do not match"):
+            linking_matrix(LinkDiagram(d.conn, d.sign, d.free_loops, entries(d.entries)))
 
 
 class TestSurgery:
@@ -182,21 +202,37 @@ class TestSurgery:
         assert again.conn == d.conn
         assert again.sign == d.sign
 
+    # components are deleted on the braid word, before the diagram is built
+
     def test_delete_component_of_hopf(self):
-        d = closure_diagram(w(2, 1, 1))
-        rest = delete_component(d, 0)
+        rest = closure_diagram(delete_component(w(2, 1, 1), 1))
         assert component_count(rest) == 1
         assert rest.crossings == 0
 
     def test_delete_axis(self):
-        word = w(3, 1, 2, 1)
-        d = axis_link_diagram(word)
-        rest = delete_component(d, trace_components(d).axis_label)
-        assert component_count(rest) == component_count(closure_diagram(word))
+        # the axis link of the rest is the axis link less that component
+        word = w(4, 1, 1, 2, -3, 2)
+        assert components(word) == [{1}, {2, 4}, {3}]
+        full = linking_matrix(axis_link_diagram(word)).entries
+        rest = linking_matrix(axis_link_diagram(delete_component(word, 4))).entries
+        assert rest == tuple(row[:1] + row[2:] for row in full[:1] + full[2:])
 
     def test_delete_invalid_label(self):
-        with pytest.raises(DiagramError):
-            delete_component(closure_diagram(w(2, 1, 1)), 5)
+        for strand in (0, 3, -1):
+            with pytest.raises(WordError, match="out of range"):
+                delete_component(w(2, 1, 1), strand)
+
+    @pytest.mark.parametrize("word", [w(2, 1), w(3, 1, 2), BraidWord(1)])
+    def test_delete_only_component_of_a_knot(self, word):
+        with pytest.raises(WordError, match="only component"):
+            delete_component(word, 1)
+
+    def test_delete_renumbers_the_surviving_strands(self):
+        assert delete_component(w(3, 1, 1, 2, 2), 1) == w(2, 1, 1)
+        assert delete_component(w(3, 1, 1, 2, 2), 2) == BraidWord(2)
+        # components (1), (2), (3 4); sigma_2 first meets strands 2 and 4
+        assert delete_component(w(4, 1, 1, -3, 2, 2), 1) == w(3, -2, 1, 1)
+        assert delete_component(w(4, 1, 1, -3, 2, 2), 4) == w(2, 1, 1)
 
     @given(braid_words())
     def test_mirror_commutes_with_closure(self, word):
@@ -209,7 +245,7 @@ class TestSurgery:
 
 
 class TestOneTrace:
-    """``linking_matrix`` and ``delete_component`` share one traced labeling."""
+    """``linking_matrix`` traces once; deletion on the word calls no kernel."""
 
     @pytest.fixture
     def kernels(self, monkeypatch):
@@ -223,12 +259,8 @@ class TestOneTrace:
         assert kernels.calls == {"trace_inports": 1, "linking_counts": 1}
 
     def test_delete_component(self, kernels):
-        rest = delete_component(closure_diagram(w(3, 1, 1, 2, 2)), 0)
-        assert kernels.calls == {
-            "trace_inports": 1,
-            "delete_marked_components": 1,
-            "compact": 1,
-        }
+        rest = closure_diagram(delete_component(w(3, 1, 1, 2, 2), 1))
+        assert kernels.calls == {}
         assert rest.crossings == 2 and component_count(rest) == 2
 
 

@@ -18,6 +18,9 @@ from braidax import (
     axis_link_diagram,
     closure_diagram,
     component_count,
+    cycle_decomposition,
+    delete_component,
+    permutation_of,
 )
 from braidax.conway import (
     _bordered_tree_sum,
@@ -26,7 +29,7 @@ from braidax.conway import (
     _laplacian_minor,
     _tree_sum,
 )
-from braidax.kernels import get_kernels
+from braidax.kernels import get_kernels, splice_out
 
 from conftest import CountingKernels, braid_words
 
@@ -215,12 +218,15 @@ class TestSplice:
             lambda conn, sign: K.smooth_inplace(conn, sign, c),
             lambda conn, sign: smooth_reference(conn, sign, c),
         )
+        # deleting components splices out every crossing they meet at once;
+        # each deleted component closes up inside them and is no loop
         labels, ncomp, _ = K.trace_inports(d.conn)
         killed = data.draw(st.sets(st.integers(0, ncomp - 1), min_size=1))
         kill = [j in killed for j in range(ncomp)]
+        ids = [c for c in range(d.crossings) if kill[labels[4 * c]] or kill[labels[4 * c + 2]]]
         self.check(
             d,
-            lambda conn, sign: K.delete_marked_components(conn, sign, labels, kill),
+            lambda conn, sign: splice_out(conn, sign, ids) - len(killed),
             lambda conn, sign: delete_reference(conn, sign, labels, kill),
         )
 
@@ -246,6 +252,34 @@ class TestSplice:
         assert K.trace_inports(conn)[1] == 2
 
 
+class TestDeleteComponent:
+    """Deleting a component on the braid word against deleting it from the
+    diagram with the loop reference."""
+
+    @given(
+        braid_words(max_letters=10).filter(
+            lambda word: cycle_decomposition(permutation_of(word)).count >= 2
+        ),
+        st.booleans(),
+        st.data(),
+    )
+    def test_matches_diagram_deletion(self, word, axis, data):
+        build = axis_link_diagram if axis else closure_diagram
+        d = build(word)
+        strand = data.draw(st.integers(1, word.strands))
+        entry = d.entries[strand - 1]
+        conn, sign = d.arrays()
+        if entry < 0:  # a crossing-free strand: one of the free loops
+            loops = d.free_loops - 1
+        else:
+            labels, ncomp, _ = K.trace_inports(conn)
+            kill = [j == labels[entry] for j in range(ncomp)]
+            loops = d.free_loops + delete_reference(conn, sign, labels, kill)
+            conn, sign = K.compact(conn, sign)
+        got = build(delete_component(word, strand))
+        assert (list(got.conn), list(got.sign), got.free_loops) == (conn, sign, loops)
+
+
 class TestLinkingCounts:
     """The counts over a caller's trace against a walk of each component."""
 
@@ -267,7 +301,7 @@ class TestLinkingCounts:
         if data.draw(st.booleans()):
             labels, ncomp, _ = K.trace_inports(conn)
             killed = data.draw(st.sets(st.integers(0, ncomp - 1)))
-            K.delete_marked_components(conn, sign, labels, [j in killed for j in range(ncomp)])
+            delete_reference(conn, sign, labels, [j in killed for j in range(ncomp)])
             self.check(conn, sign)
         for _ in range(data.draw(st.integers(0, 3))):
             live = live_crossings(sign)
@@ -475,7 +509,7 @@ def test_braidax_runs_without_numpy():
         "d = closure_diagram(BraidWord(3, (1, 1, 2, 2)))\n"
         "assert full_conway(d).coeffs == (0, 0, 1, 0, 0)\n"
         "assert linking_matrix(d).entries == ((0, 1, 0), (1, 0, 1), (0, 1, 0))\n"
-        "assert component_count(delete_component(d, 0)) == 2\n"
+        "assert delete_component(BraidWord(3, (1, 1, 2, 2)), 1) == BraidWord(2, (1, 1))\n"
         "sys.exit(main(['info', '--n', '3', '--', '1', '1', '2']))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(braidax.__file__).resolve().parents[1]))
