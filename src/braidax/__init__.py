@@ -49,8 +49,6 @@ from .conway import (
     conway_truncated,
     full_conway,
     hoste_lowest,
-    spanning_tree_sum_enumerate,
-    spanning_tree_sum_matrix_tree,
 )
 from .burau import (
     LaurentPoly,

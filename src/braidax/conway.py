@@ -31,7 +31,6 @@ All coefficients are exact integers; there is no floating point here.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .diagram import LinkDiagram, LinkingMatrix
@@ -74,16 +73,14 @@ class SkeinEngine:
     ``a4_families`` workloads walk 13% and 24% more nodes.
 
     The root is pruned when its budget is below its component count p minus
-    one; with ``hoste_base=True`` it is a Hoste leaf at budget p - 1, closed
-    by one ``linking_counts`` call on the labels of its one trace.  A child
-    that would be pruned or (with ``hoste_base=True``) a Hoste leaf is
-    closed in its parent without being built, a Hoste leaf as a bordered
-    minor of the parent's Laplacian.  Every other node costs Reidemeister
-    simplification, a trace that must find p components, the split check,
-    the memo and the recursion; only the children that recurse are copied
-    and smoothed, and after the last of them crossings are switched in
-    ``sign`` alone.  ``hoste_base=False`` forces the pure skein
-    recursion (the two must agree, and the test suite checks that they do).
+    one, and is a Hoste leaf at budget p - 1, closed by one
+    ``linking_counts`` call on the labels of its one trace.  A child that
+    would be pruned or be a Hoste leaf is closed in its parent without being
+    built, a Hoste leaf as a bordered minor of the parent's Laplacian.
+    Every other node costs Reidemeister simplification, a trace that must
+    find p components, the split check, the memo and the recursion; only the
+    children that recurse are copied and smoothed, and after the last of
+    them crossings are switched in ``sign`` alone.
 
     ``nodes`` counts every node, closed children included, ``hits`` the memo
     hits, and ``leaves`` the Hoste leaves closed from linking numbers, at
@@ -95,10 +92,9 @@ class SkeinEngine:
     those basepoints walks another skein tree to the same coefficients.
     """
 
-    def __init__(self, kernels=None, hoste_base: bool = True):
+    def __init__(self, kernels=None):
         self.k = kernels if kernels is not None else get_kernels()
         self.memo = {}
-        self.hoste_base = hoste_base
         self.nodes = 0
         self.hits = 0
         self.leaves = 0
@@ -114,7 +110,7 @@ class SkeinEngine:
             p += ncomp
         # a child that could be pruned or be a Hoste leaf is closed by its
         # parent, so only the root is closed here
-        if max_degree < p - 1 or (self.hoste_base and max_degree == p - 1):
+        if max_degree <= p - 1:
             self.nodes += 1
             coeffs = [0] * (max_degree + 1)
             if max_degree == p - 1:
@@ -154,51 +150,50 @@ class SkeinEngine:
             return hit
         nbad, bad_ids, eps = K.chain_scan(conn, sign, starts)
         coeffs = [1 if p == 1 else 0] + [0] * budget
-        if budget >= 1:
-            # smoothing a self-crossing leaves p + 1 components and budget - 1:
-            # such a child is pruned when budget <= p and a Hoste leaf when
-            # budget == p + 1; both are closed here without building them
-            frame = None
-            if self.hoste_base and budget == p + 1:
-                frame = K.leaf_frame(conn, sign, labels, starts)
-                counts = _even(frame[2])
-                minors = [None] * p  # the Laplacian of counts less row and column j
-            closes = budget <= p or frame is not None
-            last = nbad - 1  # the last child that is copied and smoothed
-            while closes and last >= 0 and (
-                labels[4 * bad_ids[last]] == labels[4 * bad_ids[last] + 2]
-            ):
-                last -= 1
-            for i in range(nbad):
-                c = bad_ids[i]
-                e = eps[i]
-                a = labels[4 * c]
-                b = labels[4 * c + 2]
-                if a == b and closes:
-                    self.nodes += 1
-                    if frame is not None:
-                        row = K.leaf_counts(frame, sign, labels, c)
-                        if row is not None:  # else a free loop: the child is split
-                            self.leaves += 1
-                            if minors[a] is None:
-                                minors[a] = _laplacian_minor(counts, a)
-                            coeffs[budget] += e * _bordered_tree_sum(minors[a], row, a)  # times z
+        # smoothing a self-crossing leaves p + 1 components and budget - 1:
+        # such a child is pruned when budget <= p and a Hoste leaf when
+        # budget == p + 1; both are closed here without building them
+        frame = None
+        if budget == p + 1:
+            frame = K.leaf_frame(conn, sign, labels, starts)
+            counts = _even(frame[2])
+            minors = [None] * p  # the Laplacian of counts less row and column j
+        closes = budget <= p + 1
+        last = nbad - 1  # the last child that is copied and smoothed
+        while closes and last >= 0 and (
+            labels[4 * bad_ids[last]] == labels[4 * bad_ids[last] + 2]
+        ):
+            last -= 1
+        for i in range(nbad):
+            c = bad_ids[i]
+            e = eps[i]
+            a = labels[4 * c]
+            b = labels[4 * c + 2]
+            if a == b and closes:
+                self.nodes += 1
+                if frame is not None:
+                    row = K.leaf_counts(frame, sign, labels, c)
+                    if row is not None:  # else a free loop: the child is split
+                        self.leaves += 1
+                        if minors[a] is None:
+                            minors[a] = _laplacian_minor(counts, a)
+                        coeffs[budget] += e * _bordered_tree_sum(minors[a], row, a)  # times z
+            else:
+                bconn = conn[:]
+                bsign = sign[:]
+                bloops = K.smooth_inplace(bconn, bsign, c)
+                sub = self._eval(bconn, bsign, bloops, p + 1 if a == b else p - 1, budget - 1)
+                for j in range(1, budget + 1):
+                    coeffs[j] += e * sub[j - 1]
+            if i + 1 < nbad:
+                if i < last:
+                    K.switch_inplace(conn, sign, c)
                 else:
-                    bconn = conn[:]
-                    bsign = sign[:]
-                    bloops = K.smooth_inplace(bconn, bsign, c)
-                    sub = self._eval(bconn, bsign, bloops, p + 1 if a == b else p - 1, budget - 1)
-                    for j in range(1, budget + 1):
-                        coeffs[j] += e * sub[j - 1]
-                if i + 1 < nbad:
-                    if i < last:
-                        K.switch_inplace(conn, sign, c)
-                    else:
-                        sign[c] = -e  # no later child is built, and the frame never reads conn
-                    if frame is not None and a != b:
-                        counts[a][b] -= 2 * e
-                        counts[b][a] -= 2 * e
-                        minors = [None] * p
+                    sign[c] = -e  # no later child is built, and the frame never reads conn
+                if frame is not None and a != b:
+                    counts[a][b] -= 2 * e
+                    counts[b][a] -= 2 * e
+                    minors = [None] * p
         out = tuple(coeffs)
         self.memo[key] = out
         return out
@@ -239,9 +234,9 @@ def _bordered_tree_sum(minor: list[list[int]], row: list[int], j: int) -> int:
     return _det_bareiss(m) >> len(row)
 
 
-def conway_truncated(d: LinkDiagram, max_degree: int, *, hoste_base: bool = True) -> TruncatedPoly:
+def conway_truncated(d: LinkDiagram, max_degree: int) -> TruncatedPoly:
     """Coefficients a_0..a_max_degree of the diagram's link, exact."""
-    return SkeinEngine(hoste_base=hoste_base).truncated(d, max_degree)
+    return SkeinEngine().truncated(d, max_degree)
 
 
 def full_conway(d: LinkDiagram) -> TruncatedPoly:
@@ -306,55 +301,12 @@ def _laplacian_minor(rows: list[list[int]], j: int) -> list[list[int]]:
     return [[sum(rows[i]) if i == k else -rows[i][k] for k in keep] for i in keep]
 
 
-def spanning_tree_sum_matrix_tree(lk) -> int:
-    """Sum over spanning trees of edge-weight products, as a Laplacian cofactor."""
-    rows = _as_lk_rows(lk)
+def hoste_lowest(m: LinkingMatrix | list | tuple) -> int:
+    """Lowest Conway coefficient a_{p-1} of a p-component link from its
+    linking numbers: the sum over spanning trees of the complete graph of
+    their edge products, as a cofactor of the Laplacian (matrix-tree
+    theorem)."""
+    rows = _as_lk_rows(m)
     if not rows:
         raise ConwayError("need at least one component")
     return _det_bareiss(_laplacian_minor(rows, 0))
-
-
-def spanning_tree_sum_enumerate(lk) -> int:
-    """Direct enumeration over labeled trees (Pruefer sequences); p <= 8."""
-    rows = _as_lk_rows(lk)
-    p = len(rows)
-    if p == 0:
-        raise ConwayError("need at least one component")
-    if p > 8:
-        raise ConwayError("tree enumeration is limited to 8 components")
-    if p == 1:
-        return 1
-    if p == 2:
-        return rows[0][1]
-    total = 0
-    for seq in itertools.product(range(p), repeat=p - 2):
-        degree = [1] * p
-        for s in seq:
-            degree[s] += 1
-        prod = 1
-        avail = degree[:]
-        for s in seq:
-            leaf = min(v for v in range(p) if avail[v] == 1)
-            prod *= rows[leaf][s]
-            avail[leaf] -= 1
-            avail[s] -= 1
-        u, v = (x for x in range(p) if avail[x] == 1)
-        prod *= rows[u][v]
-        total += prod
-    return total
-
-
-def hoste_lowest(m: LinkingMatrix | list | tuple) -> int:
-    """Lowest Conway coefficient a_{p-1} of a p-component link from its
-    linking numbers, summed over spanning trees of the complete graph.
-
-    Up to 7 components the Laplacian cofactor and the tree enumeration are
-    both computed and must agree; beyond, the cofactor alone is used.
-    """
-    rows = _as_lk_rows(m)
-    total = spanning_tree_sum_matrix_tree(rows)
-    if len(rows) <= 7:
-        enumerated = spanning_tree_sum_enumerate(rows)
-        if enumerated != total:
-            raise ConwayError(f"spanning-tree sums disagree: {total} vs {enumerated}")
-    return total

@@ -190,8 +190,8 @@ def linking_matrix(d: LinkDiagram) -> LinkingMatrix:
 
     Components come in their order of first appearance in ``d.entries``, a
     crossing-free strand counting as one loop: by smallest top position, the
-    axis last.  A diagram without entries (one produced by surgery) numbers
-    its components in discovery order, its free loops last.
+    axis last.  A diagram without entries (a ``LinkDiagram`` constructed
+    directly) numbers its components in discovery order, its free loops last.
     """
     if d.crossings == 0:
         return LinkingMatrix(((0,) * d.free_loops,) * d.free_loops)

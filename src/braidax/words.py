@@ -102,9 +102,9 @@ class Admissibility:
 class CriterionVerdict:
     """Whether a word meets the non-conjugacy criterion.
 
-    The criterion: the word admits an exchange move and its permutation
-    fixes neither position 1 nor position n.  ``reason`` names the first
-    failed condition, or is None when the criterion applies.
+    The criterion: the word has at least 4 strands, admits an exchange move
+    and its permutation fixes neither position 1 nor position n.  ``reason``
+    names the first failed condition, or is None when the criterion applies.
     """
 
     applies: bool
@@ -418,6 +418,10 @@ def nonconjugacy_criterion(w: BraidWord) -> CriterionVerdict:
     pairwise non-conjugate braids with the same closure.
     """
     n = w.strands
+    if n <= 3:
+        # on 3 strands alpha lies in <s_1> and commutes with kappa = s_1^2,
+        # so every family member is conjugate to the seed; below, no kappa
+        return CriterionVerdict(False, "exchange move is degenerate for n <= 3")
     if not admits_exchange(w):
         return CriterionVerdict(False, "no exchange-move splitting")
     p = permutation_of(w)

@@ -1,3 +1,4 @@
+import itertools
 import random
 from types import SimpleNamespace
 
@@ -95,3 +96,26 @@ class ShuffledStartsKernels(SimpleNamespace):
             return labels, ncomp, [rng.choice(ports[j]) for j in order]
 
         self.trace_inports = trace_inports
+
+
+def spanning_tree_sum_enumerate(rows):
+    """Sum over the labeled trees on the rows' indices (Pruefer sequences)
+    of the products of their edge weights ``rows[i][j]``: the reference that
+    ``hoste_lowest``'s Laplacian cofactor is compared against."""
+    p = len(rows)
+    total = 0
+    for seq in itertools.product(range(p), repeat=max(p - 2, 0)):
+        avail = [1] * p
+        for s in seq:
+            avail[s] += 1
+        prod = 1
+        for s in seq:
+            leaf = min(v for v in range(p) if avail[v] == 1)
+            prod *= rows[leaf][s]
+            avail[leaf] -= 1
+            avail[s] -= 1
+        if p >= 2:
+            u, v = (x for x in range(p) if avail[x] == 1)
+            prod *= rows[u][v]
+        total += prod
+    return total

@@ -14,26 +14,28 @@ from braidax import (
     SkeinEngine,
     admits_exchange,
     axis_link_diagram,
+    axis_word,
     canonical_odd_knot_braid,
     closure_diagram,
     component_count,
     compose,
     conway_matches_alexander,
-    conway_truncated,
+    conway_polynomial,
     corpus_check,
     cyclic_free_reduce,
     family_member,
     full_conway,
+    hoste_lowest,
     inverse,
     joint_cycle_check,
     linking_matrix,
     mirror,
     progression_check,
-    spanning_tree_sum_enumerate,
-    spanning_tree_sum_matrix_tree,
     squared_family_check,
     two_cycle_check,
 )
+
+from conftest import spanning_tree_sum_enumerate
 
 
 def report(line: str):
@@ -145,14 +147,15 @@ class TestCriterion6OracleEquivalence:
             p_cl = component_count(closure)
             p_ax = component_count(axis)
 
-            # (a) lowest coefficient: pure skein vs spanning-tree formula
-            lkm = linking_matrix(axis)
-            skein_low = conway_truncated(axis, p_ax - 1, hoste_base=False)[p_ax - 1]
-            if skein_low != spanning_tree_sum_matrix_tree(lkm):
+            # (a) lowest coefficient: Laplacian cofactor vs Burau
+            lk = linking_matrix(axis).entries
+            cofactor = hoste_lowest(lk)
+            burau = conway_polynomial(axis_word(word)) + (0,) * p_ax
+            if cofactor != burau[p_ax - 1]:
                 failures.append((idx, "a"))
 
-            # (b) the two formula evaluators
-            if spanning_tree_sum_enumerate(lkm) != spanning_tree_sum_matrix_tree(lkm):
+            # (b) the cofactor against the enumerated spanning-tree sum
+            if spanning_tree_sum_enumerate(lk) != cofactor:
                 failures.append((idx, "b"))
 
             # (c) parity and low-degree vanishing of every computed coefficient
@@ -187,7 +190,7 @@ class TestCriterion6OracleEquivalence:
         ok = not failures
         report(
             f"{'PASS' if ok else 'FAIL'} criterion 6: oracle equivalence on"
-            f" {len(words)} random braids (skein/formula, both evaluators, parity,"
+            f" {len(words)} random braids (cofactor/Burau, cofactor/tree enumeration, parity,"
             f" conjugation, {burau_checked} Burau checks, mirror rule);"
             f" failures: {failures[:5] if failures else 'none'}"
         )

@@ -70,6 +70,7 @@ class TestInfo:
         assert code == 0
         assert "components\t3" in out
         assert "degenerate" in out
+        assert "nonconjugacy_criterion\tfails: exchange move is degenerate for n <= 3\n" in out
 
     def test_parse_error_exit_code(self, capsys):
         code, _, err = run(capsys, "info", "--n", "4", "--", "1", "9")
@@ -120,7 +121,19 @@ class TestInvariant:
         suffix = " (left over)" if fail == "raise" else ""
         assert f"\nburau_check\tMISMATCH{suffix}\n" in out
         assert f"\naxis_burau_check\tMISMATCH{suffix}\n" in out
+        # the axis link's a_1 is 2 by Hoste's formula; the wrong Burau has 0
+        hoste = " (left over)" if fail == "raise" else " 0 vs 2"
+        assert f"\nhoste_check\tMISMATCH{hoste}\n" in out
         assert "Traceback" not in err
+
+    def test_hoste_failure_exits_1(self, capsys, monkeypatch):
+        # the axis link of the trefoil braid has a_1 = 2; the formula is off by one
+        monkeypatch.setattr(braidax.cli, "hoste_lowest", lambda lk: braidax.hoste_lowest(lk) + 1)
+        code, out, _ = run(capsys, "invariant", "--n", "2", "--", "1", "1", "1", "--degree", "2")
+        assert code == 1
+        assert "\nhoste_check\tMISMATCH 2 vs 3\n" in out
+        assert "\nburau_check\tmatch\n" in out
+        assert "\naxis_burau_check\tmatch\n" in out
 
     def test_deterministic_output(self, capsys):
         args = ("invariant", "--n", "3", "--", "1", "-2", "1", "--degree", "2")

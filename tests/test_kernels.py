@@ -489,13 +489,13 @@ class TestEngineRunsOnLists:
     """An ndarray slipping back into the hot path would stay correct
     but slow; this catches it at the first kernel call."""
 
-    @given(braid_words(max_letters=8), st.booleans(), st.booleans())
-    def test_every_kernel_call_gets_lists(self, word, axis, hoste_base):
+    @given(braid_words(max_letters=8), st.booleans())
+    def test_every_kernel_call_gets_lists(self, word, axis):
         d = axis_link_diagram(word) if axis else closure_diagram(word)
         budget = min(component_count(d) + 1, 4)
         kernels = ListOnlyKernels()
-        got = SkeinEngine(kernels, hoste_base=hoste_base).truncated(d, budget)
-        assert got == SkeinEngine(hoste_base=hoste_base).truncated(d, budget)
+        got = SkeinEngine(kernels).truncated(d, budget)
+        assert got == SkeinEngine().truncated(d, budget)
         assert kernels.calls or d.crossings == 0
 
 

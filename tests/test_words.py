@@ -260,6 +260,13 @@ class TestCriterion:
         verdict = nonconjugacy_criterion(w(4, 1, 2))
         assert not verdict.applies and "position 4" in verdict.reason
 
+    @pytest.mark.parametrize("word", [w(1), w(2, 1), w(2, 1, -1, 1), w(3, 1, 2), w(3, 1, -2, 1, -2)])
+    def test_degenerate_strand_counts(self, word):
+        # on 3 strands alpha commutes with kappa = s_1^2, so every family
+        # member is conjugate to the seed; the criterion never applies
+        verdict = nonconjugacy_criterion(word)
+        assert not verdict.applies and verdict.reason == "exchange move is degenerate for n <= 3"
+
 
 class TestCanonicalFamilies:
     def test_odd_knot_braid_word(self):
