@@ -8,7 +8,8 @@ identical reports, and runtime metadata goes to stderr.
 
 Exit codes: 0 all checks passed, 1 an assertion failed, 2 usage, parse or
 file-system error.  A flag that the named experiment does not take is a usage
-error, as is ``prop25 --canonical-odd`` given together with explicit words.
+error, as is ``prop25 --canonical-odd`` given together with explicit words,
+or a size above the experiment's cap (``_CAPS``), rejected before any work.
 """
 
 from __future__ import annotations
@@ -189,6 +190,16 @@ _EXPERIMENT_ARGS = {
     "table8": (("path",), None, False),
 }
 _OPTIONS = sorted({opt for options, _, _ in _EXPERIMENT_ARGS.values() for opt in options})
+# the largest sizes an experiment accepts: at each cap a run takes about ten
+# seconds or less on a 2-core x86-64 host (dn 101: 10.5 s, eq54 16: 7.7 s,
+# lemma64 12,12: 5.9 s, prop25 --canonical-odd 101: 9.6 s), and the cost
+# grows without bound past it
+_CAPS = {
+    "dn": {"n": 101},
+    "eq54": {"n": 16},
+    "lemma64": {"n1": 12, "n2": 12},
+    "prop25": {"canonical_odd": 101},
+}
 
 
 def _flag(option: str) -> str:
@@ -208,6 +219,9 @@ def _cmd_experiment(args) -> int:
     kwargs = {opt: getattr(args, opt) for opt in options if getattr(args, opt) is not None}
     if required is not None and len(kwargs) < len(options):
         raise WordError(f"{name} needs {required}")
+    for opt, cap in _CAPS.get(name, {}).items():
+        if kwargs.get(opt, 0) > cap:
+            raise WordError(f"{name} takes {_flag(opt)} up to {cap}, got {kwargs[opt]}")
     if args.m_min is not None:
         if not family:
             raise WordError(f"{name} takes no --m-min/--m-max")

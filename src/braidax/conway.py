@@ -26,6 +26,14 @@ Laplacian cofactor gives Hoste's sum, so the leaf's deletes the rest of the
 split component j: the parent's Laplacian less row and column j, cached per
 j, bordered by the arc.  After the last built child a switch only flips a sign.
 
+A knot at budget 2 builds no child at all: every crossing is a
+self-crossing, so each violation's smoothing is a two-component Hoste leaf
+whose a_1 is the linking number of the two arcs between its visits.  One
+kernel call (``knot_leaf_sum``) walks the knot once from the node's
+basepoint, lists the violations as ``chain_scan`` does, sums each leaf's
+shorter arc with the live signs and flips the violation's sign after it;
+most parent-side leaves of the benchmark's a_3 and a_4 runs close there.
+
 All coefficients are exact integers; there is no floating point here.
 """
 
@@ -77,6 +85,8 @@ class SkeinEngine:
     ``linking_counts`` call on the labels of its one trace.  A child that
     would be pruned or be a Hoste leaf is closed in its parent without being
     built, a Hoste leaf as a bordered minor of the parent's Laplacian.
+    A knot node at budget 2 closes all its children, each a leaf or a free
+    loop, in one ``knot_leaf_sum`` walk, without ``chain_scan`` or a frame.
     Every other node costs Reidemeister simplification, a trace that must
     find p components, the split check, the memo and the recursion; only the
     children that recurse are copied and smoothed, and after the last of
@@ -148,6 +158,15 @@ class SkeinEngine:
         if hit is not None:
             self.hits += 1
             return hit
+        if p == 1 and budget == 2:  # every child is closed here, in one walk
+            total, odd, children, leaves = K.knot_leaf_sum(conn, sign, starts[0])
+            if odd:
+                raise ConwayError("odd inter-component crossing count")
+            self.nodes += children
+            self.leaves += leaves
+            out = (1, 0, total >> 1)
+            self.memo[key] = out
+            return out
         nbad, bad_ids, eps = K.chain_scan(conn, sign, starts)
         coeffs = [1 if p == 1 else 0] + [0] * budget
         # smoothing a self-crossing leaves p + 1 components and budget - 1:
@@ -225,8 +244,6 @@ def _bordered_tree_sum(minor: list[list[int]], row: list[int], j: int) -> int:
     less row and column j, bordered by the arc: a minor of order len(row).
     """
     _even([row])
-    if not minor:  # a knot's leaf, whose a_1 is the linking number of its halves
-        return row[0] >> 1
     border = [-x for x in row]
     del border[j]
     m = [r + [x] for r, x in zip(minor, border)]

@@ -24,7 +24,8 @@ their diagram once.  Every other Hoste leaf is closed in its parent:
 ``leaf_frame`` walks the parent's components once, and ``leaf_counts`` gives
 the row a smoothing adds to the linking numbers from that frame, without
 building the child or reading ``conn``; the engine borders a minor of the
-parent's Laplacian with it.
+parent's Laplacian with it.  A knot node at budget 2 needs neither:
+``knot_leaf_sum`` closes all its children in one walk.
 
 Every kernel is a plain Python function: the engine reads single items in
 loops, and a list item is read several times faster than an ndarray item.
@@ -164,6 +165,60 @@ def leaf_counts(frame, sign, labels, c):
             rest += sign[q >> 2]
     row[j] = rest
     return row
+
+
+def knot_leaf_sum(conn, sign, start):
+    """Close every child of a knot node at budget 2 in one walk from ``start``.
+
+    The descending violations are the crossings first met on their under
+    strand, in encounter order, as ``chain_scan`` lists them.  Smoothing one
+    gives a two-component Hoste leaf whose a_1 is the linking number of the
+    two arcs between its visits: the shorter arc is summed with the live
+    ``sign``, as ``leaf_counts`` does, and an arc that meets no other
+    crossing is a free loop, which makes the child split.  After its leaf
+    the violation's sign is flipped, as the node's switch would.
+
+    Returns ``(total, odd, children, leaves)``: the sum over the leaves of
+    the violation's sign times the doubled linking number, nonzero when a
+    doubled count is odd, and how many violations and leaves there were.
+    """
+    walk = []
+    pos = [0] * len(conn)
+    cur = start
+    while True:
+        pos[cur] = len(walk)
+        walk.append(cur)
+        cur = conn[cur + 1]
+        if cur == start:
+            break
+    n = len(walk)
+    total = odd = children = leaves = 0
+    for a in range(n):
+        q = walk[a]
+        if not q & 2:
+            continue
+        b = pos[q ^ 2]
+        if b < a:  # met first on the over strand
+            continue
+        children += 1
+        c = q >> 2
+        e = sign[c]
+        if b - a != 1 and b - a != n - 1:
+            rest = 0
+            if 2 * (b - a) <= n:
+                for x in walk[a + 1 : b]:
+                    o = pos[x ^ 2]
+                    if o < a or o > b:  # the crossing's other visit is off the arc
+                        rest += sign[x >> 2]
+            else:
+                for x in walk[b + 1 :] + walk[:a]:
+                    if a < pos[x ^ 2] < b:
+                        rest += sign[x >> 2]
+            leaves += 1
+            total += e * rest
+            odd |= rest
+        sign[c] = -e
+    return total, odd & 1, children, leaves
 
 
 def chain_scan(conn, sign, starts):
@@ -325,6 +380,7 @@ KERNELS = SimpleNamespace(
     linking_counts=linking_counts,
     leaf_frame=leaf_frame,
     leaf_counts=leaf_counts,
+    knot_leaf_sum=knot_leaf_sum,
     chain_scan=chain_scan,
     switch_inplace=switch_inplace,
     smooth_inplace=smooth_inplace,

@@ -208,6 +208,23 @@ class TestExperiment:
         assert "Traceback" not in proc.stderr
         assert f"unrecognized arguments: {stray}" in proc.stderr
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("dn", "--n", "99999999"), "dn takes --n up to 101, got 99999999"),
+            (("eq54", "--n", "99999"), "eq54 takes --n up to 16, got 99999"),
+            (("lemma64", "--n1", "999", "--n2", "999"), "lemma64 takes --n1 up to 12, got 999"),
+            (("lemma64", "--n1", "2", "--n2", "13"), "lemma64 takes --n2 up to 12, got 13"),
+            (("prop25", "--canonical-odd", "103"), "prop25 takes --canonical-odd up to 101, got 103"),
+        ],
+    )
+    def test_size_above_cap_exits_2_before_any_work(self, capsys, tmp_path, argv, message):
+        out_dir = tmp_path / "reports"
+        code, out, err = run(capsys, "experiment", *argv, "--out", str(out_dir))
+        assert code == 2
+        assert (out, err) == ("", f"error: {message}\n")
+        assert not out_dir.exists()
+
     def test_missing_parameter(self, capsys, tmp_path):
         code, _, err = run(capsys, "experiment", "dn", "--out", str(tmp_path))
         assert code == 2

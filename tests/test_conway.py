@@ -295,6 +295,19 @@ class TestLeafFirstEngine:
         assert kernels.calls == {"trace_inports": 1, "linking_counts": 1}
         assert eng.leaves == 1
 
+    def test_knot_node_closes_its_children_in_one_walk(self):
+        kernels = CountingKernels()
+        eng = SkeinEngine(kernels)
+        # the trefoil at budget 2: the root is a knot node whose one child
+        # is a Hoste leaf, closed with no chain_scan, frame or switch
+        assert eng.truncated(closure_diagram(w(2, 1, 1, 1)), 2).coeffs == (1, 0, 1)
+        assert kernels.calls == {
+            "trace_inports": 2,
+            "reidemeister_simplify": 1,
+            "knot_leaf_sum": 1,
+        }
+        assert (eng.nodes, eng.leaves) == (2, 1)
+
     def test_leaf_rejects_a_wrong_component_count(self):
         # the trefoil at budget 2 has Hoste-leaf children, closed in the
         # root's frame and never traced: a wrong count reaching them is

@@ -458,6 +458,59 @@ class TestLeafCounts:
                 bordered_value(counts, 0, [0] * p)
 
 
+def knot_leaf_reference(conn, sign, start):
+    """A knot node's children at budget 2 closed one by one, the route the
+    fused kernel replaces: ``chain_scan``, a frame, then ``leaf_counts`` and
+    the bordered minor per violation, flipping its sign after it.  Returns
+    (a_2, children, leaves)."""
+    labels, _, _ = K.trace_inports(conn)
+    _, bad_ids, eps = K.chain_scan(conn, sign, [start])
+    frame = K.leaf_frame(conn, sign, labels, [start])
+    minor = _laplacian_minor(_even(frame[2]), 0)
+    value = leaves = 0
+    for c, e in zip(bad_ids, eps):
+        row = K.leaf_counts(frame, sign, labels, c)
+        if row is not None:
+            leaves += 1
+            value += e * _bordered_tree_sum(minor, row, 0)
+        sign[c] = -e
+    return value, len(bad_ids), leaves
+
+
+class TestKnotLeafSum:
+    """The one-walk knot kernel against the per-leaf route."""
+
+    @given(
+        braid_words(max_letters=12).filter(
+            lambda word: cycle_decomposition(permutation_of(word)).count == 1
+        ),
+        st.booleans(),
+        st.data(),
+    )
+    def test_matches_the_per_leaf_route(self, word, simplified, data):
+        conn, sign = closure_diagram(word).arrays()
+        if simplified:
+            if K.reidemeister_simplify(conn, sign) or not any(sign):
+                return  # simplified to a crossing-free unknot
+            conn, sign = K.compact(conn, sign)
+        start = data.draw(st.sampled_from(range(0, len(conn), 2)))
+        ref_sign = sign[:]
+        want = knot_leaf_reference(conn, ref_sign, start)
+        total, odd, children, leaves = K.knot_leaf_sum(conn, sign, start)
+        assert odd == 0 and total % 2 == 0
+        assert (total >> 1, children, leaves) == want
+        assert sign == ref_sign
+
+    def test_odd_arc_count_is_rejected(self):
+        # a Gauss code no planar diagram has: walking from in-port 0, the
+        # arc between crossing 1's visits meets crossing 0 only once
+        conn, sign = [5, 6, 7, 4, 3, 0, 1, 2], [1, 1]
+        assert K.trace_inports(conn)[1] == 1
+        assert K.knot_leaf_sum(conn, sign[:], 0) == (1, 1, 1, 1)
+        with pytest.raises(ConwayError, match="odd inter-component crossing count"):
+            SkeinEngine().truncated(LinkDiagram(conn, sign), 2)
+
+
 class TestFlavorSelection:
     def test_python_flavor_is_plain_functions(self):
         assert get_kernels().jitted is False
