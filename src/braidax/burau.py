@@ -11,13 +11,14 @@ is the Conway-normalised Alexander polynomial of the closure, with its
 sign and its power of s fixed, and nabla(s - 1/s) = Delta(s).  Peeling off
 the top power of z = s - 1/s gives the coefficients a_0, a_1, .. exactly.
 
-Everything is exact integer arithmetic on Laurent polynomials in the
-half-power variable s, so all exponents stay integral.  The Burau matrix is
-built by column operations, each entry one sum of shifted neighbours; its
-determinant comes from the same fraction-free elimination that evaluates
-Hoste's cofactor (``conway._det_bareiss``); the division and the peeling
-are exact: anything left over raises ``OracleError`` instead of returning a
-wrong polynomial.
+Everything is exact integer arithmetic on Laurent polynomials.  The Burau
+matrix, its determinant and the division are in t, so every polynomial is
+half as long as in s; only Delta is mapped to s (t^k -> s^2k), where the
+power s^-(e-N+1) may be odd, for the peeling.  The matrix is built by column
+operations, each entry one sum of shifted neighbours; its determinant comes
+from the same fraction-free elimination that evaluates Hoste's cofactor
+(``conway._det_bareiss``); the division and the peeling are exact: anything
+left over raises ``OracleError`` instead of returning a wrong polynomial.
 """
 
 from __future__ import annotations
@@ -176,12 +177,12 @@ def _as_poly(x) -> LaurentPoly:
 
 
 # ---------------------------------------------------------------------------
-# reduced Burau matrices over t = s^2
+# reduced Burau matrices over t
 
 
 def _shifted_sum(left: LaurentPoly, mid: LaurentPoly, right: LaurentPoly,
                  sl: int, sm: int, sr: int) -> LaurentPoly:
-    """s^sl * left - s^sm * mid + s^sr * right, as one trimmed polynomial."""
+    """t^sl * left - t^sm * mid + t^sr * right, as one trimmed polynomial."""
     terms = [(p.min_exp + sh, p.coeffs, sign)
              for p, sh, sign in ((left, sl, 1), (mid, sm, -1), (right, sr, 1)) if p.coeffs]
     if len(terms) < 2:
@@ -203,14 +204,14 @@ def reduced_burau(w: BraidWord) -> list[list[LaurentPoly]]:
     Right multiplication by the image of sigma_i changes only column
     j = i-1, which becomes t*col_{j-1} - t*col_j + col_{j+1}; by the image
     of sigma_i^-1 it becomes col_{j-1} - t^-1*col_j + t^-1*col_{j+1}.
-    Columns outside the matrix count as zero.  With t = s^2 every product
-    is a shift of exponents by 0 or +-2.
+    Columns outside the matrix count as zero.  Every product is a shift of
+    exponents by 0 or +-1.
     """
     size = w.strands - 1
     m = [[_ONE if r == c else _ZERO for c in range(size)] for r in range(size)]
     for letter in w.letters:
         j = abs(letter) - 1
-        shifts = (2, 2, 0) if letter > 0 else (0, -2, -2)
+        shifts = (1, 1, 0) if letter > 0 else (0, -1, -1)
         for row in m:
             left = row[j - 1] if j > 0 else _ZERO
             right = row[j + 1] if j < size - 1 else _ZERO
@@ -257,10 +258,12 @@ def conway_polynomial(w: BraidWord) -> tuple[int, ...]:
     det = _det_bareiss(m)
     if not det:
         return (0,)
-    delta = det // LaurentPoly(0, (1, 0) * (n - 1) + (1,))
+    delta = det // LaurentPoly(0, (1,) * n)  # 1 + t + .. + t^(N-1)
     e = exponent_sum(w)
     sign = -1 if e % 2 else 1
-    return _peel(delta.min_exp - (e - n + 1), [sign * c for c in delta.coeffs])
+    in_s = [0] * (2 * len(delta.coeffs) - 1)  # t^k is s^2k
+    in_s[::2] = [sign * c for c in delta.coeffs]
+    return _peel(2 * delta.min_exp - (e - n + 1), in_s)
 
 
 def conway_matches_alexander(coeffs, w: BraidWord) -> bool:

@@ -9,7 +9,8 @@ identical reports, and runtime metadata goes to stderr.
 Exit codes: 0 all checks passed, 1 an assertion failed, 2 usage, parse or
 file-system error.  A flag that the named experiment does not take is a usage
 error, as is ``prop25 --canonical-odd`` given together with explicit words,
-or a size above the experiment's cap (``_CAPS``), rejected before any work.
+or a size above the experiment's cap (``_CAPS``) or an m beyond ``_M_CAP``,
+rejected before any work.
 """
 
 from __future__ import annotations
@@ -200,6 +201,10 @@ _CAPS = {
     "lemma64": {"n1": 12, "n2": 12},
     "prop25": {"canonical_odd": 101},
 }
+# the largest |m| a family experiment samples: the cost grows steeply with
+# it, and at |m| = 25 the steepest, eq54 --n 4, takes about 9 s on that host
+# (4 s at 20, 15 s at 30); the caps hold each one alone, not jointly
+_M_CAP = 25
 
 
 def _flag(option: str) -> str:
@@ -225,6 +230,9 @@ def _cmd_experiment(args) -> int:
     if args.m_min is not None:
         if not family:
             raise WordError(f"{name} takes no --m-min/--m-max")
+        if max(-args.m_min, args.m_max) > _M_CAP:
+            raise WordError(f"{name} takes m in -{_M_CAP}..{_M_CAP},"
+                            f" got {args.m_min}..{args.m_max}")
         kwargs["m_range"] = range(args.m_min, args.m_max + 1)
     if name == "prop25":
         odd = kwargs.pop("canonical_odd", None)

@@ -16,6 +16,23 @@ remaining nodes are simplified, checked for being split, looked up in the
 memo and recursed on; each checks that its trace finds p components.  The
 root is closed from its first trace.
 
+Each kink or cancelling clasp is removed once, in the node whose move made
+it, by one worklist kernel (``reidemeister_simplify`` with a ``todo`` list).
+The root checks every crossing.  A built child checks only the crossings its
+smoothing reconnected, because its parent is already reduced.  Every switch
+in a node's chain, up to its last built child, is settled in the node's own
+arrays: the worklist starts at the switched crossing and the crossings
+feeding its in-ports, and follows the removals it sets off, so no sibling
+rediscovers the clasps the switches made.  The settled chain stays valid:
+removing kinks and clasps keeps the order in which the remaining crossings
+are met from the basepoints, so ``chain_scan``'s list less the removed
+crossings (sign 0, skipped) is still the descending resolution; a leaf's
+arc reads sign 0 at a removed crossing, where a clasp's opposite signs would
+cancel and a kink counts nothing; and the frame's linking counts move only
+with the switches.  A settled switch that frees a loop ends the chain: the
+switched diagram is split, or is the unknot at p = 1, so the rest of the
+chain adds only ``coeffs[0]``, which is already set.
+
 Most leaves are the children of such a node, and the node closes them
 itself.  Smoothing a self-crossing adds a component and spends one degree,
 so that child is pruned when the node's budget is at most p and is a Hoste
@@ -87,10 +104,13 @@ class SkeinEngine:
     built, a Hoste leaf as a bordered minor of the parent's Laplacian.
     A knot node at budget 2 closes all its children, each a leaf or a free
     loop, in one ``knot_leaf_sum`` walk, without ``chain_scan`` or a frame.
-    Every other node costs Reidemeister simplification, a trace that must
-    find p components, the split check, the memo and the recursion; only the
-    children that recurse are copied and smoothed, and after the last of
-    them crossings are switched in ``sign`` alone.
+    Every other node costs Reidemeister simplification, seeded with the
+    crossings its smoothing reconnected (every crossing at the root), a
+    trace that must find p components, the split check, the memo and the
+    recursion; only the children that recurse are copied and smoothed.  Up
+    to the last of them each switch is settled by a seeded simplification in
+    the node's arrays, which ends the chain when it frees a loop; after it
+    crossings are switched in ``sign`` alone.
 
     ``nodes`` counts every node, closed children included, ``hits`` the memo
     hits, and ``leaves`` the Hoste leaves closed from linking numbers, at
@@ -130,16 +150,18 @@ class SkeinEngine:
                 elif p == 1:
                     coeffs[0] = 1
         else:
-            coeffs = self._eval(conn, sign, loops, p, max_degree)
+            coeffs = self._eval(conn, sign, loops, p, max_degree, None)
         return TruncatedPoly(max_degree, tuple(coeffs), p)
 
     # -- internals ---------------------------------------------------------
 
-    def _eval(self, conn, sign, loops, p, budget) -> tuple[int, ...]:
+    def _eval(self, conn, sign, loops, p, budget, todo) -> tuple[int, ...]:
+        """Coefficients a_0..a_budget of a node; ``todo`` lists the crossings
+        that can be a kink or a clasp (``None``: any of them)."""
         K = self.k
         self.nodes += 1
         zero = (0,) * (budget + 1)
-        loops += K.reidemeister_simplify(conn, sign)
+        loops += K.reidemeister_simplify(conn, sign, todo)
         if not any(sign):
             if loops == 1:
                 return (1,) + (0,) * budget
@@ -185,6 +207,8 @@ class SkeinEngine:
             last -= 1
         for i in range(nbad):
             c = bad_ids[i]
+            if not sign[c]:
+                continue  # removed by an earlier switch's simplification
             e = eps[i]
             a = labels[4 * c]
             b = labels[4 * c + 2]
@@ -200,13 +224,23 @@ class SkeinEngine:
             else:
                 bconn = conn[:]
                 bsign = sign[:]
-                bloops = K.smooth_inplace(bconn, bsign, c)
-                sub = self._eval(bconn, bsign, bloops, p + 1 if a == b else p - 1, budget - 1)
+                btodo = []
+                bloops = K.smooth_inplace(bconn, bsign, c, btodo)
+                sub = self._eval(bconn, bsign, bloops, p + 1 if a == b else p - 1,
+                                 budget - 1, btodo)
                 for j in range(1, budget + 1):
                     coeffs[j] += e * sub[j - 1]
             if i + 1 < nbad:
                 if i < last:
                     K.switch_inplace(conn, sign, c)
+                    # settle the switch once, for every later child: a kink
+                    # or clasp it made holds c, found from c or from the
+                    # crossing feeding one of its in-ports
+                    settle = [conn[4 * c] >> 2, conn[4 * c + 2] >> 2, c]
+                    if K.reidemeister_simplify(conn, sign, settle):
+                        # a free loop: the switched diagram is split, or the
+                        # unknot at p = 1, and worth coeffs[0] either way
+                        break
                 else:
                     sign[c] = -e  # no later child is built, and the frame never reads conn
                 if frame is not None and a != b:

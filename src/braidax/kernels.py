@@ -6,7 +6,8 @@ A diagram with c crossings is stored as two Python lists of ints:
   crossing.  Until ``compact`` drops it, strands pass straight through a
   removed crossing (in-port q to out-port q+1) and its ports are scratch:
   every removal goes through ``splice_out``, which reconnects the live ports
-  around it at once.
+  around it at once and reports the crossings at both ends of each arc it
+  makes.
 * ``conn``: 4c entries, a symmetric arc pairing between ports.  Crossing k
   owns ports 4k..4k+3 with roles over-in (0), over-out (1), under-in (2),
   under-out (3).  Even ports are in-ports, odd ports are out-ports, and a
@@ -14,7 +15,14 @@ A diagram with c crossings is stored as two Python lists of ints:
   ``conn[out] == in`` and ``conn[in] == out``.
 
 Crossing-free loop components are counted separately by the caller; the
-surgery routines here return how many such loops they split off.  The
+surgery routines here return how many such loops they split off.
+
+Kinks and cancelling clasps go in one worklist kernel,
+``reidemeister_simplify(conn, sign, todo)``: a kink or a clasp can appear
+only at the ends of an arc some move made, so the caller lists the crossings
+its move touched (a smoothing and ``splice_out`` append them to ``todo``
+themselves), each removal pushes the ends of the arcs it makes, and nothing
+is scanned twice.  With no list it checks every crossing.  The
 read-only kernels accept tuples too (a ``LinkDiagram`` holds tuples); the
 in-place ones need lists.
 
@@ -280,13 +288,15 @@ def switch_inplace(conn, sign, c):
     sign[c] = -sign[c]
 
 
-def splice_out(conn, sign, ids):
+def splice_out(conn, sign, ids, todo):
     """Remove crossings ``ids``, passing every strand straight through.
 
     A strand arriving from a live crossing is reconnected to the live
-    in-port it reaches; a strand that closes up inside the removed crossings
-    is counted and returned as a free loop.  The removed crossings' in-ports
-    are overwritten with -1 as they are walked.
+    in-port it reaches, and the crossings at both ends of that new arc are
+    appended to ``todo``: only they can have become a kink or a clasp.  A
+    strand that closes up inside the removed crossings is counted and
+    returned as a free loop.  The removed crossings' in-ports are
+    overwritten with -1 as they are walked.
     """
     for c in ids:
         sign[c] = 0
@@ -302,6 +312,8 @@ def splice_out(conn, sign, ids):
                 cur = nxt
             conn[feeder] = cur
             conn[cur] = feeder
+            todo.append(feeder >> 2)
+            todo.append(cur >> 2)
     loops = 0
     for c in ids:
         for q in (4 * c, 4 * c + 2):
@@ -315,51 +327,54 @@ def splice_out(conn, sign, ids):
     return loops
 
 
-def smooth_inplace(conn, sign, c):
+def smooth_inplace(conn, sign, c, todo):
     """Oriented smoothing: over-in continues to under-out, under-in to
-    over-out, and the crossing disappears.  Returns split-off loops."""
+    over-out, and the crossing disappears.  Returns split-off loops; the
+    crossings at the ends of the arcs it makes go to ``todo``."""
     oo = 4 * c + 1
     uo = oo + 2
     a = conn[oo]
     b = conn[uo]
     conn[oo], conn[uo], conn[a], conn[b] = b, a, uo, oo
-    return splice_out(conn, sign, (c,))
+    return splice_out(conn, sign, (c,), todo)
 
 
-def reidemeister_simplify(conn, sign):
+def reidemeister_simplify(conn, sign, todo=None):
     """Remove kinks and cancelling clasps until none remain.
 
     Kink: one of the crossing's out-ports is arced straight back into the
     in-port of its other strand.  Cancelling clasp: two crossings of
     opposite sign joined by two direct arcs with the same strand on top at
-    both.  Returns the number of free loops split off.
+    both, found from the one whose over strand runs into the other.
+
+    ``todo`` lists the crossings to check, popped last first (``None``:
+    every crossing, from 0 up).  Each removal pushes the crossings at both
+    ends of the arcs it makes, so when ``todo`` holds every kink and, of
+    every clasp, the crossing its over strand leaves, none remains
+    afterwards.  Returns the number of free loops split off.
     """
-    ncross = len(sign)
+    if todo is None:
+        todo = list(range(len(sign) - 1, -1, -1))
+    pop = todo.pop
     loops = 0
-    changed = True
-    while changed:
-        changed = False
-        for c in range(ncross):
-            if sign[c] == 0:
-                continue
-            oi = 4 * c
-            oo = oi + 1
-            ui = oi + 2
-            uo = oi + 3
-            if conn[oo] == ui or conn[uo] == oi:
-                loops += splice_out(conn, sign, (c,))
-                changed = True
-                continue
-            # clasp cancellation: our over strand runs straight into d's
-            # over-in, and the under strands are joined directly too
-            nxt = conn[oo]
-            d = nxt >> 2
-            if (nxt & 3) == 0 and d != c and sign[d] == -sign[c]:
-                parallel = conn[uo] == 4 * d + 2
-                antiparallel = conn[4 * d + 3] == ui
-                if parallel or antiparallel:
-                    loops += splice_out(conn, sign, (c, d))
-                    changed = True
+    while todo:
+        c = pop()
+        s = sign[c]
+        if not s:
+            continue
+        oi = 4 * c
+        ui = oi + 2
+        uo = oi + 3
+        nxt = conn[oi + 1]
+        if nxt == ui or conn[uo] == oi:
+            loops += splice_out(conn, sign, (c,), todo)
+            continue
+        # clasp cancellation: our over strand runs straight into d's
+        # over-in, and the under strands are joined directly too
+        d = nxt >> 2
+        if (nxt & 3) == 0 and d != c and sign[d] == -s:
+            if conn[uo] == nxt + 2 or conn[nxt + 3] == ui:
+                loops += splice_out(conn, sign, (c, d), todo)
     return loops
 
 

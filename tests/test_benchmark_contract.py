@@ -12,6 +12,8 @@ import pytest
 import braidax
 from braidax.kernels import get_kernels
 
+from conftest import CountingKernels
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
@@ -44,6 +46,29 @@ def test_engine_runs_on_traced_kernels(perfbench):
     d = braidax.closure_diagram(braidax.BraidWord(2, (1, 1, 1)))
     assert eng.truncated(d, 2).coeffs == (1, 0, 1)
     assert tracer.totals()["kernels.trace_inports"]["calls"] >= 1
+
+
+@pytest.mark.parametrize(
+    "form, degree",
+    [(braidax.canonical_odd_knot_braid(7), 3), (braidax.canonical_joint_cycle_braid(6), 4)],
+    ids=["a3_dn_7", "a4_eq54_6"],
+)
+def test_engine_calls_only_traced_kernels(perfbench, form, degree):
+    # one a_3 and one a_4 evaluation of a squared family member's axis link,
+    # as the benchmark's workloads make them: every kernel the engine calls
+    # is traced, so its time shows in a per-layer row, except the three
+    # Hoste-leaf kernels, whose time the trace files under conway.self_s
+    tracing, _ = perfbench
+    w = braidax.cyclic_free_reduce(braidax.square(braidax.family_member(form, 1)))
+    kernels = CountingKernels()
+    braidax.SkeinEngine(kernels).truncated(braidax.axis_link_diagram(w), degree)
+    untraced = set(kernels.calls) - set(tracing.ENGINE_KERNELS)
+    assert untraced <= {"knot_leaf_sum", "leaf_frame", "leaf_counts"}, untraced
+    # the root, every built child and every switch in a chain simplify once,
+    # through the traced kernel
+    calls = kernels.calls
+    assert calls["switch_inplace"] > 0
+    assert calls["reidemeister_simplify"] == 1 + calls["smooth_inplace"] + calls["switch_inplace"]
 
 
 def test_boundary_traces_the_deletions(perfbench):

@@ -41,11 +41,11 @@ def skein(d):
 
 # ---------------------------------------------------------------------------
 # the earlier route, kept as a reference: the Alexander polynomial up to a
-# unit +-s^k, from a Burau matrix built with generic polynomial products
+# unit +-s^k, from a Burau matrix in t built with generic polynomial products
 
 
-_T = LaurentPoly(2, (1,))
-_T_INV = LaurentPoly(-2, (1,))
+_T = LaurentPoly(1, (1,))
+_T_INV = LaurentPoly(-1, (1,))
 
 
 def reference_burau(word):
@@ -73,7 +73,10 @@ def alexander_burau(word):
     m = reference_burau(word)
     for i, row in enumerate(m):
         row[i] = row[i] - 1
-    return _det_bareiss(m) // LaurentPoly(0, (1, 0) * (n - 1) + (1,))
+    delta = _det_bareiss(m) // LaurentPoly(0, (1,) * n)
+    in_s = [0] * (2 * len(delta.coeffs) - 1)
+    in_s[::2] = delta.coeffs
+    return LaurentPoly(2 * delta.min_exp, tuple(in_s))
 
 
 def unit_normalized(p):

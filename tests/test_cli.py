@@ -216,6 +216,12 @@ class TestExperiment:
             (("lemma64", "--n1", "999", "--n2", "999"), "lemma64 takes --n1 up to 12, got 999"),
             (("lemma64", "--n1", "2", "--n2", "13"), "lemma64 takes --n2 up to 12, got 13"),
             (("prop25", "--canonical-odd", "103"), "prop25 takes --canonical-odd up to 101, got 103"),
+            (("dn", "--n", "5", "--m-min", "-5000", "--m-max", "5000"),
+             "dn takes m in -25..25, got -5000..5000"),
+            (("eq54", "--n", "4", "--m-min", "-26", "--m-max", "0"),
+             "eq54 takes m in -25..25, got -26..0"),
+            (("prop25", "--canonical-odd", "5", "--m-min", "0", "--m-max", "26"),
+             "prop25 takes m in -25..25, got 0..26"),
         ],
     )
     def test_size_above_cap_exits_2_before_any_work(self, capsys, tmp_path, argv, message):
@@ -224,6 +230,12 @@ class TestExperiment:
         assert code == 2
         assert (out, err) == ("", f"error: {message}\n")
         assert not out_dir.exists()
+
+    def test_m_at_cap_is_accepted(self, capsys, tmp_path):
+        code, out, _ = run(capsys, "experiment", "prop25", "--canonical-odd", "5",
+                           "--m-min", "23", "--m-max", "25", "--out", str(tmp_path))
+        assert code == 0
+        assert out.endswith("result\tPASS\n")
 
     def test_missing_parameter(self, capsys, tmp_path):
         code, _, err = run(capsys, "experiment", "dn", "--out", str(tmp_path))

@@ -240,19 +240,43 @@ class CarriedCountEngine(SkeinEngine):
     node's budget is at least that count: a node with less budget is closed
     before it is built, by its parent or at the root."""
 
-    def _eval(self, conn, sign, loops, p, budget):
+    def _eval(self, conn, sign, loops, p, budget, todo):
         assert budget >= p
         c, _ = get_kernels().compact(conn, sign)
         assert p == get_kernels().trace_inports(c)[1] + loops
-        return super()._eval(conn, sign, loops, p, budget)
+        return super()._eval(conn, sign, loops, p, budget, todo)
 
 
 class MiscountingEngine(SkeinEngine):
     """Hands every node one component too many, budget to match: a slip in
     the carried count that reaches the leaves."""
 
-    def _eval(self, conn, sign, loops, p, budget):
-        return super()._eval(conn, sign, loops, p + 1, budget + 1)
+    def _eval(self, conn, sign, loops, p, budget, todo):
+        return super()._eval(conn, sign, loops, p + 1, budget + 1, todo)
+
+
+class StopCountingKernels(SimpleNamespace):
+    """The kernels, counting the chain steps whose settling simplification
+    (the one right after a ``switch_inplace``) split off a free loop."""
+
+    def __init__(self):
+        base = get_kernels()
+        super().__init__(**vars(base))
+        self.stops = 0
+        self.after_switch = False
+
+        def switch_inplace(*args):
+            self.after_switch = True
+            return base.switch_inplace(*args)
+
+        def reidemeister_simplify(*args):
+            loops = base.reidemeister_simplify(*args)
+            self.stops += bool(self.after_switch and loops)
+            self.after_switch = False
+            return loops
+
+        self.switch_inplace = switch_inplace
+        self.reidemeister_simplify = reidemeister_simplify
 
 
 class TestLeafFirstEngine:
@@ -345,11 +369,30 @@ class TestLeafFirstEngine:
             SkeinEngine(kernels).truncated(d, 3)
 
     @pytest.mark.parametrize(
+        "d, word, stops",
+        [
+            (axis_link_diagram(w(3, 2)), axis_word(w(3, 2)), 2),
+            (closure_diagram(w(3, -1, 2, -1, 2)), w(3, -1, 2, -1, 2), 1),
+        ],
+        ids=["split_axis_link", "unknotted_figure_eight"],
+    )
+    def test_chain_stops_at_a_free_loop(self, d, word, stops):
+        # a switch in a node's chain makes a kink or clasp whose removal
+        # frees a loop: the switched diagram is split (the axis link, where
+        # later violations are still live) or the unknot (the figure-eight,
+        # p = 1), and the chain stops there with coeffs[0] for the rest
+        kernels = StopCountingKernels()
+        coeffs = SkeinEngine(kernels).truncated(d, d.crossings).coeffs
+        assert kernels.stops == stops
+        want = conway_polynomial(word)
+        assert coeffs == want + (0,) * (len(coeffs) - len(want))
+
+    @pytest.mark.parametrize(
         "run, nodes, hits, leaves, switches",
         [
-            (lambda eng: squared_family_check(9, engine=eng), 465, 4, 435, 109),
-            (lambda eng: joint_cycle_check(5, engine=eng), 521, 32, 381, 284),
-            (lambda eng: two_cycle_check(2, 3, engine=eng), 1161, 67, 830, 503),
+            (lambda eng: squared_family_check(9, engine=eng), 475, 3, 445, 109),
+            (lambda eng: joint_cycle_check(5, engine=eng), 480, 29, 355, 252),
+            (lambda eng: two_cycle_check(2, 3, engine=eng), 1140, 68, 829, 473),
         ],
         ids=["squared_family_9", "joint_cycle_5", "two_cycle_2_3"],
     )

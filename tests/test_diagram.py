@@ -171,14 +171,14 @@ class TestSurgery:
     def test_smooth_single_crossing_closure(self):
         # oriented smoothing of the one-crossing unknot splits it in two
         d = closure_diagram(w(2, 1))
-        assert component_count(surgery(d, K.smooth_inplace, 0)) == 2
+        assert component_count(surgery(d, K.smooth_inplace, 0, [])) == 2
 
     def test_smooth_and_switch_form_skein_triple(self):
         d = closure_diagram(w(3, 1, 1, 2))
         for c in range(d.crossings):
             p_orig = component_count(d)
             p_switch = component_count(surgery(d, K.switch_inplace, c))
-            p_smooth = component_count(surgery(d, K.smooth_inplace, c))
+            p_smooth = component_count(surgery(d, K.smooth_inplace, c, []))
             assert p_switch == p_orig
             assert abs(p_smooth - p_orig) == 1
 
@@ -189,7 +189,7 @@ class TestSurgery:
             return
         c = data.draw(st.integers(0, d.crossings - 1))
         assert component_count(surgery(d, K.switch_inplace, c)) == component_count(d)
-        assert abs(component_count(surgery(d, K.smooth_inplace, c)) - component_count(d)) == 1
+        assert abs(component_count(surgery(d, K.smooth_inplace, c, [])) - component_count(d)) == 1
 
     def test_switch_both_hopf_crossings(self):
         d = closure_diagram(w(2, 1, 1))

@@ -16,10 +16,13 @@ from braidax import (
     LinkDiagram,
     SkeinEngine,
     axis_link_diagram,
+    axis_word,
     closure_diagram,
     component_count,
+    conway_polynomial,
     cycle_decomposition,
     delete_component,
+    full_conway,
     permutation_of,
 )
 from braidax.conway import (
@@ -90,7 +93,7 @@ class TestCompact:
             live = live_crossings(sign)
             if not live:
                 break
-            K.smooth_inplace(conn, sign, data.draw(st.sampled_from(live)))
+            K.smooth_inplace(conn, sign, data.draw(st.sampled_from(live)), [])
         K.reidemeister_simplify(conn, sign)
         self.check(conn, sign)
 
@@ -215,7 +218,7 @@ class TestSplice:
         c = data.draw(st.integers(0, d.crossings - 1))
         self.check(
             d,
-            lambda conn, sign: K.smooth_inplace(conn, sign, c),
+            lambda conn, sign: K.smooth_inplace(conn, sign, c, []),
             lambda conn, sign: smooth_reference(conn, sign, c),
         )
         # deleting components splices out every crossing they meet at once;
@@ -226,7 +229,7 @@ class TestSplice:
         ids = [c for c in range(d.crossings) if kill[labels[4 * c]] or kill[labels[4 * c + 2]]]
         self.check(
             d,
-            lambda conn, sign: splice_out(conn, sign, ids) - len(killed),
+            lambda conn, sign: splice_out(conn, sign, ids, []) - len(killed),
             lambda conn, sign: delete_reference(conn, sign, labels, kill),
         )
 
@@ -245,11 +248,39 @@ class TestSplice:
         assert d.conn[4 * 2 + 1] == 4 * 2 + 2  # crossing 2 is a kink
         conn, sign = self.check(
             d,
-            lambda conn, sign: K.smooth_inplace(conn, sign, 2),
+            lambda conn, sign: K.smooth_inplace(conn, sign, 2, []),
             lambda conn, sign: smooth_reference(conn, sign, 2),
         )
         assert sign == [1, 1]
         assert K.trace_inports(conn)[1] == 2
+
+
+class TestSeededSimplify:
+    """The worklist started from a switch, as the engine's chain runs it."""
+
+    @given(braid_words(max_letters=12), st.booleans(), st.data())
+    def test_settles_a_switch_in_a_reduced_diagram(self, word, axis, data):
+        d = axis_link_diagram(word) if axis else closure_diagram(word)
+        conn, sign = d.arrays()
+        loops = d.free_loops + K.reidemeister_simplify(conn, sign)
+        letters = [c for c in live_crossings(sign) if c < len(word.letters)]
+        if not letters:
+            return
+        # crossing c is letter c of the word: switching it inverts the letter
+        c = data.draw(st.sampled_from(letters))
+        K.switch_inplace(conn, sign, c)
+        loops += K.reidemeister_simplify(conn, sign, [conn[4 * c] >> 2, conn[4 * c + 2] >> 2, c])
+        settled = (conn[:], sign[:])
+        assert K.reidemeister_simplify(conn, sign) == 0
+        assert (conn, sign) == settled
+        switched = list(word.letters)
+        switched[c] = -switched[c]
+        switched = BraidWord(word.strands, tuple(switched))
+        conn, sign = K.compact(conn, sign)
+        coeffs = list(full_conway(LinkDiagram(conn, sign, loops)).coeffs)
+        while len(coeffs) > 1 and not coeffs[-1]:
+            coeffs.pop()
+        assert tuple(coeffs) == conway_polynomial(axis_word(switched) if axis else switched)
 
 
 class TestDeleteComponent:
@@ -307,7 +338,7 @@ class TestLinkingCounts:
             live = live_crossings(sign)
             if not live:
                 break
-            K.smooth_inplace(conn, sign, data.draw(st.sampled_from(live)))
+            K.smooth_inplace(conn, sign, data.draw(st.sampled_from(live)), [])
             self.check(conn, sign)
         K.reidemeister_simplify(conn, sign)
         self.check(conn, sign)
@@ -329,7 +360,7 @@ def leaf_reference(conn, sign, c):
     """The Hoste leaf built as a child: copy, smooth c, then a free loop
     (None) or the doubled linking numbers of the compacted, traced child."""
     conn, sign = conn[:], sign[:]
-    if K.smooth_inplace(conn, sign, c):
+    if K.smooth_inplace(conn, sign, c, []):
         return None
     conn, sign = K.compact(conn, sign)
     labels, ncomp, _ = K.trace_inports(conn)
