@@ -10,7 +10,7 @@ Exit codes: 0 all checks passed, 1 an assertion failed, 2 usage, parse or
 file-system error.  A flag that the named experiment does not take is a usage
 error, as is ``prop25 --canonical-odd`` given together with explicit words,
 or a size above the experiment's cap (``_CAPS``) or an m beyond ``_M_CAP``,
-rejected before any work.
+rejected before any work, as is ``invariant --n`` above ``_INVARIANT_N_CAP``.
 """
 
 from __future__ import annotations
@@ -22,13 +22,7 @@ from pathlib import Path
 
 from .burau import OracleError, conway_matches_alexander, conway_polynomial
 from .conway import SkeinEngine, full_conway, hoste_lowest
-from .diagram import (
-    axis_link_diagram,
-    axis_word,
-    closure_diagram,
-    component_count,
-    linking_matrix,
-)
+from .diagram import axis_word, closure_diagram, linking_matrix
 from .experiments import EXPERIMENTS, ExperimentError
 from .words import (
     BraidWord,
@@ -138,23 +132,24 @@ def _cmd_info(w: BraidWord) -> int:
 def _cmd_invariant(w: BraidWord, degree: int) -> int:
     engine = SkeinEngine()
     closure = closure_diagram(w)
-    axis = axis_link_diagram(w)
+    axis_braid = axis_word(w)
+    axis = closure_diagram(axis_braid)
     closure_poly = engine.truncated(closure, degree)
     axis_poly = engine.truncated(axis, degree)
     print(f"word\t{w}")
-    print(f"closure_components\t{component_count(closure)}")
+    print(f"closure_components\t{closure_poly.components}")
     print(f"closure_nabla\t{' '.join(map(str, closure_poly.coeffs))}")
-    print(f"axis_components\t{component_count(axis)}")
+    print(f"axis_components\t{axis_poly.components}")
     print(f"axis_nabla\t{' '.join(map(str, axis_poly.coeffs))}")
     lk = linking_matrix(axis)
     for i, row in enumerate(lk.entries):
         print(f"axis_linking_row_{i}\t{' '.join(map(str, row))}")
     # the axis link's Burau polynomial, zero past its degree, checks both
     # Hoste's lowest coefficient and the skein window; an OracleError fails both
-    p = component_count(axis)
+    p = axis_poly.components
     formula_low = hoste_lowest(lk)
     try:
-        burau = conway_polynomial(axis_word(w)) + (0,) * (p + degree)
+        burau = conway_polynomial(axis_braid) + (0,) * (p + degree)
         hoste_miss = None if burau[p - 1] == formula_low else f" {burau[p - 1]} vs {formula_low}"
         axis_miss = None if burau[:degree + 1] == axis_poly.coeffs else ""
     except OracleError as exc:
@@ -201,6 +196,11 @@ _CAPS = {
     "lemma64": {"n1": 12, "n2": 12},
     "prop25": {"canonical_odd": 101},
 }
+# the largest strand count invariant accepts: on a one-letter word it took
+# 8.2 s at n = 100 (3.6 s at 80, 13.5 s at 110) on that host, nearly all of
+# it the Burau determinant of the n + 1 strand axis word; word length and
+# --degree stay unbounded
+_INVARIANT_N_CAP = 100
 # the largest |m| a family experiment samples: the cost grows steeply with
 # it, and at |m| = 25 the steepest, eq54 --n 4, takes about 9 s on that host
 # (4 s at 20, 15 s at 30); the caps hold each one alone, not jointly
@@ -279,6 +279,8 @@ def main(argv=None) -> int:
             return _cmd_info(w)
         if args.degree < 0:
             raise WordError("--degree must be >= 0")
+        if args.n > _INVARIANT_N_CAP:
+            raise WordError(f"invariant takes --n up to {_INVARIANT_N_CAP}, got {args.n}")
         return _cmd_invariant(w, args.degree)
     except (WordError, ExperimentError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -3,11 +3,13 @@ their linking numbers.
 
 Diagrams are values: a diagram holds its arrays as tuples, and every
 operation copies them to lists for the kernels and returns a new diagram.
-The arrays follow the port conventions of :mod:`braidax.kernels`.  Positive
-braid letters put the strand entering from the smaller position on top, and
-the crossing sign always equals the letter sign.  The braid axis is oriented so
-that it links every strand positively.  A component is deleted on the braid
-word (:func:`braidax.words.delete_component`), before the diagram is built.
+The arrays follow the port conventions of :mod:`braidax.kernels`.
+:func:`closure_diagram` is the one constructor from a braid: positive letters
+put the strand entering from the smaller position on top, and the crossing
+sign always equals the letter sign.  An axis-addition link is the closure of
+:func:`axis_word`, whose extra strand is the braid axis, oriented so that it
+links every strand positively.  A component is deleted on the braid word
+(:func:`braidax.words.delete_component`), before the diagram is built.
 """
 
 from __future__ import annotations
@@ -45,9 +47,10 @@ class LinkDiagram:
     of crossing-free loop components.
 
     A braid-built diagram keeps ``entries``, the first in-port met from each
-    top position (-1 for a crossing-free strand), with the axis's entry last
-    on an axis link; ``linking_matrix`` numbers components in their order of
-    first appearance there.
+    top position (-1 for a crossing-free strand), so the axis's entry comes
+    last on an axis link, the axis being its braid's last strand;
+    ``linking_matrix`` numbers components in their order of first appearance
+    there.
     """
 
     conn: tuple[int, ...]
@@ -87,19 +90,15 @@ class LinkDiagram:
 # construction
 
 
-def _braid_part(w: BraidWord, extra: int):
-    """Lay out one crossing per letter; returns (conn, sign, cur, first_in).
-
-    ``extra`` reserves space for additional crossings (the axis weave).
-    ``cur[p]`` is the dangling out-port at position p after the word,
-    ``first_in[p]`` the first in-port the strand from top position p meets.
-    """
+def closure_diagram(w: BraidWord) -> LinkDiagram:
+    """Closure of a braid word: one crossing per letter, bottom position k
+    joined back to top position k."""
     n = w.strands
-    ncross = len(w.letters) + extra
+    ncross = len(w.letters)
     conn = [-1] * (4 * ncross)
     sign = [0] * ncross
-    cur = [-1] * n
-    first_in = [-1] * n
+    cur = [-1] * n       # the dangling out-port at each position
+    first_in = [-1] * n  # the first in-port the strand from each top position meets
     for c, k in enumerate(w.letters):
         i = abs(k) - 1
         sign[c] = 1 if k > 0 else -1
@@ -116,15 +115,8 @@ def _braid_part(w: BraidWord, extra: int):
             else:
                 first_in[pos] = inp
         cur[i], cur[i + 1] = out_left, out_right
-    return conn, sign, cur, first_in
-
-
-def closure_diagram(w: BraidWord) -> LinkDiagram:
-    """Closure of a braid word: one crossing per letter, bottom position k
-    joined back to top position k."""
-    conn, sign, cur, first_in = _braid_part(w, 0)
     loops = 0
-    for p in range(w.strands):
+    for p in range(n):
         if cur[p] >= 0:
             conn[cur[p]] = first_in[p]
             conn[first_in[p]] = cur[p]
@@ -142,43 +134,11 @@ def axis_word(w: BraidWord) -> BraidWord:
 
 
 def axis_link_diagram(w: BraidWord) -> LinkDiagram:
-    """Closure plus the braid axis: an unknotted circle passing over every
-    strand once and back under every strand, linking each component by its
-    strand count.  Adds 2n crossings, all positive."""
-    n = w.strands
-    base = len(w.letters)
-    conn, sign, cur, first_in = _braid_part(w, 2 * n)
-    over = [base + p for p in range(n)]          # axis over strand p
-    under = [base + n + p for p in range(n)]     # strand p over the returning axis
-    for p in range(n):
-        co, cu = over[p], under[p]
-        sign[co] = 1
-        sign[cu] = 1
-        # strand at position p: ..cur[p] -> co.under_in, co.under_out -> cu.over_in
-        inp = 4 * co + UNDER_IN
-        if cur[p] >= 0:
-            conn[cur[p]] = inp
-            conn[inp] = cur[p]
-        else:
-            first_in[p] = inp
-        conn[4 * co + UNDER_OUT] = 4 * cu + OVER_IN
-        conn[4 * cu + OVER_IN] = 4 * co + UNDER_OUT
-        cur[p] = 4 * cu + OVER_OUT
-    # the axis itself: rightward over positions 0..n-1, back leftward underneath
-    for p in range(n - 1):
-        conn[4 * over[p] + OVER_OUT] = 4 * over[p + 1] + OVER_IN
-        conn[4 * over[p + 1] + OVER_IN] = 4 * over[p] + OVER_OUT
-    conn[4 * over[n - 1] + OVER_OUT] = 4 * under[n - 1] + UNDER_IN
-    conn[4 * under[n - 1] + UNDER_IN] = 4 * over[n - 1] + OVER_OUT
-    for p in range(n - 1, 0, -1):
-        conn[4 * under[p] + UNDER_OUT] = 4 * under[p - 1] + UNDER_IN
-        conn[4 * under[p - 1] + UNDER_IN] = 4 * under[p] + UNDER_OUT
-    conn[4 * under[0] + UNDER_OUT] = 4 * over[0] + OVER_IN
-    conn[4 * over[0] + OVER_IN] = 4 * under[0] + UNDER_OUT
-    for p in range(n):
-        conn[cur[p]] = first_in[p]
-        conn[first_in[p]] = cur[p]
-    return LinkDiagram(conn, sign, 0, tuple(first_in) + (4 * over[0] + OVER_IN,))
+    """Closure plus the braid axis: the closure of :func:`axis_word`, whose
+    last strand runs under every strand once and back over every strand,
+    linking each component by its strand count.  Adds 2n crossings, all
+    positive, and puts the axis's entry last."""
+    return closure_diagram(axis_word(w))
 
 
 # ---------------------------------------------------------------------------

@@ -135,6 +135,20 @@ class TestInvariant:
         assert "\nburau_check\tmatch\n" in out
         assert "\naxis_burau_check\tmatch\n" in out
 
+    @pytest.mark.parametrize("n", ["101", "160"])
+    def test_size_above_cap_exits_2_before_any_work(self, capsys, monkeypatch, n):
+        def work(w, degree):
+            raise AssertionError("invariant ran above its cap")
+
+        monkeypatch.setattr(braidax.cli, "_cmd_invariant", work)
+        code, out, err = run(capsys, "invariant", "--n", n, "--", "1")
+        assert code == 2
+        assert (out, err) == ("", f"error: invariant takes --n up to 100, got {n}\n")
+
+    def test_size_at_cap_is_accepted(self, capsys, monkeypatch):
+        monkeypatch.setattr(braidax.cli, "_cmd_invariant", lambda w, degree: 0)
+        assert run(capsys, "invariant", "--n", "100", "--", "1")[0] == 0
+
     def test_deterministic_output(self, capsys):
         args = ("invariant", "--n", "3", "--", "1", "-2", "1", "--degree", "2")
         _, out1, _ = run(capsys, *args)

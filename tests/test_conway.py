@@ -390,9 +390,9 @@ class TestLeafFirstEngine:
     @pytest.mark.parametrize(
         "run, nodes, hits, leaves, switches",
         [
-            (lambda eng: squared_family_check(9, engine=eng), 475, 3, 445, 109),
-            (lambda eng: joint_cycle_check(5, engine=eng), 480, 29, 355, 252),
-            (lambda eng: two_cycle_check(2, 3, engine=eng), 1140, 68, 829, 473),
+            (lambda eng: squared_family_check(9, engine=eng), 449, 4, 419, 109),
+            (lambda eng: joint_cycle_check(5, engine=eng), 454, 31, 329, 250),
+            (lambda eng: two_cycle_check(2, 3, engine=eng), 1117, 78, 795, 483),
         ],
         ids=["squared_family_9", "joint_cycle_5", "two_cycle_2_3"],
     )

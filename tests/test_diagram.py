@@ -120,6 +120,15 @@ class TestAxisConstruction:
         assert axis_word(w(2, 1, 1, 1)) == w(3, 1, 1, 1, 2, 1, 1, 2)
         assert axis_word(BraidWord(1)) == w(2, 1, 1)
 
+    @given(braid_words())
+    def test_axis_word_is_the_closure_plus_one_circle(self, word):
+        # the axis is a component of its own: its top position is fixed, and
+        # deleting it gives back the word
+        n = word.strands
+        braid = axis_word(word)
+        assert permutation_of(braid)(n + 1) == n + 1
+        assert delete_component(braid, n + 1) == word
+
     @pytest.mark.parametrize(
         "word", [BraidWord(1), w(2, 1), w(2, -1, -1, -1), w(3, 1, -2, 1, -2), w(4, 1, 3)]
     )
