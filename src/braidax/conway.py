@@ -14,14 +14,17 @@ p - 1 is pruned, and at budget p - 1 the linking numbers give the lowest
 coefficient (both are link invariants; Hoste, Proc. AMS 94, 1985).  Only the
 remaining nodes are simplified, checked for being split, looked up in the
 memo and recursed on; each checks that its trace finds p components.  The
-root is closed from its first trace.
+root is closed from its first trace.  The knot children of a two-component
+node at budget 3 are the one exception: they are closed in that node,
+unreduced (below).
 
 Each kink or cancelling clasp is removed once, in the node whose move made
 it, by one worklist kernel (``reidemeister_simplify`` with a ``todo`` list).
 The root checks every crossing.  A built child checks only the crossings its
 smoothing reconnected, because its parent is already reduced.  Every switch
 in a node's chain, up to its last built child, is settled in the node's own
-arrays: the worklist starts at the switched crossing and the crossings
+arrays (a node that builds no child settles none): the worklist starts at
+the switched crossing and the crossings
 feeding its in-ports, and follows the removals it sets off, so no sibling
 rediscovers the clasps the switches made.  The settled chain stays valid:
 removing kinks and clasps keeps the order in which the remaining crossings
@@ -46,10 +49,21 @@ j, bordered by the arc.  After the last built child a switch only flips a sign.
 A knot at budget 2 builds no child at all: every crossing is a
 self-crossing, so each violation's smoothing is a two-component Hoste leaf
 whose a_1 is the linking number of the two arcs between its visits.  One
-kernel call (``knot_leaf_sum``) walks the knot once from the node's
-basepoint, lists the violations as ``chain_scan`` does, sums each leaf's
-shorter arc with the live signs and flips the violation's sign after it;
-most parent-side leaves of the benchmark's a_3 and a_4 runs close there.
+kernel call (``knot_leaf_sum``) walks the knot once from a basepoint, lists
+the violations as ``chain_scan`` does, sums each leaf's shorter arc with the
+live signs and flips the violation's sign after it; most parent-side leaves
+of the benchmark's a_3 and a_4 runs close there.
+
+Such a knot is itself built only at the root.  Everywhere else it is an
+inter-component child of a two-component node at budget 3, the node every
+a_3 of a knot's axis link and every a_4 of a two-cycle link runs through,
+and that node closes it: it copies the arrays, smooths the crossing and
+walks the copy from its first live in-port, with no simplification,
+``compact``, trace, split check or memo entry.  An unreduced diagram is
+still a diagram of the knot, and ``splice_out`` links the live ports
+directly, so the walk never meets the removed crossing.  In place of the
+trace, the walk must visit every live crossing twice.  The node's switches
+then only need ``switch_inplace``: settling is for built children.
 
 All coefficients are exact integers; there is no floating point here.
 """
@@ -94,16 +108,22 @@ class SkeinEngine:
 
     The memo is always on: it maps ``(conn, sign, budget)`` of a simplified,
     compacted interior node to its coefficients.  Few lookups hit, but each
-    hit saves a subtree: without it the benchmark's ``a3_axis`` and
-    ``a4_families`` workloads walk 13% and 24% more nodes.
+    hit saves a subtree: without it the benchmark's ``a4_families`` workload
+    walks 11% more nodes (seed 13).  On ``a3_axis`` it hits nothing, since
+    the root of a knot's axis link closes every child itself.
 
     The root is pruned when its budget is below its component count p minus
     one, and is a Hoste leaf at budget p - 1, closed by one
     ``linking_counts`` call on the labels of its one trace.  A child that
     would be pruned or be a Hoste leaf is closed in its parent without being
     built, a Hoste leaf as a bordered minor of the parent's Laplacian.
-    A knot node at budget 2 closes all its children, each a leaf or a free
-    loop, in one ``knot_leaf_sum`` walk, without ``chain_scan`` or a frame.
+    A knot at budget 2 closes all its children, each a leaf or a free loop,
+    in one ``knot_leaf_sum`` walk, without ``chain_scan`` or a frame.  Only
+    a knot root is built as a node: a two-component node at budget 3 closes
+    each of its inter-component children, a knot at budget 2, in that walk
+    over its smoothed copy, unsimplified, untraced and never memoized; the
+    walk must visit every live crossing twice.  Such a node builds no child
+    and switches its crossings with ``switch_inplace`` alone.
     Every other node costs Reidemeister simplification, seeded with the
     crossings its smoothing reconnected (every crossing at the root), a
     trace that must find p components, the split check, the memo and the
@@ -180,13 +200,8 @@ class SkeinEngine:
         if hit is not None:
             self.hits += 1
             return hit
-        if p == 1 and budget == 2:  # every child is closed here, in one walk
-            total, odd, children, leaves = K.knot_leaf_sum(conn, sign, starts[0])
-            if odd:
-                raise ConwayError("odd inter-component crossing count")
-            self.nodes += children
-            self.leaves += leaves
-            out = (1, 0, total >> 1)
+        if p == 1 and budget == 2:  # a knot root: every child is closed here, in one walk
+            out = (1, 0, self._knot_a2(conn, sign, starts[0]))
             self.memo[key] = out
             return out
         nbad, bad_ids, eps = K.chain_scan(conn, sign, starts)
@@ -200,6 +215,9 @@ class SkeinEngine:
             counts = _even(frame[2])
             minors = [None] * p  # the Laplacian of counts less row and column j
         closes = budget <= p + 1
+        # every inter-component child of a two-component node at budget 3 is
+        # a knot at budget 2, closed here in one walk
+        knots = p == 2 and budget == 3
         last = nbad - 1  # the last child that is copied and smoothed
         while closes and last >= 0 and (
             labels[4 * bad_ids[last]] == labels[4 * bad_ids[last] + 2]
@@ -226,23 +244,35 @@ class SkeinEngine:
                 bsign = sign[:]
                 btodo = []
                 bloops = K.smooth_inplace(bconn, bsign, c, btodo)
-                sub = self._eval(bconn, bsign, bloops, p + 1 if a == b else p - 1,
-                                 budget - 1, btodo)
+                if not knots:
+                    sub = self._eval(bconn, bsign, bloops, p + 1 if a == b else p - 1,
+                                     budget - 1, btodo)
+                else:
+                    # a knot at budget 2, closed here unreduced; the node is
+                    # compacted and settles nothing, so c is the only removed
+                    # crossing and the walk starts at the first live in-port
+                    self.nodes += 1
+                    if not bloops:
+                        sub = (1, 0, self._knot_a2(bconn, bsign, 4 if c == 0 else 0))
+                    else:  # a free loop: the unknot, or a split link
+                        sub = (int(bloops == 1 and not any(bsign)), 0, 0)
                 for j in range(1, budget + 1):
                     coeffs[j] += e * sub[j - 1]
             if i + 1 < nbad:
                 if i < last:
                     K.switch_inplace(conn, sign, c)
-                    # settle the switch once, for every later child: a kink
+                    # settle the switch once, for every later built child (a
+                    # knot child is walked unreduced and needs none): a kink
                     # or clasp it made holds c, found from c or from the
                     # crossing feeding one of its in-ports
-                    settle = [conn[4 * c] >> 2, conn[4 * c + 2] >> 2, c]
-                    if K.reidemeister_simplify(conn, sign, settle):
+                    if not knots and K.reidemeister_simplify(
+                        conn, sign, [conn[4 * c] >> 2, conn[4 * c + 2] >> 2, c]
+                    ):
                         # a free loop: the switched diagram is split, or the
                         # unknot at p = 1, and worth coeffs[0] either way
                         break
                 else:
-                    sign[c] = -e  # no later child is built, and the frame never reads conn
+                    sign[c] = -e  # no later child is smoothed, and the frame never reads conn
                 if frame is not None and a != b:
                     counts[a][b] -= 2 * e
                     counts[b][a] -= 2 * e
@@ -250,6 +280,20 @@ class SkeinEngine:
         out = tuple(coeffs)
         self.memo[key] = out
         return out
+
+    def _knot_a2(self, conn, sign, start) -> int:
+        """a_2 of a knot diagram, compacted or not, from one ``knot_leaf_sum``
+        walk from in-port ``start`` that closes every child of the knot at
+        budget 2; the walk must visit every live crossing twice."""
+        total, odd, children, leaves, ports = self.k.knot_leaf_sum(conn, sign, start)
+        live = len(sign) - sign.count(0)
+        if ports != 2 * live:
+            raise ConwayError(f"node traced {ports} of {2 * live} in-ports, carried 1")
+        if odd:
+            raise ConwayError("odd inter-component crossing count")
+        self.nodes += children
+        self.leaves += leaves
+        return total >> 1
 
 
 def _even(rows: list[list[int]]) -> list[list[int]]:

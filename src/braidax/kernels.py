@@ -186,9 +186,14 @@ def knot_leaf_sum(conn, sign, start):
     crossing is a free loop, which makes the child split.  After its leaf
     the violation's sign is flipped, as the node's switch would.
 
-    Returns ``(total, odd, children, leaves)``: the sum over the leaves of
-    the violation's sign times the doubled linking number, nonzero when a
-    doubled count is odd, and how many violations and leaves there were.
+    Runs on compacted arrays or not: a removed crossing's ports are off the
+    walk, since ``splice_out`` links the live ports directly.
+
+    Returns ``(total, odd, children, leaves, ports)``: the sum over the
+    leaves of the violation's sign times the doubled linking number, nonzero
+    when a doubled count is odd, how many violations and leaves there were,
+    and how many in-ports the walk visited, twice the live crossings when
+    the diagram is a knot.
     """
     walk = []
     pos = [0] * len(conn)
@@ -226,7 +231,7 @@ def knot_leaf_sum(conn, sign, start):
             total += e * rest
             odd |= rest
         sign[c] = -e
-    return total, odd & 1, children, leaves
+    return total, odd & 1, children, leaves, n
 
 
 def chain_scan(conn, sign, starts):

@@ -5,6 +5,7 @@ breaks it; these tests fail first.  ``perfbench/tracing.py`` and
 ``perfbench/worker.py`` import neither numpy nor sympy at module level.
 """
 
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -24,6 +25,21 @@ def perfbench():
         import tracing
         import worker
     return tracing, worker
+
+
+class LoggingKernels(CountingKernels):
+    """The kernels, counted and logged by name in call order."""
+
+    def __init__(self):
+        self.log = []
+        super().__init__()
+
+    def _counted(self, name, f):
+        def run(*args):
+            self.log.append(name)
+            return f(*args)
+
+        return super()._counted(name, run)
 
 
 def test_kernel_names(perfbench):
@@ -60,15 +76,24 @@ def test_engine_calls_only_traced_kernels(perfbench, form, degree):
     # Hoste-leaf kernels, whose time the trace files under conway.self_s
     tracing, _ = perfbench
     w = braidax.cyclic_free_reduce(braidax.square(braidax.family_member(form, 1)))
-    kernels = CountingKernels()
+    kernels = LoggingKernels()
     braidax.SkeinEngine(kernels).truncated(braidax.axis_link_diagram(w), degree)
     untraced = set(kernels.calls) - set(tracing.ENGINE_KERNELS)
     assert untraced <= {"knot_leaf_sum", "leaf_frame", "leaf_counts"}, untraced
-    # the root, every built child and every switch in a chain simplify once,
-    # through the traced kernel
+    # the root, every built child and every switch settled for a later built
+    # child simplify once, through the traced kernel; a knot child (of a
+    # two-component node at budget 3) is smoothed and walked, never simplified
     calls = kernels.calls
-    assert calls["switch_inplace"] > 0
-    assert calls["reidemeister_simplify"] == 1 + calls["smooth_inplace"] + calls["switch_inplace"]
+    log = kernels.log
+    after = Counter(zip(log, log[1:]))
+    built = after["smooth_inplace", "reidemeister_simplify"]
+    knots = after["smooth_inplace", "knot_leaf_sum"]
+    settled = after["switch_inplace", "reidemeister_simplify"]
+    assert log[:2] == ["trace_inports", "reidemeister_simplify"]
+    assert built + knots == calls["smooth_inplace"]
+    assert knots == calls["knot_leaf_sum"] > 0
+    assert calls["switch_inplace"] > settled
+    assert calls["reidemeister_simplify"] == 1 + built + settled
 
 
 def test_boundary_traces_the_deletions(perfbench):

@@ -28,7 +28,7 @@ from braidax import (
     squared_family_check,
     two_cycle_check,
 )
-from braidax.kernels import get_kernels
+from braidax.kernels import get_kernels, splice_out
 
 from conftest import (
     CountingKernels,
@@ -352,6 +352,22 @@ class TestLeafFirstEngine:
         with pytest.raises(ConwayError, match="traced 2 components, carried 3"):
             MiscountingEngine(get_kernels()).truncated(closure_diagram(w(2, 1, 1)), 3)
 
+    def test_knot_child_rejects_a_wrong_component_count(self):
+        # the Hopf link at budget 3 closes the knot children of its two
+        # crossings in the root, each by one walk and never traced: a
+        # smoothing that passes both strands straight through leaves two
+        # components, and the walk from one misses the other's in-ports
+        kernels = SimpleNamespace(**vars(get_kernels()))
+
+        def smooth_inplace(conn, sign, c, todo):
+            return splice_out(conn, sign, (c,), todo)
+
+        kernels.smooth_inplace = smooth_inplace
+        d = closure_diagram(w(2, 1, 1))
+        assert SkeinEngine().truncated(d, 3).coeffs == (0, 1, 0, 0)
+        with pytest.raises(ConwayError, match="traced 1 of 2 in-ports, carried 1"):
+            SkeinEngine(kernels).truncated(d, 3)
+
     def test_odd_frame_counts_are_rejected(self):
         # the engine checks a frame's counts once, where it builds the frame:
         # its inter-component switches move them by even steps
@@ -390,16 +406,16 @@ class TestLeafFirstEngine:
     @pytest.mark.parametrize(
         "run, nodes, hits, leaves, switches",
         [
-            (lambda eng: squared_family_check(9, engine=eng), 449, 4, 419, 109),
-            (lambda eng: joint_cycle_check(5, engine=eng), 454, 31, 329, 250),
-            (lambda eng: two_cycle_check(2, 3, engine=eng), 1117, 78, 795, 483),
+            (lambda eng: squared_family_check(9, engine=eng), 414, 0, 384, 109),
+            (lambda eng: joint_cycle_check(5, engine=eng), 580, 8, 445, 276),
+            (lambda eng: two_cycle_check(2, 3, engine=eng), 1357, 17, 1033, 493),
         ],
         ids=["squared_family_9", "joint_cycle_5", "two_cycle_2_3"],
     )
     def test_pinned_node_counts(self, run, nodes, hits, leaves, switches):
         # leaves: the linking_counts calls of the engine that built every leaf;
         # switches: a node switches crossings in conn only up to its last
-        # built child, and after it flips their signs alone
+        # smoothed child, built or a knot, and after it flips their signs alone
         kernels = CountingKernels()
         eng = SkeinEngine(kernels)
         assert run(eng).passed

@@ -12,13 +12,24 @@ from braidax import (
     ExchangeForm,
     ExperimentError,
     FitError,
+    axis_link_diagram,
     axis_sequence,
+    axis_word,
+    canonical_joint_cycle_braid,
+    canonical_odd_knot_braid,
+    conway_polynomial,
     corpus_check,
+    cycle_decomposition,
+    cyclic_free_reduce,
+    delete_component,
+    family_member,
     fit_polynomial,
     joint_cycle_check,
     load_corpus,
+    permutation_of,
     progression_check,
     second_difference_target,
+    square,
     squared_family_check,
     two_cycle_check,
 )
@@ -163,6 +174,39 @@ class TestFamilyChecks:
         # samples at other m than the fit assumes would be fitted as m, m+1, ...
         with pytest.raises(ExperimentError, match="contiguous"):
             joint_cycle_check(n, m_range=ms, engine=engine)
+
+
+class TestSkeinMatchesBurauAtBenchmarkSizes:
+    """The skein window of the experiments' own members against the Burau
+    route, at the sizes the benchmark runs: the property tests reach only
+    8-letter words."""
+
+    @staticmethod
+    def check(engine, w, degree):
+        w = cyclic_free_reduce(w)
+        burau = conway_polynomial(axis_word(w)) + (0,) * degree
+        assert engine.truncated(axis_link_diagram(w), degree).coeffs == burau[: degree + 1]
+
+    @pytest.mark.parametrize("n", range(9, 14, 2))
+    def test_dn_a3(self, engine, n):
+        form = canonical_odd_knot_braid(n)
+        for m in range(-1, 2):
+            self.check(engine, square(family_member(form, m)), 3)
+
+    @pytest.mark.parametrize("n", [6, 7])
+    def test_eq54_a4(self, engine, n):
+        form = canonical_joint_cycle_braid(n)
+        strands = [None]
+        if n % 2:  # both deletion choices of the squared middle cycle
+            cycles = cycle_decomposition(permutation_of(square(form.word()))).cycles
+            strands = [min(c) for c in cycles if set(c) <= set(range(3, n))]
+            assert len(strands) == 2
+        for strand in strands:
+            for m in range(-1, 3):
+                w = square(family_member(form, m))
+                if strand is not None:
+                    w = delete_component(w, strand)
+                self.check(engine, w, 4)
 
 
 class TestCorpus:

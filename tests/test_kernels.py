@@ -527,8 +527,9 @@ class TestKnotLeafSum:
         start = data.draw(st.sampled_from(range(0, len(conn), 2)))
         ref_sign = sign[:]
         want = knot_leaf_reference(conn, ref_sign, start)
-        total, odd, children, leaves = K.knot_leaf_sum(conn, sign, start)
+        total, odd, children, leaves, ports = K.knot_leaf_sum(conn, sign, start)
         assert odd == 0 and total % 2 == 0
+        assert ports == len(conn) // 2
         assert (total >> 1, children, leaves) == want
         assert sign == ref_sign
 
@@ -537,7 +538,7 @@ class TestKnotLeafSum:
         # arc between crossing 1's visits meets crossing 0 only once
         conn, sign = [5, 6, 7, 4, 3, 0, 1, 2], [1, 1]
         assert K.trace_inports(conn)[1] == 1
-        assert K.knot_leaf_sum(conn, sign[:], 0) == (1, 1, 1, 1)
+        assert K.knot_leaf_sum(conn, sign[:], 0) == (1, 1, 1, 1, 4)
         with pytest.raises(ConwayError, match="odd inter-component crossing count"):
             SkeinEngine().truncated(LinkDiagram(conn, sign), 2)
 
