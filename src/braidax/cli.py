@@ -186,10 +186,13 @@ _EXPERIMENT_ARGS = {
     "table8": (("path",), None, False),
 }
 _OPTIONS = sorted({opt for options, _, _ in _EXPERIMENT_ARGS.values() for opt in options})
-# the largest sizes an experiment accepts: at each cap a run takes about ten
-# seconds or less on a 2-core x86-64 host (dn 101: 10.5 s, eq54 16: 7.7 s,
-# lemma64 12,12: 5.9 s, prop25 --canonical-odd 101: 9.6 s), and the cost
-# grows without bound past it
+# the largest sizes an experiment accepts: when they were set, a run at each
+# cap took about ten seconds on a 2-core x86-64 host (dn 101: 10.5 s, eq54
+# 16: 7.7 s, lemma64 12,12: 5.9 s, prop25 --canonical-odd 101: 9.6 s); with
+# knot children walked in their node it takes 0.5 s, 1.5 s, 1.2 s and 0.6 s
+# there, in a fresh process.  The cost still grows without bound past them,
+# and a large size with a wide m range is bounded by neither, so the caps
+# stay until the engine has a node budget
 _CAPS = {
     "dn": {"n": 101},
     "eq54": {"n": 16},

@@ -50,20 +50,23 @@ A knot at budget 2 builds no child at all: every crossing is a
 self-crossing, so each violation's smoothing is a two-component Hoste leaf
 whose a_1 is the linking number of the two arcs between its visits.  One
 kernel call (``knot_leaf_sum``) walks the knot once from a basepoint, lists
-the violations as ``chain_scan`` does, sums each leaf's shorter arc with the
-live signs and flips the violation's sign after it; most parent-side leaves
+the violations as ``chain_scan`` does and sums their leaves in the same
+sweep, reading nothing twice and writing nothing; most parent-side leaves
 of the benchmark's a_3 and a_4 runs close there.
 
 Such a knot is itself built only at the root.  Everywhere else it is an
 inter-component child of a two-component node at budget 3, the node every
 a_3 of a knot's axis link and every a_4 of a two-cycle link runs through,
-and that node closes it: it copies the arrays, smooths the crossing and
-walks the copy from its first live in-port, with no simplification,
-``compact``, trace, split check or memo entry.  An unreduced diagram is
-still a diagram of the knot, and ``splice_out`` links the live ports
-directly, so the walk never meets the removed crossing.  In place of the
-trace, the walk must visit every live crossing twice.  The node's switches
-then only need ``switch_inplace``: settling is for built children.
+and that node closes it in its own arrays: no copy, smoothing,
+simplification, ``compact``, trace, split check or memo entry.  The walk
+passes the smoothed crossing as the smoothing would, from the in-port the
+compacted child's walk would start at.  Such a node never writes ``conn``:
+a switch flips the crossing's sign and marks it in ``flip``, and the walk
+reads a marked crossing's strands the other way up.  An unreduced diagram
+is still a diagram of the knot.  In place of the trace, the walk must visit
+every crossing but the smoothed one twice.  Smoothing an inter-component
+crossing never frees a loop: that needs each component to pass the crossing
+alone, an odd count the node's frame rejects first.
 
 All coefficients are exact integers; there is no floating point here.
 """
@@ -118,12 +121,15 @@ class SkeinEngine:
     would be pruned or be a Hoste leaf is closed in its parent without being
     built, a Hoste leaf as a bordered minor of the parent's Laplacian.
     A knot at budget 2 closes all its children, each a leaf or a free loop,
-    in one ``knot_leaf_sum`` walk, without ``chain_scan`` or a frame.  Only
-    a knot root is built as a node: a two-component node at budget 3 closes
-    each of its inter-component children, a knot at budget 2, in that walk
-    over its smoothed copy, unsimplified, untraced and never memoized; the
-    walk must visit every live crossing twice.  Such a node builds no child
-    and switches its crossings with ``switch_inplace`` alone.
+    in one read-only ``knot_leaf_sum`` sweep, without ``chain_scan`` or a
+    frame.  Only a knot root is built as a node: a two-component node at
+    budget 3 closes each of its inter-component children, a knot at budget
+    2, with that sweep over its own arrays, passing the smoothed crossing by
+    its smoothing and reading the crossings it switched (marked in ``flip``,
+    with their signs flipped) the other way up; the child is never copied,
+    simplified, traced or memoized, and the walk must visit every crossing
+    but the smoothed one twice.  Such a node builds no child and never
+    writes ``conn``.
     Every other node costs Reidemeister simplification, seeded with the
     crossings its smoothing reconnected (every crossing at the root), a
     trace that must find p components, the split check, the memo and the
@@ -201,7 +207,7 @@ class SkeinEngine:
             self.hits += 1
             return hit
         if p == 1 and budget == 2:  # a knot root: every child is closed here, in one walk
-            out = (1, 0, self._knot_a2(conn, sign, starts[0]))
+            out = (1, 0, self._knot_a2(conn, sign, [0] * len(sign), starts[0], -1))
             self.memo[key] = out
             return out
         nbad, bad_ids, eps = K.chain_scan(conn, sign, starts)
@@ -216,9 +222,13 @@ class SkeinEngine:
             minors = [None] * p  # the Laplacian of counts less row and column j
         closes = budget <= p + 1
         # every inter-component child of a two-component node at budget 3 is
-        # a knot at budget 2, closed here in one walk
+        # a knot at budget 2, closed here in one walk over the node's arrays:
+        # such a node switches a crossing by flipping its sign and marking
+        # its strands swapped in ``flip``, and never writes ``conn``
         knots = p == 2 and budget == 3
-        last = nbad - 1  # the last child that is copied and smoothed
+        if knots:
+            flip = [0] * len(sign)
+        last = -1 if knots else nbad - 1  # the last child that is copied and smoothed
         while closes and last >= 0 and (
             labels[4 * bad_ids[last]] == labels[4 * bad_ids[last] + 2]
         ):
@@ -239,40 +249,40 @@ class SkeinEngine:
                         if minors[a] is None:
                             minors[a] = _laplacian_minor(counts, a)
                         coeffs[budget] += e * _bordered_tree_sum(minors[a], row, a)  # times z
+            elif knots:
+                # the child is walked from its in-port 0 (4 when c is 0), the
+                # basepoint its compacted copy would have, read through flip
+                self.nodes += 1
+                s = 4 if c == 0 else 0
+                coeffs[1] += e
+                coeffs[3] += e * self._knot_a2(conn, sign, flip, s ^ flip[s >> 2], c)
             else:
                 bconn = conn[:]
                 bsign = sign[:]
                 btodo = []
                 bloops = K.smooth_inplace(bconn, bsign, c, btodo)
-                if not knots:
-                    sub = self._eval(bconn, bsign, bloops, p + 1 if a == b else p - 1,
-                                     budget - 1, btodo)
-                else:
-                    # a knot at budget 2, closed here unreduced; the node is
-                    # compacted and settles nothing, so c is the only removed
-                    # crossing and the walk starts at the first live in-port
-                    self.nodes += 1
-                    if not bloops:
-                        sub = (1, 0, self._knot_a2(bconn, bsign, 4 if c == 0 else 0))
-                    else:  # a free loop: the unknot, or a split link
-                        sub = (int(bloops == 1 and not any(bsign)), 0, 0)
+                sub = self._eval(bconn, bsign, bloops, p + 1 if a == b else p - 1,
+                                 budget - 1, btodo)
                 for j in range(1, budget + 1):
                     coeffs[j] += e * sub[j - 1]
             if i + 1 < nbad:
                 if i < last:
                     K.switch_inplace(conn, sign, c)
-                    # settle the switch once, for every later built child (a
-                    # knot child is walked unreduced and needs none): a kink
-                    # or clasp it made holds c, found from c or from the
+                    # settle the switch once, for every later built child: a
+                    # kink or clasp it made holds c, found from c or from the
                     # crossing feeding one of its in-ports
-                    if not knots and K.reidemeister_simplify(
+                    if K.reidemeister_simplify(
                         conn, sign, [conn[4 * c] >> 2, conn[4 * c + 2] >> 2, c]
                     ):
                         # a free loop: the switched diagram is split, or the
                         # unknot at p = 1, and worth coeffs[0] either way
                         break
                 else:
-                    sign[c] = -e  # no later child is smoothed, and the frame never reads conn
+                    # no later child is built, the frame never reads conn, and
+                    # a knot child reads c's strands through flip
+                    sign[c] = -e
+                    if knots:
+                        flip[c] = 2
                 if frame is not None and a != b:
                     counts[a][b] -= 2 * e
                     counts[b][a] -= 2 * e
@@ -281,12 +291,16 @@ class SkeinEngine:
         self.memo[key] = out
         return out
 
-    def _knot_a2(self, conn, sign, start) -> int:
-        """a_2 of a knot diagram, compacted or not, from one ``knot_leaf_sum``
-        walk from in-port ``start`` that closes every child of the knot at
-        budget 2; the walk must visit every live crossing twice."""
-        total, odd, children, leaves, ports = self.k.knot_leaf_sum(conn, sign, start)
-        live = len(sign) - sign.count(0)
+    def _knot_a2(self, conn, sign, flip, start, smoothed) -> int:
+        """a_2 of a knot, from one ``knot_leaf_sum`` walk that closes every
+        child of the knot at budget 2: the compacted diagram ``conn``,
+        ``sign`` with crossing ``smoothed`` smoothed (-1: none) and the
+        crossings ``flip`` marks switched, from in-port ``start``.  The walk
+        must visit every live crossing twice."""
+        total, odd, children, leaves, ports = self.k.knot_leaf_sum(
+            conn, sign, flip, start, smoothed
+        )
+        live = len(sign) - (smoothed >= 0)
         if ports != 2 * live:
             raise ConwayError(f"node traced {ports} of {2 * live} in-ports, carried 1")
         if odd:

@@ -33,7 +33,10 @@ their diagram once.  Every other Hoste leaf is closed in its parent:
 the row a smoothing adds to the linking numbers from that frame, without
 building the child or reading ``conn``; the engine borders a minor of the
 parent's Laplacian with it.  A knot node at budget 2 needs neither:
-``knot_leaf_sum`` closes all its children in one walk.
+``knot_leaf_sum`` closes all its children in one linear, read-only sweep.
+It takes the knot as its node holds it, a crossing smoothed and others
+switched, without a copy: a two-component node at budget 3 walks each of
+its knot children in its own arrays.
 
 Every kernel is a plain Python function: the engine reads single items in
 loops, and a list item is read several times faster than an ndarray item.
@@ -175,19 +178,30 @@ def leaf_counts(frame, sign, labels, c):
     return row
 
 
-def knot_leaf_sum(conn, sign, start):
-    """Close every child of a knot node at budget 2 in one walk from ``start``.
+def knot_leaf_sum(conn, sign, flip, start, smoothed):
+    """Close every child of a knot node at budget 2 in one read-only walk.
+
+    The knot is the diagram of ``conn`` with crossing ``smoothed`` smoothed
+    (-1: none) and every crossing k with ``flip[k] == 2`` switched, walked
+    from in-port ``start``; nothing is written.  The walk passes the smoothed
+    crossing as its smoothing does, leaving through the other strand's
+    out-port, and reads a switched crossing's strands the other way up.
 
     The descending violations are the crossings first met on their under
     strand, in encounter order, as ``chain_scan`` lists them.  Smoothing one
     gives a two-component Hoste leaf whose a_1 is the linking number of the
-    two arcs between its visits: the shorter arc is summed with the live
-    ``sign``, as ``leaf_counts`` does, and an arc that meets no other
-    crossing is a free loop, which makes the child split.  After its leaf
-    the violation's sign is flipped, as the node's switch would.
+    two arcs between its visits; an arc that meets no other crossing is a
+    free loop, which makes the child split.  The node flips each violation's
+    sign after its leaf, so of two interleaved violations the later one's
+    leaf reads the earlier flipped and the pair cancels: the total needs
+    only the pairs of a violation and an interleaved non-violation, with the
+    signs the walk starts with.
 
-    Runs on compacted arrays or not: a removed crossing's ports are off the
-    walk, since ``splice_out`` links the live ports directly.
+    Each crossing takes a rank when the walk first meets it, and bitmasks of
+    ranks hold the non-violations by sign and the chords closed so far.
+    When a violation closes, the chords opened since it opened and the
+    chords closed since are the visits between its two, and their symmetric
+    difference is the chords that interleave it.
 
     Returns ``(total, odd, children, leaves, ports)``: the sum over the
     leaves of the violation's sign times the doubled linking number, nonzero
@@ -195,43 +209,51 @@ def knot_leaf_sum(conn, sign, start):
     and how many in-ports the walk visited, twice the live crossings when
     the diagram is a knot.
     """
-    walk = []
-    pos = [0] * len(conn)
+    rank = [-1] * len(sign)
+    opened_at = [None] * len(sign)  # a violation's closed chords when it opened
+    plus = minus = closed = 0
+    opened = ports = total = odd = children = leaves = last0 = 0
     cur = start
     while True:
-        pos[cur] = len(walk)
-        walk.append(cur)
-        cur = conn[cur + 1]
+        k = cur >> 2
+        if k == smoothed:
+            cur = conn[(cur ^ 2) + 1]
+        else:
+            ports += 1
+            r = rank[k]
+            if r < 0:
+                rank[k] = opened
+                if (cur ^ flip[k]) & 2:  # met first on its under strand
+                    children += 1
+                    opened_at[k] = closed
+                elif sign[k] > 0:
+                    plus |= 1 << opened
+                else:
+                    minus |= 1 << opened
+                opened += 1
+            else:
+                was = opened_at[k]
+                if was is not None:
+                    inside = closed ^ was  # the chords closed since it opened
+                    # the visits between its two, as many as the chords opened
+                    # and closed since, and of the interleaved chords' parity
+                    between = opened - r - 1 + inside.bit_count()
+                    if between:  # else the inner arc is a free loop
+                        leaves += 1
+                        odd |= between
+                        if not r:
+                            last0 = ports
+                        cross = ((1 << opened) - (2 << r)) ^ inside
+                        total += sign[k] * (
+                            (cross & plus).bit_count() - (cross & minus).bit_count()
+                        )
+                closed |= 1 << r
+            cur = conn[cur + 1]
         if cur == start:
             break
-    n = len(walk)
-    total = odd = children = leaves = 0
-    for a in range(n):
-        q = walk[a]
-        if not q & 2:
-            continue
-        b = pos[q ^ 2]
-        if b < a:  # met first on the over strand
-            continue
-        children += 1
-        c = q >> 2
-        e = sign[c]
-        if b - a != 1 and b - a != n - 1:
-            rest = 0
-            if 2 * (b - a) <= n:
-                for x in walk[a + 1 : b]:
-                    o = pos[x ^ 2]
-                    if o < a or o > b:  # the crossing's other visit is off the arc
-                        rest += sign[x >> 2]
-            else:
-                for x in walk[b + 1 :] + walk[:a]:
-                    if a < pos[x ^ 2] < b:
-                        rest += sign[x >> 2]
-            leaves += 1
-            total += e * rest
-            odd |= rest
-        sign[c] = -e
-    return total, odd & 1, children, leaves, n
+    if last0 == ports:  # the first violation closed last: the arc around is a free loop
+        leaves -= 1
+    return total, odd & 1, children, leaves, ports
 
 
 def chain_scan(conn, sign, starts):

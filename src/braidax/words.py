@@ -494,20 +494,16 @@ def parse_word(text: str | Sequence[int | str], strands: int) -> BraidWord:
     """Parse the whitespace-separated signed-integer word format.
 
     An integer i > 0 means the i-th generator, i < 0 its inverse.  The strand
-    count is always given alongside, never inferred.
+    count is always given alongside, never inferred.  Only the tokens are
+    converted here; ``BraidWord`` checks the strand count, then the letters.
     """
     tokens = text.split() if isinstance(text, str) else list(text)
     letters = []
     for pos, tok in enumerate(tokens):
         try:
-            k = int(tok)
+            letters.append(int(tok))
         except (TypeError, ValueError):
             raise WordError(f"token {tok!r} at position {pos} is not an integer")
-        if k == 0 or abs(k) >= strands:
-            raise WordError(
-                f"letter {k} at position {pos} out of range for {strands} strands"
-            )
-        letters.append(k)
     return BraidWord(strands, tuple(letters))
 
 

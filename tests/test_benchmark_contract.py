@@ -82,17 +82,17 @@ def test_engine_calls_only_traced_kernels(perfbench, form, degree):
     assert untraced <= {"knot_leaf_sum", "leaf_frame", "leaf_counts"}, untraced
     # the root, every built child and every switch settled for a later built
     # child simplify once, through the traced kernel; a knot child (of a
-    # two-component node at budget 3) is smoothed and walked, never simplified
+    # two-component node at budget 3) is walked in its node's arrays, never
+    # copied, smoothed, switched or simplified
     calls = kernels.calls
     log = kernels.log
     after = Counter(zip(log, log[1:]))
     built = after["smooth_inplace", "reidemeister_simplify"]
-    knots = after["smooth_inplace", "knot_leaf_sum"]
     settled = after["switch_inplace", "reidemeister_simplify"]
     assert log[:2] == ["trace_inports", "reidemeister_simplify"]
-    assert built + knots == calls["smooth_inplace"]
-    assert knots == calls["knot_leaf_sum"] > 0
-    assert calls["switch_inplace"] > settled
+    assert built == calls.get("smooth_inplace", 0)
+    assert settled == calls.get("switch_inplace", 0)
+    assert calls["knot_leaf_sum"] > 0
     assert calls["reidemeister_simplify"] == 1 + built + settled
 
 

@@ -81,6 +81,14 @@ class TestInfo:
         code, _, err = run(capsys, "info", "--n", "4")
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["info", "invariant"])
+    def test_strand_count_is_checked_before_the_letters(self, capsys, command):
+        # every letter is out of range for a nonpositive strand count: the
+        # count is the error, the same for both commands
+        code, _, err = run(capsys, command, "--n", "-2", "--", "1")
+        assert code == 2
+        assert err == "error: strand count must be positive, got -2\n"
+
 
 class TestInvariant:
     def test_hopf(self, capsys):

@@ -11,6 +11,7 @@ import braidax.diagram
 from braidax import (
     BraidWord,
     ConwayError,
+    LinkDiagram,
     SkeinEngine,
     axis_link_diagram,
     axis_word,
@@ -28,7 +29,7 @@ from braidax import (
     squared_family_check,
     two_cycle_check,
 )
-from braidax.kernels import get_kernels, splice_out
+from braidax.kernels import get_kernels
 
 from conftest import (
     CountingKernels,
@@ -354,19 +355,37 @@ class TestLeafFirstEngine:
 
     def test_knot_child_rejects_a_wrong_component_count(self):
         # the Hopf link at budget 3 closes the knot children of its two
-        # crossings in the root, each by one walk and never traced: a
-        # smoothing that passes both strands straight through leaves two
-        # components, and the walk from one misses the other's in-ports
+        # crossings in the root, each by one walk and never traced: a walk
+        # that passes the smoothed crossing straight through, as if it were
+        # not smoothed, stays on one component and misses the other's in-ports
         kernels = SimpleNamespace(**vars(get_kernels()))
 
-        def smooth_inplace(conn, sign, c, todo):
-            return splice_out(conn, sign, (c,), todo)
+        def knot_leaf_sum(conn, sign, flip, start, smoothed):
+            conn = conn[:]
+            o = 4 * smoothed + 1
+            conn[o], conn[o + 2] = conn[o + 2], conn[o]
+            return get_kernels().knot_leaf_sum(conn, sign, flip, start, smoothed)
 
-        kernels.smooth_inplace = smooth_inplace
+        kernels.knot_leaf_sum = knot_leaf_sum
         d = closure_diagram(w(2, 1, 1))
         assert SkeinEngine().truncated(d, 3).coeffs == (0, 1, 0, 0)
         with pytest.raises(ConwayError, match="traced 1 of 2 in-ports, carried 1"):
             SkeinEngine(kernels).truncated(d, 3)
+
+    def test_a_knot_child_never_frees_a_loop(self):
+        # smoothing an inter-component crossing c frees a loop only when each
+        # component passes c and nothing else (an inter-component crossing's
+        # out-ports lead to the other component), and then each component
+        # meets the other once: the node's frame rejects that odd count
+        # before any child is closed
+        K = get_kernels()
+        conn, sign = [1, 0, 3, 2], [1]
+        assert K.trace_inports(conn)[1] == 2
+        assert K.smooth_inplace(conn[:], sign[:], 0, []) == 1
+        eng = SkeinEngine()
+        with pytest.raises(ConwayError, match="odd inter-component crossing count"):
+            eng.truncated(LinkDiagram(conn, sign), 3)
+        assert eng.nodes == 1
 
     def test_odd_frame_counts_are_rejected(self):
         # the engine checks a frame's counts once, where it builds the frame:
@@ -406,18 +425,20 @@ class TestLeafFirstEngine:
     @pytest.mark.parametrize(
         "run, nodes, hits, leaves, switches",
         [
-            (lambda eng: squared_family_check(9, engine=eng), 414, 0, 384, 109),
-            (lambda eng: joint_cycle_check(5, engine=eng), 580, 8, 445, 276),
-            (lambda eng: two_cycle_check(2, 3, engine=eng), 1357, 17, 1033, 493),
+            (lambda eng: squared_family_check(9, engine=eng), 414, 0, 384, 0),
+            (lambda eng: joint_cycle_check(5, engine=eng), 580, 8, 445, 47),
+            (lambda eng: two_cycle_check(2, 3, engine=eng), 1357, 17, 1033, 76),
         ],
         ids=["squared_family_9", "joint_cycle_5", "two_cycle_2_3"],
     )
     def test_pinned_node_counts(self, run, nodes, hits, leaves, switches):
         # leaves: the linking_counts calls of the engine that built every leaf;
         # switches: a node switches crossings in conn only up to its last
-        # smoothed child, built or a knot, and after it flips their signs alone
+        # built child, and after it flips their signs alone; a two-component
+        # node at budget 3 builds none, so the a_3 of a knot's axis link
+        # switches nothing in conn
         kernels = CountingKernels()
         eng = SkeinEngine(kernels)
         assert run(eng).passed
         assert (eng.nodes, eng.hits, eng.leaves) == (nodes, hits, leaves)
-        assert kernels.calls["switch_inplace"] == switches
+        assert kernels.calls.get("switch_inplace", 0) == switches

@@ -6,7 +6,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import braidax
@@ -34,7 +34,7 @@ from braidax.conway import (
 )
 from braidax.kernels import get_kernels, splice_out
 
-from conftest import CountingKernels, braid_words
+from conftest import CountingKernels, ShuffledStartsKernels, braid_words
 
 K = get_kernels()
 
@@ -508,37 +508,193 @@ def knot_leaf_reference(conn, sign, start):
     return value, len(bad_ids), leaves
 
 
-class TestKnotLeafSum:
-    """The one-walk knot kernel against the per-leaf route."""
+def knot_leaf_sum_reference(conn, sign, start):
+    """The walk-then-arcs kernel the one-sweep kernel replaces: record the
+    walk from ``start``, then per violation sum the shorter arc between its
+    visits with the live signs and flip its sign after it.  Runs on a copy
+    that was switched and smoothed in its arrays; returns the kernel's tuple."""
+    walk = []
+    pos = [0] * len(conn)
+    cur = start
+    while True:
+        pos[cur] = len(walk)
+        walk.append(cur)
+        cur = conn[cur + 1]
+        if cur == start:
+            break
+    n = len(walk)
+    total = odd = children = leaves = 0
+    for a in range(n):
+        q = walk[a]
+        if not q & 2:
+            continue
+        b = pos[q ^ 2]
+        if b < a:  # met first on the over strand
+            continue
+        children += 1
+        c = q >> 2
+        e = sign[c]
+        if b - a != 1 and b - a != n - 1:
+            rest = 0
+            if 2 * (b - a) <= n:
+                for x in walk[a + 1 : b]:
+                    o = pos[x ^ 2]
+                    if o < a or o > b:  # the crossing's other visit is off the arc
+                        rest += sign[x >> 2]
+            else:
+                for x in walk[b + 1 :] + walk[:a]:
+                    if a < pos[x ^ 2] < b:
+                        rest += sign[x >> 2]
+            leaves += 1
+            total += e * rest
+            odd |= rest
+        sign[c] = -e
+    return total, odd & 1, children, leaves, n
 
-    @given(
-        braid_words(max_letters=12).filter(
-            lambda word: cycle_decomposition(permutation_of(word)).count == 1
-        ),
-        st.booleans(),
-        st.data(),
+
+def knot_words(max_letters=12):
+    return braid_words(max_letters=max_letters).filter(
+        lambda word: cycle_decomposition(permutation_of(word)).count == 1
     )
-    def test_matches_the_per_leaf_route(self, word, simplified, data):
-        conn, sign = closure_diagram(word).arrays()
-        if simplified:
-            if K.reidemeister_simplify(conn, sign) or not any(sign):
-                return  # simplified to a crossing-free unknot
-            conn, sign = K.compact(conn, sign)
+
+
+def reduced_node(d):
+    """A diagram's arrays as a node holds them: simplified and compacted, or
+    None when simplifying leaves a free loop or no crossing."""
+    conn, sign = d.arrays()
+    if K.reidemeister_simplify(conn, sign) or not any(sign):
+        return None
+    return K.compact(conn, sign)
+
+
+class ReadOnceList(list):
+    """A list that counts the reads of each item and refuses writes,
+    slices and iteration: a kernel handed one may only index it."""
+
+    def __init__(self, items):
+        super().__init__(items)
+        self.reads = [0] * len(items)
+
+    def __getitem__(self, i):
+        self.reads[i] += 1
+        return super().__getitem__(i)
+
+    def __setitem__(self, i, value):
+        raise AssertionError("the kernel wrote conn")
+
+    def __iter__(self):
+        raise AssertionError("the kernel iterated over conn")
+
+
+class TestKnotLeafSum:
+    """The one-sweep knot kernel against the walk-then-arcs kernel it
+    replaced and against the per-leaf route."""
+
+    @given(knot_words(), st.booleans(), st.data())
+    def test_matches_the_walk_then_arcs_kernel(self, word, simplified, data):
+        d = closure_diagram(word)
+        node = reduced_node(d) if simplified else d.arrays()
+        if node is None or not node[1]:
+            return  # a crossing-free unknot
+        conn, sign = node
         start = data.draw(st.sampled_from(range(0, len(conn), 2)))
-        ref_sign = sign[:]
-        want = knot_leaf_reference(conn, ref_sign, start)
-        total, odd, children, leaves, ports = K.knot_leaf_sum(conn, sign, start)
+        want = knot_leaf_sum_reference(conn, sign[:], start)
+        assert K.knot_leaf_sum(conn, sign, [0] * len(sign), start, -1) == want
+
+    @given(knot_words(), st.booleans(), st.data())
+    def test_matches_the_per_leaf_route(self, word, simplified, data):
+        d = closure_diagram(word)
+        node = reduced_node(d) if simplified else d.arrays()
+        if node is None or not node[1]:
+            return  # a crossing-free unknot
+        conn, sign = node
+        start = data.draw(st.sampled_from(range(0, len(conn), 2)))
+        before = sign[:]
+        want = knot_leaf_reference(conn, sign[:], start)
+        total, odd, children, leaves, ports = K.knot_leaf_sum(
+            conn, sign, [0] * len(sign), start, -1
+        )
         assert odd == 0 and total % 2 == 0
         assert ports == len(conn) // 2
         assert (total >> 1, children, leaves) == want
-        assert sign == ref_sign
+        assert sign == before  # read-only: the node flips the signs itself
+
+    @given(
+        st.one_of(
+            braid_words(max_letters=10).filter(
+                lambda word: cycle_decomposition(permutation_of(word)).count == 2
+            ).map(closure_diagram),
+            knot_words(max_letters=8).map(axis_link_diagram),
+        ),
+        st.integers(0, 2**31 - 1),
+    )
+    # a node whose shuffled chain smooths crossing 0
+    @example(closure_diagram(BraidWord(3, (-2, -1, -2, -1, -2))), 5)
+    def test_walk_in_place_matches_the_switched_smoothed_copy(self, d, seed):
+        # every walk a two-component node at budget 3 makes of a knot child,
+        # at every step of its chain, against the route it replaced: copy
+        # the node's arrays, switch the crossings flip marks, smooth c (which
+        # never frees a loop) and walk the copy from its in-port 0 (4 when c
+        # is 0).  From the traced basepoints crossing 0 is met first on its
+        # over strand, so it is never switched or smoothed; shuffled
+        # basepoints reach both cases
+        kernels = ShuffledStartsKernels(seed)
+
+        def knot_leaf_sum(conn, sign, flip, start, smoothed):
+            got = K.knot_leaf_sum(conn, sign, flip, start, smoothed)
+            if smoothed >= 0:
+                bconn = conn[:]
+                bsign = [-e if f else e for e, f in zip(sign, flip)]
+                for k, f in enumerate(flip):
+                    if f:
+                        K.switch_inplace(bconn, bsign, k)
+                assert bsign == sign
+                assert K.smooth_inplace(bconn, bsign, smoothed, []) == 0
+                assert got == knot_leaf_sum_reference(bconn, bsign, 4 if smoothed == 0 else 0)
+            return got
+
+        kernels.knot_leaf_sum = knot_leaf_sum
+        assert SkeinEngine(kernels).truncated(d, 3) == SkeinEngine().truncated(d, 3)
+
+    def test_a_violation_around_the_whole_walk_is_a_free_loop(self):
+        # from in-port 6 of this two-crossing unknot both crossings are
+        # violations, and crossing 1 is met first and last: the arc around
+        # its visits meets nothing, so neither smoothing is a leaf
+        conn, sign = closure_diagram(BraidWord(3, (1, 2))).arrays()
+        want = knot_leaf_sum_reference(conn, sign[:], 6)
+        assert want == (0, 0, 2, 0, 4)
+        assert K.knot_leaf_sum(conn, sign, [0, 0], 6, -1) == want
+
+    def test_reads_each_conn_entry_at_most_once(self):
+        # the dn n=61 axis link at a_3: every knot child of its root, a
+        # two-component node at budget 3, is one linear walk, with no copy
+        # or slice of conn
+        kernels = CountingKernels()
+        base = kernels.knot_leaf_sum
+        most = []
+
+        def knot_leaf_sum(conn, sign, flip, start, smoothed):
+            conn = ReadOnceList(conn)
+            out = base(conn, tuple(sign), tuple(flip), start, smoothed)
+            most.append(max(conn.reads))
+            assert sum(conn.reads) == out[4] + 2 * (smoothed >= 0)
+            return out
+
+        kernels.knot_leaf_sum = knot_leaf_sum
+        form = braidax.canonical_odd_knot_braid(61)
+        w = braidax.cyclic_free_reduce(braidax.square(braidax.family_member(form, 1)))
+        d = axis_link_diagram(w)
+        assert SkeinEngine(kernels).truncated(d, 3) == SkeinEngine().truncated(d, 3)
+        assert len(most) > 50 and max(most) == 1
+        assert "smooth_inplace" not in kernels.calls and "switch_inplace" not in kernels.calls
 
     def test_odd_arc_count_is_rejected(self):
         # a Gauss code no planar diagram has: walking from in-port 0, the
         # arc between crossing 1's visits meets crossing 0 only once
         conn, sign = [5, 6, 7, 4, 3, 0, 1, 2], [1, 1]
         assert K.trace_inports(conn)[1] == 1
-        assert K.knot_leaf_sum(conn, sign[:], 0) == (1, 1, 1, 1, 4)
+        assert K.knot_leaf_sum(conn, sign, [0, 0], 0, -1) == (1, 1, 1, 1, 4)
+        assert knot_leaf_sum_reference(conn, sign[:], 0) == (1, 1, 1, 1, 4)
         with pytest.raises(ConwayError, match="odd inter-component crossing count"):
             SkeinEngine().truncated(LinkDiagram(conn, sign), 2)
 
