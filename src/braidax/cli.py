@@ -94,8 +94,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--m-max", type=int, help="last m of the sample range")
     p_exp.add_argument("--corpus", dest="path", type=str, help="corpus TSV path (table8)")
     p_exp.add_argument("--out", type=str, default=".", help="report output directory")
-    p_exp.add_argument("--format", dest="out_format", default="both",
-                       choices=("tsv", "json", "both"))
     return parser
 
 
@@ -257,10 +255,8 @@ def _cmd_experiment(args) -> int:
     elapsed = time.perf_counter() - t0
 
     stem = out_dir / f"braidax_{name}"
-    if args.out_format in ("json", "both"):
-        (stem.with_suffix(".json")).write_text(report.to_json())
-    if args.out_format in ("tsv", "both"):
-        (stem.with_suffix(".tsv")).write_text(report.to_tsv())
+    stem.with_suffix(".json").write_text(report.to_json())
+    stem.with_suffix(".tsv").write_text(report.to_tsv())
     sys.stdout.write(report.to_tsv())
     print(f"result\t{'PASS' if report.passed else 'FAIL'}")
     print(f"[runtime] {name}: {elapsed:.2f}s", file=sys.stderr)

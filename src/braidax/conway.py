@@ -11,12 +11,21 @@ crossing whose two strands lie on one component splits it (p + 1), smoothing
 any other crossing joins two (p - 1), and switching keeps p.  Leaves close
 from p alone, before any Reidemeister move: a node whose budget is below
 p - 1 is pruned, and at budget p - 1 the linking numbers give the lowest
-coefficient (both are link invariants; Hoste, Proc. AMS 94, 1985).  Only the
-remaining nodes are simplified, checked for being split, looked up in the
-memo and recursed on; each checks that its trace finds p components.  The
-root is closed from its first trace.  The knot children of a two-component
-node at budget 3 are the one exception: they are closed in that node,
-unreduced (below).
+coefficient (both are link invariants; Hoste, Proc. AMS 94, 1985).  Such a
+root is closed from its first trace, a Hoste leaf by one ``linking_counts``
+call on its labels; such a child is closed in its parent, never built.
+
+Every other node runs one pipeline: Reidemeister simplification,
+``compact``, a trace that must find p components, the split check and the
+memo.  Then it walks its components once, in ``chain_scan``, which lists
+the descending violations and builds the node's frame in the same walk:
+each component's in-ports in walk order, their positions, and the doubled
+inter-component crossing counts.  Each violation's child is closed in the
+node (below) or copied, smoothed and recursed on, and the violation is then
+switched.  It is switched only at its own step, so the node reads its sign
+from ``sign`` when it comes to it.  A knot at budget 2 walks itself once in
+``knot_leaf_sum`` instead, and the knot children of a two-component node at
+budget 3 are closed in that node unreduced, skipping the pipeline (below).
 
 Each kink or cancelling clasp is removed once, in the node whose move made
 it, by one worklist kernel (``reidemeister_simplify`` with a ``todo`` list).
@@ -24,27 +33,28 @@ The root checks every crossing.  A built child checks only the crossings its
 smoothing reconnected, because its parent is already reduced.  Every switch
 in a node's chain, up to its last built child, is settled in the node's own
 arrays (a node that builds no child settles none): the worklist starts at
-the switched crossing and the crossings
-feeding its in-ports, and follows the removals it sets off, so no sibling
-rediscovers the clasps the switches made.  The settled chain stays valid:
-removing kinks and clasps keeps the order in which the remaining crossings
-are met from the basepoints, so ``chain_scan``'s list less the removed
-crossings (sign 0, skipped) is still the descending resolution; a leaf's
-arc reads sign 0 at a removed crossing, where a clasp's opposite signs would
-cancel and a kink counts nothing; and the frame's linking counts move only
-with the switches.  A settled switch that frees a loop ends the chain: the
-switched diagram is split, or is the unknot at p = 1, so the rest of the
-chain adds only ``coeffs[0]``, which is already set.
+the switched crossing and the crossings feeding its in-ports, and follows
+the removals it sets off, so no sibling rediscovers the clasps the switches
+made.  The settled chain stays valid: removing kinks and clasps keeps the
+order in which the remaining crossings are met from the basepoints, so
+``chain_scan``'s list less the removed crossings (sign 0, skipped) is still
+the descending resolution; a leaf's arc reads sign 0 at a removed crossing,
+where a clasp's opposite signs would cancel and a kink counts nothing; and
+the frame's linking counts move only with the switches.  A settled switch
+that frees a loop ends the chain: the switched diagram is split, or is the
+unknot at p = 1, so the rest of the chain adds only ``coeffs[0]``, which is
+already set.
 
-Most leaves are the children of such a node, and the node closes them
+Most leaves are the children of an interior node, and the node closes them
 itself.  Smoothing a self-crossing adds a component and spends one degree,
 so that child is pruned when the node's budget is at most p and is a Hoste
-leaf when it is p + 1.  At budget p + 1 the node walks its components once
-(``leaf_frame``); one pass over the shorter arc of a smoothing counts it
-against every component (``leaf_counts``), without building the child.  Any
-Laplacian cofactor gives Hoste's sum, so the leaf's deletes the rest of the
-split component j: the parent's Laplacian less row and column j, cached per
-j, bordered by the arc.  After the last built child a switch only flips a sign.
+leaf when it is p + 1.  At budget p + 1 the node reads its frame (other
+nodes leave it unread): one pass over the shorter arc of a smoothing counts
+it against every component (``leaf_counts``), without building the child.
+Any Laplacian cofactor gives Hoste's sum, so the leaf's deletes the rest of
+the split component j: the parent's Laplacian less row and column j, cached
+per j, bordered by the arc.  After the last built child a switch only flips
+a sign.
 
 A knot at budget 2 builds no child at all: every crossing is a
 self-crossing, so each violation's smoothing is a two-component Hoste leaf
@@ -114,29 +124,6 @@ class SkeinEngine:
     hit saves a subtree: without it the benchmark's ``a4_families`` workload
     walks 11% more nodes (seed 13).  On ``a3_axis`` it hits nothing, since
     the root of a knot's axis link closes every child itself.
-
-    The root is pruned when its budget is below its component count p minus
-    one, and is a Hoste leaf at budget p - 1, closed by one
-    ``linking_counts`` call on the labels of its one trace.  A child that
-    would be pruned or be a Hoste leaf is closed in its parent without being
-    built, a Hoste leaf as a bordered minor of the parent's Laplacian.
-    A knot at budget 2 closes all its children, each a leaf or a free loop,
-    in one read-only ``knot_leaf_sum`` sweep, without ``chain_scan`` or a
-    frame.  Only a knot root is built as a node: a two-component node at
-    budget 3 closes each of its inter-component children, a knot at budget
-    2, with that sweep over its own arrays, passing the smoothed crossing by
-    its smoothing and reading the crossings it switched (marked in ``flip``,
-    with their signs flipped) the other way up; the child is never copied,
-    simplified, traced or memoized, and the walk must visit every crossing
-    but the smoothed one twice.  Such a node builds no child and never
-    writes ``conn``.
-    Every other node costs Reidemeister simplification, seeded with the
-    crossings its smoothing reconnected (every crossing at the root), a
-    trace that must find p components, the split check, the memo and the
-    recursion; only the children that recurse are copied and smoothed.  Up
-    to the last of them each switch is settled by a seeded simplification in
-    the node's arrays, which ends the chain when it frees a loop; after it
-    crossings are switched in ``sign`` alone.
 
     ``nodes`` counts every node, closed children included, ``hits`` the memo
     hits, and ``leaves`` the Hoste leaves closed from linking numbers, at
@@ -210,16 +197,16 @@ class SkeinEngine:
             out = (1, 0, self._knot_a2(conn, sign, [0] * len(sign), starts[0], -1))
             self.memo[key] = out
             return out
-        nbad, bad_ids, eps = K.chain_scan(conn, sign, starts)
+        bad_ids, frame = K.chain_scan(conn, sign, labels, starts)
         coeffs = [1 if p == 1 else 0] + [0] * budget
         # smoothing a self-crossing leaves p + 1 components and budget - 1:
         # such a child is pruned when budget <= p and a Hoste leaf when
         # budget == p + 1; both are closed here without building them
-        frame = None
         if budget == p + 1:
-            frame = K.leaf_frame(conn, sign, labels, starts)
             counts = _even(frame[2])
             minors = [None] * p  # the Laplacian of counts less row and column j
+        else:
+            frame = None
         closes = budget <= p + 1
         # every inter-component child of a two-component node at budget 3 is
         # a knot at budget 2, closed here in one walk over the node's arrays:
@@ -228,16 +215,16 @@ class SkeinEngine:
         knots = p == 2 and budget == 3
         if knots:
             flip = [0] * len(sign)
-        last = -1 if knots else nbad - 1  # the last child that is copied and smoothed
+        # the last child that is copied and smoothed
+        last = -1 if knots else len(bad_ids) - 1
         while closes and last >= 0 and (
             labels[4 * bad_ids[last]] == labels[4 * bad_ids[last] + 2]
         ):
             last -= 1
-        for i in range(nbad):
-            c = bad_ids[i]
-            if not sign[c]:
+        for i, c in enumerate(bad_ids):
+            e = sign[c]  # c is switched only at its own step, below
+            if not e:
                 continue  # removed by an earlier switch's simplification
-            e = eps[i]
             a = labels[4 * c]
             b = labels[4 * c + 2]
             if a == b and closes:
@@ -265,28 +252,29 @@ class SkeinEngine:
                                  budget - 1, btodo)
                 for j in range(1, budget + 1):
                     coeffs[j] += e * sub[j - 1]
-            if i + 1 < nbad:
-                if i < last:
-                    K.switch_inplace(conn, sign, c)
-                    # settle the switch once, for every later built child: a
-                    # kink or clasp it made holds c, found from c or from the
-                    # crossing feeding one of its in-ports
-                    if K.reidemeister_simplify(
-                        conn, sign, [conn[4 * c] >> 2, conn[4 * c + 2] >> 2, c]
-                    ):
-                        # a free loop: the switched diagram is split, or the
-                        # unknot at p = 1, and worth coeffs[0] either way
-                        break
-                else:
-                    # no later child is built, the frame never reads conn, and
-                    # a knot child reads c's strands through flip
-                    sign[c] = -e
-                    if knots:
-                        flip[c] = 2
-                if frame is not None and a != b:
-                    counts[a][b] -= 2 * e
-                    counts[b][a] -= 2 * e
-                    minors = [None] * p
+            # switch c before the next step; after the last, nothing reads
+            # the node's arrays
+            if i < last:
+                K.switch_inplace(conn, sign, c)
+                # settle the switch once, for every later built child: a
+                # kink or clasp it made holds c, found from c or from the
+                # crossing feeding one of its in-ports
+                if K.reidemeister_simplify(
+                    conn, sign, [conn[4 * c] >> 2, conn[4 * c + 2] >> 2, c]
+                ):
+                    # a free loop: the switched diagram is split, or the
+                    # unknot at p = 1, and worth coeffs[0] either way
+                    break
+            else:
+                # no later child is built, the frame never reads conn, and
+                # a knot child reads c's strands through flip
+                sign[c] = -e
+                if knots:
+                    flip[c] = 2
+            if frame is not None and a != b:
+                counts[a][b] -= 2 * e
+                counts[b][a] -= 2 * e
+                minors = [None] * p
         out = tuple(coeffs)
         self.memo[key] = out
         return out

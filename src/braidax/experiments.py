@@ -67,7 +67,10 @@ class CoefficientSequence:
         return tuple(range(self.m_start, self.m_start + len(self.values)))
 
     def value_at(self, m: int) -> int:
-        return self.values[m - self.m_start]
+        i = m - self.m_start
+        if not 0 <= i < len(self.values):
+            raise ExperimentError(f"m={m} outside the sampled range {self.m_values}")
+        return self.values[i]
 
 
 @dataclass(frozen=True)
@@ -78,6 +81,8 @@ class PolynomialFit:
     coeffs: tuple[Fraction, ...]  # coeffs[k] multiplies m^k
 
     def coefficient(self, k: int) -> Fraction:
+        if k < 0:
+            raise ExperimentError(f"no coefficient of m^{k}")
         return self.coeffs[k] if k < len(self.coeffs) else Fraction(0)
 
     def evaluate(self, m: int) -> Fraction:
@@ -308,7 +313,8 @@ def two_cycle_check(
     """a_4 along the two-cycle family is cubic-free in m, even in m for the
     bare seed, and the quadratic coefficients of the family and its mirror
     add up to 2(n1-1)(n2-1)."""
-    if len(list(m_range)) < 5:
+    ms = list(m_range)
+    if len(ms) < 5:
         raise ExperimentError("need at least 5 samples for the cubic fit")
     form = canonical_split_cycle_braid(n1, n2)
     target = 2 * (n1 - 1) * (n2 - 1)
@@ -319,7 +325,7 @@ def two_cycle_check(
     quads = []
     family_seq = None
     for tag, f in (("family", form), ("mirror", form.mirrored())):
-        seq = axis_sequence(f, False, m_range, 4, eng)
+        seq = axis_sequence(f, False, ms, 4, eng)
         if tag == "family":
             family_seq = seq
         try:
@@ -327,7 +333,7 @@ def two_cycle_check(
         except FitError as exc:
             return _finish(
                 "lemma64",
-                {"n1": n1, "n2": n2, "m_range": list(m_range)},
+                {"n1": n1, "n2": n2, "m_range": ms},
                 {"quadratic_sum": target},
                 {f"{tag}_sequence": list(seq.values), "fit_error": str(exc)},
                 [False],
@@ -352,7 +358,7 @@ def two_cycle_check(
     checks.append(quads[0] + quads[1] == target)
     return _finish(
         "lemma64",
-        {"n1": n1, "n2": n2, "m_range": list(m_range)},
+        {"n1": n1, "n2": n2, "m_range": ms},
         {"quadratic_sum": target, "cubic": 0,
          "origin": "closed form 2(n1-1)(n2-1) for the mirror-pair quadratic sum"},
         computed,

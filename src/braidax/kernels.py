@@ -28,15 +28,16 @@ in-place ones need lists.
 
 ``linking_counts`` reads the labels of a ``trace_inports`` call the caller
 has already made, so ``linking_matrix`` and a Hoste leaf at the root walk
-their diagram once.  Every other Hoste leaf is closed in its parent:
-``leaf_frame`` walks the parent's components once, and ``leaf_counts`` gives
-the row a smoothing adds to the linking numbers from that frame, without
-building the child or reading ``conn``; the engine borders a minor of the
-parent's Laplacian with it.  A knot node at budget 2 needs neither:
-``knot_leaf_sum`` closes all its children in one linear, read-only sweep.
-It takes the knot as its node holds it, a crossing smoothed and others
-switched, without a copy: a two-component node at budget 3 walks each of
-its knot children in its own arrays.
+their diagram once.  Every other Hoste leaf is closed in its parent.  The
+walk in which ``chain_scan`` lists the parent's descending violations also
+builds the parent's frame, each component's in-ports in walk order, and
+``leaf_counts`` gives the row a smoothing adds to the linking numbers from
+that frame, without building the child or reading ``conn``; the engine
+borders a minor of the parent's Laplacian with it.  A knot node at budget
+2 needs no frame: ``knot_leaf_sum`` closes all its children in one linear,
+read-only sweep.  It takes the knot as its node holds it, a crossing
+smoothed and others switched, without a copy: a two-component node at
+budget 3 walks each of its knot children in its own arrays.
 
 Every kernel is a plain Python function: the engine reads single items in
 loops, and a list item is read several times faster than an ndarray item.
@@ -115,33 +116,6 @@ def linking_counts(sign, labels, ncomp):
             counts[a][b] += s
             counts[b][a] += s
     return counts
-
-
-def leaf_frame(conn, sign, labels, starts):
-    """What a node needs to close its Hoste-leaf children without building them.
-
-    Runs on compacted arrays.  Returns ``(walks, pos, counts)``: ``walks[j]``
-    lists the in-ports of component j in walk order from its start (indexed
-    by label, since ``starts`` may come in any order), ``pos[q]`` is in-port
-    q's position on its walk, and ``counts[a][b]`` is twice the linking
-    number of components a and b.  A crossing switch changes the ports a
-    strand uses but not which strands pass a crossing, so the frame keeps
-    the node's port numbers; the caller moves ``counts`` on each switch.
-    """
-    ncomp = len(starts)
-    walks = [None] * ncomp
-    pos = [0] * len(conn)
-    for s in starts:
-        walk = []
-        cur = s
-        while True:
-            pos[cur] = len(walk)
-            walk.append(cur)
-            cur = conn[cur + 1]
-            if cur == s:
-                break
-        walks[labels[s]] = walk
-    return walks, pos, linking_counts(sign, labels, ncomp)
 
 
 def leaf_counts(frame, sign, labels, c):
@@ -256,30 +230,43 @@ def knot_leaf_sum(conn, sign, flip, start, smoothed):
     return total, odd & 1, children, leaves, ports
 
 
-def chain_scan(conn, sign, starts):
-    """Walk all components in order and list the descending violations.
+def chain_scan(conn, sign, labels, starts):
+    """Walk all components once: list the descending violations and build
+    the frame a node closes its Hoste-leaf children from.
 
     A crossing first met on its under strand is 'bad'.  Switching the bad
     crossings in encounter order turns the diagram descending, and the
     strand path itself never changes, so a single read-only pass suffices.
-    Returns (nbad, bad_ids, eps) with eps the sign before switching.
+
+    Runs on compacted arrays.  Returns ``(bad_ids, (walks, pos, counts))``:
+    ``walks[j]`` lists the in-ports of component j in walk order from its
+    start (indexed by label, since ``starts`` may come in any order),
+    ``pos[q]`` is in-port q's position on its walk, and ``counts[a][b]`` is
+    twice the linking number of components a and b.  A crossing switch
+    changes the ports a strand uses but not which strands pass a crossing,
+    so the frame keeps the node's port numbers; the caller moves ``counts``
+    on each switch.
     """
     visited = [False] * len(sign)
     bad_ids = []
-    eps = []
+    walks = [None] * len(starts)
+    pos = [0] * len(conn)
     for start in starts:
+        walk = []
         cur = start
         while True:
+            pos[cur] = len(walk)
+            walk.append(cur)
             c = cur >> 2
             if not visited[c]:
                 visited[c] = True
                 if cur & 2:  # entered on the under strand
                     bad_ids.append(c)
-                    eps.append(sign[c])
             cur = conn[cur + 1]
             if cur == start:
                 break
-    return len(bad_ids), bad_ids, eps
+        walks[labels[start]] = walk
+    return bad_ids, (walks, pos, linking_counts(sign, labels, len(starts)))
 
 
 def switch_inplace(conn, sign, c):
@@ -420,7 +407,6 @@ KERNELS = SimpleNamespace(
     trace_inports=trace_inports,
     split_components=split_components,
     linking_counts=linking_counts,
-    leaf_frame=leaf_frame,
     leaf_counts=leaf_counts,
     knot_leaf_sum=knot_leaf_sum,
     chain_scan=chain_scan,

@@ -388,17 +388,17 @@ class TestLeafFirstEngine:
         assert eng.nodes == 1
 
     def test_odd_frame_counts_are_rejected(self):
-        # the engine checks a frame's counts once, where it builds the frame:
-        # its inter-component switches move them by even steps
+        # the engine checks a frame's counts once, as chain_scan returns
+        # them: its inter-component switches move them by even steps
         kernels = SimpleNamespace(**vars(get_kernels()))
 
-        def leaf_frame(*args):
-            walks, pos, counts = get_kernels().leaf_frame(*args)
+        def chain_scan(*args):
+            bad_ids, (walks, pos, counts) = get_kernels().chain_scan(*args)
             counts[0][1] += 1
             counts[1][0] += 1
-            return walks, pos, counts
+            return bad_ids, (walks, pos, counts)
 
-        kernels.leaf_frame = leaf_frame
+        kernels.chain_scan = chain_scan
         d = closure_diagram(w(3, 1, 1, 1, 2, 2))  # a trefoil linked with an unknot
         with pytest.raises(ConwayError, match="odd inter-component crossing count"):
             SkeinEngine(kernels).truncated(d, 3)

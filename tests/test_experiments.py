@@ -76,6 +76,19 @@ class TestFitPolynomial:
         fit = fit_polynomial(self.seq(values), 2)
         assert fit.coefficient(2) == Fraction(1, 2)
 
+    def test_coefficient_of_a_negative_power_is_rejected(self):
+        fit = fit_polynomial(self.seq((0, 1, 4, 9, 16)), 2)
+        assert fit.coefficient(3) == 0  # above the degree: zero, not unknown
+        with pytest.raises(ExperimentError, match="no coefficient of m\\^-1"):
+            fit.coefficient(-1)
+
+    def test_value_outside_the_samples_is_rejected(self):
+        seq = self.seq((10, 20, 30))
+        assert [seq.value_at(m) for m in seq.m_values] == [10, 20, 30]
+        for m in (-1, 3):  # -1 used to wrap round to the value at m = 2
+            with pytest.raises(ExperimentError, match=f"m={m} outside the sampled range"):
+                seq.value_at(m)
+
 
 class TestAxisSequence:
     def test_singleton_range(self, engine):
@@ -148,6 +161,13 @@ class TestFamilyChecks:
         assert report.computed["quadratic_sum"] == "2"
         assert report.computed["family_cubic"] == "0"
         assert report.computed["even_in_m"]
+
+    def test_lemma64_takes_an_iterator(self, engine):
+        # the range is read once, so an iterator is not used up by the check
+        # on its length
+        report = two_cycle_check(2, 2, m_range=iter(range(-2, 3)), engine=engine)
+        assert report.data_dict() == two_cycle_check(2, 2, engine=engine).data_dict()
+        assert report.parameters["m_range"] == [-2, -1, 0, 1, 2]
 
     def test_lemma64_without_a_pair_m_minus_m(self, engine):
         # 1..5 holds no pair m, -m, so evenness is neither claimed nor checked

@@ -356,6 +356,67 @@ class TestLinkingCounts:
         assert self.check(*d.arrays()) == [[0, 2 * e], [2 * e, 0]]
 
 
+def chain_scan_reference(conn, sign, starts):
+    """The violation scan before it built the frame: one walk over all
+    components that lists the crossings first met on their under strand.
+    Returns (nbad, bad_ids, eps), eps the signs before switching."""
+    visited = [False] * len(sign)
+    bad_ids = []
+    eps = []
+    for start in starts:
+        cur = start
+        while True:
+            c = cur >> 2
+            if not visited[c]:
+                visited[c] = True
+                if cur & 2:  # entered on the under strand
+                    bad_ids.append(c)
+                    eps.append(sign[c])
+            cur = conn[cur + 1]
+            if cur == start:
+                break
+    return len(bad_ids), bad_ids, eps
+
+
+def leaf_frame_reference(conn, sign, labels, starts):
+    """The second walk that built the frame after the scan: (walks, pos,
+    counts), with walks indexed by label."""
+    walks = [None] * len(starts)
+    pos = [0] * len(conn)
+    for s in starts:
+        walk = []
+        cur = s
+        while True:
+            pos[cur] = len(walk)
+            walk.append(cur)
+            cur = conn[cur + 1]
+            if cur == s:
+                break
+        walks[labels[s]] = walk
+    return walks, pos, linking_counts_reference(conn, sign, labels, starts)
+
+
+class TestChainScan:
+    """The one walk that lists the violations and builds the frame, against
+    the scan and the frame walk it replaced."""
+
+    @given(braid_words(max_letters=10), st.booleans(), st.booleans(), st.booleans(),
+           st.integers(0, 2**31 - 1))
+    def test_matches_the_two_walks(self, word, axis, simplified, shuffled, seed):
+        d = axis_link_diagram(word) if axis else closure_diagram(word)
+        node = reduced_node(d) if simplified else d.arrays()
+        if node is None:
+            return  # simplifying left a free loop or no crossing
+        conn, sign = node
+        kernels = ShuffledStartsKernels(seed) if shuffled else K
+        labels, _, starts = kernels.trace_inports(conn)
+        before = (conn[:], sign[:])
+        _, bad_ids, _ = chain_scan_reference(conn, sign, starts)
+        got = K.chain_scan(conn, sign, labels, starts)
+        assert got == (bad_ids, leaf_frame_reference(conn, sign, labels, starts))
+        assert (conn, sign) == before
+
+
 def leaf_reference(conn, sign, c):
     """The Hoste leaf built as a child: copy, smooth c, then a free loop
     (None) or the doubled linking numbers of the compacted, traced child."""
@@ -437,32 +498,32 @@ class TestLeafCounts:
                 ports[labels[q]].append(q)
             order = data.draw(st.permutations(range(ncomp)))
             starts = [data.draw(st.sampled_from(ports[j])) for j in order]
-        nbad, bad_ids, eps = K.chain_scan(conn, sign, starts)
-        frame = K.leaf_frame(conn, sign, labels, starts)
+        bad_ids, frame = K.chain_scan(conn, sign, labels, starts)
         counts = frame[2]
         # full switches up to the last built child, then sign-only flips,
         # which leave conn behind: the reference keeps switching a copy
-        full = data.draw(st.integers(0, nbad))
-        flips = data.draw(st.integers(0, nbad - full))
+        full = data.draw(st.integers(0, len(bad_ids)))
+        flips = data.draw(st.integers(0, len(bad_ids) - full))
         ref_conn, ref_sign = conn, sign
         for i in range(full + flips):
             c = bad_ids[i]
+            e = sign[c]  # each violation is switched once, at its own step
             if i == full:
                 ref_conn, ref_sign = conn[:], sign[:]
             K.switch_inplace(ref_conn, ref_sign, c)
             if i >= full:
-                sign[c] = -eps[i]
+                sign[c] = -e
             a, b = labels[4 * c], labels[4 * c + 2]
             if a != b:
-                counts[a][b] -= 2 * eps[i]
-                counts[b][a] -= 2 * eps[i]
+                counts[a][b] -= 2 * e
+                counts[b][a] -= 2 * e
         self.check(sign, labels, frame, ref_conn, ref_sign)
 
     def test_kink_is_a_free_loop(self):
         conn, sign = closure_diagram(BraidWord(3, (1, 1, 2))).arrays()
         assert conn[4 * 2 + 1] == 4 * 2 + 2  # crossing 2 is a kink
         labels, _, starts = K.trace_inports(conn)
-        frame = K.leaf_frame(conn, sign, labels, starts)
+        _, frame = K.chain_scan(conn, sign, labels, starts)
         assert K.leaf_counts(frame, sign, labels, 2) is None
         assert leaf_reference(conn, sign, 2) is None
         self.check(sign, labels, frame, conn, sign)
@@ -491,15 +552,15 @@ class TestLeafCounts:
 
 def knot_leaf_reference(conn, sign, start):
     """A knot node's children at budget 2 closed one by one, the route the
-    fused kernel replaces: ``chain_scan``, a frame, then ``leaf_counts`` and
-    the bordered minor per violation, flipping its sign after it.  Returns
-    (a_2, children, leaves)."""
+    fused kernel replaces: ``chain_scan`` and its frame, then ``leaf_counts``
+    and the bordered minor per violation, flipping its sign after it.
+    Returns (a_2, children, leaves)."""
     labels, _, _ = K.trace_inports(conn)
-    _, bad_ids, eps = K.chain_scan(conn, sign, [start])
-    frame = K.leaf_frame(conn, sign, labels, [start])
+    bad_ids, frame = K.chain_scan(conn, sign, labels, [start])
     minor = _laplacian_minor(_even(frame[2]), 0)
     value = leaves = 0
-    for c, e in zip(bad_ids, eps):
+    for c in bad_ids:
+        e = sign[c]
         row = K.leaf_counts(frame, sign, labels, c)
         if row is not None:
             leaves += 1
