@@ -8,24 +8,21 @@ switched (same degree budget, strictly closer to descending) and smoothed
 
 Every node is handed its component count p, free loops included: smoothing a
 crossing whose two strands lie on one component splits it (p + 1), smoothing
-any other crossing joins two (p - 1), and switching keeps p.  Leaves close
-from p alone, before any Reidemeister move: a node whose budget is below
-p - 1 is pruned, and at budget p - 1 the linking numbers give the lowest
-coefficient (both are link invariants; Hoste, Proc. AMS 94, 1985).  Such a
-root is closed from its first trace, a Hoste leaf by one ``linking_counts``
-call on its labels; such a child is closed in its parent, never built.
+any other crossing joins two (p - 1), and switching keeps p.  A node whose
+budget is below p - 1 is pruned from p alone, and at budget p - 1 one
+``linking_counts`` call gives the lowest coefficient (both are link
+invariants; Hoste, Proc. AMS 94, 1985).  The root and every built child
+close so, the leaf right after its trace; the other leaves close in their
+parent and are never built.
 
 Every other node runs one pipeline: Reidemeister simplification,
 ``compact``, a trace that must find p components, the split check and the
-memo.  Then it walks its components once, in ``chain_scan``, which lists
-the descending violations and builds the node's frame in the same walk:
-each component's in-ports in walk order, their positions, and the doubled
-inter-component crossing counts.  Each violation's child is closed in the
-node (below) or copied, smoothed and recursed on, and the violation is then
-switched.  It is switched only at its own step, so the node reads its sign
-from ``sign`` when it comes to it.  A knot at budget 2 walks itself once in
-``knot_leaf_sum`` instead, and the knot children of a two-component node at
-budget 3 are closed in that node unreduced, skipping the pipeline (below).
+memo.  Then ``chain_scan`` lists its descending violations in one walk.
+Each violation's child is closed in the node (below) or copied, smoothed
+and recursed on, and the violation is then switched.  It is switched only
+at its own step, so the node reads its sign from ``sign`` when it comes to
+it.  A knot at budget 2 walks itself once in ``knot_leaf_sum`` instead, and
+a two-component node at budget 3 closes every child in its own arrays.
 
 Each kink or cancelling clasp is removed once, in the node whose move made
 it, by one worklist kernel (``reidemeister_simplify`` with a ``todo`` list).
@@ -38,45 +35,42 @@ the removals it sets off, so no sibling rediscovers the clasps the switches
 made.  The settled chain stays valid: removing kinks and clasps keeps the
 order in which the remaining crossings are met from the basepoints, so
 ``chain_scan``'s list less the removed crossings (sign 0, skipped) is still
-the descending resolution; a leaf's arc reads sign 0 at a removed crossing,
-where a clasp's opposite signs would cancel and a kink counts nothing; and
-the frame's linking counts move only with the switches.  A settled switch
-that frees a loop ends the chain: the switched diagram is split, or is the
-unknot at p = 1, so the rest of the chain adds only ``coeffs[0]``, which is
-already set.
+the descending resolution.  A settled switch that frees a loop ends the
+chain: the switched diagram is split, or is the unknot at p = 1, so the rest
+of the chain adds only ``coeffs[0]``, which is already set.  After the last
+built child a switch only flips a sign.
 
-Most leaves are the children of an interior node, and the node closes them
-itself.  Smoothing a self-crossing adds a component and spends one degree,
-so that child is pruned when the node's budget is at most p and is a Hoste
-leaf when it is p + 1.  At budget p + 1 the node reads its frame (other
-nodes leave it unread): one pass over the shorter arc of a smoothing counts
-it against every component (``leaf_counts``), without building the child.
-Any Laplacian cofactor gives Hoste's sum, so the leaf's deletes the rest of
-the split component j: the parent's Laplacian less row and column j, cached
-per j, bordered by the arc.  After the last built child a switch only flips
-a sign.
+Smoothing a self-crossing adds a component and spends one degree, so that
+child is pruned in the node when its budget is at most p, and is a Hoste
+leaf at budget p + 1.  At p >= 3 that leaf is built and closed after its
+trace (294 of the 3896 such children of the benchmark's ``a4_families``,
+seed 13); at p = 1 and p = 2 each closes in one read-only walk of its node.
 
 A knot at budget 2 builds no child at all: every crossing is a
 self-crossing, so each violation's smoothing is a two-component Hoste leaf
 whose a_1 is the linking number of the two arcs between its visits.  One
 kernel call (``knot_leaf_sum``) walks the knot once from a basepoint, lists
 the violations as ``chain_scan`` does and sums their leaves in the same
-sweep, reading nothing twice and writing nothing; most parent-side leaves
-of the benchmark's a_3 and a_4 runs close there.
+sweep, reading nothing twice and writing nothing; most leaves of the
+benchmark's a_3 and a_4 runs close there.
 
-Such a knot is itself built only at the root.  Everywhere else it is an
-inter-component child of a two-component node at budget 3, the node every
-a_3 of a knot's axis link and every a_4 of a two-cycle link runs through,
-and that node closes it in its own arrays: no copy, smoothing,
-simplification, ``compact``, trace, split check or memo entry.  The walk
-passes the smoothed crossing as the smoothing would, from the in-port the
-compacted child's walk would start at.  Such a node never writes ``conn``:
-a switch flips the crossing's sign and marks it in ``flip``, and the walk
-reads a marked crossing's strands the other way up.  An unreduced diagram
-is still a diagram of the knot.  In place of the trace, the walk must visit
-every crossing but the smoothed one twice.  Smoothing an inter-component
-crossing never frees a loop: that needs each component to pass the crossing
-alone, an odd count the node's frame rejects first.
+A two-component node at budget 3, the node every a_3 of a knot's axis link
+and every a_4 of a two-cycle link runs through, builds no child either.
+Smoothing a self-crossing of component a splits it into an arc A and the
+rest R beside the other component B, a leaf whose a_2 is the spanning-tree
+sum of the triangle, x*l + y*(l - y) with x = lk(A, R), y = lk(A, B) and
+l = lk(a, B); one ``link_leaf_sum`` walk sums them all.  Each other child
+is a knot at budget 2, which the node closes in its own arrays: no copy,
+smoothing, simplification, ``compact``, trace, split check or memo entry.
+The walk passes the smoothed crossing as the smoothing would, from the
+in-port the compacted child's walk would start at.  Such a node never
+writes ``conn``: a switch flips the crossing's sign and marks it in
+``flip``, and the walk reads a marked crossing's strands the other way up.
+An unreduced diagram is still a diagram of the knot.  In place of the
+trace, the walk must visit every crossing but the smoothed one twice.
+Smoothing an inter-component crossing never frees a loop: that needs each
+component to pass the crossing alone, an odd count that ``link_leaf_sum``
+reports before any child.
 
 All coefficients are exact integers; there is no floating point here.
 """
@@ -126,8 +120,10 @@ class SkeinEngine:
     the root of a knot's axis link closes every child itself.
 
     ``nodes`` counts every node, closed children included, ``hits`` the memo
-    hits, and ``leaves`` the Hoste leaves closed from linking numbers, at
-    the root or in a parent (a free-loop child is split, not a Hoste leaf).
+    hits, and ``leaves`` the Hoste leaves, closed from linking numbers after
+    their trace (the root or a built child) or in their parent's walk.  A
+    child that has a free loop, before or after its simplification, is
+    split and not a Hoste leaf.
 
     Every kernel call goes through ``kernels`` (``get_kernels()`` by
     default).  Each node resolves its crossings from the basepoints its
@@ -143,27 +139,15 @@ class SkeinEngine:
         self.leaves = 0
 
     def truncated(self, d: LinkDiagram, max_degree: int) -> TruncatedPoly:
+        if isinstance(max_degree, bool) or not isinstance(max_degree, int):
+            raise ConwayError(f"max_degree must be an int, got {max_degree!r}")
         if max_degree < 0:
             raise ConwayError("max_degree must be >= 0")
         conn, sign = d.arrays()
-        loops = d.free_loops
-        p = loops
+        p = d.free_loops
         if sign:
-            labels, ncomp, _ = self.k.trace_inports(conn)
-            p += ncomp
-        # a child that could be pruned or be a Hoste leaf is closed by its
-        # parent, so only the root is closed here
-        if max_degree <= p - 1:
-            self.nodes += 1
-            coeffs = [0] * (max_degree + 1)
-            if max_degree == p - 1:
-                if not loops:
-                    self.leaves += 1
-                    coeffs[-1] = _tree_sum(self.k.linking_counts(sign, labels, p))
-                elif p == 1:
-                    coeffs[0] = 1
-        else:
-            coeffs = self._eval(conn, sign, loops, p, max_degree, None)
+            p += self.k.trace_inports(conn)[1]
+        coeffs = self._eval(conn, sign, d.free_loops, p, max_degree, None)
         return TruncatedPoly(max_degree, tuple(coeffs), p)
 
     # -- internals ---------------------------------------------------------
@@ -174,6 +158,8 @@ class SkeinEngine:
         K = self.k
         self.nodes += 1
         zero = (0,) * (budget + 1)
+        if budget < p - 1:
+            return zero  # pruned: a_m vanishes for m < p - 1
         loops += K.reidemeister_simplify(conn, sign, todo)
         if not any(sign):
             if loops == 1:
@@ -186,6 +172,9 @@ class SkeinEngine:
         labels, ncomp, starts = K.trace_inports(conn)
         if ncomp != p:
             raise ConwayError(f"node traced {ncomp} components, carried {p}")
+        if budget < p:  # a Hoste leaf at budget p - 1
+            self.leaves += 1
+            return zero[:-1] + (_tree_sum(K.linking_counts(sign, labels, p)),)
         if ncomp >= 2 and K.split_components(conn, labels, ncomp):
             return zero
         key = (tuple(conn), tuple(sign), budget)
@@ -197,27 +186,25 @@ class SkeinEngine:
             out = (1, 0, self._knot_a2(conn, sign, [0] * len(sign), starts[0], -1))
             self.memo[key] = out
             return out
-        bad_ids, frame = K.chain_scan(conn, sign, labels, starts)
+        bad_ids = K.chain_scan(conn, starts)
         coeffs = [1 if p == 1 else 0] + [0] * budget
-        # smoothing a self-crossing leaves p + 1 components and budget - 1:
-        # such a child is pruned when budget <= p and a Hoste leaf when
-        # budget == p + 1; both are closed here without building them
-        if budget == p + 1:
-            counts = _even(frame[2])
-            minors = [None] * p  # the Laplacian of counts less row and column j
-        else:
-            frame = None
-        closes = budget <= p + 1
-        # every inter-component child of a two-component node at budget 3 is
-        # a knot at budget 2, closed here in one walk over the node's arrays:
-        # such a node switches a crossing by flipping its sign and marking
-        # its strands swapped in ``flip``, and never writes ``conn``
+        # a two-component node at budget 3 closes every child here and never
+        # writes conn: a knot child's walk reads a crossing marked in flip switched
         knots = p == 2 and budget == 3
         if knots:
+            total, odd, children, leaves = K.link_leaf_sum(conn, sign, labels, starts)
+            if odd:
+                raise ConwayError("odd inter-component crossing count")
+            self.nodes += children
+            self.leaves += leaves
+            coeffs[3] = total >> 2  # times z
             flip = [0] * len(sign)
+        # smoothing a self-crossing leaves p + 1 components and budget - 1,
+        # pruned here when budget <= p
+        prunes = budget <= p
         # the last child that is copied and smoothed
         last = -1 if knots else len(bad_ids) - 1
-        while closes and last >= 0 and (
+        while prunes and last >= 0 and (
             labels[4 * bad_ids[last]] == labels[4 * bad_ids[last] + 2]
         ):
             last -= 1
@@ -227,22 +214,16 @@ class SkeinEngine:
                 continue  # removed by an earlier switch's simplification
             a = labels[4 * c]
             b = labels[4 * c + 2]
-            if a == b and closes:
+            if knots:
+                if a != b:
+                    # the child is walked from its in-port 0 (4 when c is
+                    # 0), the basepoint its compacted copy would have
+                    self.nodes += 1
+                    s = 4 if c == 0 else 0
+                    coeffs[1] += e
+                    coeffs[3] += e * self._knot_a2(conn, sign, flip, s ^ flip[s >> 2], c)
+            elif a == b and prunes:
                 self.nodes += 1
-                if frame is not None:
-                    row = K.leaf_counts(frame, sign, labels, c)
-                    if row is not None:  # else a free loop: the child is split
-                        self.leaves += 1
-                        if minors[a] is None:
-                            minors[a] = _laplacian_minor(counts, a)
-                        coeffs[budget] += e * _bordered_tree_sum(minors[a], row, a)  # times z
-            elif knots:
-                # the child is walked from its in-port 0 (4 when c is 0), the
-                # basepoint its compacted copy would have, read through flip
-                self.nodes += 1
-                s = 4 if c == 0 else 0
-                coeffs[1] += e
-                coeffs[3] += e * self._knot_a2(conn, sign, flip, s ^ flip[s >> 2], c)
             else:
                 bconn = conn[:]
                 bsign = sign[:]
@@ -266,15 +247,11 @@ class SkeinEngine:
                     # unknot at p = 1, and worth coeffs[0] either way
                     break
             else:
-                # no later child is built, the frame never reads conn, and
-                # a knot child reads c's strands through flip
+                # no later child is built, and a knot child reads c's
+                # strands through flip
                 sign[c] = -e
                 if knots:
                     flip[c] = 2
-            if frame is not None and a != b:
-                counts[a][b] -= 2 * e
-                counts[b][a] -= 2 * e
-                minors = [None] * p
         out = tuple(coeffs)
         self.memo[key] = out
         return out
@@ -298,37 +275,13 @@ class SkeinEngine:
         return total >> 1
 
 
-def _even(rows: list[list[int]]) -> list[list[int]]:
-    """``rows`` of doubled linking numbers, checked to be even."""
-    for row in rows:
-        for x in row:
-            if x & 1:
-                raise ConwayError("odd inter-component crossing count")
-    return rows
-
-
 def _tree_sum(counts: list[list[int]]) -> int:
     """Hoste's lowest coefficient from doubled linking numbers, as rows."""
+    if any(x & 1 for row in counts for x in row):
+        raise ConwayError("odd inter-component crossing count")
     # the cofactor of n rows is a minor of order n - 1, so halving every
     # entry divides it by 2^(n - 1)
-    return _det_bareiss(_laplacian_minor(_even(counts), 0)) >> (len(counts) - 1)
-
-
-def _bordered_tree_sum(minor: list[list[int]], row: list[int], j: int) -> int:
-    """``_tree_sum`` of a Hoste leaf that splits its parent's component j
-    into an arc, with doubled counts ``row`` (``row[j]`` against the rest
-    of j), and the rest of j, which takes j's other counts less the arc's.
-
-    Every other component keeps its Laplacian row sum, so the leaf's
-    cofactor that deletes the rest of j is ``minor``, the parent's Laplacian
-    less row and column j, bordered by the arc: a minor of order len(row).
-    """
-    _even([row])
-    border = [-x for x in row]
-    del border[j]
-    m = [r + [x] for r, x in zip(minor, border)]
-    m.append(border + [sum(row)])
-    return _det_bareiss(m) >> len(row)
+    return _det_bareiss(_laplacian_minor(counts)) >> (len(counts) - 1)
 
 
 def conway_truncated(d: LinkDiagram, max_degree: int) -> TruncatedPoly:
@@ -348,14 +301,16 @@ def full_conway(d: LinkDiagram) -> TruncatedPoly:
 
 def _as_lk_rows(m: LinkingMatrix | list | tuple) -> list[list[int]]:
     rows = m.entries if isinstance(m, LinkingMatrix) else m
-    out = [[int(x) for x in row] for row in rows]
+    if not isinstance(rows, (list, tuple)) or not all(isinstance(r, (list, tuple)) for r in rows):
+        raise ConwayError("linking matrix must be a list of rows")
+    out = [list(row) for row in rows]
+    if any(isinstance(x, bool) or not isinstance(x, int) for row in out for x in row):
+        raise ConwayError("linking numbers must be ints")
     p = len(out)
-    for i in range(p):
-        if len(out[i]) != p or out[i][i] != 0:
-            raise ConwayError("linking matrix must be square with zero diagonal")
-        for j in range(p):
-            if out[i][j] != out[j][i]:
-                raise ConwayError("linking matrix must be symmetric")
+    if any(len(row) != p or row[i] for i, row in enumerate(out)):
+        raise ConwayError("linking matrix must be square with zero diagonal")
+    if any(out[i][j] != out[j][i] for i in range(p) for j in range(i)):
+        raise ConwayError("linking matrix must be symmetric")
     return out
 
 
@@ -391,10 +346,10 @@ def _det_bareiss(m: list[list]):
     return sgn * m[n - 1][n - 1]
 
 
-def _laplacian_minor(rows: list[list[int]], j: int) -> list[list[int]]:
+def _laplacian_minor(rows: list[list[int]]) -> list[list[int]]:
     """The Laplacian of a square, symmetric, zero-diagonal integer matrix
-    given as nested lists, less row and column j."""
-    keep = [i for i in range(len(rows)) if i != j]
+    given as nested lists, less its first row and column."""
+    keep = range(1, len(rows))
     return [[sum(rows[i]) if i == k else -rows[i][k] for k in keep] for i in keep]
 
 
@@ -406,4 +361,4 @@ def hoste_lowest(m: LinkingMatrix | list | tuple) -> int:
     rows = _as_lk_rows(m)
     if not rows:
         raise ConwayError("need at least one component")
-    return _det_bareiss(_laplacian_minor(rows, 0))
+    return _det_bareiss(_laplacian_minor(rows))

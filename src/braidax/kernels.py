@@ -27,17 +27,14 @@ read-only kernels accept tuples too (a ``LinkDiagram`` holds tuples); the
 in-place ones need lists.
 
 ``linking_counts`` reads the labels of a ``trace_inports`` call the caller
-has already made, so ``linking_matrix`` and a Hoste leaf at the root walk
-their diagram once.  Every other Hoste leaf is closed in its parent.  The
-walk in which ``chain_scan`` lists the parent's descending violations also
-builds the parent's frame, each component's in-ports in walk order, and
-``leaf_counts`` gives the row a smoothing adds to the linking numbers from
-that frame, without building the child or reading ``conn``; the engine
-borders a minor of the parent's Laplacian with it.  A knot node at budget
-2 needs no frame: ``knot_leaf_sum`` closes all its children in one linear,
-read-only sweep.  It takes the knot as its node holds it, a crossing
-smoothed and others switched, without a copy: a two-component node at
-budget 3 walks each of its knot children in its own arrays.
+has already made, so ``linking_matrix`` and a Hoste leaf the engine builds
+walk their diagram once after its trace.  The other Hoste leaves close in
+their parent by a read-only sweep with no copy, arc slice or determinant:
+``knot_leaf_sum`` closes every child of a knot node at budget 2, and
+``link_leaf_sum`` every self-crossing child of a two-component node at
+budget 3.  ``knot_leaf_sum`` takes the knot as its node holds it, a
+crossing smoothed and others switched, without a copy: a two-component node
+at budget 3 walks each of its knot children in its own arrays.
 
 Every kernel is a plain Python function: the engine reads single items in
 loops, and a list item is read several times faster than an ndarray item.
@@ -118,40 +115,6 @@ def linking_counts(sign, labels, ncomp):
     return counts
 
 
-def leaf_counts(frame, sign, labels, c):
-    """The smoothing of self-crossing c against the components, from its frame.
-
-    Smoothing c splits its component j into the two arcs between c's visits.
-    The shorter arc is walked once with the live ``sign``; ``row[m]`` is its
-    doubled linking number with component m, and ``row[j]`` with the rest
-    of j.  Returns None when an arc meets no other crossing, a free loop,
-    which makes the child split.
-    """
-    walks, pos, _ = frame
-    j = labels[4 * c]
-    walk = walks[j]
-    n = len(walk)
-    a = pos[4 * c]
-    b = pos[4 * c + 2]
-    if a > b:
-        a, b = b, a
-    if b - a == 1 or b - a == n - 1:
-        return None
-    inner = 2 * (b - a) <= n
-    arc = walk[a + 1 : b] if inner else walk[b + 1 :] + walk[:a]
-    row = [0] * len(walks)
-    rest = 0
-    for q in arc:
-        r = q ^ 2
-        m = labels[r]
-        if m != j:
-            row[m] += sign[q >> 2]
-        elif (a < pos[r] < b) != inner:  # the crossing's other visit is off the arc
-            rest += sign[q >> 2]
-    row[j] = rest
-    return row
-
-
 def knot_leaf_sum(conn, sign, flip, start, smoothed):
     """Close every child of a knot node at budget 2 in one read-only walk.
 
@@ -230,33 +193,115 @@ def knot_leaf_sum(conn, sign, flip, start, smoothed):
     return total, odd & 1, children, leaves, ports
 
 
-def chain_scan(conn, sign, labels, starts):
-    """Walk all components once: list the descending violations and build
-    the frame a node closes its Hoste-leaf children from.
+def link_leaf_sum(conn, sign, labels, starts):
+    """Close every self-crossing child of a two-component node at budget 3
+    in one read-only walk of its components, in ``starts`` order.
+
+    Smoothing a self-crossing violation c of component a splits it into the
+    inner arc A between c's visits and the rest R, beside the other
+    component B: a Hoste leaf whose a_2 is the spanning-tree sum of the
+    triangle, x*l + y*(l - y), with x = lk(A, R), y = lk(A, B) and
+    l = lk(a, B).  The walk counts X = 2x, Y = 2y and L = 2l as signed
+    crossings, with every violation before c in ``chain_scan`` order
+    switched, as the node switches them:
+
+    * The first component meets each inter-component crossing first, so one
+      on c's arc keeps its sign, and L is its start value less twice the
+      inter-component violations met before c.  The start value is known
+      after the walk, so the total is kept linear in it.
+    * The second component meets them all switched: one it passes over, a
+      violation, reads negated, and L is final.
+    * X counts the self-crossings that interleave c, found from ranks and
+      rank bitmasks as in ``knot_leaf_sum``: one opened before c reads
+      switched if it is a violation, one opened inside the arc unswitched.
+
+    An empty arc is a free loop, which makes the child split: the inner arc
+    when c's visits are adjacent, the outer when c opens and closes the
+    walk (that one sums to 0, since X = 0 and Y = L).
+
+    Returns ``(total, odd, children, leaves)``: the sum over the leaves of
+    c's sign times X*L + Y*(L - Y), four times their a_2; nonzero when L,
+    an X or a Y is odd; the self-crossing violations and the leaves.
+    """
+    rank = [-1] * len(sign)
+    opened_at = [None] * len(sign)  # a violation's walk state when it opened
+    lk = drift = 0  # L at the start, and its change by the switches so far
+    lin = rest = odd = children = leaves = 0  # the total is lk * lin + rest
+    first = True
+    for start in starts:
+        j = labels[start]
+        plus = minus = bad = closed = 0
+        opened = ports = y = 0
+        last0 = -1
+        cur = start
+        while True:
+            k = cur >> 2
+            if labels[cur ^ 2] != j:
+                s = sign[k]
+                if first:
+                    lk += s
+                    if cur & 2:  # the first component passes under: a violation
+                        drift -= 2 * s
+                elif not cur & 2:  # switched before this component's leaves
+                    s = -s
+                y += s
+            else:
+                r = rank[k]
+                if r < 0:
+                    rank[k] = opened
+                    bit = 1 << opened
+                    if sign[k] > 0:
+                        plus |= bit
+                    else:
+                        minus |= bit
+                    if cur & 2:  # met first on its under strand
+                        children += 1
+                        opened_at[k] = (closed, y, drift, ports)
+                        bad |= bit
+                    opened += 1
+                else:
+                    was = opened_at[k]
+                    if was is not None and ports - was[3] > 1:  # else a free inner arc
+                        leaves += 1
+                        if not was[3]:
+                            last0 = ports
+                        inside = closed ^ was[0]  # the chords closed since it opened
+                        cross = ((1 << opened) - (2 << r)) ^ inside
+                        switched = inside & bad & ((1 << r) - 1)  # opened before it
+                        x = (
+                            (cross & plus).bit_count() - (cross & minus).bit_count()
+                            - 2 * ((switched & plus).bit_count() - (switched & minus).bit_count())
+                        )
+                        yc = y - was[1]
+                        e = sign[k]
+                        odd |= x | yc
+                        lin += e * (x + yc)
+                        rest += e * ((x + yc) * was[2] - yc * yc)
+                    closed |= 1 << r
+            ports += 1
+            cur = conn[cur + 1]
+            if cur == start:
+                break
+        if last0 == ports - 1:  # the first port's violation closed last
+            leaves -= 1
+        first = False
+    return lk * lin + rest, (odd | lk) & 1, children, leaves
+
+
+def chain_scan(conn, starts):
+    """Walk the components from ``starts`` once and list the descending
+    violations.
 
     A crossing first met on its under strand is 'bad'.  Switching the bad
     crossings in encounter order turns the diagram descending, and the
     strand path itself never changes, so a single read-only pass suffices.
-
-    Runs on compacted arrays.  Returns ``(bad_ids, (walks, pos, counts))``:
-    ``walks[j]`` lists the in-ports of component j in walk order from its
-    start (indexed by label, since ``starts`` may come in any order),
-    ``pos[q]`` is in-port q's position on its walk, and ``counts[a][b]`` is
-    twice the linking number of components a and b.  A crossing switch
-    changes the ports a strand uses but not which strands pass a crossing,
-    so the frame keeps the node's port numbers; the caller moves ``counts``
-    on each switch.
+    Runs on compacted arrays.
     """
-    visited = [False] * len(sign)
+    visited = [False] * (len(conn) >> 2)
     bad_ids = []
-    walks = [None] * len(starts)
-    pos = [0] * len(conn)
     for start in starts:
-        walk = []
         cur = start
         while True:
-            pos[cur] = len(walk)
-            walk.append(cur)
             c = cur >> 2
             if not visited[c]:
                 visited[c] = True
@@ -265,8 +310,7 @@ def chain_scan(conn, sign, labels, starts):
             cur = conn[cur + 1]
             if cur == start:
                 break
-        walks[labels[start]] = walk
-    return bad_ids, (walks, pos, linking_counts(sign, labels, len(starts)))
+    return bad_ids
 
 
 def switch_inplace(conn, sign, c):
@@ -407,7 +451,7 @@ KERNELS = SimpleNamespace(
     trace_inports=trace_inports,
     split_components=split_components,
     linking_counts=linking_counts,
-    leaf_counts=leaf_counts,
+    link_leaf_sum=link_leaf_sum,
     knot_leaf_sum=knot_leaf_sum,
     chain_scan=chain_scan,
     switch_inplace=switch_inplace,

@@ -73,13 +73,13 @@ def test_engine_calls_only_traced_kernels(perfbench, form, degree):
     # one a_3 and one a_4 evaluation of a squared family member's axis link,
     # as the benchmark's workloads make them: every kernel the engine calls
     # is traced, so its time shows in a per-layer row, except the two
-    # Hoste-leaf kernels, whose time the trace files under conway.self_s
+    # Hoste-leaf sweeps, whose time the trace files under conway.self_s
     tracing, _ = perfbench
     w = braidax.cyclic_free_reduce(braidax.square(braidax.family_member(form, 1)))
     kernels = LoggingKernels()
     braidax.SkeinEngine(kernels).truncated(braidax.axis_link_diagram(w), degree)
     untraced = set(kernels.calls) - set(tracing.ENGINE_KERNELS)
-    assert untraced <= {"knot_leaf_sum", "leaf_counts"}, untraced
+    assert untraced <= {"knot_leaf_sum", "link_leaf_sum"}, untraced
     # the root, every built child and every switch settled for a later built
     # child simplify once, through the traced kernel; a knot child (of a
     # two-component node at budget 3) is walked in its node's arrays, never

@@ -96,6 +96,11 @@ class TestBaseValues:
         with pytest.raises(ConwayError):
             conway_truncated(closure_diagram(w(2, 1)), -1)
 
+    @pytest.mark.parametrize("budget", [2.5, 2.0, True, False, "2", None])
+    def test_non_int_budget_rejected(self, budget):
+        with pytest.raises(ConwayError, match="max_degree must be an int"):
+            conway_truncated(closure_diagram(w(2, 1, 1, 1)), budget)
+
     def test_metadata_components(self):
         poly = conway_truncated(axis_link_diagram(BraidWord(2)), 2)
         assert poly.components == 3
@@ -222,6 +227,16 @@ class TestSpanningTreeSum:
             hoste_lowest([[1]])
         with pytest.raises(ConwayError):
             hoste_lowest([])
+        with pytest.raises(ConwayError, match="square"):
+            hoste_lowest([[0, 1], []])
+        for m in (5, [[0, 1], 3], "01"):
+            with pytest.raises(ConwayError, match="list of rows"):
+                hoste_lowest(m)
+
+    @pytest.mark.parametrize("x", [1.5, 2.0, "2", True, None])
+    def test_non_int_entries_rejected(self, x):
+        with pytest.raises(ConwayError, match="linking numbers must be ints"):
+            hoste_lowest([[0, x], [x, 0]])
 
 
 class TestEngineReuse:
@@ -237,12 +252,13 @@ class TestEngineReuse:
 
 class CarriedCountEngine(SkeinEngine):
     """Checks at every node that the component count handed down by the
-    smoothing rule equals a fresh trace of the node's diagram, and that the
-    node's budget is at least that count: a node with less budget is closed
-    before it is built, by its parent or at the root."""
+    smoothing rule equals a fresh trace of the node's diagram, and that a
+    built child's budget is at least that count less one: a child with less
+    budget is pruned by its parent, and only the root (``todo`` None) can be
+    built with less."""
 
     def _eval(self, conn, sign, loops, p, budget, todo):
-        assert budget >= p
+        assert budget >= p - 1 or todo is None
         c, _ = get_kernels().compact(conn, sign)
         assert p == get_kernels().trace_inports(c)[1] + loops
         return super()._eval(conn, sign, loops, p, budget, todo)
@@ -315,16 +331,21 @@ class TestLeafFirstEngine:
     def test_hoste_leaf_is_one_kernel_call(self):
         kernels = CountingKernels()
         eng = SkeinEngine(kernels)
-        # the Hopf link at budget 1 is a Hoste leaf at the root
+        # the Hopf link at budget 1 is a Hoste leaf at the root, closed by
+        # one linking_counts call right after the root node's trace
         assert eng.truncated(closure_diagram(w(2, 1, 1)), 1).coeffs == (0, 1)
-        assert kernels.calls == {"trace_inports": 1, "linking_counts": 1}
-        assert eng.leaves == 1
+        assert kernels.calls == {
+            "trace_inports": 2,
+            "reidemeister_simplify": 1,
+            "linking_counts": 1,
+        }
+        assert (eng.nodes, eng.leaves) == (1, 1)
 
     def test_knot_node_closes_its_children_in_one_walk(self):
         kernels = CountingKernels()
         eng = SkeinEngine(kernels)
         # the trefoil at budget 2: the root is a knot node whose one child
-        # is a Hoste leaf, closed with no chain_scan, frame or switch
+        # is a Hoste leaf, closed with no chain_scan or switch
         assert eng.truncated(closure_diagram(w(2, 1, 1, 1)), 2).coeffs == (1, 0, 1)
         assert kernels.calls == {
             "trace_inports": 2,
@@ -335,17 +356,18 @@ class TestLeafFirstEngine:
 
     def test_leaf_rejects_a_wrong_component_count(self):
         # the trefoil at budget 2 has Hoste-leaf children, closed in the
-        # root's frame and never traced: a wrong count reaching them is
+        # root's walk and never traced: a wrong count reaching them is
         # rejected by the root's trace before any leaf is closed
         eng = MiscountingEngine(get_kernels())
         with pytest.raises(ConwayError, match="traced 1 components, carried 2"):
             eng.truncated(closure_diagram(w(2, 1, 1, 1)), 2)
         assert eng.leaves == 0
-        # the Hopf link at budget 1 is a root leaf: it reads the labels of
-        # its own trace, so no carried count can reach it
+        # the Hopf link at budget 1 is a root leaf, closed like a built leaf
+        # child right after its node's trace, which rejects the count first
         eng = MiscountingEngine(get_kernels())
-        assert eng.truncated(closure_diagram(w(2, 1, 1)), 1).coeffs == (0, 1)
-        assert eng.leaves == 1
+        with pytest.raises(ConwayError, match="traced 2 components, carried 3"):
+            eng.truncated(closure_diagram(w(2, 1, 1)), 1)
+        assert eng.leaves == 0
 
     def test_interior_node_rejects_a_wrong_component_count(self):
         # the Hopf link at budget 3 is interior at the root, and so are the
@@ -376,8 +398,8 @@ class TestLeafFirstEngine:
         # smoothing an inter-component crossing c frees a loop only when each
         # component passes c and nothing else (an inter-component crossing's
         # out-ports lead to the other component), and then each component
-        # meets the other once: the node's frame rejects that odd count
-        # before any child is closed
+        # meets the other once: the node's link_leaf_sum rejects that odd
+        # count before any child is closed
         K = get_kernels()
         conn, sign = [1, 0, 3, 2], [1]
         assert K.trace_inports(conn)[1] == 2
@@ -387,21 +409,23 @@ class TestLeafFirstEngine:
             eng.truncated(LinkDiagram(conn, sign), 3)
         assert eng.nodes == 1
 
-    def test_odd_frame_counts_are_rejected(self):
-        # the engine checks a frame's counts once, as chain_scan returns
-        # them: its inter-component switches move them by even steps
+    def test_odd_link_counts_are_rejected(self):
+        # a two-component node at budget 3 checks the parity its
+        # link_leaf_sum reports once, before any child is closed
         kernels = SimpleNamespace(**vars(get_kernels()))
 
-        def chain_scan(*args):
-            bad_ids, (walks, pos, counts) = get_kernels().chain_scan(*args)
-            counts[0][1] += 1
-            counts[1][0] += 1
-            return bad_ids, (walks, pos, counts)
+        def link_leaf_sum(*args):
+            total, odd, children, leaves = get_kernels().link_leaf_sum(*args)
+            assert not odd
+            return total, 1, children, leaves
 
-        kernels.chain_scan = chain_scan
+        kernels.link_leaf_sum = link_leaf_sum
         d = closure_diagram(w(3, 1, 1, 1, 2, 2))  # a trefoil linked with an unknot
+        assert SkeinEngine().truncated(d, 3).coeffs == (0, 1, 0, 1)
+        eng = SkeinEngine(kernels)
         with pytest.raises(ConwayError, match="odd inter-component crossing count"):
-            SkeinEngine(kernels).truncated(d, 3)
+            eng.truncated(d, 3)
+        assert (eng.nodes, eng.leaves) == (1, 0)
 
     @pytest.mark.parametrize(
         "d, word, stops",
@@ -426,13 +450,15 @@ class TestLeafFirstEngine:
         "run, nodes, hits, leaves, switches",
         [
             (lambda eng: squared_family_check(9, engine=eng), 414, 0, 384, 0),
-            (lambda eng: joint_cycle_check(5, engine=eng), 580, 8, 445, 47),
+            (lambda eng: joint_cycle_check(5, engine=eng), 580, 8, 444, 47),
             (lambda eng: two_cycle_check(2, 3, engine=eng), 1357, 17, 1033, 76),
         ],
         ids=["squared_family_9", "joint_cycle_5", "two_cycle_2_3"],
     )
     def test_pinned_node_counts(self, run, nodes, hits, leaves, switches):
-        # leaves: the linking_counts calls of the engine that built every leaf;
+        # leaves: the linking_counts calls of the engine that built every
+        # leaf (in joint_cycle_5 one four-component leaf child simplifies to
+        # a free loop beside 6 crossings: split, so no Hoste leaf);
         # switches: a node switches crossings in conn only up to its last
         # built child, and after it flips their signs alone; a two-component
         # node at budget 3 builds none, so the a_3 of a knot's axis link

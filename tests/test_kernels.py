@@ -25,13 +25,7 @@ from braidax import (
     full_conway,
     permutation_of,
 )
-from braidax.conway import (
-    _bordered_tree_sum,
-    _det_bareiss,
-    _even,
-    _laplacian_minor,
-    _tree_sum,
-)
+from braidax.conway import _det_bareiss, _laplacian_minor, _tree_sum
 from braidax.kernels import get_kernels, splice_out
 
 from conftest import CountingKernels, ShuffledStartsKernels, braid_words
@@ -396,25 +390,82 @@ def leaf_frame_reference(conn, sign, labels, starts):
     return walks, pos, linking_counts_reference(conn, sign, labels, starts)
 
 
+def frame_scan_reference(conn, sign, labels, starts):
+    """The frame route's ``chain_scan``: the violations and the node's frame,
+    ``(bad_ids, (walks, pos, counts))``."""
+    return chain_scan_reference(conn, sign, starts)[1], leaf_frame_reference(
+        conn, sign, labels, starts
+    )
+
+
 class TestChainScan:
-    """The one walk that lists the violations and builds the frame, against
-    the scan and the frame walk it replaced."""
+    """The violation list against the scan that walked beside the frame."""
 
     @given(braid_words(max_letters=10), st.booleans(), st.booleans(), st.booleans(),
            st.integers(0, 2**31 - 1))
-    def test_matches_the_two_walks(self, word, axis, simplified, shuffled, seed):
+    def test_matches_the_scan(self, word, axis, simplified, shuffled, seed):
         d = axis_link_diagram(word) if axis else closure_diagram(word)
         node = reduced_node(d) if simplified else d.arrays()
         if node is None:
             return  # simplifying left a free loop or no crossing
         conn, sign = node
         kernels = ShuffledStartsKernels(seed) if shuffled else K
-        labels, _, starts = kernels.trace_inports(conn)
+        starts = kernels.trace_inports(conn)[2]
         before = (conn[:], sign[:])
         _, bad_ids, _ = chain_scan_reference(conn, sign, starts)
-        got = K.chain_scan(conn, sign, labels, starts)
-        assert got == (bad_ids, leaf_frame_reference(conn, sign, labels, starts))
+        assert K.chain_scan(conn, starts) == bad_ids
         assert (conn, sign) == before
+
+
+def leaf_counts_reference(frame, sign, labels, c):
+    """The frame route's leaf: the smoothing of self-crossing c against the
+    components, from the frame.  Smoothing c splits its component j into
+    the two arcs between c's visits; one pass over the shorter arc with the
+    live ``sign`` gives ``row[m]``, its doubled linking number with
+    component m, and ``row[j]`` with the rest of j.  None when an arc meets
+    no other crossing, a free loop, which makes the child split."""
+    walks, pos, _ = frame
+    j = labels[4 * c]
+    walk = walks[j]
+    n = len(walk)
+    a = pos[4 * c]
+    b = pos[4 * c + 2]
+    if a > b:
+        a, b = b, a
+    if b - a == 1 or b - a == n - 1:
+        return None
+    inner = 2 * (b - a) <= n
+    arc = walk[a + 1 : b] if inner else walk[b + 1 :] + walk[:a]
+    row = [0] * len(walks)
+    rest = 0
+    for q in arc:
+        r = q ^ 2
+        m = labels[r]
+        if m != j:
+            row[m] += sign[q >> 2]
+        elif (a < pos[r] < b) != inner:  # the crossing's other visit is off the arc
+            rest += sign[q >> 2]
+    row[j] = rest
+    return row
+
+
+def is_odd(rows):
+    return any(x & 1 for row in rows for x in row)
+
+
+def bordered_tree_sum_reference(minor, row, j):
+    """The frame route's leaf value: the tree sum of a leaf that splits its
+    parent's component j into an arc with doubled counts ``row`` and the
+    rest of j, as the cofactor that deletes the rest of j.  Every other
+    component keeps its Laplacian row sum, so that cofactor is ``minor``,
+    the parent's Laplacian less row and column j, bordered by the arc."""
+    if is_odd([row]):
+        raise ConwayError("odd inter-component crossing count")
+    border = [-x for x in row]
+    del border[j]
+    m = [r + [x] for r, x in zip(minor, border)]
+    m.append(border + [sum(row)])
+    return _det_bareiss(m) >> len(row)
 
 
 def leaf_reference(conn, sign, c):
@@ -450,11 +501,16 @@ def child_rows(counts, j, row):
 
 
 def bordered_value(counts, j, row):
-    return _bordered_tree_sum(_laplacian_minor(_even(counts), j), row, j)
+    if is_odd(counts):
+        raise ConwayError("odd inter-component crossing count")
+    keep = [i for i in range(len(counts)) if i != j]
+    minor = [[sum(counts[i]) if i == k else -counts[i][k] for k in keep] for i in keep]
+    return bordered_tree_sum_reference(minor, row, j)
 
 
 class TestLeafCounts:
-    """Hoste leaves closed from the parent's frame against building each child."""
+    """The frame route's Hoste leaves, the reference ``link_leaf_sum`` is
+    tested against, against building each child."""
 
     def check(self, sign, labels, frame, ref_conn, ref_sign):
         """The frame route on ``sign`` against children built from the
@@ -473,7 +529,7 @@ class TestLeafCounts:
             j = labels[4 * c]
             if j != labels[4 * c + 2]:
                 continue
-            got = K.leaf_counts(frame, sign, labels, c)
+            got = leaf_counts_reference(frame, sign, labels, c)
             want = leaf_reference(ref_conn, ref_sign, c)
             assert (got is None) == (want is None)
             if got is not None:
@@ -493,12 +549,8 @@ class TestLeafCounts:
             conn, sign = K.compact(conn, sign)
         labels, ncomp, starts = K.trace_inports(conn)
         if shuffled:
-            ports = [[] for _ in range(ncomp)]
-            for q in range(0, len(conn), 2):
-                ports[labels[q]].append(q)
-            order = data.draw(st.permutations(range(ncomp)))
-            starts = [data.draw(st.sampled_from(ports[j])) for j in order]
-        bad_ids, frame = K.chain_scan(conn, sign, labels, starts)
+            starts = shuffled_starts(data, conn, labels, ncomp)
+        bad_ids, frame = frame_scan_reference(conn, sign, labels, starts)
         counts = frame[2]
         # full switches up to the last built child, then sign-only flips,
         # which leave conn behind: the reference keeps switching a copy
@@ -523,8 +575,8 @@ class TestLeafCounts:
         conn, sign = closure_diagram(BraidWord(3, (1, 1, 2))).arrays()
         assert conn[4 * 2 + 1] == 4 * 2 + 2  # crossing 2 is a kink
         labels, _, starts = K.trace_inports(conn)
-        _, frame = K.chain_scan(conn, sign, labels, starts)
-        assert K.leaf_counts(frame, sign, labels, 2) is None
+        _, frame = frame_scan_reference(conn, sign, labels, starts)
+        assert leaf_counts_reference(frame, sign, labels, 2) is None
         assert leaf_reference(conn, sign, 2) is None
         self.check(sign, labels, frame, conn, sign)
 
@@ -537,7 +589,13 @@ class TestLeafCounts:
                 counts[m][n] = counts[n][m] = data.draw(even)
         for j in range(p):
             row = data.draw(st.lists(even, min_size=p, max_size=p))
-            assert bordered_value(counts, j, row) == _tree_sum(child_rows(counts, j, row))
+            value = bordered_value(counts, j, row)
+            assert value == _tree_sum(child_rows(counts, j, row))
+            if p == 2:
+                # the triangle's tree sum x*l + y*(l - y) that link_leaf_sum
+                # adds, from doubled counts: four times the value
+                x, y, l = row[j], row[1 - j], counts[0][1]
+                assert 4 * value == x * l + y * (l - y)
             odd_row = row[:]
             odd_row[data.draw(st.integers(0, p - 1))] += 1
             with pytest.raises(ConwayError, match="odd inter-component crossing count"):
@@ -550,21 +608,137 @@ class TestLeafCounts:
                 bordered_value(counts, 0, [0] * p)
 
 
+def shuffled_starts(data, conn, labels, ncomp):
+    """The components in a drawn order, each from a drawn in-port of its own."""
+    ports = [[] for _ in range(ncomp)]
+    for q in range(0, len(conn), 2):
+        ports[labels[q]].append(q)
+    order = data.draw(st.permutations(range(ncomp)))
+    return [data.draw(st.sampled_from(ports[j])) for j in order]
+
+
+def link_leaf_reference(conn, sign, labels, starts):
+    """A two-component node's self-crossing children at budget 3 closed one
+    by one, the frame route ``link_leaf_sum`` replaces: the frame, then a
+    ``leaf_counts`` row and a bordered minor per violation, flipping each
+    violation's sign after its step.  Returns the kernel's tuple, with the
+    total as four times the sum of the leaves' signed values (0 once a
+    count is odd)."""
+    bad_ids, frame = frame_scan_reference(conn, sign, labels, starts)
+    counts = frame[2]
+    sign = sign[:]
+    odd = is_odd(counts)
+    total = children = leaves = 0
+    for c in bad_ids:
+        e = sign[c]
+        a, b = labels[4 * c], labels[4 * c + 2]
+        if a == b:
+            children += 1
+            row = leaf_counts_reference(frame, sign, labels, c)
+            if row is not None:
+                leaves += 1
+                if is_odd([row]):
+                    odd = True
+                elif not odd:
+                    total += 4 * e * bordered_value(counts, a, row)
+        else:
+            counts[a][b] -= 2 * e
+            counts[b][a] -= 2 * e
+        sign[c] = -e
+    return total, int(odd), children, leaves
+
+
+def knot_words(max_letters=12):
+    return braid_words(max_letters=max_letters).filter(
+        lambda word: cycle_decomposition(permutation_of(word)).count == 1
+    )
+
+
+def two_component_diagrams():
+    return st.one_of(
+        braid_words(max_letters=10).filter(
+            lambda word: cycle_decomposition(permutation_of(word)).count == 2
+        ).map(closure_diagram),
+        knot_words(max_letters=8).map(axis_link_diagram),
+    )
+
+
+class TestLinkLeafSum:
+    """The one-sweep two-component kernel against the frame route it
+    replaced, summed over a node's chain."""
+
+    def check(self, conn, sign, starts):
+        labels, ncomp, _ = K.trace_inports(conn)
+        assert ncomp == 2
+        before = (conn[:], sign[:])
+        got = K.link_leaf_sum(conn, sign, labels, starts)
+        assert (conn, sign) == before  # read-only: the node flips the signs itself
+        want = link_leaf_reference(conn, sign, labels, starts)
+        # an odd count has no tree sum: the engine raises before reading it
+        assert got[1:] == want[1:] and (got[1] or got[0] == want[0])
+        return got
+
+    @given(two_component_diagrams(), st.booleans(), st.booleans(), st.data())
+    def test_matches_the_frame_route(self, d, simplified, shuffled, data):
+        node = reduced_node(d) if simplified else d.arrays()
+        if node is None:
+            return  # simplifying left a free loop or no crossing
+        conn, sign = node
+        labels, ncomp, starts = K.trace_inports(conn)
+        if ncomp != 2:
+            return  # simplifying split off a component's crossings
+        if shuffled:
+            starts = shuffled_starts(data, conn, labels, ncomp)
+        total, odd, _, _ = self.check(conn, sign, starts)
+        assert odd == 0 and total % 4 == 0
+
+    def test_a_violation_around_the_whole_walk_is_a_free_loop(self):
+        # crossing 0 is a kink of component 0, whose walk from in-port 2
+        # meets it first on its under strand and last on its over strand,
+        # with the other component's two crossings between: the arc around
+        # its visits meets nothing, so its smoothing is split, not a leaf
+        conn, sign = [9, 2, 1, 4, 3, 8, 11, 10, 5, 0, 7, 6], [1, 1, 1]
+        assert self.check(conn, sign, [2, 6]) == (0, 0, 1, 0)
+        assert self.check(conn, sign, [0, 6]) == (0, 0, 0, 0)
+
+    def test_kink_is_a_free_loop(self):
+        # crossing 2 of this two-component closure is a kink whose under
+        # strand runs straight into its over strand: met first on the
+        # under strand, it is a violation with an empty inner arc
+        d = closure_diagram(BraidWord(3, (-2, -2, 1)))
+        conn, sign = d.arrays()
+        assert conn[4 * 2 + 3] == 4 * 2
+        labels, _, starts = K.trace_inports(conn)
+        assert K.chain_scan(conn, starts) == [1, 2]
+        assert labels[4 * 2] == labels[4 * 2 + 2]
+        assert self.check(conn, sign, starts) == (0, 0, 1, 0)
+
+    def test_odd_arc_count_is_rejected(self):
+        # a Gauss code no planar diagram has: the inner arc of crossing 1,
+        # a violation of component 0, meets the other component once
+        conn, sign = [5, 6, 11, 10, 9, 0, 1, 8, 7, 4, 3, 2], [1, 1, 1]
+        labels, _, starts = K.trace_inports(conn)
+        assert K.chain_scan(conn, starts) == [1]
+        assert self.check(conn, sign, starts)[1:] == (1, 1, 1)
+        with pytest.raises(ConwayError, match="odd inter-component crossing count"):
+            SkeinEngine().truncated(LinkDiagram(conn, sign), 3)
+
+
 def knot_leaf_reference(conn, sign, start):
     """A knot node's children at budget 2 closed one by one, the route the
-    fused kernel replaces: ``chain_scan`` and its frame, then ``leaf_counts``
-    and the bordered minor per violation, flipping its sign after it.
-    Returns (a_2, children, leaves)."""
+    fused kernel replaces: the frame, then a ``leaf_counts`` row and the
+    bordered minor per violation, flipping its sign after it.  Returns
+    (a_2, children, leaves)."""
     labels, _, _ = K.trace_inports(conn)
-    bad_ids, frame = K.chain_scan(conn, sign, labels, [start])
-    minor = _laplacian_minor(_even(frame[2]), 0)
+    bad_ids, frame = frame_scan_reference(conn, sign, labels, [start])
+    minor = _laplacian_minor(frame[2])
     value = leaves = 0
     for c in bad_ids:
         e = sign[c]
-        row = K.leaf_counts(frame, sign, labels, c)
+        row = leaf_counts_reference(frame, sign, labels, c)
         if row is not None:
             leaves += 1
-            value += e * _bordered_tree_sum(minor, row, 0)
+            value += e * bordered_tree_sum_reference(minor, row, 0)
         sign[c] = -e
     return value, len(bad_ids), leaves
 
@@ -611,12 +785,6 @@ def knot_leaf_sum_reference(conn, sign, start):
             odd |= rest
         sign[c] = -e
     return total, odd & 1, children, leaves, n
-
-
-def knot_words(max_letters=12):
-    return braid_words(max_letters=max_letters).filter(
-        lambda word: cycle_decomposition(permutation_of(word)).count == 1
-    )
 
 
 def reduced_node(d):
@@ -770,8 +938,13 @@ class ListOnlyKernels(CountingKernels):
     """The kernels, asserting that every diagram argument is a list."""
 
     # where each kernel takes conn and sign, by argument position
-    CONN_AT = {"leaf_counts": None, "linking_counts": None}
-    SIGN_AT = {"trace_inports": None, "split_components": None, "linking_counts": 0}
+    CONN_AT = {"linking_counts": None}
+    SIGN_AT = {
+        "trace_inports": None,
+        "split_components": None,
+        "linking_counts": 0,
+        "chain_scan": None,
+    }
 
     def _counted(self, name, f):
         conn_at = self.CONN_AT.get(name, 0)
