@@ -8,12 +8,17 @@ switched (same degree budget, strictly closer to descending) and smoothed
 
 Every node is handed its component count p, free loops included: smoothing a
 crossing whose two strands lie on one component splits it (p + 1), smoothing
-any other crossing joins two (p - 1), and switching keeps p.  A node whose
-budget is below p - 1 is pruned from p alone, and at budget p - 1 one
-``linking_counts`` call gives the lowest coefficient (both are link
-invariants; Hoste, Proc. AMS 94, 1985).  The root and every built child
-close so, the leaf right after its trace; the other leaves close in their
-parent and are never built.
+any other crossing joins two (p - 1), and switching keeps p.
+
+The vanishing law is applied once, at the root: a_m of a p-component link
+is 0 when m < p - 1 or m + p is even (Hoste, Proc. AMS 94, 1985, gives the
+lowest one), so ``truncated`` asks ``_eval`` only for the last degree m
+with m + p odd, none when that m is below p - 1, and pads with zeros.  A
+switch keeps (p, budget) and a smoothing moves them to (p +- 1, budget - 1),
+so budget + p keeps its parity down the tree: every node has budget p - 1,
+a Hoste leaf whose a_{p-1} is one ``linking_counts`` call, or at least
+p + 1.  The root and every built child close so, the leaf right after its
+trace; the other leaves close in their parent and are never built.
 
 Every other node runs one pipeline: Reidemeister simplification,
 ``compact``, a trace that must find p components, the split check and the
@@ -40,11 +45,11 @@ chain: the switched diagram is split, or is the unknot at p = 1, so the rest
 of the chain adds only ``coeffs[0]``, which is already set.  After the last
 built child a switch only flips a sign.
 
-Smoothing a self-crossing adds a component and spends one degree, so that
-child is pruned in the node when its budget is at most p, and is a Hoste
-leaf at budget p + 1.  At p >= 3 that leaf is built and closed after its
-trace (294 of the 3896 such children of the benchmark's ``a4_families``,
-seed 13); at p = 1 and p = 2 each closes in one read-only walk of its node.
+Smoothing a self-crossing adds a component and spends one degree, so at
+budget p + 1 that child is a Hoste leaf.  At p >= 3 that leaf is built and
+closed after its trace (294 of the 3896 such children of the benchmark's
+``a4_families``, seed 13); at p = 1 and p = 2 each closes in one read-only
+walk of its node.
 
 A knot at budget 2 builds no child at all: every crossing is a
 self-crossing, so each violation's smoothing is a two-component Hoste leaf
@@ -93,7 +98,8 @@ class TruncatedPoly:
 
     Coefficients beyond ``max_degree`` are unknown, not zero.  ``components``
     records the component count of the source link: a_m vanishes whenever
-    m < components-1 or m+components is even.
+    m < components-1 or m+components is even, and the skein engine writes
+    those zeros without evaluating them.
     """
 
     max_degree: int
@@ -139,6 +145,8 @@ class SkeinEngine:
         self.leaves = 0
 
     def truncated(self, d: LinkDiagram, max_degree: int) -> TruncatedPoly:
+        if not isinstance(d, LinkDiagram):
+            raise ConwayError(f"need a LinkDiagram, got {type(d).__name__}")
         if isinstance(max_degree, bool) or not isinstance(max_degree, int):
             raise ConwayError(f"max_degree must be an int, got {max_degree!r}")
         if max_degree < 0:
@@ -147,19 +155,21 @@ class SkeinEngine:
         p = d.free_loops
         if sign:
             p += self.k.trace_inports(conn)[1]
-        coeffs = self._eval(conn, sign, d.free_loops, p, max_degree, None)
-        return TruncatedPoly(max_degree, tuple(coeffs), p)
+        top = max_degree - (max_degree + p + 1) % 2  # the last m with m + p odd
+        if top < max(p - 1, 0):
+            return TruncatedPoly(max_degree, (0,) * (max_degree + 1), p)
+        coeffs = self._eval(conn, sign, d.free_loops, p, top, None)
+        return TruncatedPoly(max_degree, coeffs + (0,) * (max_degree - top), p)
 
     # -- internals ---------------------------------------------------------
 
     def _eval(self, conn, sign, loops, p, budget, todo) -> tuple[int, ...]:
-        """Coefficients a_0..a_budget of a node; ``todo`` lists the crossings
-        that can be a kink or a clasp (``None``: any of them)."""
+        """Coefficients a_0..a_budget of a node, with budget + p odd and
+        budget >= p - 1; ``todo`` lists the crossings that can be a kink or
+        a clasp (``None``: any of them)."""
         K = self.k
         self.nodes += 1
         zero = (0,) * (budget + 1)
-        if budget < p - 1:
-            return zero  # pruned: a_m vanishes for m < p - 1
         loops += K.reidemeister_simplify(conn, sign, todo)
         if not any(sign):
             if loops == 1:
@@ -199,15 +209,8 @@ class SkeinEngine:
             self.leaves += leaves
             coeffs[3] = total >> 2  # times z
             flip = [0] * len(sign)
-        # smoothing a self-crossing leaves p + 1 components and budget - 1,
-        # pruned here when budget <= p
-        prunes = budget <= p
         # the last child that is copied and smoothed
         last = -1 if knots else len(bad_ids) - 1
-        while prunes and last >= 0 and (
-            labels[4 * bad_ids[last]] == labels[4 * bad_ids[last] + 2]
-        ):
-            last -= 1
         for i, c in enumerate(bad_ids):
             e = sign[c]  # c is switched only at its own step, below
             if not e:
@@ -222,8 +225,6 @@ class SkeinEngine:
                     s = 4 if c == 0 else 0
                     coeffs[1] += e
                     coeffs[3] += e * self._knot_a2(conn, sign, flip, s ^ flip[s >> 2], c)
-            elif a == b and prunes:
-                self.nodes += 1
             else:
                 bconn = conn[:]
                 bsign = sign[:]

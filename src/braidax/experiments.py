@@ -166,6 +166,8 @@ def axis_sequence(
 def fit_polynomial(seq: CoefficientSequence, degree_bound: int) -> PolynomialFit:
     """Newton forward-difference fit; every extra sample must be reproduced
     exactly, otherwise the claimed polynomial form is falsified."""
+    if isinstance(degree_bound, bool) or not isinstance(degree_bound, int) or degree_bound < 0:
+        raise ExperimentError(f"degree_bound must be an int >= 0, got {degree_bound!r}")
     vals = seq.values
     if len(vals) < degree_bound + 2:
         raise ExperimentError(

@@ -158,13 +158,18 @@ class TestCriterion6OracleEquivalence:
             if spanning_tree_sum_enumerate(lk) != cofactor:
                 failures.append((idx, "b"))
 
-            # (c) parity and low-degree vanishing of every computed coefficient
+            # (c) parity and low-degree vanishing of every computed coefficient;
+            # the engine writes those zeros itself, so the whole window is
+            # also checked against the Burau route
             budget = min(p_cl + 3, 6)
             poly = engine.truncated(closure, budget)
             for m in range(budget + 1):
                 if (m < p_cl - 1 or (m + p_cl) % 2 == 0) and poly[m] != 0:
                     failures.append((idx, "c"))
                     break
+            else:
+                if poly.coeffs != (conway_polynomial(word) + (0,) * budget)[: budget + 1]:
+                    failures.append((idx, "c"))
 
             # (d) conjugation invariance of the truncated axis-link polynomial
             conj = random_word(rng, max_strands=word.strands, max_letters=5,

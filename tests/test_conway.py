@@ -15,17 +15,21 @@ from braidax import (
     SkeinEngine,
     axis_link_diagram,
     axis_word,
+    canonical_odd_knot_braid,
     closure_diagram,
     component_count,
     compose,
     conway_polynomial,
     conway_truncated,
+    cyclic_free_reduce,
+    family_member,
     full_conway,
     hoste_lowest,
     inverse,
     joint_cycle_check,
     linking_matrix,
     mirror,
+    square,
     squared_family_check,
     two_cycle_check,
 )
@@ -41,6 +45,10 @@ from conftest import (
 
 def w(n, *letters):
     return BraidWord(n, letters)
+
+
+# the squared dn family member of the canonical 9-strand knot form at m = 1
+DN9 = cyclic_free_reduce(square(family_member(canonical_odd_knot_braid(9), 1)))
 
 
 class NeverHits:
@@ -84,7 +92,8 @@ class TestBaseValues:
 
     def test_unlinks_vanish(self):
         d = closure_diagram(BraidWord(3))
-        # pruned at budget 1, a Hoste leaf at budget 2, interior at budget 4
+        # at budget 1 the root asks for no degree (a_0 is below p - 1 = 2);
+        # at budgets 2 and 4 the crossing-free node is a split link
         for budget in (1, 2, 4):
             assert conway_truncated(d, budget).coeffs == (0,) * (budget + 1)
 
@@ -100,6 +109,11 @@ class TestBaseValues:
     def test_non_int_budget_rejected(self, budget):
         with pytest.raises(ConwayError, match="max_degree must be an int"):
             conway_truncated(closure_diagram(w(2, 1, 1, 1)), budget)
+
+    @pytest.mark.parametrize("d", ["x", None, w(2, 1, 1, 1)], ids=["str", "None", "BraidWord"])
+    def test_non_diagram_rejected(self, d):
+        with pytest.raises(ConwayError, match="need a LinkDiagram"):
+            conway_truncated(d, 2)
 
     def test_metadata_components(self):
         poly = conway_truncated(axis_link_diagram(BraidWord(2)), 2)
@@ -156,6 +170,8 @@ class TestEngineEquivalences:
 
     @given(braid_words(max_letters=10))
     def test_parity_and_low_degree_vanishing(self, word):
+        # the engine writes the vanishing coefficients itself, so the whole
+        # window is checked against the Burau route as well
         d = closure_diagram(word)
         p = component_count(d)
         budget = min(p + 3, 6)
@@ -163,6 +179,7 @@ class TestEngineEquivalences:
         for m in range(budget + 1):
             if m < p - 1 or (m + p) % 2 == 0:
                 assert poly[m] == 0
+        assert poly.coeffs == (conway_polynomial(word) + (0,) * budget)[: budget + 1]
 
     @given(braid_words(max_letters=10))
     def test_lowest_coefficient_matches_formula(self, word):
@@ -252,13 +269,12 @@ class TestEngineReuse:
 
 class CarriedCountEngine(SkeinEngine):
     """Checks at every node that the component count handed down by the
-    smoothing rule equals a fresh trace of the node's diagram, and that a
-    built child's budget is at least that count less one: a child with less
-    budget is pruned by its parent, and only the root (``todo`` None) can be
-    built with less."""
+    smoothing rule equals a fresh trace of the node's diagram, and that the
+    node's budget is at least that count less one with budget + p odd: the
+    root asks only for such a degree, and a smoothing keeps both."""
 
     def _eval(self, conn, sign, loops, p, budget, todo):
-        assert budget >= p - 1 or todo is None
+        assert budget >= p - 1 and (budget + p) % 2
         c, _ = get_kernels().compact(conn, sign)
         assert p == get_kernels().trace_inports(c)[1] + loops
         return super()._eval(conn, sign, loops, p, budget, todo)
@@ -322,7 +338,7 @@ class TestLeafFirstEngine:
 
         monkeypatch.setattr(braidax.diagram, "get_kernels", process_wide)
         kernels = CountingKernels()
-        # three components at budget 0: pruned from the root's count alone
+        # three components at budget 0: zeros from the root's count alone
         split = closure_diagram(w(3, 1, 1, 2, 2))
         assert SkeinEngine(kernels).truncated(split, 0).coeffs == (0,)
         assert kernels.calls == {"trace_inports": 1}
@@ -468,3 +484,22 @@ class TestLeafFirstEngine:
         assert run(eng).passed
         assert (eng.nodes, eng.hits, eng.leaves) == (nodes, hits, leaves)
         assert kernels.calls.get("switch_inplace", 0) == switches
+
+    @pytest.mark.parametrize(
+        "d, word, degree, traffic",
+        [
+            (closure_diagram(DN9), DN9, 3, (38, 37)),
+            (axis_link_diagram(DN9), axis_word(DN9), 4, (146, 136)),
+            (closure_diagram(w(2, 1, 1)), w(2, 1, 1), 2, (1, 1)),
+        ],
+        ids=["dn_9_closure", "dn_9_axis_link", "hopf"],
+    )
+    def test_a_vanishing_top_degree_walks_the_tree_below_it(self, d, word, degree, traffic):
+        # a_degree vanishes by parity, so the root evaluates degree - 1 and
+        # pads with a zero
+        below = SkeinEngine()
+        want = below.truncated(d, degree - 1).coeffs + (0,)
+        eng = SkeinEngine()
+        assert eng.truncated(d, degree).coeffs == want
+        assert (eng.nodes, eng.leaves) == (below.nodes, below.leaves) == traffic
+        assert want == (conway_polynomial(word) + (0,) * degree)[: degree + 1]

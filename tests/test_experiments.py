@@ -65,6 +65,12 @@ class TestFitPolynomial:
         with pytest.raises(ExperimentError):
             fit_polynomial(self.seq((1, 2, 3)), 2)
 
+    @pytest.mark.parametrize("bound", [-1, 0.5, 2.0, True, "2", None])
+    def test_rejects_a_bad_degree_bound(self, bound):
+        with pytest.raises(ExperimentError, match="degree_bound must be an int >= 0"):
+            fit_polynomial(self.seq((0, 1, 4, 9, 16)), bound)
+        assert fit_polynomial(self.seq((5, 5)), 0).coeffs == (Fraction(5),)
+
     def test_fit_failure_names_offender(self):
         with pytest.raises(FitError) as exc:
             fit_polynomial(self.seq((0, 1, 4, 9, 99)), 2)
