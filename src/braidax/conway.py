@@ -145,8 +145,7 @@ class SkeinEngine:
         self.leaves = 0
 
     def truncated(self, d: LinkDiagram, max_degree: int) -> TruncatedPoly:
-        if not isinstance(d, LinkDiagram):
-            raise ConwayError(f"need a LinkDiagram, got {type(d).__name__}")
+        _need_diagram(d)
         if isinstance(max_degree, bool) or not isinstance(max_degree, int):
             raise ConwayError(f"max_degree must be an int, got {max_degree!r}")
         if max_degree < 0:
@@ -293,7 +292,13 @@ def conway_truncated(d: LinkDiagram, max_degree: int) -> TruncatedPoly:
 def full_conway(d: LinkDiagram) -> TruncatedPoly:
     """The complete polynomial: every smoothing removes a crossing while
     raising the degree, so the degree never exceeds the crossing count."""
+    _need_diagram(d)
     return conway_truncated(d, max(d.crossings, 1))
+
+
+def _need_diagram(d) -> None:
+    if not isinstance(d, LinkDiagram):
+        raise ConwayError(f"need a LinkDiagram, got {type(d).__name__}")
 
 
 # ---------------------------------------------------------------------------

@@ -15,13 +15,10 @@ links every strand positively.  A component is deleted on the braid word
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .kernels import get_kernels
 from .words import BraidWord
-
-# port roles within a crossing
-OVER_IN, OVER_OUT, UNDER_IN, UNDER_OUT = 0, 1, 2, 3
-
 
 class DiagramError(ValueError):
     """Inconsistent diagram data."""
@@ -44,7 +41,9 @@ class LinkingMatrix:
 @dataclass(frozen=True, eq=False)
 class LinkDiagram:
     """A link diagram: crossing signs, the arc pairing of ports, and a count
-    of crossing-free loop components.
+    of crossing-free loop components.  It is built only from a ``conn`` that
+    pairs every out-port with one in-port, both ways, and signs of +1 or -1:
+    a walk along anything else may never return.
 
     A braid-built diagram keeps ``entries``, the first in-port met from each
     top position (-1 for a crossing-free strand), so the axis's entry comes
@@ -60,10 +59,21 @@ class LinkDiagram:
 
     def __post_init__(self):
         # frozen here, so a diagram built from the kernels' lists is a value
-        object.__setattr__(self, "conn", tuple(self.conn))
+        conn = tuple(self.conn)
+        object.__setattr__(self, "conn", conn)
         object.__setattr__(self, "sign", tuple(self.sign))
-        if len(self.conn) != 4 * len(self.sign):
+        n = len(conn)
+        if n != 4 * len(self.sign):
             raise DiagramError("conn must hold four ports per crossing")
+        # the out-ports reach every in-port once, and each in-port leads back
+        outs = conn[1::2]
+        if n and (
+            sorted(outs) != list(range(0, n, 2))
+            or itemgetter(*outs)(conn) != tuple(range(1, n, 2))
+        ):
+            raise DiagramError("conn must pair each out-port with one in-port, both ways")
+        if not set(self.sign) <= {1, -1}:
+            raise DiagramError("crossing signs must be +1 or -1")
 
     @property
     def crossings(self) -> int:
@@ -73,17 +83,10 @@ class LinkDiagram:
         """Fresh mutable copies of the underlying arrays."""
         return list(self.conn), list(self.sign)
 
-    def validate(self) -> None:
-        """Check the arc pairing is a perfect out/in matching."""
-        conn = self.conn
-        for x, y in enumerate(conn):
-            if y < 0 or y >= len(conn) or conn[y] != x:
-                raise DiagramError(f"port {x} is not consistently paired")
-            if (x & 1) == (y & 1):
-                raise DiagramError(f"arc {x}-{y} does not join an out-port to an in-port")
-        for s in self.sign:
-            if s not in (-1, 1):
-                raise DiagramError("crossing signs must be +1 or -1")
+
+def _need_diagram(d) -> None:
+    if not isinstance(d, LinkDiagram):
+        raise DiagramError(f"need a LinkDiagram, got {type(d).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -102,19 +105,14 @@ def closure_diagram(w: BraidWord) -> LinkDiagram:
     for c, k in enumerate(w.letters):
         i = abs(k) - 1
         sign[c] = 1 if k > 0 else -1
-        if k > 0:
-            in_left, in_right = 4 * c + OVER_IN, 4 * c + UNDER_IN
-            out_left, out_right = 4 * c + UNDER_OUT, 4 * c + OVER_OUT
-        else:
-            in_left, in_right = 4 * c + UNDER_IN, 4 * c + OVER_IN
-            out_left, out_right = 4 * c + OVER_OUT, 4 * c + UNDER_OUT
-        for pos, inp in ((i, in_left), (i + 1, in_right)):
+        left = 4 * c if k > 0 else 4 * c + 2  # the in-port of the strand from position i
+        for pos, inp in ((i, left), (i + 1, left ^ 2)):
             if cur[pos] >= 0:
                 conn[cur[pos]] = inp
                 conn[inp] = cur[pos]
             else:
                 first_in[pos] = inp
-        cur[i], cur[i + 1] = out_left, out_right
+        cur[i], cur[i + 1] = (left ^ 2) + 1, left + 1
     loops = 0
     for p in range(n):
         if cur[p] >= 0:
@@ -153,6 +151,7 @@ def linking_matrix(d: LinkDiagram) -> LinkingMatrix:
     axis last.  A diagram without entries (a ``LinkDiagram`` constructed
     directly) numbers its components in discovery order, its free loops last.
     """
+    _need_diagram(d)
     if d.crossings == 0:
         return LinkingMatrix(((0,) * d.free_loops,) * d.free_loops)
     K = get_kernels()
@@ -176,6 +175,7 @@ def linking_matrix(d: LinkDiagram) -> LinkingMatrix:
 
 
 def component_count(d: LinkDiagram) -> int:
+    _need_diagram(d)
     if d.crossings == 0:
         return d.free_loops
     K = get_kernels()

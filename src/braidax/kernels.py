@@ -12,7 +12,9 @@ A diagram with c crossings is stored as two Python lists of ints:
   owns ports 4k..4k+3 with roles over-in (0), over-out (1), under-in (2),
   under-out (3).  Even ports are in-ports, odd ports are out-ports, and a
   strand entering at in-port q leaves through out-port q+1.  For every arc,
-  ``conn[out] == in`` and ``conn[in] == out``.
+  ``conn[out] == in`` and ``conn[in] == out``.  Exchanging a crossing's
+  strands, as a switch or an inverted braid letter does, relabels its ports
+  by role, r <-> r ^ 2, and the arcs follow their ports.
 
 Crossing-free loop components are counted separately by the caller; the
 surgery routines here return how many such loops they split off.
@@ -315,34 +317,13 @@ def chain_scan(conn, starts):
 
 def switch_inplace(conn, sign, c):
     """Exchange the over and under strands of crossing c and flip its sign."""
-    oi = 4 * c
-    oo = oi + 1
-    ui = oi + 2
-    uo = oi + 3
-    p_oi = conn[oi]
-    p_ui = conn[ui]
-    n_oo = conn[oo]
-    n_uo = conn[uo]
-
-    # remap the endpoints of the (up to four) incident arcs: for ports of
-    # crossing c, over<->under means XOR with 2
-    def f(p):
-        if p >> 2 == c:
-            return p ^ 2
-        return p
-
-    a1o, a1i = f(p_oi), ui
-    a2o, a2i = f(p_ui), oi
-    a3o, a3i = uo, f(n_oo)
-    a4o, a4i = oo, f(n_uo)
-    conn[a1o] = a1i
-    conn[a1i] = a1o
-    conn[a2o] = a2i
-    conn[a2i] = a2o
-    conn[a3o] = a3i
-    conn[a3i] = a3o
-    conn[a4o] = a4i
-    conn[a4i] = a4o
+    base = 4 * c
+    for r, e in enumerate(conn[base : base + 4]):
+        if e >> 2 == c:  # an arc between two of c's ports: relabel its far end too
+            e ^= 2
+        q = base + (r ^ 2)
+        conn[q] = e
+        conn[e] = q
     sign[c] = -sign[c]
 
 

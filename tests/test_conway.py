@@ -112,8 +112,10 @@ class TestBaseValues:
 
     @pytest.mark.parametrize("d", ["x", None, w(2, 1, 1, 1)], ids=["str", "None", "BraidWord"])
     def test_non_diagram_rejected(self, d):
-        with pytest.raises(ConwayError, match="need a LinkDiagram"):
+        with pytest.raises(ConwayError, match="need a LinkDiagram, got "):
             conway_truncated(d, 2)
+        with pytest.raises(ConwayError, match="need a LinkDiagram, got "):
+            full_conway(d)
 
     def test_metadata_components(self):
         poly = conway_truncated(axis_link_diagram(BraidWord(2)), 2)

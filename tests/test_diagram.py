@@ -62,7 +62,6 @@ class TestClosureConstruction:
 
     def test_hopf(self):
         d = closure_diagram(w(2, 1, 1))
-        d.validate()
         assert d.crossings == 2
         assert component_count(d) == 2
 
@@ -74,7 +73,43 @@ class TestClosureConstruction:
 
     @given(braid_words())
     def test_valid_arc_pairing(self, word):
-        closure_diagram(word).validate()
+        conn = closure_diagram(word).conn
+        for x, y in enumerate(conn):
+            assert 0 <= y < len(conn) and conn[y] == x and (x ^ y) & 1
+
+
+class TestDiagramChecks:
+    @pytest.mark.parametrize("d", ["x", None, w(2, 1, 1, 1)], ids=["str", "None", "BraidWord"])
+    @pytest.mark.parametrize("f", [linking_matrix, component_count])
+    def test_non_diagram_rejected(self, f, d):
+        with pytest.raises(DiagramError, match=f"need a LinkDiagram, got {type(d).__name__}"):
+            f(d)
+
+    @pytest.mark.parametrize(
+        "conn",
+        [
+            (0, 0, 0, 0),  # every port paired with in-port 0
+            (1, 2, 3, 0),  # out-port 1 into in-port 2, which leads back to 3
+            (2, 3, 0, 1),  # an out->out arc and an in->in arc
+            (1, 0, 3, 3),  # out-port 3 arced to itself
+            (1, 0, 3, 4),  # out-port 3 past the last port
+            (1, 0, 3, -2),  # out-port 3 into a negative port
+            (-1, 0, 3, 2),  # in-port 0 arced to a negative port
+        ],
+        ids=["all-zero", "non-involution", "out-to-out", "out-self", "past-end", "negative-out", "negative-in"],
+    )
+    def test_malformed_conn_rejected(self, conn):
+        with pytest.raises(DiagramError, match="out-port with one in-port"):
+            LinkDiagram(conn, (1,))
+
+    @pytest.mark.parametrize("sign", [(0,), (2,), (-3,)])
+    def test_bad_sign_rejected(self, sign):
+        with pytest.raises(DiagramError, match=r"\+1 or -1"):
+            LinkDiagram((1, 0, 3, 2), sign)
+
+    def test_wrong_length_rejected(self):
+        with pytest.raises(DiagramError, match="four ports per crossing"):
+            LinkDiagram((1, 0, 3), (1,))
 
 
 class TestAxisConstruction:

@@ -76,7 +76,7 @@ class TestCompact:
         assert type(got_conn) is list and type(got_sign) is list
         assert all(type(x) is int for x in got_conn + got_sign)
         assert (got_conn, got_sign) == compact_reference(conn, sign)
-        LinkDiagram(got_conn, got_sign).validate()
+        LinkDiagram(got_conn, got_sign)  # the constructor checks the arc pairing
         return got_conn, got_sign
 
     @given(braid_words(max_letters=10), st.booleans(), st.data())
@@ -247,6 +247,24 @@ class TestSplice:
         )
         assert sign == [1, 1]
         assert K.trace_inports(conn)[1] == 2
+
+
+class TestSwitch:
+    @given(braid_words(max_letters=10), st.booleans())
+    @example(BraidWord(2, (1,)), False)  # one letter, both of whose arcs join two of its ports
+    @example(BraidWord(3, (-2, -2, 1)), False)  # crossing 2 is a kink
+    @example(BraidWord(1), True)  # the axis around one strand: the Hopf link
+    def test_switch_is_the_inverted_letter(self, word, axis):
+        # crossing c is letter c of the word: switching it must give exactly
+        # the closure of the word with letter c inverted
+        if axis:
+            word = axis_word(word)
+        for c in range(len(word.letters)):
+            conn, sign = closure_diagram(word).arrays()
+            K.switch_inplace(conn, sign, c)
+            letters = list(word.letters)
+            letters[c] = -letters[c]
+            assert (conn, sign) == closure_diagram(BraidWord(word.strands, tuple(letters))).arrays()
 
 
 class TestSeededSimplify:
