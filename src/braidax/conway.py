@@ -22,28 +22,28 @@ trace; the other leaves close in their parent and are never built.
 
 Every other node runs one pipeline: Reidemeister simplification,
 ``compact``, a trace that must find p components, the split check and the
-memo.  Then ``chain_scan`` lists its descending violations in one walk.
-Each violation's child is closed in the node (below) or copied, smoothed
-and recursed on, and the violation is then switched.  It is switched only
-at its own step, so the node reads its sign from ``sign`` when it comes to
-it.  A knot at budget 2 walks itself once in ``knot_leaf_sum`` instead, and
-a two-component node at budget 3 closes every child in its own arrays.
+memo.  A knot at budget 2 and a two-component node at budget 3 then close
+every child in their own arrays (below).  Any other node lists its
+descending violations in one ``chain_scan`` walk, and each violation's
+child is copied, smoothed and recursed on before the violation is
+switched.  It is switched only at its own step, so the node reads its sign
+from ``sign`` when it comes to it.
 
 Each kink or cancelling clasp is removed once, in the node whose move made
 it, by one worklist kernel (``reidemeister_simplify`` with a ``todo`` list).
 The root checks every crossing.  A built child checks only the crossings its
 smoothing reconnected, because its parent is already reduced.  Every switch
-in a node's chain, up to its last built child, is settled in the node's own
-arrays (a node that builds no child settles none): the worklist starts at
-the switched crossing and the crossings feeding its in-ports, and follows
-the removals it sets off, so no sibling rediscovers the clasps the switches
-made.  The settled chain stays valid: removing kinks and clasps keeps the
-order in which the remaining crossings are met from the basepoints, so
-``chain_scan``'s list less the removed crossings (sign 0, skipped) is still
-the descending resolution.  A settled switch that frees a loop ends the
-chain: the switched diagram is split, or is the unknot at p = 1, so the rest
-of the chain adds only ``coeffs[0]``, which is already set.  After the last
-built child a switch only flips a sign.
+in a node's chain before its last child is settled in the node's own
+arrays: the worklist starts at the switched crossing and the crossings
+feeding its in-ports, and follows the removals it sets off, so no sibling
+rediscovers the clasps the switches made.  The settled chain stays valid:
+removing kinks and clasps keeps the order in which the remaining crossings
+are met from the basepoints, so ``chain_scan``'s list less the removed
+crossings (sign 0, skipped) is still the descending resolution.  A settled
+switch that frees a loop ends the chain: the switched diagram is split, or
+is the unknot at p = 1, so the rest of the chain adds only ``coeffs[0]``,
+which is already set.  Nothing reads the node's arrays after its last
+child, so that violation is not switched.
 
 Smoothing a self-crossing adds a component and spends one degree, so at
 budget p + 1 that child is a Hoste leaf.  At p >= 3 that leaf is built and
@@ -64,13 +64,15 @@ and every a_4 of a two-cycle link runs through, builds no child either.
 Smoothing a self-crossing of component a splits it into an arc A and the
 rest R beside the other component B, a leaf whose a_2 is the spanning-tree
 sum of the triangle, x*l + y*(l - y) with x = lk(A, R), y = lk(A, B) and
-l = lk(a, B); one ``link_leaf_sum`` walk sums them all.  Each other child
-is a knot at budget 2, which the node closes in its own arrays: no copy,
-smoothing, simplification, ``compact``, trace, split check or memo entry.
-The walk passes the smoothed crossing as the smoothing would, from the
-in-port the compacted child's walk would start at.  Such a node never
-writes ``conn``: a switch flips the crossing's sign and marks it in
-``flip``, and the walk reads a marked crossing's strands the other way up.
+l = lk(a, B).  One ``link_leaf_sum`` walk sums them all and lists the
+node's violations in ``chain_scan`` order, so the node makes no
+``chain_scan`` call.  One pass over that chain then closes each other
+child, a knot at budget 2, in the node's own arrays: no copy, smoothing,
+simplification, ``compact``, trace, split check or memo entry.  The knot's
+walk passes the smoothed crossing as the smoothing would, from the in-port
+the compacted child's walk would start at.  Such a node never writes
+``conn``: after each child the pass flips the violation's sign and marks it
+in ``flip``, and a walk reads a marked crossing's strands the other way up.
 An unreduced diagram is still a diagram of the knot.  In place of the
 trace, the walk must visit every crossing but the smoothed one twice.
 Smoothing an inter-component crossing never frees a loop: that needs each
@@ -104,7 +106,7 @@ class TruncatedPoly:
 
     max_degree: int
     coeffs: tuple[int, ...]
-    components: int | None = None
+    components: int
 
     def __post_init__(self):
         if len(self.coeffs) != self.max_degree + 1:
@@ -195,66 +197,66 @@ class SkeinEngine:
             out = (1, 0, self._knot_a2(conn, sign, [0] * len(sign), starts[0], -1))
             self.memo[key] = out
             return out
+        if p == 2 and budget == 3:  # every child is closed here, in one walk and a pass
+            out = self._link_a3(conn, sign, labels, starts)
+            self.memo[key] = out
+            return out
         bad_ids = K.chain_scan(conn, starts)
         coeffs = [1 if p == 1 else 0] + [0] * budget
-        # a two-component node at budget 3 closes every child here and never
-        # writes conn: a knot child's walk reads a crossing marked in flip switched
-        knots = p == 2 and budget == 3
-        if knots:
-            total, odd, children, leaves = K.link_leaf_sum(conn, sign, labels, starts)
-            if odd:
-                raise ConwayError("odd inter-component crossing count")
-            self.nodes += children
-            self.leaves += leaves
-            coeffs[3] = total >> 2  # times z
-            flip = [0] * len(sign)
-        # the last child that is copied and smoothed
-        last = -1 if knots else len(bad_ids) - 1
+        last = len(bad_ids) - 1
         for i, c in enumerate(bad_ids):
             e = sign[c]  # c is switched only at its own step, below
             if not e:
                 continue  # removed by an earlier switch's simplification
-            a = labels[4 * c]
-            b = labels[4 * c + 2]
-            if knots:
-                if a != b:
-                    # the child is walked from its in-port 0 (4 when c is
-                    # 0), the basepoint its compacted copy would have
-                    self.nodes += 1
-                    s = 4 if c == 0 else 0
-                    coeffs[1] += e
-                    coeffs[3] += e * self._knot_a2(conn, sign, flip, s ^ flip[s >> 2], c)
-            else:
-                bconn = conn[:]
-                bsign = sign[:]
-                btodo = []
-                bloops = K.smooth_inplace(bconn, bsign, c, btodo)
-                sub = self._eval(bconn, bsign, bloops, p + 1 if a == b else p - 1,
-                                 budget - 1, btodo)
-                for j in range(1, budget + 1):
-                    coeffs[j] += e * sub[j - 1]
-            # switch c before the next step; after the last, nothing reads
-            # the node's arrays
-            if i < last:
-                K.switch_inplace(conn, sign, c)
-                # settle the switch once, for every later built child: a
-                # kink or clasp it made holds c, found from c or from the
-                # crossing feeding one of its in-ports
-                if K.reidemeister_simplify(
-                    conn, sign, [conn[4 * c] >> 2, conn[4 * c + 2] >> 2, c]
-                ):
-                    # a free loop: the switched diagram is split, or the
-                    # unknot at p = 1, and worth coeffs[0] either way
-                    break
-            else:
-                # no later child is built, and a knot child reads c's
-                # strands through flip
-                sign[c] = -e
-                if knots:
-                    flip[c] = 2
+            bconn = conn[:]
+            bsign = sign[:]
+            btodo = []
+            bloops = K.smooth_inplace(bconn, bsign, c, btodo)
+            # smoothing a self-crossing splits its component, any other joins two
+            bp = p + 1 if labels[4 * c] == labels[4 * c + 2] else p - 1
+            sub = self._eval(bconn, bsign, bloops, bp, budget - 1, btodo)
+            for j in range(1, budget + 1):
+                coeffs[j] += e * sub[j - 1]
+            if i == last:
+                break  # nothing reads the node's arrays after its last child
+            K.switch_inplace(conn, sign, c)
+            # settle the switch once, for every later child: a kink or clasp
+            # it made holds c, found from c or from the crossing feeding one
+            # of its in-ports
+            if K.reidemeister_simplify(conn, sign, [conn[4 * c] >> 2, conn[4 * c + 2] >> 2, c]):
+                # a free loop: the switched diagram is split, or the unknot
+                # at p = 1, and worth coeffs[0] either way
+                break
         out = tuple(coeffs)
         self.memo[key] = out
         return out
+
+    def _link_a3(self, conn, sign, labels, starts) -> tuple[int, ...]:
+        """a_0..a_3 of a two-component node at budget 3, which closes every
+        child in its own arrays and never writes ``conn``: one
+        ``link_leaf_sum`` walk sums the self-crossing leaves and lists the
+        chain, and each inter-component child, a knot at budget 2, is one
+        ``_knot_a2`` walk that reads the violations before it switched
+        through ``flip``."""
+        total, odd, leaves, chain = self.k.link_leaf_sum(conn, sign, labels, starts)
+        if odd:
+            raise ConwayError("odd inter-component crossing count")
+        self.nodes += len(chain)
+        self.leaves += leaves
+        a1 = 0
+        a3 = total >> 2  # times z
+        flip = [0] * len(sign)
+        for c in chain:
+            e = sign[c]
+            if labels[4 * c] != labels[4 * c + 2]:
+                # the child is walked from its in-port 0 (4 when c is 0),
+                # the basepoint its compacted copy would have
+                s = 4 if c == 0 else 0
+                a1 += e
+                a3 += e * self._knot_a2(conn, sign, flip, s ^ flip[s >> 2], c)
+            sign[c] = -e
+            flip[c] = 2
+        return (0, a1, 0, a3)
 
     def _knot_a2(self, conn, sign, flip, start, smoothed) -> int:
         """a_2 of a knot, from one ``knot_leaf_sum`` walk that closes every

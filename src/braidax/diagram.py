@@ -49,7 +49,8 @@ class LinkDiagram:
     top position (-1 for a crossing-free strand), so the axis's entry comes
     last on an axis link, the axis being its braid's last strand;
     ``linking_matrix`` numbers components in their order of first appearance
-    there.
+    there.  ``free_loops`` must be an int >= 0, and ``entries`` None or a
+    tuple whose items are each -1 or an in-port of ``conn``.
     """
 
     conn: tuple[int, ...]
@@ -74,6 +75,15 @@ class LinkDiagram:
             raise DiagramError("conn must pair each out-port with one in-port, both ways")
         if not set(self.sign) <= {1, -1}:
             raise DiagramError("crossing signs must be +1 or -1")
+        loops = self.free_loops
+        if type(loops) is not int or loops < 0:
+            raise DiagramError(f"free_loops must be an int >= 0, got {loops!r}")
+        entries = self.entries
+        if entries is not None and (
+            type(entries) is not tuple
+            or any(type(q) is not int or q != -1 and (q & 1 or not 0 <= q < n) for q in entries)
+        ):
+            raise DiagramError(f"entries must be None or a tuple of -1 and in-ports, got {entries!r}")
 
     @property
     def crossings(self) -> int:

@@ -34,9 +34,13 @@ walk their diagram once after its trace.  The other Hoste leaves close in
 their parent by a read-only sweep with no copy, arc slice or determinant:
 ``knot_leaf_sum`` closes every child of a knot node at budget 2, and
 ``link_leaf_sum`` every self-crossing child of a two-component node at
-budget 3.  ``knot_leaf_sum`` takes the knot as its node holds it, a
-crossing smoothed and others switched, without a copy: a two-component node
-at budget 3 walks each of its knot children in its own arrays.
+budget 3.  Each sweep meets the node's descending violations in
+``chain_scan`` order, so neither node calls ``chain_scan``:
+``knot_leaf_sum`` counts them, and ``link_leaf_sum`` lists them, since its
+node closes each inter-component child after the sweep.  ``knot_leaf_sum``
+takes the knot as its node holds it, a crossing smoothed and others
+switched, without a copy: a two-component node at budget 3 walks each of
+its knot children in its own arrays.
 
 Every kernel is a plain Python function: the engine reads single items in
 loops, and a list item is read several times faster than an ndarray item.
@@ -221,14 +225,18 @@ def link_leaf_sum(conn, sign, labels, starts):
     when c's visits are adjacent, the outer when c opens and closes the
     walk (that one sums to 0, since X = 0 and Y = L).
 
-    Returns ``(total, odd, children, leaves)``: the sum over the leaves of
+    Returns ``(total, odd, leaves, chain)``: the sum over the leaves of
     c's sign times X*L + Y*(L - Y), four times their a_2; nonzero when L,
-    an X or a Y is odd; the self-crossing violations and the leaves.
+    an X or a Y is odd; the leaves; and the node's violations, each listed
+    at its first visit, in ``chain_scan`` order: the self-crossings met
+    first on their under strand and the inter-component crossings the first
+    component passes under.
     """
     rank = [-1] * len(sign)
     opened_at = [None] * len(sign)  # a violation's walk state when it opened
     lk = drift = 0  # L at the start, and its change by the switches so far
-    lin = rest = odd = children = leaves = 0  # the total is lk * lin + rest
+    lin = rest = odd = leaves = 0  # the total is lk * lin + rest
+    chain = []
     first = True
     for start in starts:
         j = labels[start]
@@ -244,6 +252,7 @@ def link_leaf_sum(conn, sign, labels, starts):
                     lk += s
                     if cur & 2:  # the first component passes under: a violation
                         drift -= 2 * s
+                        chain.append(k)
                 elif not cur & 2:  # switched before this component's leaves
                     s = -s
                 y += s
@@ -257,7 +266,7 @@ def link_leaf_sum(conn, sign, labels, starts):
                     else:
                         minus |= bit
                     if cur & 2:  # met first on its under strand
-                        children += 1
+                        chain.append(k)
                         opened_at[k] = (closed, y, drift, ports)
                         bad |= bit
                     opened += 1
@@ -287,12 +296,12 @@ def link_leaf_sum(conn, sign, labels, starts):
         if last0 == ports - 1:  # the first port's violation closed last
             leaves -= 1
         first = False
-    return lk * lin + rest, (odd | lk) & 1, children, leaves
+    return lk * lin + rest, (odd | lk) & 1, leaves, chain
 
 
 def chain_scan(conn, starts):
     """Walk the components from ``starts`` once and list the descending
-    violations.
+    violations; a node that builds children calls it.
 
     A crossing first met on its under strand is 'bad'.  Switching the bad
     crossings in encounter order turns the diagram descending, and the

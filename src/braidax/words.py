@@ -23,20 +23,24 @@ class BraidWord:
 
     ``letters`` holds nonzero integers; ``k`` means the generator on strands
     (|k|, |k|+1) raised to the power sign(k).  The empty word is the identity.
+    The strand count and every letter must be an ``int``; a bool or a float
+    is rejected.
     """
 
     strands: int
     letters: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if self.strands < 1:
-            raise WordError(f"strand count must be positive, got {self.strands}")
+        n = self.strands
+        if type(n) is not int:
+            raise WordError(f"strand count must be an int, got {n!r}")
+        if n < 1:
+            raise WordError(f"strand count must be positive, got {n}")
         object.__setattr__(self, "letters", tuple(self.letters))
         for pos, k in enumerate(self.letters):
-            if k == 0 or abs(k) >= self.strands:
-                raise WordError(
-                    f"letter {k} at position {pos} out of range for {self.strands} strands"
-                )
+            if type(k) is not int or k == 0 or abs(k) >= n:
+                why = f"out of range for {n} strands" if type(k) is int else "is not an int"
+                raise WordError(f"letter {k!r} at position {pos} {why}")
 
     def __len__(self):
         return len(self.letters)
@@ -335,38 +339,26 @@ def kappa_word(n: int) -> BraidWord:
     return BraidWord(n, up + up[::-1])
 
 
-def _restricted_cyclic_pattern(w: BraidWord) -> list[bool]:
-    """Occurrences of the two extreme generator indices, in word order.
-
-    True marks index 1, False marks index n-1.
-    """
-    n = w.strands
-    return [abs(k) == 1 for k in w.letters if abs(k) in (1, n - 1)]
-
-
 def admits_exchange(w: BraidWord) -> Admissibility:
     """Test whether some cyclic rotation splits as alpha*beta (alpha without
-    the last generator, beta without the first).
-
-    Equivalent formulation: among the letters restricted to the two extreme
-    generator indices, each index forms at most one contiguous cyclic block.
-    Strand counts n <= 3 are degenerate and count as admissible.
+    the last generator, beta without the first): whether ``exchange_split``
+    finds the split.  Strand counts n <= 3 are degenerate and count as
+    admissible.
     """
-    n = w.strands
-    if n <= 3:
+    if w.strands <= 3:
         return Admissibility(True, degenerate=True)
-    pat = _restricted_cyclic_pattern(w)
-    if not pat:
-        return Admissibility(True)
-    boundaries = sum(1 for i in range(len(pat)) if pat[i] != pat[(i + 1) % len(pat)])
-    return Admissibility(boundaries <= 2)
+    return Admissibility(exchange_split(w) is not None)
 
 
 def exchange_split(w: BraidWord) -> ExchangeForm | None:
     """Split a cyclic rotation of w as alpha*beta, or None if not admissible.
 
     If one extreme index never occurs, the part allowed to contain the other
-    extreme absorbs the whole word.
+    extreme absorbs the whole word.  Otherwise the word is rotated to start
+    right after a top-index letter whose next extreme letter is an index-1
+    letter, and alpha runs up to the first top-index letter.  The split
+    exists exactly when the rest, beta, holds no index-1 letter, that is
+    when each extreme index forms one contiguous cyclic block.
     """
     n = w.strands
     if n <= 3:
@@ -376,31 +368,25 @@ def exchange_split(w: BraidWord) -> ExchangeForm | None:
         if all(abs(k) >= 2 for k in w.letters):
             return ExchangeForm(n, BraidWord(n), w)
         return None
-    if not admits_exchange(w):
-        return None
     has_one = any(abs(k) == 1 for k in w.letters)
     has_top = any(abs(k) == n - 1 for k in w.letters)
     if not has_top:
         return ExchangeForm(n, w, BraidWord(n))
     if not has_one:
         return ExchangeForm(n, BraidWord(n), w)
-    L = len(w.letters)
-    # rotate so the word starts right after the last top-index letter of the
-    # (unique) cyclic top block; the index-1 block then precedes the top block
     ext = [i for i, k in enumerate(w.letters) if abs(k) in (1, n - 1)]
-    start = None
-    for pos_i, i in enumerate(ext):
-        j = ext[(pos_i + 1) % len(ext)]
-        if abs(w.letters[i]) == n - 1 and abs(w.letters[j]) == 1:
-            start = (i + 1) % L
-            break
-    if start is None:
+    # with both indices present, some top-index letter is followed,
+    # cyclically, by an index-1 letter
+    start = next(
+        i + 1
+        for i, j in zip(ext, ext[1:] + ext[:1])
+        if abs(w.letters[i]) == n - 1 and abs(w.letters[j]) == 1
+    )
+    rot = w.letters[start:] + w.letters[:start]
+    first_top = next(i for i, k in enumerate(rot) if abs(k) == n - 1)
+    if any(abs(k) == 1 for k in rot[first_top:]):
         return None
-    rot = cyclic_rotate(w, start)
-    first_top = next(i for i, k in enumerate(rot.letters) if abs(k) == n - 1)
-    alpha = BraidWord(n, rot.letters[:first_top])
-    beta = BraidWord(n, rot.letters[first_top:])
-    return ExchangeForm(n, alpha, beta)
+    return ExchangeForm(n, BraidWord(n, rot[:first_top]), BraidWord(n, rot[first_top:]))
 
 
 def family_member(form: ExchangeForm, m: int) -> BraidWord:
@@ -494,16 +480,21 @@ def parse_word(text: str | Sequence[int | str], strands: int) -> BraidWord:
     """Parse the whitespace-separated signed-integer word format.
 
     An integer i > 0 means the i-th generator, i < 0 its inverse.  The strand
-    count is always given alongside, never inferred.  Only the tokens are
-    converted here; ``BraidWord`` checks the strand count, then the letters.
+    count is always given alongside, never inferred.  A token is an int or
+    an integer string; a float or a bool is rejected, not truncated.  Only
+    the tokens are checked here; ``BraidWord`` checks the strand count, then
+    the letters.
     """
     tokens = text.split() if isinstance(text, str) else list(text)
     letters = []
     for pos, tok in enumerate(tokens):
         try:
-            letters.append(int(tok))
-        except (TypeError, ValueError):
+            k = int(tok) if isinstance(tok, str) else tok  # int() would truncate a float
+        except ValueError:
+            k = None
+        if type(k) is not int:
             raise WordError(f"token {tok!r} at position {pos} is not an integer")
+        letters.append(k)
     return BraidWord(strands, tuple(letters))
 
 

@@ -94,6 +94,9 @@ def test_engine_calls_only_traced_kernels(perfbench, form, degree):
     assert settled == calls.get("switch_inplace", 0)
     assert calls["knot_leaf_sum"] > 0
     assert calls["reidemeister_simplify"] == 1 + built + settled
+    # the a_3 root is a two-component node at budget 3, whose link_leaf_sum
+    # lists its violations: only a node that builds children scans its chain
+    assert ("chain_scan" in calls) == (degree == 4)
 
 
 def test_boundary_traces_the_deletions(perfbench):

@@ -433,9 +433,9 @@ class TestLeafFirstEngine:
         kernels = SimpleNamespace(**vars(get_kernels()))
 
         def link_leaf_sum(*args):
-            total, odd, children, leaves = get_kernels().link_leaf_sum(*args)
+            total, odd, leaves, chain = get_kernels().link_leaf_sum(*args)
             assert not odd
-            return total, 1, children, leaves
+            return total, 1, leaves, chain
 
         kernels.link_leaf_sum = link_leaf_sum
         d = closure_diagram(w(3, 1, 1, 1, 2, 2))  # a trefoil linked with an unknot

@@ -111,6 +111,37 @@ class TestDiagramChecks:
         with pytest.raises(DiagramError, match="four ports per crossing"):
             LinkDiagram((1, 0, 3), (1,))
 
+    @pytest.mark.parametrize("loops", [-3, -1, 1.5, 2.0, True, "2", None])
+    def test_bad_free_loops_rejected(self, loops):
+        # component_count and the engine would pass a negative count on as
+        # is, and a float would fail inside the engine
+        with pytest.raises(DiagramError, match="free_loops must be an int >= 0"):
+            LinkDiagram((), (), loops)
+
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            (999, 0),  # past the last port
+            (8, 0),  # one past the last in-port
+            (-2, 0),  # negative, but not -1
+            (1, 0),  # an out-port
+            (0.0, 2),  # not an int
+            (True, 2),  # a bool
+            [0, 2],  # not a tuple
+            "02",
+        ],
+        ids=["past-end", "past-last", "negative", "out-port", "float", "bool", "list", "str"],
+    )
+    def test_bad_entries_rejected(self, entries):
+        d = closure_diagram(w(2, 1, 1))  # the Hopf link: in-ports 0, 2, 4 and 6
+        with pytest.raises(DiagramError, match="entries must be None or a tuple"):
+            LinkDiagram(d.conn, d.sign, 0, entries)
+
+    @pytest.mark.parametrize("entries", [None, (), (-1, 6), (0, 2, -1)])
+    def test_good_entries_accepted(self, entries):
+        d = closure_diagram(w(2, 1, 1))
+        assert LinkDiagram(d.conn, d.sign, 1, entries).entries == entries
+
 
 class TestAxisConstruction:
     def test_single_strand_gives_hopf(self):

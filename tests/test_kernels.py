@@ -691,9 +691,15 @@ class TestLinkLeafSum:
         before = (conn[:], sign[:])
         got = K.link_leaf_sum(conn, sign, labels, starts)
         assert (conn, sign) == before  # read-only: the node flips the signs itself
-        want = link_leaf_reference(conn, sign, labels, starts)
+        total, odd, leaves, chain = got
+        want_total, want_odd, children, want_leaves = link_leaf_reference(
+            conn, sign, labels, starts
+        )
+        # the chain is the node's whole violation list, one child each
+        assert chain == K.chain_scan(conn, starts)
+        assert sum(labels[4 * c] == labels[4 * c + 2] for c in chain) == children
         # an odd count has no tree sum: the engine raises before reading it
-        assert got[1:] == want[1:] and (got[1] or got[0] == want[0])
+        assert (odd, leaves) == (want_odd, want_leaves) and (odd or total == want_total)
         return got
 
     @given(two_component_diagrams(), st.booleans(), st.booleans(), st.data())
@@ -716,8 +722,8 @@ class TestLinkLeafSum:
         # with the other component's two crossings between: the arc around
         # its visits meets nothing, so its smoothing is split, not a leaf
         conn, sign = [9, 2, 1, 4, 3, 8, 11, 10, 5, 0, 7, 6], [1, 1, 1]
-        assert self.check(conn, sign, [2, 6]) == (0, 0, 1, 0)
-        assert self.check(conn, sign, [0, 6]) == (0, 0, 0, 0)
+        assert self.check(conn, sign, [2, 6]) == (0, 0, 0, [0])
+        assert self.check(conn, sign, [0, 6]) == (0, 0, 0, [])
 
     def test_kink_is_a_free_loop(self):
         # crossing 2 of this two-component closure is a kink whose under
@@ -729,7 +735,7 @@ class TestLinkLeafSum:
         labels, _, starts = K.trace_inports(conn)
         assert K.chain_scan(conn, starts) == [1, 2]
         assert labels[4 * 2] == labels[4 * 2 + 2]
-        assert self.check(conn, sign, starts) == (0, 0, 1, 0)
+        assert self.check(conn, sign, starts) == (0, 0, 0, [1, 2])
 
     def test_odd_arc_count_is_rejected(self):
         # a Gauss code no planar diagram has: the inner arc of crossing 1,
@@ -737,7 +743,7 @@ class TestLinkLeafSum:
         conn, sign = [5, 6, 11, 10, 9, 0, 1, 8, 7, 4, 3, 2], [1, 1, 1]
         labels, _, starts = K.trace_inports(conn)
         assert K.chain_scan(conn, starts) == [1]
-        assert self.check(conn, sign, starts)[1:] == (1, 1, 1)
+        assert self.check(conn, sign, starts)[1:] == (1, 1, [1])
         with pytest.raises(ConwayError, match="odd inter-component crossing count"):
             SkeinEngine().truncated(LinkDiagram(conn, sign), 3)
 

@@ -75,6 +75,18 @@ class TestElementaryOps:
         with pytest.raises(WordError):
             BraidWord(3, (0,))
 
+    @pytest.mark.parametrize("letter", [1.5, 1.0, True, "1", None])
+    def test_non_int_letter_rejected(self, letter):
+        # closure_diagram would fail on a float, and True would pass as
+        # letter 1
+        with pytest.raises(WordError, match=f"letter {letter!r} at position 1 is not an int"):
+            BraidWord(3, (1, letter))
+
+    @pytest.mark.parametrize("strands", [2.5, 3.0, True, "3", None])
+    def test_non_int_strand_count_rejected(self, strands):
+        with pytest.raises(WordError, match="strand count must be an int"):
+            BraidWord(strands, (1,))
+
 
 class TestPermutations:
     def test_single_generator_is_transposition(self):
@@ -215,8 +227,13 @@ class TestExchange:
     @given(braid_words(min_strands=4, max_strands=6))
     def test_split_is_rotation_of_input(self, word):
         form = exchange_split(word)
+        # a word splits exactly when each extreme index forms at most one
+        # contiguous cyclic block, counted here independently
+        n = word.strands
+        pat = [abs(k) == 1 for k in word.letters if abs(k) in (1, n - 1)]
+        boundaries = sum(pat[i] != pat[i - 1] for i in range(len(pat)))
+        assert (form is not None) == (boundaries <= 2) == bool(admits_exchange(word))
         if form is None:
-            assert not admits_exchange(word)
             return
         rejoined = form.word().letters
         rotations = {
@@ -340,3 +357,12 @@ class TestParsing:
             parse_word("1 2 x", 4)
         with pytest.raises(WordError, match="position 1"):
             parse_word("1 5 1", 4)
+
+    @pytest.mark.parametrize("tokens", [[1.9, 2], [1, 2.0], [True, 2], "1 2.0", [1, None]])
+    def test_non_int_token_rejected(self, tokens):
+        # int() would truncate a float token: [1.9, 2] would parse as 1 2
+        with pytest.raises(WordError, match="is not an integer"):
+            parse_word(tokens, 4)
+
+    def test_int_and_string_tokens_mix(self):
+        assert parse_word([1, "-2", " 3 "], 4).letters == (1, -2, 3)
