@@ -185,19 +185,15 @@ def free_reduce(w: BraidWord) -> BraidWord:
 def cyclic_free_reduce(w: BraidWord) -> BraidWord:
     """Free reduction that also cancels across the wrap-around.
 
-    The result is conjugate to the input, so every conjugacy invariant
-    (closure link, axis link) is unchanged.
+    The word is freely reduced once; then each cancelling pair of ends is
+    stripped.  The middle of a freely reduced word is freely reduced, so
+    nothing is scanned again.  The result is conjugate to the input, so
+    every conjugacy invariant (closure link, axis link) is unchanged.
     """
     w = free_reduce(w)
     while len(w.letters) >= 2 and w.letters[0] == -w.letters[-1]:
-        w = free_reduce(BraidWord(w.strands, w.letters[1:-1]))
+        w = BraidWord(w.strands, w.letters[1:-1])
     return w
-
-
-def concat_power(w: BraidWord, m: int) -> BraidWord:
-    if m < 0:
-        return concat_power(inverse(w), -m)
-    return BraidWord(w.strands, w.letters * m)
 
 
 def square(w: BraidWord) -> BraidWord:
@@ -358,16 +354,12 @@ def exchange_split(w: BraidWord) -> ExchangeForm | None:
     right after a top-index letter whose next extreme letter is an index-1
     letter, and alpha runs up to the first top-index letter.  The split
     exists exactly when the rest, beta, holds no index-1 letter, that is
-    when each extreme index forms one contiguous cyclic block.
+    when each extreme index forms one contiguous cyclic block.  The rule is
+    the same at every strand count: on 3 strands w = sigma_1 sigma_2 splits
+    as alpha = sigma_1, beta = sigma_2, and on 2 strands, where the two
+    extreme indices coincide, only the empty word splits.
     """
     n = w.strands
-    if n <= 3:
-        # no two distinct extreme indices to separate; only the trivial splits
-        if all(abs(k) <= n - 2 for k in w.letters):
-            return ExchangeForm(n, w, BraidWord(n))
-        if all(abs(k) >= 2 for k in w.letters):
-            return ExchangeForm(n, BraidWord(n), w)
-        return None
     has_one = any(abs(k) == 1 for k in w.letters)
     has_top = any(abs(k) == n - 1 for k in w.letters)
     if not has_top:
@@ -390,11 +382,16 @@ def exchange_split(w: BraidWord) -> ExchangeForm | None:
 
 
 def family_member(form: ExchangeForm, m: int) -> BraidWord:
-    """The m-th exchange-move iterate alpha * kappa^m * beta * kappa^-m."""
-    if m == 0:
-        return form.word()
-    kap = concat_power(kappa_word(form.strands), m)
-    return compose(compose(form.alpha, kap), compose(form.beta, inverse(kap)))
+    """The m-th exchange-move iterate alpha * kappa^m * beta * kappa^-m.
+
+    The letters are joined once into one word; at m = 0 the twists are
+    empty and the member is the seed word.  The band word kappa needs
+    n >= 3 strands, so a form on fewer strands has no family.
+    """
+    kap = kappa_word(form.strands).letters
+    twist = kap * m if m >= 0 else tuple(-k for k in reversed(kap)) * -m
+    untwist = tuple(-k for k in reversed(twist))
+    return BraidWord(form.strands, form.alpha.letters + twist + form.beta.letters + untwist)
 
 
 def nonconjugacy_criterion(w: BraidWord) -> CriterionVerdict:
@@ -462,6 +459,8 @@ def canonical_joint_cycle_braid(n: int) -> ExchangeForm:
 def canonical_split_cycle_braid(n1: int, n2: int) -> ExchangeForm:
     """Seed with permutation cycles exactly (1..n1) and (n1+1..n1+n2):
     alpha = sigma_1 .. sigma_{n1-1}, beta = sigma_{n1+1} .. sigma_{n-1}."""
+    if type(n1) is not int or type(n2) is not int:
+        raise WordError(f"cycle lengths must be ints, got {n1!r} and {n2!r}")
     if n1 < 2 or n2 < 2:
         raise WordError("both cycle lengths must be >= 2")
     n = n1 + n2

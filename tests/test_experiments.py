@@ -4,6 +4,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import braidax.experiments
 from braidax import (
@@ -12,6 +14,7 @@ from braidax import (
     ExchangeForm,
     ExperimentError,
     FitError,
+    WordError,
     axis_link_diagram,
     axis_sequence,
     axis_word,
@@ -75,6 +78,48 @@ class TestFitPolynomial:
         with pytest.raises(FitError) as exc:
             fit_polynomial(self.seq((0, 1, 4, 9, 99)), 2)
         assert exc.value.offending_m == 4
+
+    @given(
+        st.integers(0, 3),
+        st.lists(st.integers(-5, 5), min_size=4, max_size=4),
+        st.integers(-3, 3),
+        st.integers(0, 4),
+        st.dictionaries(st.integers(0, 8), st.integers(-3, 3), max_size=2),
+    )
+    def test_offender_is_the_first_sample_the_earlier_ones_miss(
+        self, degree, coeffs, m_start, spare, bumps
+    ):
+        def lagrange(points, x):
+            total = Fraction(0)
+            for i, (xi, yi) in enumerate(points):
+                term = Fraction(yi)
+                for j, (xj, _) in enumerate(points):
+                    if j != i:
+                        term *= Fraction(x - xj, xi - xj)
+                total += term
+            return total
+
+        count = degree + 2 + spare
+        ms = range(m_start, m_start + count)
+        values = [sum(c * m**k for k, c in enumerate(coeffs[: degree + 1])) for m in ms]
+        for i, bump in bumps.items():
+            if i < count:
+                values[i] += bump
+        # the reference interpolates the first degree + 1 samples; the fit
+        # must agree with it up to the first sample it does not reproduce
+        points = list(zip(ms, values))[: degree + 1]
+        offender = next(
+            (m for m, v in zip(ms, values) if lagrange(points, m) != v), None
+        )
+        seq = self.seq(values, m_start=m_start)
+        if offender is None:
+            fit = fit_polynomial(seq, degree)
+            for m, v in zip(ms, values):
+                assert sum(c * m**k for k, c in enumerate(fit.coeffs)) == v
+        else:
+            with pytest.raises(FitError, match=f"at m={offender} deviates") as exc:
+                fit_polynomial(seq, degree)
+            assert exc.value.offending_m == offender
 
     def test_rational_coefficients(self):
         # m(m-1)/2 has a fractional leading coefficient
@@ -155,6 +200,25 @@ class TestJointCycleTargets:
         assert joint_cycle_target(n) == target
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: second_difference_target(5.5),
+        lambda: second_difference_target(5.0),
+        lambda: second_difference_target(True),
+        lambda: joint_cycle_target(4.5),
+        lambda: joint_cycle_target(4.0),
+        lambda: two_cycle_check(2.0, 2),
+        lambda: joint_cycle_check(4.5),
+        lambda: squared_family_check(5.0),
+    ],
+)
+def test_non_int_sizes_rejected(call):
+    # a float size used to give a target of 0.0 or a TypeError traceback
+    with pytest.raises((ExperimentError, WordError)):
+        call()
+
+
 class TestFamilyChecks:
     def test_dn_n5(self, engine):
         report = squared_family_check(5, engine=engine)
@@ -193,6 +257,36 @@ class TestFamilyChecks:
         assert report.computed["deletion_choices_agree"]
         assert report.computed["delete_with_strand_3_quadratic"] == "2"
         assert report.computed["delete_other_quadratic"] == "2"
+
+    @pytest.mark.parametrize(
+        "check", [lambda eng: two_cycle_check(2, 2, engine=eng),
+                  lambda eng: joint_cycle_check(5, engine=eng)]
+    )
+    def test_fit_failure_keeps_the_report(self, engine, monkeypatch, check):
+        # the second fit fails; the report keeps the passing run's targets
+        # and every sampled sequence, and adds the fit error
+        good = check(engine)
+        fit = braidax.experiments.fit_polynomial
+        calls = []
+
+        def second_fails(seq, degree_bound):
+            calls.append(seq)
+            if len(calls) == 2:
+                raise FitError("forced", offending_m=0)
+            return fit(seq, degree_bound)
+
+        monkeypatch.setattr(braidax.experiments, "fit_polynomial", second_fails)
+        bad = check(engine)
+        assert len(calls) == 2
+        assert not bad.passed
+        assert bad.expected == good.expected
+        assert bad.notes == good.notes
+        assert bad.computed["fit_error"] == "forced"
+        sequences = {k: v for k, v in good.computed.items() if k.endswith("_sequence")}
+        assert len(sequences) == 2
+        assert sequences.items() <= bad.computed.items()
+        assert "quadratic_sum" not in bad.computed
+        assert "deletion_choices_agree" not in bad.computed
 
     @pytest.mark.parametrize("n", [4, 5])
     @pytest.mark.parametrize("ms", [range(-2, 6, 2), [2, 1, 0, -1]])

@@ -14,6 +14,7 @@ from braidax import (
     canonical_split_cycle_braid,
     compose,
     cycle_decomposition,
+    cyclic_free_reduce,
     cyclic_rotate,
     exchange_split,
     exponent_sum,
@@ -65,6 +66,28 @@ class TestElementaryOps:
         assert free_reduce(w(4, 1, 2, -2, 3)).letters == (1, 3)
         already = w(4, 1, 2, 1)
         assert free_reduce(already).letters == already.letters
+
+    def test_cyclic_free_reduce(self):
+        assert cyclic_free_reduce(w(4, 1, 2, -2, 3, -1)).letters == (3,)
+        assert cyclic_free_reduce(w(4, 2, 1, 3, -1, -2)).letters == (3,)
+        assert cyclic_free_reduce(w(3, 1, 2, -1)).letters == (2,)
+        assert cyclic_free_reduce(w(3, 1, -2)).letters == (1, -2)
+
+    @given(braid_words(max_letters=16))
+    def test_cyclic_free_reduce_matches_reduce_to_a_fixed_point(self, word):
+        def reference(v):
+            # reduce freely, strip a cancelling pair of ends, and reduce the
+            # whole middle again, until the ends no longer cancel
+            v = free_reduce(v)
+            while len(v.letters) >= 2 and v.letters[0] == -v.letters[-1]:
+                v = free_reduce(BraidWord(v.strands, v.letters[1:-1]))
+            return v
+
+        reduced = cyclic_free_reduce(word)
+        assert reduced == reference(word)
+        out = reduced.letters
+        assert all(a != -b for a, b in zip(out, out[1:]))
+        assert len(out) < 2 or out[0] != -out[-1]
 
     def test_square_and_stabilize(self):
         assert square(w(2, 1)).letters == (1, 1)
@@ -218,13 +241,27 @@ class TestExchange:
     def test_split_none_when_inadmissible(self):
         assert exchange_split(w(4, 1, 3, 1, 3)) is None
 
+    def test_three_strand_split(self):
+        # the two extreme indices 1 and 2 are distinct on three strands
+        form = exchange_split(w(3, 1, 2))
+        assert form.alpha.letters == (1,) and form.beta.letters == (2,)
+        form = exchange_split(w(3, 2, -1, 1))
+        assert form.alpha.letters == (-1, 1) and form.beta.letters == (2,)
+        assert exchange_split(w(3, 1, 2, 1, 2)) is None
+        assert admits_exchange(w(3, 1, 2, 1, 2)).degenerate
+
+    def test_two_strand_split(self):
+        # the extreme indices coincide, so only the empty word splits
+        assert exchange_split(BraidWord(2)).word().letters == ()
+        assert exchange_split(w(2, 1)) is None
+
     @given(braid_words(min_strands=4, max_strands=6))
     def test_admissibility_rotation_invariant(self, word):
         base = bool(admits_exchange(word))
         for k in range(len(word.letters)):
             assert bool(admits_exchange(cyclic_rotate(word, k))) == base
 
-    @given(braid_words(min_strands=4, max_strands=6))
+    @given(braid_words(min_strands=3, max_strands=6))
     def test_split_is_rotation_of_input(self, word):
         form = exchange_split(word)
         # a word splits exactly when each extreme index forms at most one
@@ -232,7 +269,9 @@ class TestExchange:
         n = word.strands
         pat = [abs(k) == 1 for k in word.letters if abs(k) in (1, n - 1)]
         boundaries = sum(pat[i] != pat[i - 1] for i in range(len(pat)))
-        assert (form is not None) == (boundaries <= 2) == bool(admits_exchange(word))
+        assert (form is not None) == (boundaries <= 2)
+        if n >= 4:  # on 3 strands admissibility holds by convention
+            assert (form is not None) == bool(admits_exchange(word))
         if form is None:
             return
         rejoined = form.word().letters
@@ -256,6 +295,21 @@ class TestFamily:
     def test_m_one_spells_out_the_band(self):
         form = ExchangeForm(4, w(4, 1), w(4, 3))
         assert family_member(form, 1).letters == (1, 1, 2, 2, 1, 3, -1, -2, -2, -1)
+
+    @given(exchange_forms(), st.integers(-4, 4))
+    def test_family_is_the_composed_iterate(self, form, m):
+        kappa = kappa_word(form.strands)
+        twist = BraidWord(form.strands)
+        for _ in range(abs(m)):
+            twist = compose(twist, kappa if m > 0 else inverse(kappa))
+        expected = compose(compose(form.alpha, twist), compose(form.beta, inverse(twist)))
+        assert family_member(form, m) == expected
+
+    def test_family_needs_the_band_word(self):
+        form = ExchangeForm(2, BraidWord(2), BraidWord(2))
+        for m in (-1, 0, 1):
+            with pytest.raises(WordError, match="band word needs n >= 3"):
+                family_member(form, m)
 
     @given(exchange_forms(), st.integers(-3, 3))
     def test_family_permutation_independent_of_m(self, form, m):
@@ -308,6 +362,21 @@ class TestCanonicalFamilies:
     def test_odd_knot_braid_rejects_even(self):
         with pytest.raises(WordError):
             canonical_odd_knot_braid(6)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: canonical_odd_knot_braid(5.0),
+            lambda: canonical_odd_knot_braid(True),
+            lambda: canonical_joint_cycle_braid(4.5),
+            lambda: canonical_joint_cycle_braid(5.0),
+            lambda: canonical_split_cycle_braid(2.0, 2),
+            lambda: canonical_split_cycle_braid(2, True),
+        ],
+    )
+    def test_non_int_sizes_rejected(self, build):
+        with pytest.raises(WordError):
+            build()
 
     def test_joint_cycle_braid_n4(self):
         form = canonical_joint_cycle_braid(4)
