@@ -51,33 +51,37 @@ closed after its trace (294 of the 3896 such children of the benchmark's
 ``a4_families``, seed 13); at p = 1 and p = 2 each closes in one read-only
 walk of its node.
 
-A knot at budget 2 builds no child at all: every crossing is a
+A knot at budget 2, always a root since a two-component node closes its
+knot children itself, builds no child at all: every crossing is a
 self-crossing, so each violation's smoothing is a two-component Hoste leaf
 whose a_1 is the linking number of the two arcs between its visits.  One
 kernel call (``knot_leaf_sum``) walks the knot once from a basepoint, lists
 the violations as ``chain_scan`` does and sums their leaves in the same
-sweep, reading nothing twice and writing nothing; most leaves of the
-benchmark's a_3 and a_4 runs close there.
+sweep, reading nothing twice and writing nothing.
 
 A two-component node at budget 3, the node every a_3 of a knot's axis link
 and every a_4 of a two-cycle link runs through, builds no child either.
 Smoothing a self-crossing of component a splits it into an arc A and the
 rest R beside the other component B, a leaf whose a_2 is the spanning-tree
 sum of the triangle, x*l + y*(l - y) with x = lk(A, R), y = lk(A, B) and
-l = lk(a, B).  One ``link_leaf_sum`` walk sums them all and lists the
-node's violations in ``chain_scan`` order, so the node makes no
-``chain_scan`` call.  One pass over that chain then closes each other
-child, a knot at budget 2, in the node's own arrays: no copy, smoothing,
-simplification, ``compact``, trace, split check or memo entry.  The knot's
-walk passes the smoothed crossing as the smoothing would, from the in-port
-the compacted child's walk would start at.  Such a node never writes
-``conn``: after each child the pass flips the violation's sign and marks it
-in ``flip``, and a walk reads a marked crossing's strands the other way up.
-An unreduced diagram is still a diagram of the knot.  In place of the
-trace, the walk must visit every crossing but the smoothed one twice.
-Smoothing an inter-component crossing never frees a loop: that needs each
-component to pass the crossing alone, an odd count that ``link_leaf_sum``
-reports before any child.
+l = lk(a, B).  Smoothing an inter-component violation c gives a knot K_c
+at budget 2, with the violations before c switched.  One
+``link_leaf_sum`` call closes them all in the node's arrays and writes
+nothing: no copy, smoothing, simplification, ``compact``, trace, split
+check, memo entry or ``chain_scan`` call.  Its walk of the two components
+sums the triangle leaves and records the in-ports it visits.  Walked from
+the node's basepoint, K_c meets every switched crossing first over, so its
+a_2 is one order of Polyak and Viro's Gauss-diagram sum over the crossings
+it meets after c, with the node's signs.  One backward pass over the first
+component gives every K_c's pairs that end on it, and one pass over the
+second component from c the rest: O(|first| + children x |second|) in
+place of a walk of the whole knot per child.  An unreduced diagram is still
+a diagram of the link.  In place of a trace, the walk must visit every
+crossing twice.  Smoothing an inter-component crossing never frees a loop:
+that needs each component to pass the crossing alone, an odd count that
+``link_leaf_sum`` reports before any child.  On a pairing no planar diagram
+has, the two orders of the sum can differ, so a_3 there depends on the
+route.
 
 All coefficients are exact integers; there is no floating point here.
 """
@@ -194,10 +198,10 @@ class SkeinEngine:
             self.hits += 1
             return hit
         if p == 1 and budget == 2:  # a knot root: every child is closed here, in one walk
-            out = (1, 0, self._knot_a2(conn, sign, [0] * len(sign), starts[0], -1))
+            out = (1, 0, self._knot_a2(conn, sign, starts[0]))
             self.memo[key] = out
             return out
-        if p == 2 and budget == 3:  # every child is closed here, in one walk and a pass
+        if p == 2 and budget == 3:  # every child is closed here, in one walk and its sweep
             out = self._link_a3(conn, sign, labels, starts)
             self.memo[key] = out
             return out
@@ -232,44 +236,25 @@ class SkeinEngine:
         return out
 
     def _link_a3(self, conn, sign, labels, starts) -> tuple[int, ...]:
-        """a_0..a_3 of a two-component node at budget 3, which closes every
-        child in its own arrays and never writes ``conn``: one
-        ``link_leaf_sum`` walk sums the self-crossing leaves and lists the
-        chain, and each inter-component child, a knot at budget 2, is one
-        ``_knot_a2`` walk that reads the violations before it switched
-        through ``flip``."""
-        total, odd, leaves, chain = self.k.link_leaf_sum(conn, sign, labels, starts)
+        """a_0..a_3 of a two-component node at budget 3, from one
+        ``link_leaf_sum`` call that closes every child in the node's arrays
+        and writes nothing.  Its walks must visit every crossing twice."""
+        a1, a3, odd, children, leaves, ports = self.k.link_leaf_sum(conn, sign, labels, starts)
+        if ports != 2 * len(sign):
+            raise ConwayError(f"node traced {ports} of {2 * len(sign)} in-ports, carried 2")
         if odd:
             raise ConwayError("odd inter-component crossing count")
-        self.nodes += len(chain)
+        self.nodes += children
         self.leaves += leaves
-        a1 = 0
-        a3 = total >> 2  # times z
-        flip = [0] * len(sign)
-        for c in chain:
-            e = sign[c]
-            if labels[4 * c] != labels[4 * c + 2]:
-                # the child is walked from its in-port 0 (4 when c is 0),
-                # the basepoint its compacted copy would have
-                s = 4 if c == 0 else 0
-                a1 += e
-                a3 += e * self._knot_a2(conn, sign, flip, s ^ flip[s >> 2], c)
-            sign[c] = -e
-            flip[c] = 2
         return (0, a1, 0, a3)
 
-    def _knot_a2(self, conn, sign, flip, start, smoothed) -> int:
-        """a_2 of a knot, from one ``knot_leaf_sum`` walk that closes every
-        child of the knot at budget 2: the compacted diagram ``conn``,
-        ``sign`` with crossing ``smoothed`` smoothed (-1: none) and the
-        crossings ``flip`` marks switched, from in-port ``start``.  The walk
-        must visit every live crossing twice."""
-        total, odd, children, leaves, ports = self.k.knot_leaf_sum(
-            conn, sign, flip, start, smoothed
-        )
-        live = len(sign) - (smoothed >= 0)
-        if ports != 2 * live:
-            raise ConwayError(f"node traced {ports} of {2 * live} in-ports, carried 1")
+    def _knot_a2(self, conn, sign, start) -> int:
+        """a_2 of a knot node, from one ``knot_leaf_sum`` walk from in-port
+        ``start`` that closes every child at budget 2.  The walk must visit
+        every crossing twice."""
+        total, odd, children, leaves, ports = self.k.knot_leaf_sum(conn, sign, start)
+        if ports != 2 * len(sign):
+            raise ConwayError(f"node traced {ports} of {2 * len(sign)} in-ports, carried 1")
         if odd:
             raise ConwayError("odd inter-component crossing count")
         self.nodes += children

@@ -142,6 +142,9 @@ def axis_sequence(
     unreduced word is deleted before evaluating.
     """
     ms = list(m_range)
+    for m in ms:
+        if isinstance(m, bool) or not isinstance(m, int):
+            raise ExperimentError(f"m must be an int, got {m!r}")
     if not ms or ms != list(range(ms[0], ms[0] + len(ms))):
         raise ExperimentError("m_range must be a nonempty contiguous range")
     eng = engine if engine is not None else SkeinEngine()

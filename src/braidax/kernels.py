@@ -31,16 +31,14 @@ in-place ones need lists.
 ``linking_counts`` reads the labels of a ``trace_inports`` call the caller
 has already made, so ``linking_matrix`` and a Hoste leaf the engine builds
 walk their diagram once after its trace.  The other Hoste leaves close in
-their parent by a read-only sweep with no copy, arc slice or determinant:
-``knot_leaf_sum`` closes every child of a knot node at budget 2, and
-``link_leaf_sum`` every self-crossing child of a two-component node at
-budget 3.  Each sweep meets the node's descending violations in
-``chain_scan`` order, so neither node calls ``chain_scan``:
-``knot_leaf_sum`` counts them, and ``link_leaf_sum`` lists them, since its
-node closes each inter-component child after the sweep.  ``knot_leaf_sum``
-takes the knot as its node holds it, a crossing smoothed and others
-switched, without a copy: a two-component node at budget 3 walks each of
-its knot children in its own arrays.
+their parent with no copy, arc slice or determinant: ``knot_leaf_sum``
+closes every child of a knot node at budget 2 in one read-only walk, and
+``link_leaf_sum`` every child of a two-component node at budget 3, the
+self-crossing leaves in one read-only walk and the knot children of its
+inter-component violations in one sweep of that walk (``_knot_children``):
+a backward pass over the first component and a pass over the second per
+child.  Each sweep meets the node's descending violations in
+``chain_scan`` order, so neither node calls ``chain_scan``.
 
 Every kernel is a plain Python function: the engine reads single items in
 loops, and a list item is read several times faster than an ndarray item.
@@ -121,14 +119,9 @@ def linking_counts(sign, labels, ncomp):
     return counts
 
 
-def knot_leaf_sum(conn, sign, flip, start, smoothed):
-    """Close every child of a knot node at budget 2 in one read-only walk.
-
-    The knot is the diagram of ``conn`` with crossing ``smoothed`` smoothed
-    (-1: none) and every crossing k with ``flip[k] == 2`` switched, walked
-    from in-port ``start``; nothing is written.  The walk passes the smoothed
-    crossing as its smoothing does, leaving through the other strand's
-    out-port, and reads a switched crossing's strands the other way up.
+def knot_leaf_sum(conn, sign, start):
+    """Close every child of a knot node at budget 2 in one read-only walk
+    from in-port ``start``.
 
     The descending violations are the crossings first met on their under
     strand, in encounter order, as ``chain_scan`` lists them.  Smoothing one
@@ -138,7 +131,9 @@ def knot_leaf_sum(conn, sign, flip, start, smoothed):
     sign after its leaf, so of two interleaved violations the later one's
     leaf reads the earlier flipped and the pair cancels: the total needs
     only the pairs of a violation and an interleaved non-violation, with the
-    signs the walk starts with.
+    signs the walk starts with.  Taking both orders of each pair, it is
+    twice a_2; on a planar diagram each order alone gives a_2 (Polyak and
+    Viro), which is how ``link_leaf_sum`` closes its knot children.
 
     Each crossing takes a rank when the walk first meets it, and bitmasks of
     ranks hold the non-violations by sign and the chords closed so far.
@@ -149,8 +144,8 @@ def knot_leaf_sum(conn, sign, flip, start, smoothed):
     Returns ``(total, odd, children, leaves, ports)``: the sum over the
     leaves of the violation's sign times the doubled linking number, nonzero
     when a doubled count is odd, how many violations and leaves there were,
-    and how many in-ports the walk visited, twice the live crossings when
-    the diagram is a knot.
+    and how many in-ports the walk visited, twice the crossings when the
+    diagram is a knot.
     """
     rank = [-1] * len(sign)
     opened_at = [None] * len(sign)  # a violation's closed chords when it opened
@@ -159,39 +154,36 @@ def knot_leaf_sum(conn, sign, flip, start, smoothed):
     cur = start
     while True:
         k = cur >> 2
-        if k == smoothed:
-            cur = conn[(cur ^ 2) + 1]
-        else:
-            ports += 1
-            r = rank[k]
-            if r < 0:
-                rank[k] = opened
-                if (cur ^ flip[k]) & 2:  # met first on its under strand
-                    children += 1
-                    opened_at[k] = closed
-                elif sign[k] > 0:
-                    plus |= 1 << opened
-                else:
-                    minus |= 1 << opened
-                opened += 1
+        ports += 1
+        r = rank[k]
+        if r < 0:
+            rank[k] = opened
+            if cur & 2:  # met first on its under strand
+                children += 1
+                opened_at[k] = closed
+            elif sign[k] > 0:
+                plus |= 1 << opened
             else:
-                was = opened_at[k]
-                if was is not None:
-                    inside = closed ^ was  # the chords closed since it opened
-                    # the visits between its two, as many as the chords opened
-                    # and closed since, and of the interleaved chords' parity
-                    between = opened - r - 1 + inside.bit_count()
-                    if between:  # else the inner arc is a free loop
-                        leaves += 1
-                        odd |= between
-                        if not r:
-                            last0 = ports
-                        cross = ((1 << opened) - (2 << r)) ^ inside
-                        total += sign[k] * (
-                            (cross & plus).bit_count() - (cross & minus).bit_count()
-                        )
-                closed |= 1 << r
-            cur = conn[cur + 1]
+                minus |= 1 << opened
+            opened += 1
+        else:
+            was = opened_at[k]
+            if was is not None:
+                inside = closed ^ was  # the chords closed since it opened
+                # the visits between its two, as many as the chords opened
+                # and closed since, and of the interleaved chords' parity
+                between = opened - r - 1 + inside.bit_count()
+                if between:  # else the inner arc is a free loop
+                    leaves += 1
+                    odd |= between
+                    if not r:
+                        last0 = ports
+                    cross = ((1 << opened) - (2 << r)) ^ inside
+                    total += sign[k] * (
+                        (cross & plus).bit_count() - (cross & minus).bit_count()
+                    )
+            closed |= 1 << r
+        cur = conn[cur + 1]
         if cur == start:
             break
     if last0 == ports:  # the first violation closed last: the arc around is a free loop
@@ -200,8 +192,9 @@ def knot_leaf_sum(conn, sign, flip, start, smoothed):
 
 
 def link_leaf_sum(conn, sign, labels, starts):
-    """Close every self-crossing child of a two-component node at budget 3
-    in one read-only walk of its components, in ``starts`` order.
+    """Close every child of a two-component node at budget 3 in one
+    read-only walk of its components, in ``starts`` order, and one sweep of
+    the walk it records.
 
     Smoothing a self-crossing violation c of component a splits it into the
     inner arc A between c's visits and the rest R, beside the other
@@ -225,26 +218,31 @@ def link_leaf_sum(conn, sign, labels, starts):
     when c's visits are adjacent, the outer when c opens and closes the
     walk (that one sums to 0, since X = 0 and Y = L).
 
-    Returns ``(total, odd, leaves, chain)``: the sum over the leaves of
-    c's sign times X*L + Y*(L - Y), four times their a_2; nonzero when L,
-    an X or a Y is odd; the leaves; and the node's violations, each listed
-    at its first visit, in ``chain_scan`` order: the self-crossings met
-    first on their under strand and the inter-component crossings the first
-    component passes under.
+    The inter-component violations, where the first component passes under,
+    have knot children at budget 2, which ``_knot_children`` closes from the
+    two recorded walks.
+
+    Returns ``(a1, a3, odd, children, leaves, ports)``: the node's a_1 and
+    a_3, exact when ``odd`` is 0; nonzero when L, an X, a Y or an arc of a
+    knot child is odd; how many children (the node's violations and their
+    knot children's) and Hoste leaves the node has; and how many in-ports
+    the walk visited, twice the crossings when it covered the diagram.
     """
     rank = [-1] * len(sign)
     opened_at = [None] * len(sign)  # a violation's walk state when it opened
     lk = drift = 0  # L at the start, and its change by the switches so far
-    lin = rest = odd = leaves = 0  # the total is lk * lin + rest
-    chain = []
+    lin = rest = odd = leaves = children = 0  # the total is lk * lin + rest
+    walks = []
     first = True
     for start in starts:
         j = labels[start]
         plus = minus = bad = closed = 0
         opened = ports = y = 0
         last0 = -1
+        walk = []
         cur = start
         while True:
+            walk.append(cur)
             k = cur >> 2
             if labels[cur ^ 2] != j:
                 s = sign[k]
@@ -252,7 +250,7 @@ def link_leaf_sum(conn, sign, labels, starts):
                     lk += s
                     if cur & 2:  # the first component passes under: a violation
                         drift -= 2 * s
-                        chain.append(k)
+                        children += 1
                 elif not cur & 2:  # switched before this component's leaves
                     s = -s
                 y += s
@@ -266,7 +264,7 @@ def link_leaf_sum(conn, sign, labels, starts):
                     else:
                         minus |= bit
                     if cur & 2:  # met first on its under strand
-                        chain.append(k)
+                        children += 1
                         opened_at[k] = (closed, y, drift, ports)
                         bad |= bit
                     opened += 1
@@ -295,8 +293,166 @@ def link_leaf_sum(conn, sign, labels, starts):
                 break
         if last0 == ports - 1:  # the first port's violation closed last
             leaves -= 1
+        walks.append(walk)
         first = False
-    return lk * lin + rest, (odd | lk) & 1, leaves, chain
+    odd = (odd | lk) & 1
+    ports = sum(map(len, walks))
+    if odd or ports != 2 * len(sign):
+        return 0, 0, odd, children, leaves, ports  # the node raises: no child is closed
+    a1, a3, odd, kids, kleaves = _knot_children(sign, labels, *walks)
+    return a1, ((lk * lin + rest) >> 2) + a3, odd & 1, children + kids, leaves + kleaves, ports
+
+
+def _knot_children(sign, labels, first, second):
+    """The knot children of a two-component node at budget 3, from the
+    in-ports its components visit, ``first`` and ``second``, in walk order.
+
+    The child of an inter-component violation c, at position i of
+    ``first``, is the knot K_c walked from ``first[0]``: ``first[:i]``,
+    then ``second`` from c round to c, then ``first[i + 1:]``.  Every
+    violation before c is switched, and those are the violations ``first``
+    meets before i, so each crossing K_c meets first in ``first[:i]`` reads
+    over.  So K_c's violations are those it meets first after i, with the
+    node's signs, and its a_2 is the sum of e_x * e_y over the pairs of
+    them met x, y, x, y with x a violation and y not (``knot_leaf_sum``'s
+    one order).  The pairs fall in two kinds:
+
+    * Those whose crossings both end on ``first`` after i depend on i
+      alone: two self-crossings of the first component, or an
+      inter-component violation of K_c (the second component passes under)
+      with an over-first self-crossing of the first component around its
+      visit there.  One backward pass over ``first`` sums them, with the
+      violations and kinks of the first component after each i.
+    * The others touch the second component: two inter-component crossings,
+      an inter-component crossing and a self-crossing of the second
+      component, or two of those.  One pass over ``second`` from c sums them
+      for K_c, with the violations of K_c first met there; an
+      inter-component crossing met before i on ``first`` is read over.
+
+    K_c's leaves are its violations less those with adjacent visits (a kink,
+    or an inter-component crossing met just before c on ``second`` and just
+    after it on ``first``) and less the one around the whole walk when c is
+    ``first[0]``.  Bitmasks over positions hold the pairs' other ends.
+
+    Returns ``(a1, a3, odd, children, leaves)``: the sums over the children
+    of c's sign and of its sign times a_2 of K_c; nonzero when an arc of a
+    violation of some K_c meets an odd number of ports (on ``first`` that
+    arc is a self-crossing leaf's, whose parity the node already checks);
+    and the children and leaves of the K_c.
+    """
+    nf = len(first)
+    fpos = [-1] * len(sign)  # an inter-component crossing's position on first
+    at = [None] * len(sign)  # a self-crossing's state at its later visit on first
+    kids = []  # (i, c, pairs, violations, kinks) on first after i, for each child
+    j = labels[first[0]]
+    total = violations = kinks = 0
+    over = 0  # the signs of the inter-component crossings first passes over at or after p
+    closed = plus = minus = 0  # bit b: the self-crossing whose later visit is b
+    for p in range(nf - 1, -1, -1):
+        q = first[p]
+        k = q >> 2
+        if labels[q ^ 2] != j:
+            fpos[k] = p
+            if q & 2:
+                kids.append((p, k, total, violations, kinks))
+            else:
+                over += sign[k]
+            continue
+        was = at[k]
+        if was is None:  # its later visit, met first going back
+            at[k] = (p, over, closed)
+            if q & 2:  # under here, so over at its earlier visit: not a violation
+                if sign[k] > 0:
+                    plus |= 1 << p
+                else:
+                    minus |= 1 << p
+            continue
+        b, o, snap = was
+        e = sign[k]
+        if q & 2:  # a violation: the non-violations first met inside, last met after b
+            violations += 1
+            kinks += b == p + 1
+            inner = (closed ^ snap) >> (b + 1)
+            total += e * (
+                (inner & (plus >> (b + 1))).bit_count() - (inner & (minus >> (b + 1))).bit_count()
+            )
+        else:  # the inter-component violations of K_c inside
+            total += e * (over - o)
+        closed |= 1 << b
+    # second, twice round; code holds at a self-crossing's position the
+    # position of its next visit, at an inter-component crossing's the
+    # complement (~) of its position on first
+    ns = len(second)
+    code = [0] * ns
+    seen = [-1] * len(sign)  # a crossing's earlier position on second
+    for p, q in enumerate(second):
+        k = q >> 2
+        u = seen[k]
+        if labels[q ^ 2] == j:
+            code[p] = ~fpos[k]
+            seen[k] = p
+        elif u < 0:
+            seen[k] = p
+        else:
+            code[u] = p
+            code[p] = u + ns
+    code += [v if v < 0 else v + ns for v in code]
+    second = second + second
+    a1 = a3 = odd = children = leaves = 0
+    for i, c, h, ch, adj in kids:
+        e = sign[c]
+        a1 += e
+        pc = seen[c]  # K_c reads second from pc + 1 to end - 1
+        end = pc + ns
+        openp = openm = 0  # bit p: a non-violation of K_c open at p
+        xp = xm = 0  # bit f: an inter-component violation of K_c, closing on first at f
+        for p in range(pc + 1, end):
+            v = code[p]
+            if v < 0 and ~v < i:
+                continue  # an inter-component crossing met first before c: reads over
+            q = second[p]
+            s = sign[q >> 2]
+            if v < 0:
+                f = ~v
+                if q & 2:  # a violation of K_c
+                    ch += 1
+                    between = end - 2 - p + f - i
+                    odd |= between
+                    if not between or not i and p == pc + 1 and f == nf - 1:
+                        adj += 1  # adjacent across the junction, or around the walk
+                    if s > 0:
+                        xp |= 1 << f
+                    else:
+                        xm |= 1 << f
+                else:  # the violations met before it and closing before it
+                    low = (1 << f) - 1
+                    h += s * ((xp & low).bit_count() - (xm & low).bit_count())
+                    if s > 0:
+                        openp |= 1 << p
+                    else:
+                        openm |= 1 << p
+            elif v < end:  # its earlier visit in K_c
+                if q & 2:
+                    ch += 1
+                elif s > 0:
+                    openp |= 1 << p
+                else:
+                    openm |= 1 << p
+            else:  # its later visit; the earlier was at v - ns
+                v -= ns
+                if second[v] & 2:  # a violation of K_c closes
+                    between = p - v - 1
+                    odd |= between
+                    adj += not between
+                    h += s * ((openp >> v).bit_count() - (openm >> v).bit_count())
+                elif s > 0:
+                    openp ^= 1 << v
+                else:
+                    openm ^= 1 << v
+        a3 += e * h
+        children += ch
+        leaves += ch - adj
+    return a1, a3, odd, children, leaves
 
 
 def chain_scan(conn, starts):

@@ -82,8 +82,9 @@ def test_engine_calls_only_traced_kernels(perfbench, form, degree):
     assert untraced <= {"knot_leaf_sum", "link_leaf_sum"}, untraced
     # the root, every built child and every switch settled for a later built
     # child simplify once, through the traced kernel; a knot child (of a
-    # two-component node at budget 3) is walked in its node's arrays, never
-    # copied, smoothed, switched or simplified
+    # two-component node at budget 3) is closed inside that node's
+    # link_leaf_sum, never copied, smoothed, switched, simplified or walked
+    # by knot_leaf_sum
     calls = kernels.calls
     log = kernels.log
     after = Counter(zip(log, log[1:]))
@@ -92,10 +93,11 @@ def test_engine_calls_only_traced_kernels(perfbench, form, degree):
     assert log[:2] == ["trace_inports", "reidemeister_simplify"]
     assert built == calls.get("smooth_inplace", 0)
     assert settled == calls.get("switch_inplace", 0)
-    assert calls["knot_leaf_sum"] > 0
+    assert calls["link_leaf_sum"] > 0 and "knot_leaf_sum" not in calls
     assert calls["reidemeister_simplify"] == 1 + built + settled
     # the a_3 root is a two-component node at budget 3, whose link_leaf_sum
-    # lists its violations: only a node that builds children scans its chain
+    # meets its violations in its walk: only a node that builds children
+    # scans its chain
     assert ("chain_scan" in calls) == (degree == 4)
 
 

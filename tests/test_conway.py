@@ -395,22 +395,23 @@ class TestLeafFirstEngine:
 
     def test_knot_child_rejects_a_wrong_component_count(self):
         # the Hopf link at budget 3 closes the knot children of its two
-        # crossings in the root, each by one walk and never traced: a walk
-        # that passes the smoothed crossing straight through, as if it were
-        # not smoothed, stays on one component and misses the other's in-ports
+        # crossings inside its link_leaf_sum walk, never traced: a walk that
+        # passes a crossing as its smoothing would joins the two components,
+        # so each of the node's two walks visits every in-port
         kernels = SimpleNamespace(**vars(get_kernels()))
 
-        def knot_leaf_sum(conn, sign, flip, start, smoothed):
+        def link_leaf_sum(conn, sign, labels, starts):
             conn = conn[:]
-            o = 4 * smoothed + 1
-            conn[o], conn[o + 2] = conn[o + 2], conn[o]
-            return get_kernels().knot_leaf_sum(conn, sign, flip, start, smoothed)
+            conn[1], conn[3] = conn[3], conn[1]
+            return get_kernels().link_leaf_sum(conn, sign, labels, starts)
 
-        kernels.knot_leaf_sum = knot_leaf_sum
+        kernels.link_leaf_sum = link_leaf_sum
         d = closure_diagram(w(2, 1, 1))
         assert SkeinEngine().truncated(d, 3).coeffs == (0, 1, 0, 0)
-        with pytest.raises(ConwayError, match="traced 1 of 2 in-ports, carried 1"):
-            SkeinEngine(kernels).truncated(d, 3)
+        eng = SkeinEngine(kernels)
+        with pytest.raises(ConwayError, match="traced 8 of 4 in-ports, carried 2"):
+            eng.truncated(d, 3)
+        assert (eng.nodes, eng.leaves) == (1, 0)
 
     def test_a_knot_child_never_frees_a_loop(self):
         # smoothing an inter-component crossing c frees a loop only when each
@@ -433,9 +434,9 @@ class TestLeafFirstEngine:
         kernels = SimpleNamespace(**vars(get_kernels()))
 
         def link_leaf_sum(*args):
-            total, odd, leaves, chain = get_kernels().link_leaf_sum(*args)
+            a1, a3, odd, children, leaves, ports = get_kernels().link_leaf_sum(*args)
             assert not odd
-            return total, 1, leaves, chain
+            return a1, a3, 1, children, leaves, ports
 
         kernels.link_leaf_sum = link_leaf_sum
         d = closure_diagram(w(3, 1, 1, 1, 2, 2))  # a trefoil linked with an unknot

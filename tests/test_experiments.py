@@ -219,6 +219,22 @@ def test_non_int_sizes_rejected(call):
         call()
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda eng: progression_check(m_range=[0.0, 1.0], engine=eng),
+        lambda eng: squared_family_check(5, m_range=[True, 2, 3], engine=eng),
+    ],
+    ids=["float_m", "bool_m"],
+)
+def test_non_int_m_rejected(call):
+    # a float m used to raise a TypeError traceback, and True ran as m = 1
+    eng = braidax.SkeinEngine()
+    with pytest.raises(ExperimentError, match="m must be an int"):
+        call(eng)
+    assert eng.nodes == 0
+
+
 class TestFamilyChecks:
     def test_dn_n5(self, engine):
         report = squared_family_check(5, engine=engine)

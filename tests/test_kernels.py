@@ -681,40 +681,86 @@ def two_component_diagrams():
     )
 
 
+def link_node_reference(conn, sign, labels, starts):
+    """A two-component node at budget 3 closed by the routes
+    ``link_leaf_sum`` replaces: the frame route for its self-crossing
+    children, and each inter-component child as a copy of the node with the
+    violations before it switched and it smoothed, walked by
+    ``knot_leaf_sum_reference`` from ``starts[0]`` (from the port after it
+    when the walk starts at it).  Returns the kernel's tuple less the port
+    count; an odd count stops the node before any knot child."""
+    total, odd, _, leaves = link_leaf_reference(conn, sign, labels, starts)
+    chain = K.chain_scan(conn, starts)
+    a1 = a3 = 0
+    children = len(chain)
+    if odd:
+        return a1, a3, odd, children, leaves
+    for i, c in enumerate(chain):
+        if labels[4 * c] == labels[4 * c + 2]:
+            continue
+        bconn, bsign = conn[:], sign[:]
+        for k in chain[:i]:
+            K.switch_inplace(bconn, bsign, k)
+        # the first component passes under c, and its smoothing leads on
+        # along the second from c's over-out
+        start = conn[4 * c + 1] if starts[0] == 4 * c + 2 else starts[0]
+        if start >> 2 in chain[:i]:
+            start ^= 2  # a switch relabels the ports by role
+        assert K.smooth_inplace(bconn, bsign, c, []) == 0
+        total2, kodd, kchildren, kleaves, ports = knot_leaf_sum_reference(bconn, bsign, start)
+        assert ports == 2 * len(sign) - 2
+        e = sign[c]
+        a1 += e
+        a3 += e * (total2 >> 1)
+        odd |= kodd
+        children += kchildren
+        leaves += kleaves
+    return a1, (total >> 2) + a3, odd, children, leaves
+
+
 class TestLinkLeafSum:
-    """The one-sweep two-component kernel against the frame route it
-    replaced, summed over a node's chain."""
+    """The two-component kernel against the routes it replaced, summed over
+    a node's chain: the frame route for the self-crossing children, and a
+    switched and smoothed copy walked per knot child."""
 
     def check(self, conn, sign, starts):
         labels, ncomp, _ = K.trace_inports(conn)
         assert ncomp == 2
         before = (conn[:], sign[:])
         got = K.link_leaf_sum(conn, sign, labels, starts)
-        assert (conn, sign) == before  # read-only: the node flips the signs itself
-        total, odd, leaves, chain = got
-        want_total, want_odd, children, want_leaves = link_leaf_reference(
-            conn, sign, labels, starts
-        )
-        # the chain is the node's whole violation list, one child each
-        assert chain == K.chain_scan(conn, starts)
-        assert sum(labels[4 * c] == labels[4 * c + 2] for c in chain) == children
+        assert (conn, sign) == before  # read-only: the node closes its children in place
+        assert got[5] == len(conn) // 2
+        want = link_node_reference(conn, sign, labels, starts)
         # an odd count has no tree sum: the engine raises before reading it
-        assert (odd, leaves) == (want_odd, want_leaves) and (odd or total == want_total)
+        assert got[2] == want[2] and (got[2] or got[:5] == want)
         return got
 
-    @given(two_component_diagrams(), st.booleans(), st.booleans(), st.data())
-    def test_matches_the_frame_route(self, d, simplified, shuffled, data):
+    @given(
+        two_component_diagrams(),
+        st.booleans(),
+        st.none() | st.integers(0, 2**31 - 1),
+    )
+    # a knot child at the basepoint, whose walk starts and ends on one
+    # crossing, and so has an arc around it that meets nothing
+    @example(axis_link_diagram(BraidWord(2, (-1,))), False, 1)
+    # a knot child with a crossing met just before it on the second component
+    # and just after it on the first: adjacent visits across the junction
+    @example(closure_diagram(BraidWord(2, (1, 1))), True, 5)
+    # a kink of the first component after a knot child, left in by no
+    # simplification
+    @example(closure_diagram(BraidWord(3, (2, 2, 1))), False, None)
+    def test_matches_the_frame_route(self, d, simplified, seed):
         node = reduced_node(d) if simplified else d.arrays()
         if node is None:
             return  # simplifying left a free loop or no crossing
         conn, sign = node
-        labels, ncomp, starts = K.trace_inports(conn)
+        # the traced basepoints, or the components in a seeded order, each
+        # from a seeded in-port of its own
+        trace = K.trace_inports if seed is None else ShuffledStartsKernels(seed).trace_inports
+        _, ncomp, starts = trace(conn)
         if ncomp != 2:
             return  # simplifying split off a component's crossings
-        if shuffled:
-            starts = shuffled_starts(data, conn, labels, ncomp)
-        total, odd, _, _ = self.check(conn, sign, starts)
-        assert odd == 0 and total % 4 == 0
+        assert self.check(conn, sign, starts)[2] == 0
 
     def test_a_violation_around_the_whole_walk_is_a_free_loop(self):
         # crossing 0 is a kink of component 0, whose walk from in-port 2
@@ -722,8 +768,8 @@ class TestLinkLeafSum:
         # with the other component's two crossings between: the arc around
         # its visits meets nothing, so its smoothing is split, not a leaf
         conn, sign = [9, 2, 1, 4, 3, 8, 11, 10, 5, 0, 7, 6], [1, 1, 1]
-        assert self.check(conn, sign, [2, 6]) == (0, 0, 0, [0])
-        assert self.check(conn, sign, [0, 6]) == (0, 0, 0, [])
+        assert self.check(conn, sign, [2, 6]) == (0, 0, 0, 1, 0, 6)
+        assert self.check(conn, sign, [0, 6]) == (0, 0, 0, 0, 0, 6)
 
     def test_kink_is_a_free_loop(self):
         # crossing 2 of this two-component closure is a kink whose under
@@ -735,7 +781,7 @@ class TestLinkLeafSum:
         labels, _, starts = K.trace_inports(conn)
         assert K.chain_scan(conn, starts) == [1, 2]
         assert labels[4 * 2] == labels[4 * 2 + 2]
-        assert self.check(conn, sign, starts) == (0, 0, 0, [1, 2])
+        assert self.check(conn, sign, starts) == (-1, 0, 0, 3, 0, 6)
 
     def test_odd_arc_count_is_rejected(self):
         # a Gauss code no planar diagram has: the inner arc of crossing 1,
@@ -743,9 +789,53 @@ class TestLinkLeafSum:
         conn, sign = [5, 6, 11, 10, 9, 0, 1, 8, 7, 4, 3, 2], [1, 1, 1]
         labels, _, starts = K.trace_inports(conn)
         assert K.chain_scan(conn, starts) == [1]
-        assert self.check(conn, sign, starts)[1:] == (1, 1, [1])
+        assert self.check(conn, sign, starts)[2] == 1
         with pytest.raises(ConwayError, match="odd inter-component crossing count"):
             SkeinEngine().truncated(LinkDiagram(conn, sign), 3)
+
+    @pytest.mark.parametrize(
+        "conn, sign",
+        [
+            ([11, 10, 7, 4, 3, 8, 9, 2, 5, 6, 1, 0], [1, -1, 1]),
+            ([9, 6, 7, 8, 11, 10, 1, 2, 3, 0, 5, 4], [-1, -1, -1]),
+        ],
+        ids=["second_component_crossing", "inter_component_crossing"],
+    )
+    def test_odd_knot_child_arc_is_rejected(self, conn, sign):
+        # Gauss codes no planar diagram has, whose linking count and
+        # self-crossing leaves are even: a violation of a knot child, a
+        # self-crossing of the second component or an inter-component
+        # crossing, has an arc that meets an odd number of ports
+        labels, _, starts = K.trace_inports(conn)
+        assert link_leaf_reference(conn, sign, labels, starts)[1] == 0
+        assert self.check(conn, sign, starts)[2] == 1
+        with pytest.raises(ConwayError, match="odd inter-component crossing count"):
+            SkeinEngine().truncated(LinkDiagram(conn, sign), 3)
+
+    def test_reads_each_conn_entry_at_most_once(self):
+        # the dn n=61 axis link at a_3: its root, a two-component node at
+        # budget 3, closes every knot child from the walk it recorded, with
+        # no copy, slice or second read of conn
+        kernels = CountingKernels()
+        base = kernels.link_leaf_sum
+        reads = []
+
+        def link_leaf_sum(conn, sign, labels, starts):
+            conn = ReadOnceList(conn)
+            out = base(conn, tuple(sign), labels, starts)
+            reads.append(conn.reads)
+            assert sum(conn.reads) == out[5]
+            return out
+
+        kernels.link_leaf_sum = link_leaf_sum
+        form = braidax.canonical_odd_knot_braid(61)
+        w = braidax.cyclic_free_reduce(braidax.square(braidax.family_member(form, 1)))
+        d = axis_link_diagram(w)
+        eng = SkeinEngine(kernels)
+        assert eng.truncated(d, 3) == SkeinEngine().truncated(d, 3)
+        assert len(reads) == 1 and max(reads[0]) == 1 and eng.nodes > 1000
+        assert "knot_leaf_sum" not in kernels.calls
+        assert "smooth_inplace" not in kernels.calls and "switch_inplace" not in kernels.calls
 
 
 def knot_leaf_reference(conn, sign, start):
@@ -839,6 +929,35 @@ class ReadOnceList(list):
         raise AssertionError("the kernel iterated over conn")
 
 
+def half_sums(conn, sign, start):
+    """The two orders of ``knot_leaf_sum``'s pairs, walked from ``start``:
+    the sums of e_x * e_y over the interleaved pairs of a violation x and a
+    non-violation y met x, y, x, y, and met y, x, y, x."""
+    walk = []
+    cur = start
+    while True:
+        walk.append(cur)
+        cur = conn[cur + 1]
+        if cur == start:
+            break
+    visits = {}
+    for t, q in enumerate(walk):
+        visits.setdefault(q >> 2, []).append((t, q & 2))
+    chords = [(a, b, under, k) for k, ((a, under), (b, _)) in visits.items()]
+    first = second = 0
+    for a, b, under, x in chords:
+        if not under:
+            continue
+        for c, d, under2, y in chords:
+            if under2:
+                continue
+            if a < c < b < d:
+                first += sign[x] * sign[y]
+            elif c < a < d < b:
+                second += sign[x] * sign[y]
+    return first, second
+
+
 class TestKnotLeafSum:
     """The one-sweep knot kernel against the walk-then-arcs kernel it
     replaced and against the per-leaf route."""
@@ -852,7 +971,7 @@ class TestKnotLeafSum:
         conn, sign = node
         start = data.draw(st.sampled_from(range(0, len(conn), 2)))
         want = knot_leaf_sum_reference(conn, sign[:], start)
-        assert K.knot_leaf_sum(conn, sign, [0] * len(sign), start, -1) == want
+        assert K.knot_leaf_sum(conn, sign, start) == want
 
     @given(knot_words(), st.booleans(), st.data())
     def test_matches_the_per_leaf_route(self, word, simplified, data):
@@ -864,50 +983,24 @@ class TestKnotLeafSum:
         start = data.draw(st.sampled_from(range(0, len(conn), 2)))
         before = sign[:]
         want = knot_leaf_reference(conn, sign[:], start)
-        total, odd, children, leaves, ports = K.knot_leaf_sum(
-            conn, sign, [0] * len(sign), start, -1
-        )
+        total, odd, children, leaves, ports = K.knot_leaf_sum(conn, sign, start)
         assert odd == 0 and total % 2 == 0
         assert ports == len(conn) // 2
         assert (total >> 1, children, leaves) == want
         assert sign == before  # read-only: the node flips the signs itself
 
-    @given(
-        st.one_of(
-            braid_words(max_letters=10).filter(
-                lambda word: cycle_decomposition(permutation_of(word)).count == 2
-            ).map(closure_diagram),
-            knot_words(max_letters=8).map(axis_link_diagram),
-        ),
-        st.integers(0, 2**31 - 1),
-    )
-    # a node whose shuffled chain smooths crossing 0
-    @example(closure_diagram(BraidWord(3, (-2, -1, -2, -1, -2))), 5)
-    def test_walk_in_place_matches_the_switched_smoothed_copy(self, d, seed):
-        # every walk a two-component node at budget 3 makes of a knot child,
-        # at every step of its chain, against the route it replaced: copy
-        # the node's arrays, switch the crossings flip marks, smooth c (which
-        # never frees a loop) and walk the copy from its in-port 0 (4 when c
-        # is 0).  From the traced basepoints crossing 0 is met first on its
-        # over strand, so it is never switched or smoothed; shuffled
-        # basepoints reach both cases
-        kernels = ShuffledStartsKernels(seed)
-
-        def knot_leaf_sum(conn, sign, flip, start, smoothed):
-            got = K.knot_leaf_sum(conn, sign, flip, start, smoothed)
-            if smoothed >= 0:
-                bconn = conn[:]
-                bsign = [-e if f else e for e, f in zip(sign, flip)]
-                for k, f in enumerate(flip):
-                    if f:
-                        K.switch_inplace(bconn, bsign, k)
-                assert bsign == sign
-                assert K.smooth_inplace(bconn, bsign, smoothed, []) == 0
-                assert got == knot_leaf_sum_reference(bconn, bsign, 4 if smoothed == 0 else 0)
-            return got
-
-        kernels.knot_leaf_sum = knot_leaf_sum
-        assert SkeinEngine(kernels).truncated(d, 3) == SkeinEngine().truncated(d, 3)
+    @given(knot_words(), st.booleans(), st.data())
+    def test_each_order_is_half_the_total(self, word, simplified, data):
+        # Polyak and Viro: on a planar diagram each order of the pairs gives
+        # a_2, the half-sum link_leaf_sum closes its knot children with
+        d = closure_diagram(word)
+        node = reduced_node(d) if simplified else d.arrays()
+        if node is None or not node[1]:
+            return  # a crossing-free unknot
+        conn, sign = node
+        start = data.draw(st.sampled_from(range(0, len(conn), 2)))
+        total = K.knot_leaf_sum(conn, sign, start)[0]
+        assert half_sums(conn, sign, start) == (total >> 1, total >> 1)
 
     def test_a_violation_around_the_whole_walk_is_a_free_loop(self):
         # from in-port 6 of this two-crossing unknot both crossings are
@@ -916,37 +1009,14 @@ class TestKnotLeafSum:
         conn, sign = closure_diagram(BraidWord(3, (1, 2))).arrays()
         want = knot_leaf_sum_reference(conn, sign[:], 6)
         assert want == (0, 0, 2, 0, 4)
-        assert K.knot_leaf_sum(conn, sign, [0, 0], 6, -1) == want
-
-    def test_reads_each_conn_entry_at_most_once(self):
-        # the dn n=61 axis link at a_3: every knot child of its root, a
-        # two-component node at budget 3, is one linear walk, with no copy
-        # or slice of conn
-        kernels = CountingKernels()
-        base = kernels.knot_leaf_sum
-        most = []
-
-        def knot_leaf_sum(conn, sign, flip, start, smoothed):
-            conn = ReadOnceList(conn)
-            out = base(conn, tuple(sign), tuple(flip), start, smoothed)
-            most.append(max(conn.reads))
-            assert sum(conn.reads) == out[4] + 2 * (smoothed >= 0)
-            return out
-
-        kernels.knot_leaf_sum = knot_leaf_sum
-        form = braidax.canonical_odd_knot_braid(61)
-        w = braidax.cyclic_free_reduce(braidax.square(braidax.family_member(form, 1)))
-        d = axis_link_diagram(w)
-        assert SkeinEngine(kernels).truncated(d, 3) == SkeinEngine().truncated(d, 3)
-        assert len(most) > 50 and max(most) == 1
-        assert "smooth_inplace" not in kernels.calls and "switch_inplace" not in kernels.calls
+        assert K.knot_leaf_sum(conn, sign, 6) == want
 
     def test_odd_arc_count_is_rejected(self):
         # a Gauss code no planar diagram has: walking from in-port 0, the
         # arc between crossing 1's visits meets crossing 0 only once
         conn, sign = [5, 6, 7, 4, 3, 0, 1, 2], [1, 1]
         assert K.trace_inports(conn)[1] == 1
-        assert K.knot_leaf_sum(conn, sign, [0, 0], 0, -1) == (1, 1, 1, 1, 4)
+        assert K.knot_leaf_sum(conn, sign, 0) == (1, 1, 1, 1, 4)
         assert knot_leaf_sum_reference(conn, sign[:], 0) == (1, 1, 1, 1, 4)
         with pytest.raises(ConwayError, match="odd inter-component crossing count"):
             SkeinEngine().truncated(LinkDiagram(conn, sign), 2)
