@@ -199,8 +199,9 @@ _CAPS = {
 }
 # the largest strand count invariant accepts: on a one-letter word it took
 # 8.2 s at n = 100 (3.6 s at 80, 13.5 s at 110) on that host, nearly all of
-# it the Burau determinant of the n + 1 strand axis word; word length and
-# --degree stay unbounded
+# it the Burau determinant of the n + 1 strand axis word; word length stays
+# unbounded, and --degree too, though the skein evaluates no degree above
+# the diagram's crossing count
 _INVARIANT_N_CAP = 100
 # the largest |m| a family experiment samples: the cost grows steeply with
 # it, and at |m| = 25 the steepest, eq54 --n 4, takes about 9 s on that host

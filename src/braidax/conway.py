@@ -12,22 +12,24 @@ any other crossing joins two (p - 1), and switching keeps p.
 
 The vanishing law is applied once, at the root: a_m of a p-component link
 is 0 when m < p - 1 or m + p is even (Hoste, Proc. AMS 94, 1985, gives the
-lowest one), so ``truncated`` asks ``_eval`` only for the last degree m
-with m + p odd, none when that m is below p - 1, and pads with zeros.  A
-switch keeps (p, budget) and a smoothing moves them to (p +- 1, budget - 1),
-so budget + p keeps its parity down the tree: every node has budget p - 1,
-a Hoste leaf whose a_{p-1} is one ``linking_counts`` call, or at least
+lowest one), and when m exceeds the crossing count, since each smoothing
+spends a crossing and a degree.  So ``truncated`` asks ``_eval`` only for
+the last degree m with m + p odd and m at most the crossing count, none
+when that m is below p - 1, and pads with zeros.  A switch keeps
+(p, budget) and a smoothing moves them to (p +- 1, budget - 1), so
+budget + p keeps its parity down the tree: every node has budget p - 1, a
+Hoste leaf whose a_{p-1} is one ``linking_counts`` call, or at least
 p + 1.  The root and every built child close so, the leaf right after its
 trace; the other leaves close in their parent and are never built.
 
 Every other node runs one pipeline: Reidemeister simplification,
 ``compact``, a trace that must find p components, the split check and the
 memo.  A knot at budget 2 and a two-component node at budget 3 then close
-every child in their own arrays (below).  Any other node lists its
-descending violations in one ``chain_scan`` walk, and each violation's
-child is copied, smoothed and recursed on before the violation is
-switched.  It is switched only at its own step, so the node reads its sign
-from ``sign`` when it comes to it.
+every child in their own arrays, in one ``link_leaf_sum`` call (below).
+Any other node lists its descending violations in one ``chain_scan`` walk,
+and each violation's child is copied, smoothed and recursed on before the
+violation is switched.  It is switched only at its own step, so the node
+reads its sign from ``sign`` when it comes to it.
 
 Each kink or cancelling clasp is removed once, in the node whose move made
 it, by one worklist kernel (``reidemeister_simplify`` with a ``todo`` list).
@@ -51,16 +53,8 @@ closed after its trace (294 of the 3896 such children of the benchmark's
 ``a4_families``, seed 13); at p = 1 and p = 2 each closes in one read-only
 walk of its node.
 
-A knot at budget 2, always a root since a two-component node closes its
-knot children itself, builds no child at all: every crossing is a
-self-crossing, so each violation's smoothing is a two-component Hoste leaf
-whose a_1 is the linking number of the two arcs between its visits.  One
-kernel call (``knot_leaf_sum``) walks the knot once from a basepoint, lists
-the violations as ``chain_scan`` does and sums their leaves in the same
-sweep, reading nothing twice and writing nothing.
-
 A two-component node at budget 3, the node every a_3 of a knot's axis link
-and every a_4 of a two-cycle link runs through, builds no child either.
+and every a_4 of a two-cycle link runs through, builds no child.
 Smoothing a self-crossing of component a splits it into an arc A and the
 rest R beside the other component B, a leaf whose a_2 is the spanning-tree
 sum of the triangle, x*l + y*(l - y) with x = lk(A, R), y = lk(A, B) and
@@ -82,6 +76,12 @@ that needs each component to pass the crossing alone, an odd count that
 ``link_leaf_sum`` reports before any child.  On a pairing no planar diagram
 has, the two orders of the sum can differ, so a_3 there depends on the
 route.
+
+A knot at budget 2, always a root since a two-component node closes its
+knot children itself, is the one-component case of that walk: each
+violation's smoothing is a Hoste leaf whose a_1 is the linking number of
+the two arcs between its visits, and ``link_leaf_sum`` sums them from the
+knot's one basepoint, with no knot child to sweep.
 
 All coefficients are exact integers; there is no floating point here.
 """
@@ -160,7 +160,10 @@ class SkeinEngine:
         p = d.free_loops
         if sign:
             p += self.k.trace_inports(conn)[1]
-        top = max_degree - (max_degree + p + 1) % 2  # the last m with m + p odd
+        # each smoothing spends a crossing and raises the degree by one, so
+        # no coefficient above the crossing count is nonzero
+        m = min(max_degree, len(sign))
+        top = m - (m + p + 1) % 2  # the last m with m + p odd
         if top < max(p - 1, 0):
             return TruncatedPoly(max_degree, (0,) * (max_degree + 1), p)
         coeffs = self._eval(conn, sign, d.free_loops, p, top, None)
@@ -197,12 +200,8 @@ class SkeinEngine:
         if hit is not None:
             self.hits += 1
             return hit
-        if p == 1 and budget == 2:  # a knot root: every child is closed here, in one walk
-            out = (1, 0, self._knot_a2(conn, sign, starts[0]))
-            self.memo[key] = out
-            return out
-        if p == 2 and budget == 3:  # every child is closed here, in one walk and its sweep
-            out = self._link_a3(conn, sign, labels, starts)
+        if budget == p + 1 and p <= 2:  # every child is closed here, in one walk
+            out = self._close_children(conn, sign, labels, starts, p)
             self.memo[key] = out
             return out
         bad_ids = K.chain_scan(conn, starts)
@@ -235,31 +234,19 @@ class SkeinEngine:
         self.memo[key] = out
         return out
 
-    def _link_a3(self, conn, sign, labels, starts) -> tuple[int, ...]:
-        """a_0..a_3 of a two-component node at budget 3, from one
-        ``link_leaf_sum`` call that closes every child in the node's arrays
-        and writes nothing.  Its walks must visit every crossing twice."""
-        a1, a3, odd, children, leaves, ports = self.k.link_leaf_sum(conn, sign, labels, starts)
+    def _close_children(self, conn, sign, labels, starts, p) -> tuple[int, ...]:
+        """a_0..a_{p+1} of a knot (p = 1) or a two-component node (p = 2) at
+        budget p + 1, from one ``link_leaf_sum`` call that closes every child
+        in the node's arrays and writes nothing.  Its walks must visit every
+        crossing twice."""
+        out, odd, children, leaves, ports = self.k.link_leaf_sum(conn, sign, labels, starts)
         if ports != 2 * len(sign):
-            raise ConwayError(f"node traced {ports} of {2 * len(sign)} in-ports, carried 2")
+            raise ConwayError(f"node traced {ports} of {2 * len(sign)} in-ports, carried {p}")
         if odd:
             raise ConwayError("odd inter-component crossing count")
         self.nodes += children
         self.leaves += leaves
-        return (0, a1, 0, a3)
-
-    def _knot_a2(self, conn, sign, start) -> int:
-        """a_2 of a knot node, from one ``knot_leaf_sum`` walk from in-port
-        ``start`` that closes every child at budget 2.  The walk must visit
-        every crossing twice."""
-        total, odd, children, leaves, ports = self.k.knot_leaf_sum(conn, sign, start)
-        if ports != 2 * len(sign):
-            raise ConwayError(f"node traced {ports} of {2 * len(sign)} in-ports, carried 1")
-        if odd:
-            raise ConwayError("odd inter-component crossing count")
-        self.nodes += children
-        self.leaves += leaves
-        return total >> 1
+        return out
 
 
 def _tree_sum(counts: list[list[int]]) -> int:

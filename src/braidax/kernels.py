@@ -31,14 +31,14 @@ in-place ones need lists.
 ``linking_counts`` reads the labels of a ``trace_inports`` call the caller
 has already made, so ``linking_matrix`` and a Hoste leaf the engine builds
 walk their diagram once after its trace.  The other Hoste leaves close in
-their parent with no copy, arc slice or determinant: ``knot_leaf_sum``
-closes every child of a knot node at budget 2 in one read-only walk, and
-``link_leaf_sum`` every child of a two-component node at budget 3, the
-self-crossing leaves in one read-only walk and the knot children of its
-inter-component violations in one sweep of that walk (``_knot_children``):
-a backward pass over the first component and a pass over the second per
-child.  Each sweep meets the node's descending violations in
-``chain_scan`` order, so neither node calls ``chain_scan``.
+their parent with no copy, arc slice or determinant: ``link_leaf_sum``
+closes every child of a knot at budget 2 or a two-component node at
+budget 3, the self-crossing leaves in one read-only walk (a knot is its
+one-component case) and the knot children of a link's inter-component
+violations in one sweep of that walk (``_knot_children``): a backward pass
+over the first component and a pass over the second per child.  The walk
+meets the node's descending violations in ``chain_scan`` order, so neither
+node calls ``chain_scan``.
 
 Every kernel is a plain Python function: the engine reads single items in
 loops, and a list item is read several times faster than an ndarray item.
@@ -119,114 +119,52 @@ def linking_counts(sign, labels, ncomp):
     return counts
 
 
-def knot_leaf_sum(conn, sign, start):
-    """Close every child of a knot node at budget 2 in one read-only walk
-    from in-port ``start``.
-
-    The descending violations are the crossings first met on their under
-    strand, in encounter order, as ``chain_scan`` lists them.  Smoothing one
-    gives a two-component Hoste leaf whose a_1 is the linking number of the
-    two arcs between its visits; an arc that meets no other crossing is a
-    free loop, which makes the child split.  The node flips each violation's
-    sign after its leaf, so of two interleaved violations the later one's
-    leaf reads the earlier flipped and the pair cancels: the total needs
-    only the pairs of a violation and an interleaved non-violation, with the
-    signs the walk starts with.  Taking both orders of each pair, it is
-    twice a_2; on a planar diagram each order alone gives a_2 (Polyak and
-    Viro), which is how ``link_leaf_sum`` closes its knot children.
-
-    Each crossing takes a rank when the walk first meets it, and bitmasks of
-    ranks hold the non-violations by sign and the chords closed so far.
-    When a violation closes, the chords opened since it opened and the
-    chords closed since are the visits between its two, and their symmetric
-    difference is the chords that interleave it.
-
-    Returns ``(total, odd, children, leaves, ports)``: the sum over the
-    leaves of the violation's sign times the doubled linking number, nonzero
-    when a doubled count is odd, how many violations and leaves there were,
-    and how many in-ports the walk visited, twice the crossings when the
-    diagram is a knot.
-    """
-    rank = [-1] * len(sign)
-    opened_at = [None] * len(sign)  # a violation's closed chords when it opened
-    plus = minus = closed = 0
-    opened = ports = total = odd = children = leaves = last0 = 0
-    cur = start
-    while True:
-        k = cur >> 2
-        ports += 1
-        r = rank[k]
-        if r < 0:
-            rank[k] = opened
-            if cur & 2:  # met first on its under strand
-                children += 1
-                opened_at[k] = closed
-            elif sign[k] > 0:
-                plus |= 1 << opened
-            else:
-                minus |= 1 << opened
-            opened += 1
-        else:
-            was = opened_at[k]
-            if was is not None:
-                inside = closed ^ was  # the chords closed since it opened
-                # the visits between its two, as many as the chords opened
-                # and closed since, and of the interleaved chords' parity
-                between = opened - r - 1 + inside.bit_count()
-                if between:  # else the inner arc is a free loop
-                    leaves += 1
-                    odd |= between
-                    if not r:
-                        last0 = ports
-                    cross = ((1 << opened) - (2 << r)) ^ inside
-                    total += sign[k] * (
-                        (cross & plus).bit_count() - (cross & minus).bit_count()
-                    )
-            closed |= 1 << r
-        cur = conn[cur + 1]
-        if cur == start:
-            break
-    if last0 == ports:  # the first violation closed last: the arc around is a free loop
-        leaves -= 1
-    return total, odd & 1, children, leaves, ports
-
-
 def link_leaf_sum(conn, sign, labels, starts):
-    """Close every child of a two-component node at budget 3 in one
-    read-only walk of its components, in ``starts`` order, and one sweep of
-    the walk it records.
+    """Close every child of a knot at budget 2 or a two-component node at
+    budget 3 in one read-only walk of its components, in ``starts`` order,
+    and, for the link, one sweep of the walk it records.
 
-    Smoothing a self-crossing violation c of component a splits it into the
-    inner arc A between c's visits and the rest R, beside the other
-    component B: a Hoste leaf whose a_2 is the spanning-tree sum of the
-    triangle, x*l + y*(l - y), with x = lk(A, R), y = lk(A, B) and
-    l = lk(a, B).  The walk counts X = 2x, Y = 2y and L = 2l as signed
-    crossings, with every violation before c in ``chain_scan`` order
-    switched, as the node switches them:
+    The violations are the crossings first met on their under strand, in
+    ``chain_scan`` order.  Smoothing a self-crossing violation c of
+    component a splits it into the inner arc A between c's visits and the
+    rest R.  On a knot that is a Hoste leaf whose a_1 is x = lk(A, R); beside
+    the other component B of a link it is one whose a_2 is the
+    spanning-tree sum of the triangle, x*l + y*(l - y), with y = lk(A, B)
+    and l = lk(a, B).  The walk counts X = 2x, Y = 2y and L = 2l as signed
+    crossings, with every violation before c switched, as the node switches
+    them:
 
+    * X counts the self-crossings that interleave c.  Each crossing takes a
+      rank when the walk first meets it, and bitmasks of ranks hold the
+      self-crossings by sign and the chords closed so far.  When c closes,
+      the chords opened since it opened and the chords closed since are the
+      visits between its two, and their symmetric difference is the chords
+      that interleave it: one opened before c reads switched if it is a
+      violation, one opened inside the arc unswitched.
     * The first component meets each inter-component crossing first, so one
       on c's arc keeps its sign, and L is its start value less twice the
       inter-component violations met before c.  The start value is known
       after the walk, so the total is kept linear in it.
     * The second component meets them all switched: one it passes over, a
       violation, reads negated, and L is final.
-    * X counts the self-crossings that interleave c, found from ranks and
-      rank bitmasks as in ``knot_leaf_sum``: one opened before c reads
-      switched if it is a violation, one opened inside the arc unswitched.
 
-    An empty arc is a free loop, which makes the child split: the inner arc
-    when c's visits are adjacent, the outer when c opens and closes the
-    walk (that one sums to 0, since X = 0 and Y = L).
+    A knot has one component, so Y = L = 0 and its a_2 is half the sum of
+    e_c * X over its leaves.  An empty arc is a free loop, which makes the
+    child split: the inner arc when c's visits are adjacent, the outer when
+    c opens and closes the walk (that one sums to 0, since X = 0 and Y = L).
 
-    The inter-component violations, where the first component passes under,
-    have knot children at budget 2, which ``_knot_children`` closes from the
-    two recorded walks.
+    The inter-component violations of a link, where the first component
+    passes under, have knot children at budget 2, which ``_knot_children``
+    closes from the two recorded walks.
 
-    Returns ``(a1, a3, odd, children, leaves, ports)``: the node's a_1 and
-    a_3, exact when ``odd`` is 0; nonzero when L, an X, a Y or an arc of a
-    knot child is odd; how many children (the node's violations and their
-    knot children's) and Hoste leaves the node has; and how many in-ports
-    the walk visited, twice the crossings when it covered the diagram.
+    Returns ``(coeffs, odd, children, leaves, ports)``: the node's
+    coefficients, ``(1, 0, a2)`` for a knot or ``(0, a1, 0, a3)`` for a
+    link, exact when ``odd`` is 0 and ``None`` when the walk found an odd
+    count or missed a crossing; ``odd``, nonzero when L, an X, a Y or an arc
+    of a knot child is odd; how many children (the node's violations and
+    their knot children's) and Hoste leaves the node has; and how many
+    in-ports the walk visited, twice the crossings when it covered the
+    diagram.
     """
     rank = [-1] * len(sign)
     opened_at = [None] * len(sign)  # a violation's walk state when it opened
@@ -298,9 +236,12 @@ def link_leaf_sum(conn, sign, labels, starts):
     odd = (odd | lk) & 1
     ports = sum(map(len, walks))
     if odd or ports != 2 * len(sign):
-        return 0, 0, odd, children, leaves, ports  # the node raises: no child is closed
+        return None, odd, children, leaves, ports  # the node raises: no child is closed
+    if len(walks) == 1:  # a knot: no inter-component crossing, and no knot child
+        return (1, 0, lin >> 1), 0, children, leaves, ports
     a1, a3, odd, kids, kleaves = _knot_children(sign, labels, *walks)
-    return a1, ((lk * lin + rest) >> 2) + a3, odd & 1, children + kids, leaves + kleaves, ports
+    a3 += (lk * lin + rest) >> 2
+    return (0, a1, 0, a3), odd & 1, children + kids, leaves + kleaves, ports
 
 
 def _knot_children(sign, labels, first, second):
@@ -314,8 +255,9 @@ def _knot_children(sign, labels, first, second):
     meets before i, so each crossing K_c meets first in ``first[:i]`` reads
     over.  So K_c's violations are those it meets first after i, with the
     node's signs, and its a_2 is the sum of e_x * e_y over the pairs of
-    them met x, y, x, y with x a violation and y not (``knot_leaf_sum``'s
-    one order).  The pairs fall in two kinds:
+    them met x, y, x, y with x a violation and y not: one order of Polyak
+    and Viro's Gauss-diagram sum (IMRN 1994), which on a planar diagram
+    alone is a_2.  The pairs fall in two kinds:
 
     * Those whose crossings both end on ``first`` after i depend on i
       alone: two self-crossings of the first component, or an
@@ -598,7 +540,6 @@ KERNELS = SimpleNamespace(
     split_components=split_components,
     linking_counts=linking_counts,
     link_leaf_sum=link_leaf_sum,
-    knot_leaf_sum=knot_leaf_sum,
     chain_scan=chain_scan,
     switch_inplace=switch_inplace,
     smooth_inplace=smooth_inplace,

@@ -72,19 +72,18 @@ def test_engine_runs_on_traced_kernels(perfbench):
 def test_engine_calls_only_traced_kernels(perfbench, form, degree):
     # one a_3 and one a_4 evaluation of a squared family member's axis link,
     # as the benchmark's workloads make them: every kernel the engine calls
-    # is traced, so its time shows in a per-layer row, except the two
-    # Hoste-leaf sweeps, whose time the trace files under conway.self_s
+    # is traced, so its time shows in a per-layer row, except the Hoste-leaf
+    # sweep link_leaf_sum, whose time the trace files under conway.self_s
     tracing, _ = perfbench
     w = braidax.cyclic_free_reduce(braidax.square(braidax.family_member(form, 1)))
     kernels = LoggingKernels()
     braidax.SkeinEngine(kernels).truncated(braidax.axis_link_diagram(w), degree)
     untraced = set(kernels.calls) - set(tracing.ENGINE_KERNELS)
-    assert untraced <= {"knot_leaf_sum", "link_leaf_sum"}, untraced
+    assert untraced <= {"link_leaf_sum"}, untraced
     # the root, every built child and every switch settled for a later built
     # child simplify once, through the traced kernel; a knot child (of a
     # two-component node at budget 3) is closed inside that node's
-    # link_leaf_sum, never copied, smoothed, switched, simplified or walked
-    # by knot_leaf_sum
+    # link_leaf_sum, never copied, smoothed, switched or simplified
     calls = kernels.calls
     log = kernels.log
     after = Counter(zip(log, log[1:]))
@@ -93,7 +92,7 @@ def test_engine_calls_only_traced_kernels(perfbench, form, degree):
     assert log[:2] == ["trace_inports", "reidemeister_simplify"]
     assert built == calls.get("smooth_inplace", 0)
     assert settled == calls.get("switch_inplace", 0)
-    assert calls["link_leaf_sum"] > 0 and "knot_leaf_sum" not in calls
+    assert calls["link_leaf_sum"] > 0
     assert calls["reidemeister_simplify"] == 1 + built + settled
     # the a_3 root is a two-component node at budget 3, whose link_leaf_sum
     # meets its violations in its walk: only a node that builds children

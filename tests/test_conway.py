@@ -92,8 +92,8 @@ class TestBaseValues:
 
     def test_unlinks_vanish(self):
         d = closure_diagram(BraidWord(3))
-        # at budget 1 the root asks for no degree (a_0 is below p - 1 = 2);
-        # at budgets 2 and 4 the crossing-free node is a split link
+        # a crossing-free diagram has no degree above 0, and a_0 is below
+        # p - 1 = 2: the root asks for no degree at any budget
         for budget in (1, 2, 4):
             assert conway_truncated(d, budget).coeffs == (0,) * (budget + 1)
 
@@ -290,6 +290,18 @@ class MiscountingEngine(SkeinEngine):
         return super()._eval(conn, sign, loops, p + 1, budget + 1, todo)
 
 
+class BudgetLoggingEngine(SkeinEngine):
+    """Logs the budget of every node it builds."""
+
+    def __init__(self):
+        super().__init__()
+        self.budgets = []
+
+    def _eval(self, conn, sign, loops, p, budget, todo):
+        self.budgets.append(budget)
+        return super()._eval(conn, sign, loops, p, budget, todo)
+
+
 class StopCountingKernels(SimpleNamespace):
     """The kernels, counting the chain steps whose settling simplification
     (the one right after a ``switch_inplace``) split off a free loop."""
@@ -368,7 +380,7 @@ class TestLeafFirstEngine:
         assert kernels.calls == {
             "trace_inports": 2,
             "reidemeister_simplify": 1,
-            "knot_leaf_sum": 1,
+            "link_leaf_sum": 1,
         }
         assert (eng.nodes, eng.leaves) == (2, 1)
 
@@ -388,13 +400,13 @@ class TestLeafFirstEngine:
         assert eng.leaves == 0
 
     def test_interior_node_rejects_a_wrong_component_count(self):
-        # the Hopf link at budget 3 is interior at the root, and so are the
-        # children of its inter-component crossings
+        # the four-crossing torus link T(2, 4) at budget 3 is interior at the
+        # root (the Hopf link's two crossings would cap its budget at 1)
         with pytest.raises(ConwayError, match="traced 2 components, carried 3"):
-            MiscountingEngine(get_kernels()).truncated(closure_diagram(w(2, 1, 1)), 3)
+            MiscountingEngine(get_kernels()).truncated(closure_diagram(w(2, 1, 1, 1, 1)), 3)
 
     def test_knot_child_rejects_a_wrong_component_count(self):
-        # the Hopf link at budget 3 closes the knot children of its two
+        # T(2, 4) at budget 3 closes the knot children of its four
         # crossings inside its link_leaf_sum walk, never traced: a walk that
         # passes a crossing as its smoothing would joins the two components,
         # so each of the node's two walks visits every in-port
@@ -406,10 +418,10 @@ class TestLeafFirstEngine:
             return get_kernels().link_leaf_sum(conn, sign, labels, starts)
 
         kernels.link_leaf_sum = link_leaf_sum
-        d = closure_diagram(w(2, 1, 1))
-        assert SkeinEngine().truncated(d, 3).coeffs == (0, 1, 0, 0)
+        d = closure_diagram(w(2, 1, 1, 1, 1))
+        assert SkeinEngine().truncated(d, 3).coeffs == (0, 2, 0, 1)
         eng = SkeinEngine(kernels)
-        with pytest.raises(ConwayError, match="traced 8 of 4 in-ports, carried 2"):
+        with pytest.raises(ConwayError, match="traced 16 of 8 in-ports, carried 2"):
             eng.truncated(d, 3)
         assert (eng.nodes, eng.leaves) == (1, 0)
 
@@ -417,12 +429,16 @@ class TestLeafFirstEngine:
         # smoothing an inter-component crossing c frees a loop only when each
         # component passes c and nothing else (an inter-component crossing's
         # out-ports lead to the other component), and then each component
-        # meets the other once: the node's link_leaf_sum rejects that odd
-        # count before any child is closed
+        # meets the other once: a node's link_leaf_sum rejects that odd
+        # count before any child is closed.  The engine caps the root's
+        # budget at its one crossing, so there it is a Hoste leaf, whose
+        # tree sum rejects the count
         K = get_kernels()
         conn, sign = [1, 0, 3, 2], [1]
-        assert K.trace_inports(conn)[1] == 2
+        labels, ncomp, starts = K.trace_inports(conn)
+        assert ncomp == 2
         assert K.smooth_inplace(conn[:], sign[:], 0, []) == 1
+        assert K.link_leaf_sum(conn, sign, labels, starts)[:2] == (None, 1)
         eng = SkeinEngine()
         with pytest.raises(ConwayError, match="odd inter-component crossing count"):
             eng.truncated(LinkDiagram(conn, sign), 3)
@@ -434,9 +450,9 @@ class TestLeafFirstEngine:
         kernels = SimpleNamespace(**vars(get_kernels()))
 
         def link_leaf_sum(*args):
-            a1, a3, odd, children, leaves, ports = get_kernels().link_leaf_sum(*args)
+            coeffs, odd, children, leaves, ports = get_kernels().link_leaf_sum(*args)
             assert not odd
-            return a1, a3, 1, children, leaves, ports
+            return coeffs, 1, children, leaves, ports
 
         kernels.link_leaf_sum = link_leaf_sum
         d = closure_diagram(w(3, 1, 1, 1, 2, 2))  # a trefoil linked with an unknot
@@ -506,3 +522,19 @@ class TestLeafFirstEngine:
         assert eng.truncated(d, degree).coeffs == want
         assert (eng.nodes, eng.leaves) == (below.nodes, below.leaves) == traffic
         assert want == (conway_polynomial(word) + (0,) * degree)[: degree + 1]
+
+    def test_no_degree_above_the_crossing_count_is_evaluated(self):
+        # each smoothing spends a crossing and raises the degree by one, so
+        # the root of this 16-crossing axis link evaluates the same tree at
+        # degree 20000 as at 16, and pads the rest with zeros
+        word = w(4, 1, 2, -3, 1, 2, -3, -1, 2)
+        d = axis_link_diagram(word)
+        assert d.crossings == 16
+        capped = SkeinEngine()
+        want = capped.truncated(d, 16).coeffs
+        eng = BudgetLoggingEngine()
+        assert eng.truncated(d, 20000).coeffs == want + (0,) * (20000 - 16)
+        assert eng.budgets[0] == max(eng.budgets) == 16
+        traffic = (eng.nodes, eng.hits, eng.leaves)
+        assert traffic == (capped.nodes, capped.hits, capped.leaves) == (147, 29, 0)
+        assert want == (conway_polynomial(axis_word(word)) + (0,) * 16)[:17]

@@ -6,7 +6,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import braidax
@@ -694,7 +694,7 @@ def link_node_reference(conn, sign, labels, starts):
     a1 = a3 = 0
     children = len(chain)
     if odd:
-        return a1, a3, odd, children, leaves
+        return None, odd, children, leaves
     for i, c in enumerate(chain):
         if labels[4 * c] == labels[4 * c + 2]:
             continue
@@ -715,7 +715,7 @@ def link_node_reference(conn, sign, labels, starts):
         odd |= kodd
         children += kchildren
         leaves += kleaves
-    return a1, (total >> 2) + a3, odd, children, leaves
+    return (0, a1, 0, (total >> 2) + a3), odd, children, leaves
 
 
 class TestLinkLeafSum:
@@ -729,10 +729,10 @@ class TestLinkLeafSum:
         before = (conn[:], sign[:])
         got = K.link_leaf_sum(conn, sign, labels, starts)
         assert (conn, sign) == before  # read-only: the node closes its children in place
-        assert got[5] == len(conn) // 2
+        assert got[4] == len(conn) // 2
         want = link_node_reference(conn, sign, labels, starts)
         # an odd count has no tree sum: the engine raises before reading it
-        assert got[2] == want[2] and (got[2] or got[:5] == want)
+        assert got[1] == want[1] and (got[1] or got[:4] == want)
         return got
 
     @given(
@@ -760,7 +760,7 @@ class TestLinkLeafSum:
         _, ncomp, starts = trace(conn)
         if ncomp != 2:
             return  # simplifying split off a component's crossings
-        assert self.check(conn, sign, starts)[2] == 0
+        assert self.check(conn, sign, starts)[1] == 0
 
     def test_a_violation_around_the_whole_walk_is_a_free_loop(self):
         # crossing 0 is a kink of component 0, whose walk from in-port 2
@@ -768,8 +768,8 @@ class TestLinkLeafSum:
         # with the other component's two crossings between: the arc around
         # its visits meets nothing, so its smoothing is split, not a leaf
         conn, sign = [9, 2, 1, 4, 3, 8, 11, 10, 5, 0, 7, 6], [1, 1, 1]
-        assert self.check(conn, sign, [2, 6]) == (0, 0, 0, 1, 0, 6)
-        assert self.check(conn, sign, [0, 6]) == (0, 0, 0, 0, 0, 6)
+        assert self.check(conn, sign, [2, 6]) == ((0, 0, 0, 0), 0, 1, 0, 6)
+        assert self.check(conn, sign, [0, 6]) == ((0, 0, 0, 0), 0, 0, 0, 6)
 
     def test_kink_is_a_free_loop(self):
         # crossing 2 of this two-component closure is a kink whose under
@@ -781,7 +781,7 @@ class TestLinkLeafSum:
         labels, _, starts = K.trace_inports(conn)
         assert K.chain_scan(conn, starts) == [1, 2]
         assert labels[4 * 2] == labels[4 * 2 + 2]
-        assert self.check(conn, sign, starts) == (-1, 0, 0, 3, 0, 6)
+        assert self.check(conn, sign, starts) == ((0, -1, 0, 0), 0, 3, 0, 6)
 
     def test_odd_arc_count_is_rejected(self):
         # a Gauss code no planar diagram has: the inner arc of crossing 1,
@@ -789,7 +789,7 @@ class TestLinkLeafSum:
         conn, sign = [5, 6, 11, 10, 9, 0, 1, 8, 7, 4, 3, 2], [1, 1, 1]
         labels, _, starts = K.trace_inports(conn)
         assert K.chain_scan(conn, starts) == [1]
-        assert self.check(conn, sign, starts)[2] == 1
+        assert self.check(conn, sign, starts)[1] == 1
         with pytest.raises(ConwayError, match="odd inter-component crossing count"):
             SkeinEngine().truncated(LinkDiagram(conn, sign), 3)
 
@@ -808,7 +808,7 @@ class TestLinkLeafSum:
         # crossing, has an arc that meets an odd number of ports
         labels, _, starts = K.trace_inports(conn)
         assert link_leaf_reference(conn, sign, labels, starts)[1] == 0
-        assert self.check(conn, sign, starts)[2] == 1
+        assert self.check(conn, sign, starts)[1] == 1
         with pytest.raises(ConwayError, match="odd inter-component crossing count"):
             SkeinEngine().truncated(LinkDiagram(conn, sign), 3)
 
@@ -824,7 +824,7 @@ class TestLinkLeafSum:
             conn = ReadOnceList(conn)
             out = base(conn, tuple(sign), labels, starts)
             reads.append(conn.reads)
-            assert sum(conn.reads) == out[5]
+            assert sum(conn.reads) == out[4]
             return out
 
         kernels.link_leaf_sum = link_leaf_sum
@@ -834,8 +834,33 @@ class TestLinkLeafSum:
         eng = SkeinEngine(kernels)
         assert eng.truncated(d, 3) == SkeinEngine().truncated(d, 3)
         assert len(reads) == 1 and max(reads[0]) == 1 and eng.nodes > 1000
-        assert "knot_leaf_sum" not in kernels.calls
         assert "smooth_inplace" not in kernels.calls and "switch_inplace" not in kernels.calls
+
+    def test_a_knot_root_reads_each_conn_entry_at_most_once(self):
+        # the closure of the same squared dn n=61 member at a_2: its root, a
+        # knot at budget 2, closes every child in one walk from its one
+        # basepoint, with no copy, slice or second read of conn
+        kernels = CountingKernels()
+        base = kernels.link_leaf_sum
+        reads = []
+
+        def link_leaf_sum(conn, sign, labels, starts):
+            assert len(starts) == 1
+            conn = ReadOnceList(conn)
+            out = base(conn, tuple(sign), labels, starts)
+            reads.append(conn.reads)
+            assert sum(conn.reads) == out[4] == len(conn) // 2
+            return out
+
+        kernels.link_leaf_sum = link_leaf_sum
+        form = braidax.canonical_odd_knot_braid(61)
+        w = braidax.cyclic_free_reduce(braidax.square(braidax.family_member(form, 1)))
+        d = closure_diagram(w)
+        eng = SkeinEngine(kernels)
+        assert eng.truncated(d, 2) == SkeinEngine().truncated(d, 2)
+        assert len(reads) == 1 and max(reads[0]) == 1
+        assert (eng.nodes, eng.leaves) == (324, 323)
+        assert "chain_scan" not in kernels.calls and "smooth_inplace" not in kernels.calls
 
 
 def knot_leaf_reference(conn, sign, start):
@@ -930,9 +955,9 @@ class ReadOnceList(list):
 
 
 def half_sums(conn, sign, start):
-    """The two orders of ``knot_leaf_sum``'s pairs, walked from ``start``:
-    the sums of e_x * e_y over the interleaved pairs of a violation x and a
-    non-violation y met x, y, x, y, and met y, x, y, x."""
+    """The two orders of the pairs a knot's leaves sum, walked from
+    ``start``: the sums of e_x * e_y over the interleaved pairs of a
+    violation x and a non-violation y met x, y, x, y, and met y, x, y, x."""
     walk = []
     cur = start
     while True:
@@ -958,9 +983,30 @@ def half_sums(conn, sign, start):
     return first, second
 
 
+def knot_case(conn, sign, start):
+    """``link_leaf_sum`` on a knot walked from its one basepoint ``start``."""
+    return K.link_leaf_sum(conn, sign, K.trace_inports(conn)[0], [start])
+
+
+@st.composite
+def knot_pairings(draw, max_crossings=7):
+    """A one-component port pairing, planar or not, as ``(conn, sign,
+    start)``: the walk visits every in-port once, in a drawn order from
+    ``start``."""
+    n = draw(st.integers(1, max_crossings))
+    walk = draw(st.permutations(range(0, 4 * n, 2)))
+    conn = [0] * (4 * n)
+    for q, nxt in zip(walk, walk[1:] + walk[:1]):
+        conn[q + 1] = nxt
+        conn[nxt] = q + 1
+    sign = draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))
+    return conn, sign, walk[0]
+
+
 class TestKnotLeafSum:
-    """The one-sweep knot kernel against the walk-then-arcs kernel it
-    replaced and against the per-leaf route."""
+    """The kernel's one-component case, a knot at budget 2, against the
+    one-sweep knot kernel it absorbed (kept as ``knot_leaf_sum_reference``'s
+    walk-then-arcs form) and against the per-leaf route."""
 
     @given(knot_words(), st.booleans(), st.data())
     def test_matches_the_walk_then_arcs_kernel(self, word, simplified, data):
@@ -970,8 +1016,9 @@ class TestKnotLeafSum:
             return  # a crossing-free unknot
         conn, sign = node
         start = data.draw(st.sampled_from(range(0, len(conn), 2)))
-        want = knot_leaf_sum_reference(conn, sign[:], start)
-        assert K.knot_leaf_sum(conn, sign, start) == want
+        total, *rest = knot_leaf_sum_reference(conn, sign[:], start)
+        assert rest[0] == 0 and total % 2 == 0
+        assert knot_case(conn, sign, start) == ((1, 0, total >> 1), *rest)
 
     @given(knot_words(), st.booleans(), st.data())
     def test_matches_the_per_leaf_route(self, word, simplified, data):
@@ -983,40 +1030,60 @@ class TestKnotLeafSum:
         start = data.draw(st.sampled_from(range(0, len(conn), 2)))
         before = sign[:]
         want = knot_leaf_reference(conn, sign[:], start)
-        total, odd, children, leaves, ports = K.knot_leaf_sum(conn, sign, start)
-        assert odd == 0 and total % 2 == 0
-        assert ports == len(conn) // 2
-        assert (total >> 1, children, leaves) == want
+        coeffs, odd, children, leaves, ports = knot_case(conn, sign, start)
+        assert odd == 0 and ports == len(conn) // 2
+        assert (coeffs[2], children, leaves) == want
         assert sign == before  # read-only: the node flips the signs itself
 
     @given(knot_words(), st.booleans(), st.data())
     def test_each_order_is_half_the_total(self, word, simplified, data):
         # Polyak and Viro: on a planar diagram each order of the pairs gives
-        # a_2, the half-sum link_leaf_sum closes its knot children with
+        # a_2, the order _knot_children closes a link's knot children with
         d = closure_diagram(word)
         node = reduced_node(d) if simplified else d.arrays()
         if node is None or not node[1]:
             return  # a crossing-free unknot
         conn, sign = node
         start = data.draw(st.sampled_from(range(0, len(conn), 2)))
-        total = K.knot_leaf_sum(conn, sign, start)[0]
-        assert half_sums(conn, sign, start) == (total >> 1, total >> 1)
+        a2 = knot_case(conn, sign, start)[0][2]
+        assert half_sums(conn, sign, start) == (a2, a2)
+
+    @settings(max_examples=300)
+    @given(knot_pairings())
+    def test_matches_the_reference_on_any_pairing(self, pairing):
+        # most pairings have no planar diagram, and many have an odd arc
+        conn, sign, start = pairing
+        total, *rest = knot_leaf_sum_reference(conn, sign[:], start)
+        coeffs, *got = knot_case(conn, sign, start)
+        assert got == rest
+        assert coeffs == (None if rest[0] else (1, 0, total >> 1))
+        # the engine closes the node the pairing simplifies to, from that
+        # node's basepoint, and raises exactly when an arc there is odd;
+        # simplifying keeps the arcs' parities, not which are violations
+        node = reduced_node(LinkDiagram(conn, sign))
+        total, odd = (0, 0) if node is None else knot_leaf_sum_reference(
+            node[0], node[1][:], K.trace_inports(node[0])[2][0]
+        )[:2]
+        if odd:
+            with pytest.raises(ConwayError, match="odd inter-component crossing count"):
+                SkeinEngine().truncated(LinkDiagram(conn, sign), 2)
+        else:
+            assert SkeinEngine().truncated(LinkDiagram(conn, sign), 2).coeffs == (1, 0, total >> 1)
 
     def test_a_violation_around_the_whole_walk_is_a_free_loop(self):
         # from in-port 6 of this two-crossing unknot both crossings are
         # violations, and crossing 1 is met first and last: the arc around
         # its visits meets nothing, so neither smoothing is a leaf
         conn, sign = closure_diagram(BraidWord(3, (1, 2))).arrays()
-        want = knot_leaf_sum_reference(conn, sign[:], 6)
-        assert want == (0, 0, 2, 0, 4)
-        assert K.knot_leaf_sum(conn, sign, 6) == want
+        assert knot_leaf_sum_reference(conn, sign[:], 6) == (0, 0, 2, 0, 4)
+        assert knot_case(conn, sign, 6) == ((1, 0, 0), 0, 2, 0, 4)
 
     def test_odd_arc_count_is_rejected(self):
         # a Gauss code no planar diagram has: walking from in-port 0, the
         # arc between crossing 1's visits meets crossing 0 only once
         conn, sign = [5, 6, 7, 4, 3, 0, 1, 2], [1, 1]
         assert K.trace_inports(conn)[1] == 1
-        assert K.knot_leaf_sum(conn, sign, 0) == (1, 1, 1, 1, 4)
+        assert knot_case(conn, sign, 0) == (None, 1, 1, 1, 4)
         assert knot_leaf_sum_reference(conn, sign[:], 0) == (1, 1, 1, 1, 4)
         with pytest.raises(ConwayError, match="odd inter-component crossing count"):
             SkeinEngine().truncated(LinkDiagram(conn, sign), 2)
