@@ -48,10 +48,6 @@ class LaurentPoly:
         self.min_exp = min_exp
         self.coeffs = coeffs
 
-    @classmethod
-    def zero(cls) -> "LaurentPoly":
-        return _ZERO
-
     @staticmethod
     def _trimmed(min_exp: int, coeffs: list[int]) -> "LaurentPoly":
         lo, hi = 0, len(coeffs)
@@ -73,9 +69,6 @@ class LaurentPoly:
 
     def __repr__(self) -> str:
         return f"LaurentPoly({self.min_exp}, {self.coeffs})"
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
@@ -156,7 +149,7 @@ class LaurentPoly:
         return LaurentPoly(self.min_exp - other.min_exp, tuple(q))
 
     def __str__(self):
-        if self.is_zero():
+        if not self.coeffs:
             return "0"
         terms = []
         for i, c in enumerate(self.coeffs):

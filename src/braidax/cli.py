@@ -10,7 +10,8 @@ Exit codes: 0 all checks passed, 1 an assertion failed, 2 usage, parse or
 file-system error.  A flag that the named experiment does not take is a usage
 error, as is ``prop25 --canonical-odd`` given together with explicit words,
 or a size above the experiment's cap (``_CAPS``) or an m beyond ``_M_CAP``,
-rejected before any work, as is ``invariant --n`` above ``_INVARIANT_N_CAP``.
+rejected before any work, as is ``invariant --n`` above ``_INVARIANT_N_CAP``
+or ``--degree`` above ``_DEGREE_CAP``.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import time
 from pathlib import Path
 
 from .burau import OracleError, conway_matches_alexander, conway_polynomial
-from .conway import SkeinEngine, full_conway, hoste_lowest
+from .conway import SkeinEngine, hoste_lowest
 from .diagram import axis_word, closure_diagram, linking_matrix
 from .experiments import EXPERIMENTS, ExperimentError
 from .words import (
@@ -132,11 +133,14 @@ def _cmd_invariant(w: BraidWord, degree: int) -> int:
     closure = closure_diagram(w)
     axis_braid = axis_word(w)
     axis = closure_diagram(axis_braid)
-    closure_poly = engine.truncated(closure, degree)
+    # up to 16 letters the closure's whole polynomial serves both its window
+    # and the Burau check; the bound is on the skein evaluation, not Burau
+    full = len(w.letters) <= 16
+    closure_poly = engine.truncated(closure, max(degree, closure.crossings) if full else degree)
     axis_poly = engine.truncated(axis, degree)
     print(f"word\t{w}")
     print(f"closure_components\t{closure_poly.components}")
-    print(f"closure_nabla\t{' '.join(map(str, closure_poly.coeffs))}")
+    print(f"closure_nabla\t{' '.join(map(str, closure_poly.coeffs[:degree + 1]))}")
     print(f"axis_components\t{axis_poly.components}")
     print(f"axis_nabla\t{' '.join(map(str, axis_poly.coeffs))}")
     lk = linking_matrix(axis)
@@ -153,9 +157,9 @@ def _cmd_invariant(w: BraidWord, degree: int) -> int:
     except OracleError as exc:
         hoste_miss = axis_miss = f" ({exc})"
     ok = _verdict("hoste_check", hoste_miss)
-    if len(w.letters) <= 16:  # bounds the full skein evaluation, not Burau
+    if full:
         try:
-            closure_ok = conway_matches_alexander(full_conway(closure).coeffs, w)
+            closure_ok = conway_matches_alexander(closure_poly.coeffs, w)
             closure_miss = None if closure_ok else ""
         except OracleError as exc:
             closure_miss = f" ({exc})"
@@ -200,9 +204,12 @@ _CAPS = {
 # the largest strand count invariant accepts: on a one-letter word it took
 # 8.2 s at n = 100 (3.6 s at 80, 13.5 s at 110) on that host, nearly all of
 # it the Burau determinant of the n + 1 strand axis word; word length stays
-# unbounded, and --degree too, though the skein evaluates no degree above
-# the diagram's crossing count
+# unbounded
 _INVARIANT_N_CAP = 100
+# the largest --degree invariant accepts: the skein evaluates no degree
+# above the diagram's crossing count, but the output prints degree + 1
+# numbers per polynomial (at --degree 1000000, 4 MB and a 108 MB peak RSS)
+_DEGREE_CAP = 1000
 # the largest |m| a family experiment samples: the cost grows steeply with
 # it, and at |m| = 25 the steepest, eq54 --n 4, takes about 9 s on that host
 # (4 s at 20, 15 s at 30); the caps hold each one alone, not jointly
@@ -279,6 +286,8 @@ def main(argv=None) -> int:
             return _cmd_info(w)
         if args.degree < 0:
             raise WordError("--degree must be >= 0")
+        if args.degree > _DEGREE_CAP:
+            raise WordError(f"invariant takes --degree up to {_DEGREE_CAP}, got {args.degree}")
         if args.n > _INVARIANT_N_CAP:
             raise WordError(f"invariant takes --n up to {_INVARIANT_N_CAP}, got {args.n}")
         return _cmd_invariant(w, args.degree)

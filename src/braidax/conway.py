@@ -151,6 +151,13 @@ class SkeinEngine:
         self.leaves = 0
 
     def truncated(self, d: LinkDiagram, max_degree: int) -> TruncatedPoly:
+        """Coefficients a_0..a_max_degree of the link of ``d``.
+
+        ``d`` must be planar, as every braid-built diagram is.  On a pairing
+        that no planar diagram has, which ``LinkDiagram`` accepts, the
+        coefficients are no link invariant and can change with the
+        basepoints ``kernels.trace_inports`` returns.
+        """
         _need_diagram(d)
         if isinstance(max_degree, bool) or not isinstance(max_degree, int):
             raise ConwayError(f"max_degree must be an int, got {max_degree!r}")

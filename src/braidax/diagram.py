@@ -51,6 +51,11 @@ class LinkDiagram:
     ``linking_matrix`` numbers components in their order of first appearance
     there.  ``free_loops`` must be an int >= 0, and ``entries`` None or a
     tuple whose items are each -1 or an in-port of ``conn``.
+
+    Planarity is not checked.  A pairing that no planar diagram has is
+    accepted, but the skein engine's coefficients of it are no link
+    invariant and can depend on the basepoints.  Every braid-built diagram
+    is planar.
     """
 
     conn: tuple[int, ...]

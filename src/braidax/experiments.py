@@ -17,7 +17,7 @@ differences are direction-independent.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from importlib import resources
 
@@ -98,18 +98,8 @@ class ExperimentReport:
     passed: bool
     notes: tuple[str, ...] = ()
 
-    def data_dict(self) -> dict:
-        return {
-            "experiment": self.experiment,
-            "parameters": self.parameters,
-            "expected": self.expected,
-            "computed": self.computed,
-            "passed": self.passed,
-            "notes": list(self.notes),
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.data_dict(), sort_keys=True, indent=2, default=str) + "\n"
+        return json.dumps(asdict(self), sort_keys=True, indent=2, default=str) + "\n"
 
     def to_tsv(self) -> str:
         lines = [f"experiment\t{self.experiment}"]
@@ -176,11 +166,11 @@ def fit_polynomial(seq: CoefficientSequence, degree_bound: int) -> PolynomialFit
             f"need at least {degree_bound + 2} samples for degree bound {degree_bound}"
         )
     m0 = seq.m_start
-    diffs = list(vals)
+    diffs = vals
     table = []  # leading differences of orders 0..degree_bound
     for _ in range(degree_bound + 1):
         table.append(diffs[0])
-        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+        diffs = _differences(diffs)
     bad = next((i for i, d in enumerate(diffs) if d), None)
     if bad is not None:
         m = m0 + bad + degree_bound + 1
@@ -205,19 +195,36 @@ def fit_polynomial(seq: CoefficientSequence, degree_bound: int) -> PolynomialFit
     return PolynomialFit(tuple(coeffs))
 
 
+def _differences(values) -> list[int]:
+    """First differences of a sequence."""
+    return [b - a for a, b in zip(values, values[1:])]
+
+
+def _fit_variants(variants, squared, ms, degree_bound, engine, computed, checks):
+    """Sample a_4 over ``ms`` for each ``(tag, form, delete_strand)`` in
+    turn on one engine, record it as ``{tag}_sequence`` and fit it to
+    ``degree_bound``.
+
+    A ``FitError`` is recorded as ``fit_error``, fails ``checks`` and ends
+    the sampling.  Returns the sequence of each sampled variant and the fit
+    of each fitted one, by tag.
+    """
+    engine = engine if engine is not None else SkeinEngine()
+    sequences, fits = {}, {}
+    for tag, form, strand in variants:
+        seq = sequences[tag] = axis_sequence(form, squared, ms, 4, engine, strand)
+        computed[f"{tag}_sequence"] = list(seq.values)
+        try:
+            fits[tag] = fit_polynomial(seq, degree_bound)
+        except FitError as exc:
+            computed["fit_error"] = str(exc)
+            checks.append(False)
+            break
+    return sequences, fits
+
+
 # ---------------------------------------------------------------------------
 # the experiments
-
-
-def _finish(name, params, expected, computed, checks, notes) -> ExperimentReport:
-    return ExperimentReport(
-        experiment=name,
-        parameters=params,
-        expected=expected,
-        computed=computed,
-        passed=all(checks),
-        notes=tuple(notes),
-    )
 
 
 def progression_check(
@@ -243,7 +250,7 @@ def progression_check(
     l = dec.one_index
     expected_abs = abs(n + 1 - 2 * l)
     seq = axis_sequence(form, False, ms, 3, engine)
-    diffs = [seq.values[i + 1] - seq.values[i] for i in range(len(seq.values) - 1)]
+    diffs = _differences(seq.values)
     constant = all(d == diffs[0] for d in diffs)
     notes = [
         f"normalized cycle {dec.normalized}, one at position {l}",
@@ -251,7 +258,7 @@ def progression_check(
         "family twist direction fixed by the constructor; first differences may be"
         " globally negated relative to the opposite convention",
     ]
-    return _finish(
+    return ExperimentReport(
         "prop25",
         {"strands": n, "alpha": str(form.alpha), "beta": str(form.beta),
          "m_range": ms},
@@ -259,8 +266,8 @@ def progression_check(
          "origin": "closed form |n + 1 - 2l| from the strand-by-strand linking count"},
         {"sequence": list(seq.values), "differences": diffs,
          "constant": constant, "abs_difference": abs(diffs[0])},
-        [constant, abs(diffs[0]) == expected_abs],
-        notes,
+        constant and abs(diffs[0]) == expected_abs,
+        tuple(notes),
     )
 
 
@@ -292,19 +299,15 @@ def squared_family_check(
     if len(ms) < 3:
         raise ExperimentError("need at least three m values for a second difference")
     seq = axis_sequence(form, True, ms, 3, engine)
-    second = [
-        seq.values[i + 2] - 2 * seq.values[i + 1] + seq.values[i]
-        for i in range(len(seq.values) - 2)
-    ]
+    second = _differences(_differences(seq.values))
     constant = all(d == second[0] for d in second)
-    return _finish(
+    return ExperimentReport(
         "dn",
         {"n": n, "m_range": ms},
         {"second_difference": target,
          "origin": "closed form -40-72k-32k^2 (n=5+4k) / 56+88k+32k^2 (n=7+4k)"},
         {"sequence": list(seq.values), "second_differences": second},
-        [constant, second[0] == target],
-        [],
+        constant and second[0] == target,
     )
 
 
@@ -326,30 +329,17 @@ def two_cycle_check(
         raise ExperimentError("need at least 5 samples for the cubic fit")
     form = canonical_split_cycle_braid(n1, n2)
     target = 2 * (n1 - 1) * (n2 - 1)
-    eng = engine if engine is not None else SkeinEngine()
     computed = {}
     checks = []
     notes = []
-    quads = []
-    family_seq = None
-    for tag, f in (("family", form), ("mirror", form.mirrored())):
-        seq = axis_sequence(f, False, ms, 4, eng)
-        if tag == "family":
-            family_seq = seq
-        computed[f"{tag}_sequence"] = list(seq.values)
-        try:
-            fit = fit_polynomial(seq, 3)
-        except FitError as exc:
-            computed["fit_error"] = str(exc)
-            checks.append(False)
-            break
-        cubic = fit.coefficient(3)
-        quad = fit.coefficient(2)
-        quads.append(quad)
-        computed[f"{tag}_cubic"] = str(cubic)
-        computed[f"{tag}_quadratic"] = str(quad)
-        checks.append(cubic == 0)
+    variants = [("family", form, None), ("mirror", form.mirrored(), None)]
+    sequences, fits = _fit_variants(variants, False, ms, 3, engine, computed, checks)
+    for tag, fit in fits.items():
+        computed[f"{tag}_cubic"] = str(fit.coefficient(3))
+        computed[f"{tag}_quadratic"] = str(fit.coefficient(2))
+        checks.append(fit.coefficient(3) == 0)
     # a_4(m) == a_4(-m) pointwise for the bare seed
+    family_seq = sequences["family"]
     pairs = [m for m in family_seq.m_values if m > 0 and -m in family_seq.m_values]
     if pairs:
         even = all(family_seq.value_at(m) == family_seq.value_at(-m) for m in pairs)
@@ -357,17 +347,18 @@ def two_cycle_check(
         checks.append(even)
     else:
         notes.append("evenness in m not checked: the m range holds no pair m, -m with m != 0")
-    if len(quads) == 2:
-        computed["quadratic_sum"] = str(quads[0] + quads[1])
-        checks.append(quads[0] + quads[1] == target)
-    return _finish(
+    if len(fits) == 2:
+        quad_sum = sum(fit.coefficient(2) for fit in fits.values())
+        computed["quadratic_sum"] = str(quad_sum)
+        checks.append(quad_sum == target)
+    return ExperimentReport(
         "lemma64",
         {"n1": n1, "n2": n2, "m_range": ms},
         {"quadratic_sum": target, "cubic": 0,
          "origin": "closed form 2(n1-1)(n2-1) for the mirror-pair quadratic sum"},
         computed,
-        checks,
-        notes,
+        all(checks),
+        tuple(notes),
     )
 
 
@@ -400,7 +391,6 @@ def joint_cycle_check(
         raise ExperimentError("need at least 4 samples for the quadratic fit")
     form = canonical_joint_cycle_braid(n)
     target = joint_cycle_target(n)
-    eng = engine if engine is not None else SkeinEngine()
     computed = {}
     checks = []
     notes = [
@@ -409,7 +399,7 @@ def joint_cycle_check(
     ]
 
     if n % 2 == 0:
-        variants = {"direct": None}
+        variants = [("direct", form, None)]
         notes.append("even strand count: no component deletion")
     else:
         w0 = square(form.word())
@@ -419,38 +409,31 @@ def joint_cycle_check(
             raise ExperimentError(f"expected two squared middle-cycle components, got {middle}")
         first = next(c for c in middle if 3 in c)
         second = next(c for c in middle if 3 not in c)
-        variants = {"delete_with_strand_3": min(first), "delete_other": min(second)}
+        variants = [("delete_with_strand_3", form, min(first)),
+                    ("delete_other", form, min(second))]
         notes.append(
             "odd strand count: the squared middle cycle closes into two components;"
             " the one containing strand 3 is deleted by default and the other"
             " choice is reported alongside"
         )
-    quads = {}
-    for tag, strand in variants.items():
-        seq = axis_sequence(form, True, ms, 4, eng, strand)
-        computed[f"{tag}_sequence"] = list(seq.values)
-        try:
-            fit = fit_polynomial(seq, 2)
-        except FitError as exc:
-            computed["fit_error"] = str(exc)
-            checks.append(False)
-            break
-        quads[tag] = fit.coefficient(2)
-        computed[f"{tag}_quadratic"] = str(quads[tag])
-        checks.append(quads[tag] == target)
+    _, fits = _fit_variants(variants, True, ms, 2, engine, computed, checks)
+    quads = {tag: fit.coefficient(2) for tag, fit in fits.items()}
+    for tag, quad in quads.items():
+        computed[f"{tag}_quadratic"] = str(quad)
+        checks.append(quad == target)
     if len(quads) == 2:
         agree = len(set(quads.values())) == 1
         computed["deletion_choices_agree"] = agree
         checks.append(agree)
-    return _finish(
+    return ExperimentReport(
         "eq54",
         {"n": n, "m_range": ms},
         {"quadratic": target,
          "origin": "closed form 2(k+1)^2 (n=5+2k) / 2(2k+1)^2 (n=4+2k) at zero"
                    " auxiliary linking"},
         computed,
-        checks,
-        notes,
+        all(checks),
+        tuple(notes),
     )
 
 
@@ -458,14 +441,10 @@ def joint_cycle_check(
 # the braid-word corpus
 
 
-def default_corpus_path():
-    return resources.files("braidax.data").joinpath("table8.tsv")
-
-
 def load_corpus(path=None) -> list[tuple[str, str]]:
     """Rows (knot_name, word) of the bundled 4-braid corpus, or of a TSV file."""
     if path is None:
-        text = default_corpus_path().read_text()
+        text = resources.files("braidax.data").joinpath("table8.tsv").read_text()
     else:
         try:
             with open(path) as f:
@@ -507,12 +486,12 @@ def corpus_check(path=None) -> ExperimentReport:
         if not verdict.applies:
             failures.append(f"{name}: criterion fails ({verdict.reason})")
     passed = len(rows) == 95 and not failures
-    return _finish(
+    return ExperimentReport(
         "table8",
         {"rows": len(rows), "source": "bundled" if path is None else str(path)},
         {"rows": 95, "failures": 0},
         {"rows": len(rows), "failures": len(failures)},
-        [passed],
+        passed,
         tuple(failures[:20]),
     )
 

@@ -185,15 +185,18 @@ def free_reduce(w: BraidWord) -> BraidWord:
 def cyclic_free_reduce(w: BraidWord) -> BraidWord:
     """Free reduction that also cancels across the wrap-around.
 
-    The word is freely reduced once; then each cancelling pair of ends is
-    stripped.  The middle of a freely reduced word is freely reduced, so
-    nothing is scanned again.  The result is conjugate to the input, so
-    every conjugacy invariant (closure link, axis link) is unchanged.
+    The word is freely reduced once; then one scan from both ends counts
+    the cancelling pairs of ends, and one slice strips them.  The middle of
+    a freely reduced word is freely reduced, so nothing is scanned again.
+    The result is conjugate to the input, so every conjugacy invariant
+    (closure link, axis link) is unchanged.
     """
     w = free_reduce(w)
-    while len(w.letters) >= 2 and w.letters[0] == -w.letters[-1]:
-        w = BraidWord(w.strands, w.letters[1:-1])
-    return w
+    a = w.letters
+    i = 0
+    while 2 * i + 2 <= len(a) and a[i] == -a[-1 - i]:
+        i += 1
+    return BraidWord(w.strands, a[i:len(a) - i]) if i else w
 
 
 def square(w: BraidWord) -> BraidWord:
@@ -211,17 +214,13 @@ def exponent_sum(w: BraidWord) -> int:
 def permutation_of(w: BraidWord) -> Permutation:
     """Image of the word under the homomorphism sending each generator to the
     transposition of its two strand positions."""
-    images = list(range(1, w.strands + 1))
-    # images[pos] tracks where the strand starting at top position pos+1 is now
-    pos_of = list(range(w.strands))  # pos_of[j] = current position of strand j
-    at = list(range(w.strands))      # at[p] = strand currently at position p
+    at = list(range(w.strands))  # at[p] = strand currently at position p
     for k in w.letters:
         i = abs(k) - 1
-        s, t = at[i], at[i + 1]
-        at[i], at[i + 1] = t, s
-        pos_of[s], pos_of[t] = i + 1, i
-    for j in range(w.strands):
-        images[j] = pos_of[j] + 1
+        at[i], at[i + 1] = at[i + 1], at[i]
+    images = [0] * w.strands
+    for p, strand in enumerate(at, 1):
+        images[strand] = p
     return Permutation(tuple(images))
 
 
@@ -464,8 +463,6 @@ def canonical_split_cycle_braid(n1: int, n2: int) -> ExchangeForm:
     if n1 < 2 or n2 < 2:
         raise WordError("both cycle lengths must be >= 2")
     n = n1 + n2
-    if n < 4:
-        raise WordError("need at least 4 strands")
     alpha = BraidWord(n, tuple(range(1, n1)))
     beta = BraidWord(n, tuple(range(n1 + 1, n)))
     return ExchangeForm(n, alpha, beta)

@@ -157,6 +157,21 @@ class TestInvariant:
         monkeypatch.setattr(braidax.cli, "_cmd_invariant", lambda w, degree: 0)
         assert run(capsys, "invariant", "--n", "100", "--", "1")[0] == 0
 
+    def test_degree_above_cap_exits_2_before_any_work(self, capsys, monkeypatch):
+        def work(w, degree):
+            raise AssertionError("invariant ran above its cap")
+
+        monkeypatch.setattr(braidax.cli, "_cmd_invariant", work)
+        code, out, err = run(capsys, "invariant", "--n", "2", "--degree", "1001", "--", "1")
+        assert code == 2
+        assert (out, err) == ("", "error: invariant takes --degree up to 1000, got 1001\n")
+
+    def test_degree_at_cap_is_accepted(self, capsys):
+        code, out, _ = run(capsys, "invariant", "--n", "2", "--degree", "1000", "--", "1", "1", "1")
+        assert code == 0
+        assert f"\nclosure_nabla\t1 0 1{' 0' * 998}\n" in out
+        assert "\nburau_check\tmatch\n" in out
+
     def test_deterministic_output(self, capsys):
         args = ("invariant", "--n", "3", "--", "1", "-2", "1", "--degree", "2")
         _, out1, _ = run(capsys, *args)

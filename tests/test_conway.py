@@ -13,6 +13,7 @@ from braidax import (
     ConwayError,
     LinkDiagram,
     SkeinEngine,
+    TruncatedPoly,
     axis_link_diagram,
     axis_word,
     canonical_odd_knot_braid,
@@ -125,6 +126,10 @@ class TestBaseValues:
         poly = conway_truncated(closure_diagram(w(2, 1, 1, 1)), 2)
         with pytest.raises(ConwayError):
             poly[3]
+
+    def test_window_needs_one_coefficient_per_degree(self):
+        with pytest.raises(ConwayError, match="exactly max_degree"):
+            TruncatedPoly(2, (1, 0), 1)
 
 
 class TestEngineEquivalences:

@@ -227,6 +227,12 @@ class TestLinkingMatrix:
         b = linking_matrix(closure_diagram(mirror(word))).entries
         assert a == tuple(tuple(-x for x in row) for row in b)
 
+    def test_rejects_an_odd_inter_component_count(self):
+        # each strand of one crossing closes on itself: two components that
+        # cross once, a pairing no planar diagram has
+        with pytest.raises(DiagramError, match="odd inter-component crossing count"):
+            linking_matrix(LinkDiagram((1, 0, 3, 2), (1,)))
+
     @pytest.mark.parametrize(
         "entries",
         [

@@ -235,6 +235,21 @@ def test_non_int_m_rejected(call):
     assert eng.nodes == 0
 
 
+@pytest.mark.parametrize(
+    "call,match",
+    [
+        (lambda: progression_check(m_range=[0]), "at least two m values"),
+        (lambda: squared_family_check(5, m_range=range(2)), "at least three m values"),
+        (lambda: two_cycle_check(2, 2, m_range=range(4)), "at least 5 samples"),
+        (lambda: joint_cycle_check(4, m_range=range(3)), "at least 4 samples"),
+    ],
+    ids=["prop25", "dn", "lemma64", "eq54"],
+)
+def test_too_few_m_values_rejected(call, match):
+    with pytest.raises(ExperimentError, match=match):
+        call()
+
+
 class TestFamilyChecks:
     def test_dn_n5(self, engine):
         report = squared_family_check(5, engine=engine)
@@ -252,7 +267,7 @@ class TestFamilyChecks:
         # the range is read once, so an iterator is not used up by the check
         # on its length
         report = two_cycle_check(2, 2, m_range=iter(range(-2, 3)), engine=engine)
-        assert report.data_dict() == two_cycle_check(2, 2, engine=engine).data_dict()
+        assert report.to_json() == two_cycle_check(2, 2, engine=engine).to_json()
         assert report.parameters["m_range"] == [-2, -1, 0, 1, 2]
 
     def test_lemma64_without_a_pair_m_minus_m(self, engine):
@@ -368,6 +383,29 @@ class TestCorpus:
         report = corpus_check(path)
         assert not report.passed
         assert report.computed["failures"] == 2
+
+    def test_unreadable_path(self, tmp_path):
+        with pytest.raises(ExperimentError, match="cannot read corpus"):
+            load_corpus(tmp_path / "missing.tsv")
+
+    def test_row_needs_two_fields(self, tmp_path):
+        path = tmp_path / "corpus.tsv"
+        path.write_text("X\t1 3\tsurplus\n")
+        with pytest.raises(ExperimentError, match="two tab-separated fields"):
+            load_corpus(path)
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "corpus.tsv"
+        path.write_text("knot\tword\n\nX\t1 3\n   \nY\t2\n")
+        assert load_corpus(path) == [("X", "1 3"), ("Y", "2")]
+
+    def test_check_notes_a_closure_that_is_no_knot(self, tmp_path):
+        # 1 3 splits as alpha = 1, beta = 3, and closes to two components
+        path = tmp_path / "corpus.tsv"
+        path.write_text("X\t1 3\n")
+        report = corpus_check(path)
+        assert not report.passed
+        assert report.notes == ("X: closure is not a knot",)
 
     def test_check_does_not_hide_a_fault_as_a_parse_failure(self, monkeypatch):
         def faulty(text, strands):

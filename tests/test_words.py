@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from braidax import (
     BraidWord,
     ExchangeForm,
+    Permutation,
     WordError,
     admits_exchange,
     canonical_joint_cycle_braid,
@@ -89,6 +90,21 @@ class TestElementaryOps:
         assert all(a != -b for a, b in zip(out, out[1:]))
         assert len(out) < 2 or out[0] != -out[-1]
 
+    @given(braid_words(max_letters=8), st.data())
+    def test_cyclic_free_reduce_matches_pair_by_pair_stripping(self, core, data):
+        n = core.strands
+        u = data.draw(st.lists(st.integers(-(n - 1), n - 1).filter(bool), max_size=8))
+        word = BraidWord(n, tuple(u) + core.letters + tuple(-k for k in reversed(u)))
+
+        def reference(v):
+            # reduce freely, then strip one cancelling pair of ends per word
+            v = free_reduce(v)
+            while len(v.letters) >= 2 and v.letters[0] == -v.letters[-1]:
+                v = BraidWord(v.strands, v.letters[1:-1])
+            return v
+
+        assert cyclic_free_reduce(word) == reference(word)
+
     def test_square_and_stabilize(self):
         assert square(w(2, 1)).letters == (1, 1)
 
@@ -112,6 +128,10 @@ class TestElementaryOps:
 
 
 class TestPermutations:
+    def test_non_bijection_rejected(self):
+        with pytest.raises(WordError, match="not a bijection"):
+            Permutation((1, 1, 3))
+
     def test_single_generator_is_transposition(self):
         assert permutation_of(w(2, 1)).images == (2, 1)
 
@@ -285,6 +305,8 @@ class TestExchange:
             ExchangeForm(4, w(4, 3), BraidWord(4))
         with pytest.raises(WordError):
             ExchangeForm(4, BraidWord(4), w(4, 1))
+        with pytest.raises(WordError, match="strand counts must match"):
+            ExchangeForm(4, BraidWord(3), BraidWord(4))
 
 
 class TestFamily:
@@ -377,6 +399,14 @@ class TestCanonicalFamilies:
     def test_non_int_sizes_rejected(self, build):
         with pytest.raises(WordError):
             build()
+
+    def test_joint_cycle_braid_needs_four_strands(self):
+        with pytest.raises(WordError, match="need n >= 4"):
+            canonical_joint_cycle_braid(3)
+
+    def test_split_cycle_braid_needs_two_strand_cycles(self):
+        with pytest.raises(WordError, match="both cycle lengths must be >= 2"):
+            canonical_split_cycle_braid(1, 3)
 
     def test_joint_cycle_braid_n4(self):
         form = canonical_joint_cycle_braid(4)
