@@ -35,7 +35,6 @@ from .words import (
 from .diagram import (
     DiagramError,
     LinkDiagram,
-    LinkingMatrix,
     axis_link_diagram,
     axis_word,
     closure_diagram,
@@ -58,7 +57,6 @@ from .burau import (
 )
 from .experiments import (
     CoefficientSequence,
-    EXPERIMENTS,
     ExperimentError,
     ExperimentReport,
     FitError,

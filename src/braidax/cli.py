@@ -9,9 +9,9 @@ identical reports, and runtime metadata goes to stderr.
 Exit codes: 0 all checks passed, 1 an assertion failed, 2 usage, parse or
 file-system error.  A flag that the named experiment does not take is a usage
 error, as is ``prop25 --canonical-odd`` given together with explicit words,
-or a size above the experiment's cap (``_CAPS``) or an m beyond ``_M_CAP``,
-rejected before any work, as is ``invariant --n`` above ``_INVARIANT_N_CAP``
-or ``--degree`` above ``_DEGREE_CAP``.
+or a size above the experiment's cap or an m beyond ``_M_CAP``, rejected
+before any work, as is ``invariant --n`` above ``_INVARIANT_N_CAP`` or
+``--degree`` above ``_DEGREE_CAP``.
 """
 
 from __future__ import annotations
@@ -24,7 +24,14 @@ from pathlib import Path
 from .burau import OracleError, conway_matches_alexander, conway_polynomial
 from .conway import SkeinEngine, hoste_lowest
 from .diagram import axis_word, closure_diagram, linking_matrix
-from .experiments import EXPERIMENTS, ExperimentError
+from .experiments import (
+    ExperimentError,
+    corpus_check,
+    joint_cycle_check,
+    progression_check,
+    squared_family_check,
+    two_cycle_check,
+)
 from .words import (
     BraidWord,
     ExchangeForm,
@@ -83,7 +90,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_inv.add_argument("--degree", type=int, default=3, help="truncation degree")
 
     p_exp = sub.add_parser("experiment", help="run a named family experiment")
-    p_exp.add_argument("name", choices=sorted(EXPERIMENTS), help="experiment name")
+    p_exp.add_argument("name", choices=sorted(_EXPERIMENTS), help="experiment name")
     p_exp.add_argument("--n", type=int, help="strand count (dn, eq54)")
     p_exp.add_argument("--n1", type=int, help="first cycle length (lemma64)")
     p_exp.add_argument("--n2", type=int, help="second cycle length (lemma64)")
@@ -133,9 +140,7 @@ def _cmd_invariant(w: BraidWord, degree: int) -> int:
     closure = closure_diagram(w)
     axis_braid = axis_word(w)
     axis = closure_diagram(axis_braid)
-    # up to 16 letters the closure's whole polynomial serves both its window
-    # and the Burau check; the bound is on the skein evaluation, not Burau
-    full = len(w.letters) <= 16
+    full = len(w.letters) <= _FULL_CLOSURE_LETTERS
     closure_poly = engine.truncated(closure, max(degree, closure.crossings) if full else degree)
     axis_poly = engine.truncated(axis, degree)
     print(f"word\t{w}")
@@ -144,7 +149,7 @@ def _cmd_invariant(w: BraidWord, degree: int) -> int:
     print(f"axis_components\t{axis_poly.components}")
     print(f"axis_nabla\t{' '.join(map(str, axis_poly.coeffs))}")
     lk = linking_matrix(axis)
-    for i, row in enumerate(lk.entries):
+    for i, row in enumerate(lk):
         print(f"axis_linking_row_{i}\t{' '.join(map(str, row))}")
     # the axis link's Burau polynomial, zero past its degree, checks both
     # Hoste's lowest coefficient and the skein window; an OracleError fails both
@@ -165,7 +170,7 @@ def _cmd_invariant(w: BraidWord, degree: int) -> int:
             closure_miss = f" ({exc})"
         ok = _verdict("burau_check", closure_miss) and ok
     else:
-        print("burau_check\tskipped (word longer than 16 letters)")
+        print(f"burau_check\tskipped (word longer than {_FULL_CLOSURE_LETTERS} letters)")
     ok = _verdict("axis_burau_check", axis_miss) and ok
     return OK if ok else CHECK_FAILURE
 
@@ -177,43 +182,35 @@ def _verdict(name: str, mismatch: str | None) -> bool:
     return mismatch is None
 
 
-# experiment -> (the options it takes, passed on as keyword arguments of the
-# same name except for prop25's; the usage hint when all of them are required;
-# whether it samples a family over m and so takes --m-min and --m-max)
-_EXPERIMENT_ARGS = {
-    "prop25": (("n", "alpha", "beta", "canonical_odd"), None, True),
-    "dn": (("n",), "--n (odd, >= 5)", True),
-    "lemma64": (("n1", "n2"), "--n1 and --n2", True),
-    "eq54": (("n",), "--n (>= 4)", True),
-    "table8": (("path",), None, False),
+# experiment -> (its function; the options it takes, passed on as keyword
+# arguments of the same name except for prop25's, each with the largest value
+# it accepts or None; the usage hint when all of them are required; whether it
+# samples a family over m and so takes --m-min and --m-max).  The cost grows
+# without bound with the size and with |m|, and a large size with a wide m
+# range is bounded by neither cap alone, so the caps bound the work until the
+# engine has a node budget
+_EXPERIMENTS = {
+    "prop25": (progression_check,
+               {"n": None, "alpha": None, "beta": None, "canonical_odd": 101}, None, True),
+    "dn": (squared_family_check, {"n": 101}, "--n (odd, >= 5)", True),
+    "lemma64": (two_cycle_check, {"n1": 12, "n2": 12}, "--n1 and --n2", True),
+    "eq54": (joint_cycle_check, {"n": 16}, "--n (>= 4)", True),
+    "table8": (corpus_check, {"path": None}, None, False),
 }
-_OPTIONS = sorted({opt for options, _, _ in _EXPERIMENT_ARGS.values() for opt in options})
-# the largest sizes an experiment accepts: when they were set, a run at each
-# cap took about ten seconds on a 2-core x86-64 host (dn 101: 10.5 s, eq54
-# 16: 7.7 s, lemma64 12,12: 5.9 s, prop25 --canonical-odd 101: 9.6 s); now it
-# takes 0.43 s, 1.2 s, 1.1 s and 0.58 s there, in a fresh process (median of
-# five).  The cost still grows without bound past them,
-# and a large size with a wide m range is bounded by neither, so the caps
-# stay until the engine has a node budget
-_CAPS = {
-    "dn": {"n": 101},
-    "eq54": {"n": 16},
-    "lemma64": {"n1": 12, "n2": 12},
-    "prop25": {"canonical_odd": 101},
-}
-# the largest strand count invariant accepts: on a one-letter word it took
-# 8.2 s at n = 100 (3.6 s at 80, 13.5 s at 110) on that host, nearly all of
-# it the Burau determinant of the n + 1 strand axis word; word length stays
-# unbounded
+_OPTIONS = sorted({opt for _, options, _, _ in _EXPERIMENTS.values() for opt in options})
+# the largest |m| a family experiment samples, a cap for the same reason
+_M_CAP = 25
+# the largest strand count invariant accepts: nearly all of its time is the
+# Burau determinant of the n + 1 strand axis word; word length stays unbounded
 _INVARIANT_N_CAP = 100
 # the largest --degree invariant accepts: the skein evaluates no degree
 # above the diagram's crossing count, but the output prints degree + 1
-# numbers per polynomial (at --degree 1000000, 4 MB and a 108 MB peak RSS)
+# numbers per polynomial
 _DEGREE_CAP = 1000
-# the largest |m| a family experiment samples: the cost grows steeply with
-# it, and at |m| = 25 the steepest, eq54 --n 4, takes about 9 s on that host
-# (4 s at 20, 15 s at 30); the caps hold each one alone, not jointly
-_M_CAP = 25
+# the longest word whose closure's whole polynomial invariant evaluates, to
+# serve both its window and the Burau check; the bound is on the skein
+# evaluation, not Burau
+_FULL_CLOSURE_LETTERS = 16
 
 
 def _flag(option: str) -> str:
@@ -226,15 +223,15 @@ def _cmd_experiment(args) -> int:
         raise WordError("--m-min and --m-max must be given together")
     if args.m_min is not None and args.m_min > args.m_max:
         raise WordError("--m-min must not exceed --m-max")
-    options, required, family = _EXPERIMENT_ARGS[name]
-    stray = [opt for opt in _OPTIONS if getattr(args, opt) is not None and opt not in options]
+    run, caps, required, family = _EXPERIMENTS[name]
+    stray = [opt for opt in _OPTIONS if getattr(args, opt) is not None and opt not in caps]
     if stray:
         raise WordError(f"{name} takes no {', '.join(map(_flag, stray))}")
-    kwargs = {opt: getattr(args, opt) for opt in options if getattr(args, opt) is not None}
-    if required is not None and len(kwargs) < len(options):
+    kwargs = {opt: getattr(args, opt) for opt in caps if getattr(args, opt) is not None}
+    if required is not None and len(kwargs) < len(caps):
         raise WordError(f"{name} needs {required}")
-    for opt, cap in _CAPS.get(name, {}).items():
-        if kwargs.get(opt, 0) > cap:
+    for opt, cap in caps.items():
+        if cap is not None and kwargs.get(opt, 0) > cap:
             raise WordError(f"{name} takes {_flag(opt)} up to {cap}, got {kwargs[opt]}")
     if args.m_min is not None:
         if not family:
@@ -259,7 +256,7 @@ def _cmd_experiment(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
-    report = EXPERIMENTS[name](**kwargs)
+    report = run(**kwargs)
     elapsed = time.perf_counter() - t0
 
     stem = out_dir / f"braidax_{name}"

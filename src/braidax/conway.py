@@ -49,9 +49,8 @@ child, so that violation is not switched.
 
 Smoothing a self-crossing adds a component and spends one degree, so at
 budget p + 1 that child is a Hoste leaf.  At p >= 3 that leaf is built and
-closed after its trace (294 of the 3896 such children of the benchmark's
-``a4_families``, seed 13); at p = 1 and p = 2 each closes in one read-only
-walk of its node.
+closed after its trace; at p = 1 and p = 2 each closes in one read-only walk
+of its node.
 
 A two-component node at budget 3, the node every a_3 of a knot's axis link
 and every a_4 of a two-cycle link runs through, builds no child.
@@ -90,7 +89,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .diagram import LinkDiagram, LinkingMatrix
+from .diagram import LinkDiagram
 from .kernels import get_kernels
 
 
@@ -164,9 +163,7 @@ class SkeinEngine:
         if max_degree < 0:
             raise ConwayError("max_degree must be >= 0")
         conn, sign = d.arrays()
-        p = d.free_loops
-        if sign:
-            p += self.k.trace_inports(conn)[1]
+        p = d.free_loops + self.k.trace_inports(conn)[1]
         # each smoothing spends a crossing and raises the degree by one, so
         # no coefficient above the crossing count is nonzero
         m = min(max_degree, len(sign))
@@ -286,8 +283,7 @@ def _need_diagram(d) -> None:
 # lowest coefficient from linking numbers
 
 
-def _as_lk_rows(m: LinkingMatrix | list | tuple) -> list[list[int]]:
-    rows = m.entries if isinstance(m, LinkingMatrix) else m
+def _as_lk_rows(rows: list | tuple) -> list[list[int]]:
     if not isinstance(rows, (list, tuple)) or not all(isinstance(r, (list, tuple)) for r in rows):
         raise ConwayError("linking matrix must be a list of rows")
     out = [list(row) for row in rows]
@@ -340,7 +336,7 @@ def _laplacian_minor(rows: list[list[int]]) -> list[list[int]]:
     return [[sum(rows[i]) if i == k else -rows[i][k] for k in keep] for i in keep]
 
 
-def hoste_lowest(m: LinkingMatrix | list | tuple) -> int:
+def hoste_lowest(m: list | tuple) -> int:
     """Lowest Conway coefficient a_{p-1} of a p-component link from its
     linking numbers: the sum over spanning trees of the complete graph of
     their edge products, as a cofactor of the Laplacian (matrix-tree

@@ -24,20 +24,6 @@ class DiagramError(ValueError):
     """Inconsistent diagram data."""
 
 
-@dataclass(frozen=True)
-class LinkingMatrix:
-    """Pairwise component linking numbers: symmetric, zero diagonal."""
-
-    entries: tuple[tuple[int, ...], ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.entries)
-
-    def __getitem__(self, km: tuple[int, int]) -> int:
-        return self.entries[km[0]][km[1]]
-
-
 @dataclass(frozen=True, eq=False)
 class LinkDiagram:
     """A link diagram: crossing signs, the arc pairing of ports, and a count
@@ -158,8 +144,9 @@ def axis_link_diagram(w: BraidWord) -> LinkDiagram:
 # linking
 
 
-def linking_matrix(d: LinkDiagram) -> LinkingMatrix:
-    """Half the signed inter-component crossing counts.
+def linking_matrix(d: LinkDiagram) -> tuple[tuple[int, ...], ...]:
+    """Half the signed inter-component crossing counts, as rows: symmetric,
+    zero diagonal.
 
     Components come in their order of first appearance in ``d.entries``, a
     crossing-free strand counting as one loop: by smallest top position, the
@@ -167,8 +154,6 @@ def linking_matrix(d: LinkDiagram) -> LinkingMatrix:
     directly) numbers its components in discovery order, its free loops last.
     """
     _need_diagram(d)
-    if d.crossings == 0:
-        return LinkingMatrix(((0,) * d.free_loops,) * d.free_loops)
     K = get_kernels()
     labels, ncomp, starts = K.trace_inports(d.conn)
     entries = d.entries if d.entries is not None else tuple(starts) + (-1,) * d.free_loops
@@ -186,13 +171,10 @@ def linking_matrix(d: LinkDiagram) -> LinkingMatrix:
         if any(c % 2 for c in row):
             raise DiagramError("odd inter-component crossing count")
         rows.append(tuple(c // 2 for c in row))
-    return LinkingMatrix(tuple(rows))
+    return tuple(rows)
 
 
 def component_count(d: LinkDiagram) -> int:
     _need_diagram(d)
-    if d.crossings == 0:
-        return d.free_loops
-    K = get_kernels()
-    _, ncomp, _ = K.trace_inports(d.conn)
+    _, ncomp, _ = get_kernels().trace_inports(d.conn)
     return ncomp + d.free_loops

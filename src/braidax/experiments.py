@@ -20,6 +20,7 @@ import json
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from importlib import resources
+from math import factorial
 
 from .conway import SkeinEngine
 from .diagram import axis_link_diagram
@@ -165,37 +166,32 @@ def fit_polynomial(seq: CoefficientSequence, degree_bound: int) -> PolynomialFit
         raise ExperimentError(
             f"need at least {degree_bound + 2} samples for degree bound {degree_bound}"
         )
-    m0 = seq.m_start
     diffs = vals
-    table = []  # leading differences of orders 0..degree_bound
     for _ in range(degree_bound + 1):
-        table.append(diffs[0])
         diffs = _differences(diffs)
     bad = next((i for i, d in enumerate(diffs) if d), None)
     if bad is not None:
-        m = m0 + bad + degree_bound + 1
+        m = seq.m_start + bad + degree_bound + 1
         raise FitError(
             f"samples are not polynomial of degree {degree_bound}: "
             f"value {seq.value_at(m)} at m={m} deviates from the fit",
             offending_m=m,
         )
-    # expand sum_k table[k] * C(m - m0, k) into the power basis
+    # peel the power coefficients off from the top: the k-th difference of a
+    # polynomial of degree k is k! times its leading coefficient
+    ms = seq.m_values
+    rest = list(vals)
     coeffs = [Fraction(0)] * (degree_bound + 1)
-    basis = [Fraction(1)]  # polynomial prod_{j<k} (m - m0 - j) / k!
-    for k in range(degree_bound + 1):
-        if k > 0:
-            root = m0 + k - 1
-            basis = [Fraction(0)] + basis
-            basis = [basis[i + 1] * (-root) + basis[i] for i in range(len(basis) - 1)] + [
-                basis[-1]
-            ]
-            basis = [b / k for b in basis]
-        for i, b in enumerate(basis):
-            coeffs[i] += table[k] * b
+    for k in range(degree_bound, -1, -1):
+        lead = rest
+        for _ in range(k):
+            lead = _differences(lead)
+        coeffs[k] = Fraction(lead[0], factorial(k))
+        rest = [r - coeffs[k] * m**k for r, m in zip(rest, ms)]
     return PolynomialFit(tuple(coeffs))
 
 
-def _differences(values) -> list[int]:
+def _differences(values) -> list:
     """First differences of a sequence."""
     return [b - a for a, b in zip(values, values[1:])]
 
@@ -405,8 +401,6 @@ def joint_cycle_check(
         w0 = square(form.word())
         cycles = cycle_decomposition(permutation_of(w0)).cycles
         middle = [c for c in cycles if set(c) <= set(range(3, n))]
-        if len(middle) != 2:
-            raise ExperimentError(f"expected two squared middle-cycle components, got {middle}")
         first = next(c for c in middle if 3 in c)
         second = next(c for c in middle if 3 not in c)
         variants = [("delete_with_strand_3", form, min(first)),
@@ -494,12 +488,3 @@ def corpus_check(path=None) -> ExperimentReport:
         passed,
         tuple(failures[:20]),
     )
-
-
-EXPERIMENTS = {
-    "prop25": progression_check,
-    "dn": squared_family_check,
-    "lemma64": two_cycle_check,
-    "eq54": joint_cycle_check,
-    "table8": corpus_check,
-}

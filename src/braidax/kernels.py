@@ -79,8 +79,6 @@ def trace_inports(conn):
 
 def split_components(conn, labels, ncomp):
     """True when the crossing-adjacency graph of components is disconnected."""
-    if ncomp <= 1:
-        return False
     parent = list(range(ncomp))
     for c in range(len(conn) // 4):
         a = labels[4 * c]

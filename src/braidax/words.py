@@ -165,6 +165,8 @@ def mirror(w: BraidWord) -> BraidWord:
 
 def cyclic_rotate(w: BraidWord, k: int) -> BraidWord:
     """Move the first k letters to the end (conjugation by the prefix)."""
+    if type(k) is not int:
+        raise WordError(f"rotation must be an int, got {k!r}")
     if not w.letters:
         return w
     k %= len(w.letters)
@@ -270,6 +272,8 @@ def delete_component(w: BraidWord, strand: int) -> BraidWord:
     surviving strands.  Deleting the whole closure is an error.
     """
     n = w.strands
+    if type(strand) is not int:
+        raise WordError(f"strand must be an int, got {strand!r}")
     if not 1 <= strand <= n:
         raise WordError(f"strand {strand} out of range for {n} strands")
     p = permutation_of(w)
@@ -328,6 +332,8 @@ def strand_linking(w: BraidWord, a_set: Iterable[int], b_set: Iterable[int]) -> 
 def kappa_word(n: int) -> BraidWord:
     """The pure band braid (sigma_1 .. sigma_{n-2})(sigma_{n-2} .. sigma_1)
     conjugating one side of an exchange move."""
+    if type(n) is not int:
+        raise WordError(f"strand count must be an int, got {n!r}")
     if n < 3:
         raise WordError(f"band word needs n >= 3, got {n}")
     up = tuple(range(1, n - 1))
@@ -387,6 +393,8 @@ def family_member(form: ExchangeForm, m: int) -> BraidWord:
     empty and the member is the seed word.  The band word kappa needs
     n >= 3 strands, so a form on fewer strands has no family.
     """
+    if type(m) is not int:
+        raise WordError(f"m must be an int, got {m!r}")
     kap = kappa_word(form.strands).letters
     twist = kap * m if m >= 0 else tuple(-k for k in reversed(kap)) * -m
     untwist = tuple(-k for k in reversed(twist))

@@ -148,7 +148,7 @@ class TestCriterion6OracleEquivalence:
             p_ax = component_count(axis)
 
             # (a) lowest coefficient: Laplacian cofactor vs Burau
-            lk = linking_matrix(axis).entries
+            lk = linking_matrix(axis)
             cofactor = hoste_lowest(lk)
             burau = conway_polynomial(axis_word(word)) + (0,) * p_ax
             if cofactor != burau[p_ax - 1]:

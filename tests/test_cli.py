@@ -269,6 +269,22 @@ class TestExperiment:
         assert (out, err) == ("", f"error: {message}\n")
         assert not out_dir.exists()
 
+    def test_m_min_above_m_max_exits_2_before_any_work(self, capsys, tmp_path):
+        out_dir = tmp_path / "reports"
+        code, out, err = run(capsys, "experiment", "dn", "--n", "5", "--m-min", "3",
+                             "--m-max", "1", "--out", str(out_dir))
+        assert (code, out, err) == (2, "", "error: --m-min must not exceed --m-max\n")
+        assert not out_dir.exists()
+
+    def test_prop25_explicit_words_give_the_default_report(self, capsys, tmp_path):
+        # the default form, spelled out
+        code, _, _ = run(capsys, "experiment", "prop25", "--n", "4", "--alpha", "-1 -2",
+                         "--beta", "-3", "--out", str(tmp_path))
+        assert code == 0
+        report = braidax.progression_check()
+        assert (tmp_path / "braidax_prop25.tsv").read_bytes() == report.to_tsv().encode()
+        assert (tmp_path / "braidax_prop25.json").read_bytes() == report.to_json().encode()
+
     def test_m_at_cap_is_accepted(self, capsys, tmp_path):
         code, out, _ = run(capsys, "experiment", "prop25", "--canonical-odd", "5",
                            "--m-min", "23", "--m-max", "25", "--out", str(tmp_path))

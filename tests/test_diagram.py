@@ -148,20 +148,20 @@ class TestAxisConstruction:
         d = axis_link_diagram(BraidWord(1))
         assert d.crossings == 2
         assert component_count(d) == 2
-        assert linking_matrix(d).entries == ((0, 1), (1, 0))
+        assert linking_matrix(d) == ((0, 1), (1, 0))
 
     def test_two_trivial_strands(self):
         d = axis_link_diagram(BraidWord(2))
         lk = linking_matrix(d)
         assert component_count(d) == 3
         # labels: strand components first, axis last
-        assert lk[0, 2] == 1 and lk[1, 2] == 1 and lk[0, 1] == 0
+        assert lk[0][2] == 1 and lk[1][2] == 1 and lk[0][1] == 0
 
     def test_axis_label_is_last(self):
         # components (1 2) and (3), then the axis, linking them 2 and 1 times
         word = w(3, 1)
         assert components(word) == [{1, 2}, {3}]
-        assert linking_matrix(axis_link_diagram(word)).entries == (
+        assert linking_matrix(axis_link_diagram(word)) == (
             (0, 0, 2),
             (0, 0, 1),
             (2, 1, 0),
@@ -178,9 +178,9 @@ class TestAxisConstruction:
     def test_axis_links_each_component_by_strand_count(self, word):
         cycles = components(word)
         lk = linking_matrix(axis_link_diagram(word))
-        assert lk.size == len(cycles) + 1
+        assert len(lk) == len(cycles) + 1
         for j, cyc in enumerate(cycles):
-            assert lk[j, len(cycles)] == len(cyc)
+            assert lk[j][len(cycles)] == len(cyc)
 
     def test_axis_word(self):
         assert axis_word(w(2, 1, 1, 1)) == w(3, 1, 1, 1, 2, 1, 1, 2)
@@ -207,24 +207,36 @@ class TestAxisConstruction:
 
 class TestLinkingMatrix:
     def test_hopf_value(self):
-        assert linking_matrix(closure_diagram(w(2, 1, 1)))[0, 1] == 1
+        assert linking_matrix(closure_diagram(w(2, 1, 1)))[0][1] == 1
 
     @given(braid_words(min_strands=3))
     def test_matches_strand_linking(self, word):
         # independent computation: position tracking through the word
         cycles = components(word)
         lk = linking_matrix(closure_diagram(word))
-        assert lk.size == len(cycles)
+        assert len(lk) == len(cycles)
         for a in range(len(cycles)):
             for b in range(a + 1, len(cycles)):
                 want = strand_linking(word, cycles[a], cycles[b])
-                assert lk[a, b] == want
-                assert lk[b, a] == want
+                assert lk[a][b] == want
+                assert lk[b][a] == want
+
+    @pytest.mark.parametrize(
+        "d",
+        [LinkDiagram((), (), k) for k in range(4)]
+        + [closure_diagram(BraidWord(n)) for n in range(1, 5)],
+    )
+    def test_crossing_free_diagram(self, d):
+        # no crossing to trace: every component is a free loop, unlinked
+        p = d.free_loops
+        assert component_count(d) == p
+        assert linking_matrix(d) == ((0,) * p,) * p
+        assert conway_truncated(d, 2).coeffs == (int(p == 1), 0, 0)
 
     @given(braid_words())
     def test_mirror_negates_entries(self, word):
-        a = linking_matrix(closure_diagram(word)).entries
-        b = linking_matrix(closure_diagram(mirror(word))).entries
+        a = linking_matrix(closure_diagram(word))
+        b = linking_matrix(closure_diagram(mirror(word)))
         assert a == tuple(tuple(-x for x in row) for row in b)
 
     def test_rejects_an_odd_inter_component_count(self):
@@ -275,7 +287,7 @@ class TestSurgery:
     def test_switch_both_hopf_crossings(self):
         d = closure_diagram(w(2, 1, 1))
         flipped = surgery(surgery(d, K.switch_inplace, 0), K.switch_inplace, 1)
-        assert linking_matrix(flipped)[0, 1] == -1
+        assert linking_matrix(flipped)[0][1] == -1
 
     def test_switch_is_involution(self):
         d = closure_diagram(w(3, 1, 2, -1))
@@ -294,14 +306,20 @@ class TestSurgery:
         # the axis link of the rest is the axis link less that component
         word = w(4, 1, 1, 2, -3, 2)
         assert components(word) == [{1}, {2, 4}, {3}]
-        full = linking_matrix(axis_link_diagram(word)).entries
-        rest = linking_matrix(axis_link_diagram(delete_component(word, 4))).entries
+        full = linking_matrix(axis_link_diagram(word))
+        rest = linking_matrix(axis_link_diagram(delete_component(word, 4)))
         assert rest == tuple(row[:1] + row[2:] for row in full[:1] + full[2:])
 
     def test_delete_invalid_label(self):
         for strand in (0, 3, -1):
             with pytest.raises(WordError, match="out of range"):
                 delete_component(w(2, 1, 1), strand)
+
+    @pytest.mark.parametrize("strand", [1.0, True, "1", None])
+    def test_delete_non_int_label(self, strand):
+        # True would pass as strand 1, and a float would index a list
+        with pytest.raises(WordError, match="strand must be an int"):
+            delete_component(w(2, 1, 1), strand)
 
     @pytest.mark.parametrize("word", [w(2, 1), w(3, 1, 2), BraidWord(1)])
     def test_delete_only_component_of_a_knot(self, word):
@@ -336,7 +354,7 @@ class TestOneTrace:
 
     def test_linking_matrix(self, kernels):
         lk = linking_matrix(closure_diagram(w(3, 1, 1, 2, 2)))
-        assert lk.entries == ((0, 1, 0), (1, 0, 1), (0, 1, 0))
+        assert lk == ((0, 1, 0), (1, 0, 1), (0, 1, 0))
         assert kernels.calls == {"trace_inports": 1, "linking_counts": 1}
 
     def test_delete_component(self, kernels):
@@ -371,9 +389,9 @@ class TestSimplify:
     def test_preserves_linking_multiset(self, word):
         # component labels may permute, so compare entry multisets
         d = closure_diagram(word)
-        before = sorted(x for row in linking_matrix(d).entries for x in row)
+        before = sorted(x for row in linking_matrix(d) for x in row)
         simplified = surgery(d, K.reidemeister_simplify)
-        after = sorted(x for row in linking_matrix(simplified).entries for x in row)
+        after = sorted(x for row in linking_matrix(simplified) for x in row)
         assert before == after
 
 

@@ -2,6 +2,7 @@
 
 import json
 from fractions import Fraction
+from math import factorial, prod
 
 import pytest
 from hypothesis import given
@@ -120,6 +121,33 @@ class TestFitPolynomial:
             with pytest.raises(FitError, match=f"at m={offender} deviates") as exc:
                 fit_polynomial(seq, degree)
             assert exc.value.offending_m == offender
+
+    @given(
+        st.lists(st.integers(-20, 20), min_size=1, max_size=6),
+        st.integers(-10, 10),
+        st.integers(0, 2),
+        st.integers(0, 2),
+    )
+    def test_recovers_an_integer_valued_polynomial(self, binomial, m_start, slack, spare):
+        # sum_k binomial[k] * C(m, k) takes integer values with rational power
+        # coefficients; C(m, k) is expanded as prod_{j<k} (m - j) / k!
+        expected = [Fraction(0)] * (len(binomial) + slack)
+        for k, c in enumerate(binomial):
+            basis = [Fraction(1)]
+            for j in range(k):
+                basis = [(basis[i - 1] if i else 0) - j * (basis[i] if i < len(basis) else 0)
+                         for i in range(len(basis) + 1)]
+            for i, b in enumerate(basis):
+                expected[i] += c * b / factorial(k)
+
+        def value(m):
+            return sum(c * prod(range(m - k + 1, m + 1)) // factorial(k)
+                       for k, c in enumerate(binomial))
+
+        bound = len(expected) - 1
+        ms = range(m_start, m_start + bound + 2 + spare)
+        fit = fit_polynomial(self.seq([value(m) for m in ms], m_start=m_start), bound)
+        assert fit.coeffs == tuple(expected)
 
     def test_rational_coefficients(self):
         # m(m-1)/2 has a fractional leading coefficient

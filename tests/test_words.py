@@ -62,6 +62,12 @@ class TestElementaryOps:
     def test_cyclic_rotate(self):
         assert cyclic_rotate(w(4, 1, 2, 3), 1).letters == (2, 3, 1)
 
+    @pytest.mark.parametrize("k", [1.0, True, "1", None])
+    def test_cyclic_rotate_non_int_rejected(self, k):
+        # True would rotate by 1, and a float would slice the letters
+        with pytest.raises(WordError, match="rotation must be an int"):
+            cyclic_rotate(w(4, 1, 2, 3), k)
+
     def test_free_reduce(self):
         assert free_reduce(w(2, 1, -1)).letters == ()
         assert free_reduce(w(4, 1, 2, -2, 3)).letters == (1, 3)
@@ -234,6 +240,11 @@ class TestTwistWords:
         with pytest.raises(WordError):
             kappa_word(2)
 
+    @pytest.mark.parametrize("n", [4.0, True, "4", None])
+    def test_band_word_non_int_strand_count_rejected(self, n):
+        with pytest.raises(WordError, match="strand count must be an int"):
+            kappa_word(n)
+
 
 class TestExchange:
     def test_corpus_word_is_admissible(self):
@@ -326,6 +337,13 @@ class TestFamily:
             twist = compose(twist, kappa if m > 0 else inverse(kappa))
         expected = compose(compose(form.alpha, twist), compose(form.beta, inverse(twist)))
         assert family_member(form, m) == expected
+
+    @pytest.mark.parametrize("m", [1.5, 1.0, True, "1", None])
+    def test_non_int_m_rejected(self, m):
+        # True would build the m = 1 member
+        form = ExchangeForm(4, w(4, 1), w(4, 3))
+        with pytest.raises(WordError, match="m must be an int"):
+            family_member(form, m)
 
     def test_family_needs_the_band_word(self):
         form = ExchangeForm(2, BraidWord(2), BraidWord(2))
