@@ -30,7 +30,6 @@ from .words import (
     permutation_of,
     square,
     strand_linking,
-    word_str,
 )
 from .diagram import (
     DiagramError,

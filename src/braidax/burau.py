@@ -145,17 +145,8 @@ class LaurentPoly:
             for i, y in enumerate(b, k):
                 rem[i] -= q[k] * y
         if any(rem):
-            raise OracleError(f"{self} is not divisible by {other}")
+            raise OracleError(f"{self!r} is not divisible by {other!r}")
         return LaurentPoly(self.min_exp - other.min_exp, tuple(q))
-
-    def __str__(self):
-        if not self.coeffs:
-            return "0"
-        terms = []
-        for i, c in enumerate(self.coeffs):
-            if c:
-                terms.append(f"{c}*s^{self.min_exp + i}")
-        return " + ".join(terms)
 
 
 _ZERO = LaurentPoly(0, ())
@@ -236,7 +227,7 @@ def _peel(min_exp: int, coeffs: list[int]) -> tuple[int, ...]:
                 binom = -binom * (k - i) // (i + 1)
         if not any(c):
             return tuple(out)
-    raise OracleError(f"{LaurentPoly(min_exp, tuple(coeffs))} is no polynomial in s - 1/s")
+    raise OracleError(f"{LaurentPoly(min_exp, tuple(coeffs))!r} is no polynomial in s - 1/s")
 
 
 def conway_polynomial(w: BraidWord) -> tuple[int, ...]:

@@ -9,9 +9,9 @@ identical reports, and runtime metadata goes to stderr.
 Exit codes: 0 all checks passed, 1 an assertion failed, 2 usage, parse or
 file-system error.  A flag that the named experiment does not take is a usage
 error, as is ``prop25 --canonical-odd`` given together with explicit words,
-or a size above the experiment's cap or an m beyond ``_M_CAP``, rejected
-before any work, as is ``invariant --n`` above ``_INVARIANT_N_CAP`` or
-``--degree`` above ``_DEGREE_CAP``.
+or a size above the experiment's cap (``prop25 --n`` included) or an m
+beyond ``_M_CAP``, rejected before any work, as is ``invariant --n`` above
+``_INVARIANT_N_CAP`` or ``--degree`` above ``_DEGREE_CAP``.
 """
 
 from __future__ import annotations
@@ -112,7 +112,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_info(w: BraidWord) -> int:
     perm = permutation_of(w)
     dec = cycle_decomposition(perm)
-    adm = admits_exchange(w)
     verdict = nonconjugacy_criterion(w)
     cycles = " ".join("(" + " ".join(map(str, c)) + ")" for c in dec.cycles)
     print(f"strands\t{w.strands}")
@@ -120,8 +119,8 @@ def _cmd_info(w: BraidWord) -> int:
     print(f"permutation\t{cycles}")
     print(f"components\t{dec.count}")
     print(f"exponent_sum\t{exponent_sum(w)}")
-    adm_text = "yes" if adm.admissible else "no"
-    if adm.degenerate:
+    adm_text = "yes" if admits_exchange(w) else "no"
+    if w.strands <= 3:
         adm_text += " (degenerate: n <= 3)"
     print(f"exchange_admissible\t{adm_text}")
     split = exchange_split(w)
@@ -191,7 +190,7 @@ def _verdict(name: str, mismatch: str | None) -> bool:
 # engine has a node budget
 _EXPERIMENTS = {
     "prop25": (progression_check,
-               {"n": None, "alpha": None, "beta": None, "canonical_odd": 101}, None, True),
+               {"n": 101, "alpha": None, "beta": None, "canonical_odd": 101}, None, True),
     "dn": (squared_family_check, {"n": 101}, "--n (odd, >= 5)", True),
     "lemma64": (two_cycle_check, {"n1": 12, "n2": 12}, "--n1 and --n2", True),
     "eq54": (joint_cycle_check, {"n": 16}, "--n (>= 4)", True),

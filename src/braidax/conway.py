@@ -89,7 +89,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .diagram import LinkDiagram
+from .diagram import LinkDiagram, _need_diagram
 from .kernels import get_kernels
 
 
@@ -158,7 +158,7 @@ class SkeinEngine:
         basepoints ``kernels.trace_inports`` returns.
         """
         _need_diagram(d)
-        if isinstance(max_degree, bool) or not isinstance(max_degree, int):
+        if type(max_degree) is not int:
             raise ConwayError(f"max_degree must be an int, got {max_degree!r}")
         if max_degree < 0:
             raise ConwayError("max_degree must be >= 0")
@@ -272,11 +272,6 @@ def full_conway(d: LinkDiagram) -> TruncatedPoly:
     raising the degree, so the degree never exceeds the crossing count."""
     _need_diagram(d)
     return conway_truncated(d, max(d.crossings, 1))
-
-
-def _need_diagram(d) -> None:
-    if not isinstance(d, LinkDiagram):
-        raise ConwayError(f"need a LinkDiagram, got {type(d).__name__}")
 
 
 # ---------------------------------------------------------------------------

@@ -46,7 +46,7 @@ class BraidWord:
         return len(self.letters)
 
     def __str__(self):
-        return word_str(self)
+        return " ".join(str(k) for k in self.letters)
 
 
 @dataclass(frozen=True)
@@ -62,10 +62,6 @@ class Permutation:
 
     def __call__(self, k: int) -> int:
         return self.images[k - 1]
-
-    @property
-    def size(self) -> int:
-        return len(self.images)
 
 
 @dataclass(frozen=True)
@@ -89,14 +85,10 @@ class CycleDecomposition:
 
 @dataclass(frozen=True)
 class Admissibility:
-    """Result of the exchange-move admissibility test.
-
-    ``degenerate`` flags strand counts n <= 3, where the move is trivial and
-    the test returns admissible by convention.
-    """
+    """Result of the exchange-move admissibility test.  On n <= 3 strands
+    the move is trivial and the test returns admissible by convention."""
 
     admissible: bool
-    degenerate: bool = False
 
     def __bool__(self):
         return self.admissible
@@ -233,7 +225,7 @@ def cycle_decomposition(p: Permutation, normalized: bool = False) -> CycleDecomp
     cycle is then rewritten to end on n and the position of the entry 1 is
     reported.
     """
-    n = p.size
+    n = len(p.images)
     seen = [False] * (n + 1)
     cycles = []
     for start in range(1, n + 1):
@@ -252,15 +244,10 @@ def cycle_decomposition(p: Permutation, normalized: bool = False) -> CycleDecomp
         return result
     if len(cycles) != 1 or len(cycles[0]) != n:
         raise WordError("normalized writing requires a single n-cycle")
-    # rotate so the cycle ends on n: successive images starting after n
-    writing = []
-    k = p(n)
-    while k != n:
-        writing.append(k)
-        k = p(k)
-    writing.append(n)
-    one_index = writing.index(1) + 1
-    return CycleDecomposition(tuple(cycles), tuple(writing), one_index)
+    # the one cycle starts at 1; rotate it to end on n, at index i
+    c = cycles[0]
+    i = c.index(n)
+    return CycleDecomposition(tuple(cycles), c[i + 1:] + c[:i + 1], n - i)
 
 
 def delete_component(w: BraidWord, strand: int) -> BraidWord:
@@ -347,7 +334,7 @@ def admits_exchange(w: BraidWord) -> Admissibility:
     admissible.
     """
     if w.strands <= 3:
-        return Admissibility(True, degenerate=True)
+        return Admissibility(True)
     return Admissibility(exchange_split(w) is not None)
 
 
@@ -500,7 +487,3 @@ def parse_word(text: str | Sequence[int | str], strands: int) -> BraidWord:
             raise WordError(f"token {tok!r} at position {pos} is not an integer")
         letters.append(k)
     return BraidWord(strands, tuple(letters))
-
-
-def word_str(w: BraidWord) -> str:
-    return " ".join(str(k) for k in w.letters)

@@ -216,6 +216,14 @@ class TestLaurentHelpers:
         with pytest.raises(OracleError):
             _peel(min_exp, coeffs)
 
+    def test_oracle_error_names_the_polynomials_by_repr(self):
+        with pytest.raises(OracleError) as exc:
+            LaurentPoly(0, (1, 1)) // LaurentPoly(0, (1, 2))
+        assert str(exc.value) == "LaurentPoly(0, (1, 1)) is not divisible by LaurentPoly(0, (1, 2))"
+        with pytest.raises(OracleError) as exc:
+            _peel(-2, [1])
+        assert "LaurentPoly(" in str(exc.value) and "s^" not in str(exc.value)
+
     def test_peel(self):
         # z^4 = s^4 - 4s^2 + 6 - 4s^-2 + s^-4 and z^2 = s^2 - 2 + s^-2,
         # so s^4 - 2 + s^-4 = z^4 + 4z^2

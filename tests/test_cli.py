@@ -260,6 +260,8 @@ class TestExperiment:
              "eq54 takes m in -25..25, got -26..0"),
             (("prop25", "--canonical-odd", "5", "--m-min", "0", "--m-max", "26"),
              "prop25 takes m in -25..25, got 0..26"),
+            (("prop25", "--n", "102", "--alpha", "1", "--beta", "101"),
+             "prop25 takes --n up to 101, got 102"),
         ],
     )
     def test_size_above_cap_exits_2_before_any_work(self, capsys, tmp_path, argv, message):

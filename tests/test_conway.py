@@ -11,6 +11,7 @@ import braidax.diagram
 from braidax import (
     BraidWord,
     ConwayError,
+    DiagramError,
     LinkDiagram,
     SkeinEngine,
     TruncatedPoly,
@@ -113,9 +114,9 @@ class TestBaseValues:
 
     @pytest.mark.parametrize("d", ["x", None, w(2, 1, 1, 1)], ids=["str", "None", "BraidWord"])
     def test_non_diagram_rejected(self, d):
-        with pytest.raises(ConwayError, match="need a LinkDiagram, got "):
+        with pytest.raises(DiagramError, match="need a LinkDiagram, got "):
             conway_truncated(d, 2)
-        with pytest.raises(ConwayError, match="need a LinkDiagram, got "):
+        with pytest.raises(DiagramError, match="need a LinkDiagram, got "):
             full_conway(d)
 
     def test_metadata_components(self):

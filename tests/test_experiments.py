@@ -15,6 +15,7 @@ from braidax import (
     ExchangeForm,
     ExperimentError,
     FitError,
+    PolynomialFit,
     WordError,
     axis_link_diagram,
     axis_sequence,
@@ -41,8 +42,8 @@ from braidax.experiments import joint_cycle_target
 
 
 class TestFitPolynomial:
-    def seq(self, values, m_start=0, degree=3):
-        return CoefficientSequence(degree, m_start, tuple(values))
+    def seq(self, values, m_start=0):
+        return CoefficientSequence(m_start, tuple(values))
 
     def test_constant(self):
         fit = fit_polynomial(self.seq((5, 5, 5)), 1)
@@ -74,6 +75,22 @@ class TestFitPolynomial:
         with pytest.raises(ExperimentError, match="degree_bound must be an int >= 0"):
             fit_polynomial(self.seq((0, 1, 4, 9, 16)), bound)
         assert fit_polynomial(self.seq((5, 5)), 0).coeffs == (Fraction(5),)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: CoefficientSequence(True, (1, 2, 3)),
+            lambda: CoefficientSequence(0.5, (1, 2, 3)),
+            lambda: CoefficientSequence(0, (1, 2, 3)).value_at(True),
+            lambda: CoefficientSequence(0, (1, 2, 3)).value_at(1.5),
+            lambda: PolynomialFit((Fraction(1), Fraction(2))).coefficient(True),
+            lambda: PolynomialFit((Fraction(1), Fraction(2))).coefficient(1.0),
+        ],
+        ids=["m_start-bool", "m_start-float", "m-bool", "m-float", "k-bool", "k-float"],
+    )
+    def test_sequence_records_reject_a_non_int(self, call):
+        with pytest.raises(ExperimentError, match="must be an int, got "):
+            call()
 
     def test_fit_failure_names_offender(self):
         with pytest.raises(FitError) as exc:
@@ -434,6 +451,15 @@ class TestCorpus:
         report = corpus_check(path)
         assert not report.passed
         assert report.notes == ("X: closure is not a knot",)
+
+    def test_check_notes_a_knot_without_an_exchange_move(self, tmp_path):
+        # a knot whose two extreme indices interleave: 1 | 3 | 1 | 3
+        path = tmp_path / "corpus.tsv"
+        path.write_text("X\t1 1 2 3 1 2 3\n")
+        report = corpus_check(path)
+        assert not report.passed
+        assert report.computed["failures"] == 1
+        assert report.notes == ("X: criterion fails (no exchange-move splitting)",)
 
     def test_check_does_not_hide_a_fault_as_a_parse_failure(self, monkeypatch):
         def faulty(text, strands):

@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from braidax import (
+    Admissibility,
     BraidWord,
     ExchangeForm,
     Permutation,
@@ -177,6 +178,26 @@ class TestPermutations:
         with pytest.raises(WordError):
             cycle_decomposition(permutation_of(w(4, 1)), normalized=True)
 
+    @given(st.integers(1, 12).flatmap(lambda n: st.permutations(range(2, n + 1))))
+    def test_normalized_writing_of_random_n_cycles(self, rest):
+        # the n-cycle (1, rest...), against a second walk of the permutation
+        cycle = (1, *rest)
+        n = len(cycle)
+        images = [0] * n
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            images[a - 1] = b
+        p = Permutation(tuple(images))
+        writing = []
+        k = p(n)
+        while k != n:
+            writing.append(k)
+            k = p(k)
+        writing.append(n)
+        dec = cycle_decomposition(p, normalized=True)
+        assert dec.cycles == (cycle,)
+        assert dec.normalized == tuple(writing)
+        assert dec.one_index == writing.index(1) + 1
+
 
 class TestExponentSum:
     def test_positive_word(self):
@@ -260,8 +281,7 @@ class TestExchange:
         assert form.beta.letters == (3,)
 
     def test_degenerate_small_strand_counts(self):
-        res = admits_exchange(w(3, 1, 2, 1, 2))
-        assert res.admissible and res.degenerate
+        assert admits_exchange(w(3, 1, 2, 1, 2)) == Admissibility(True)
 
     def test_split_absorbs_when_one_extreme_missing(self):
         no_top = exchange_split(w(5, 1, 2, 1))
@@ -279,7 +299,7 @@ class TestExchange:
         form = exchange_split(w(3, 2, -1, 1))
         assert form.alpha.letters == (-1, 1) and form.beta.letters == (2,)
         assert exchange_split(w(3, 1, 2, 1, 2)) is None
-        assert admits_exchange(w(3, 1, 2, 1, 2)).degenerate
+        assert admits_exchange(w(3, 1, 2, 1, 2)).admissible
 
     def test_two_strand_split(self):
         # the extreme indices coincide, so only the empty word splits
