@@ -14,17 +14,20 @@ the top power of z = s - 1/s gives the coefficients a_0, a_1, .. exactly.
 Everything is exact integer arithmetic on Laurent polynomials.  The Burau
 matrix, its determinant and the division are in t, so every polynomial is
 half as long as in s; only Delta is mapped to s (t^k -> s^2k), where the
-power s^-(e-N+1) may be odd, for the peeling.  The matrix is built by column
-operations, each entry one sum of shifted neighbours; its determinant comes
-from the same fraction-free elimination that evaluates Hoste's cofactor
-(``conway._det_bareiss``); the division and the peeling are exact: anything
+power s^-(e-N+1) may be odd, for the peeling.  A word that leaves a
+generator unused has a split closure, and gets 0 before any matrix is built.
+Otherwise the matrix is built by column operations, each entry one sum of
+shifted neighbours.  Its determinant eliminates on unit entries +-t^k first,
+which need no division, and hands only the block without unit pivots to the
+fraction-free elimination that evaluates Hoste's cofactor
+(``conway._det_bareiss``).  The division and the peeling are exact: anything
 left over raises ``OracleError`` instead of returning a wrong polynomial.
 """
 
 from __future__ import annotations
 
 from .conway import _det_bareiss
-from .words import BraidWord, exponent_sum
+from .words import BraidWord, _need_word, exponent_sum
 
 
 class OracleError(ValueError):
@@ -230,16 +233,71 @@ def _peel(min_exp: int, coeffs: list[int]) -> tuple[int, ...]:
     raise OracleError(f"{LaurentPoly(min_exp, tuple(coeffs))!r} is no polynomial in s - 1/s")
 
 
+def _det(m: list[list[LaurentPoly]]) -> LaurentPoly:
+    """Exact determinant of the square matrix ``m``, which it consumes,
+    eliminating on unit pivots +-t^k before any fraction-free step.
+
+    Each column in turn takes the first live row whose entry there is a
+    unit u as its pivot row, scales that row by u^-1 once, and subtracts its
+    multiples from the live rows with a nonzero entry in the column; the
+    others are left alone, and no division but by u is needed.  A column
+    with no unit entry is deferred, and an all-zero one makes the
+    determinant 0.  Only the live rows by the deferred columns go to
+    ``conway._det_bareiss``, whose entries grow in degree at every step.
+    """
+    n = len(m)
+    cols = list(range(n))  # the columns not yet pivoted on
+    sign, shift = 1, 0  # the pivots' product and places, as +-t^shift
+    for c in range(n):
+        for r, row in enumerate(m):
+            u = row[c].coeffs
+            if u == (1,) or u == (-1,):
+                break
+        else:
+            if not any(row[c] for row in m):
+                return _ZERO
+            continue
+        pivot = m.pop(r)
+        pos = len(cols) - n + c  # every deferred column comes before c
+        del cols[pos]
+        if (r + pos) % 2:
+            sign = -sign
+        k = pivot[c].min_exp
+        shift += k
+        sign *= u[0]
+        scaled = [(j, LaurentPoly(q.min_exp - k, (q if u[0] > 0 else -q).coeffs))
+                  for j in cols if (q := pivot[j])]
+        for row in m:
+            x = row[c]
+            if x:
+                for j, q in scaled:
+                    row[j] = row[j] - x * q
+    if not m:
+        return LaurentPoly(shift, (sign,))
+    if len(m) == 1:  # one deferred entry is its own determinant
+        rest = m[0][cols[0]]
+    else:
+        rest = _det_bareiss([[row[j] for j in cols] for row in m])
+    if not rest:
+        return _ZERO
+    return LaurentPoly(rest.min_exp + shift, (rest if sign > 0 else -rest).coeffs)
+
+
 def conway_polynomial(w: BraidWord) -> tuple[int, ...]:
     """Coefficients a_0..a_deg of the closure's Conway polynomial, exactly;
     ``(0,)`` for a split closure."""
+    _need_word(w)
     n = w.strands
     if n == 1:
         return (1,)
+    if len({abs(k) for k in w.letters}) < n - 1:
+        # sigma_i changes column i-1 alone, so an unused generator leaves
+        # that column of rho(b) - I zero: the closure is split
+        return (0,)
     m = reduced_burau(w)
     for i, row in enumerate(m):
         row[i] = row[i] - _ONE
-    det = _det_bareiss(m)
+    det = _det(m)
     if not det:
         return (0,)
     delta = det // LaurentPoly(0, (1,) * n)  # 1 + t + .. + t^(N-1)
@@ -253,7 +311,8 @@ def conway_polynomial(w: BraidWord) -> tuple[int, ...]:
 def conway_matches_alexander(coeffs, w: BraidWord) -> bool:
     """Is ``coeffs`` (a_0, a_1, .., trailing zeros allowed) exactly the Conway
     polynomial of the closure that the Burau route gives?"""
+    burau = conway_polynomial(w)  # checks w before coeffs is read
     coeffs = list(coeffs)
     while len(coeffs) > 1 and not coeffs[-1]:
         coeffs.pop()
-    return tuple(coeffs or (0,)) == conway_polynomial(w)
+    return tuple(coeffs or (0,)) == burau

@@ -297,10 +297,11 @@ def _det_bareiss(m: list[list]):
 
     Works over any integral domain whose elements support ``+ - *``, exact
     ``//`` and truthiness, with integers mixed in: the integers themselves
-    (Hoste's cofactor), and ``burau.LaurentPoly`` (the Burau route), whose
-    ``*`` and ``//`` take an integer operand without building a polynomial,
-    so the first pass's ``// 1`` returns its dividend.  A singular matrix
-    gives its ring's zero.
+    (Hoste's cofactor), and ``burau.LaurentPoly``, whose ``*`` and ``//``
+    take an integer operand without building a polynomial, so the first
+    pass's ``// 1`` returns its dividend.  The Burau route calls it only on
+    the block its unit pivots leave (``burau._det``), since every entry here
+    grows in degree at every step.  A singular matrix gives its ring's zero.
     """
     n = len(m)
     if n == 0:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 from .kernels import get_kernels
-from .words import BraidWord
+from .words import BraidWord, _need_word
 
 class DiagramError(ValueError):
     """Inconsistent diagram data."""
@@ -97,6 +97,7 @@ def _need_diagram(d) -> None:
 def closure_diagram(w: BraidWord) -> LinkDiagram:
     """Closure of a braid word: one crossing per letter, bottom position k
     joined back to top position k."""
+    _need_word(w)
     n = w.strands
     ncross = len(w.letters)
     conn = [-1] * (4 * ncross)
@@ -127,6 +128,7 @@ def closure_diagram(w: BraidWord) -> LinkDiagram:
 def axis_word(w: BraidWord) -> BraidWord:
     """beta * s_n .. s_1 s_1 .. s_n on n + 1 strands: the braid whose closure
     is the axis link of ``w`` (the axis becomes strand n + 1)."""
+    _need_word(w)
     n = w.strands
     loop = tuple(range(n, 0, -1)) + tuple(range(1, n + 1))
     return BraidWord(n + 1, w.letters + loop)

@@ -49,6 +49,11 @@ class BraidWord:
         return " ".join(str(k) for k in self.letters)
 
 
+def _need_word(w) -> None:
+    if not isinstance(w, BraidWord):
+        raise WordError(f"need a BraidWord, got {type(w).__name__}")
+
+
 @dataclass(frozen=True)
 class Permutation:
     """A permutation of {1..n}, stored as the image tuple (1-indexed)."""
@@ -258,6 +263,7 @@ def delete_component(w: BraidWord, strand: int) -> BraidWord:
     each surviving letter is renumbered by its strand's rank among the
     surviving strands.  Deleting the whole closure is an error.
     """
+    _need_word(w)
     n = w.strands
     if type(strand) is not int:
         raise WordError(f"strand must be an int, got {strand!r}")
@@ -351,6 +357,7 @@ def exchange_split(w: BraidWord) -> ExchangeForm | None:
     as alpha = sigma_1, beta = sigma_2, and on 2 strands, where the two
     extreme indices coincide, only the empty word splits.
     """
+    _need_word(w)
     n = w.strands
     has_one = any(abs(k) == 1 for k in w.letters)
     has_top = any(abs(k) == n - 1 for k in w.letters)

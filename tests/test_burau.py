@@ -2,7 +2,7 @@
 engine."""
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from braidax import (
@@ -21,7 +21,7 @@ from braidax import (
     full_conway,
     square,
 )
-from braidax.burau import OracleError, _peel, reduced_burau
+from braidax.burau import _ZERO, OracleError, _as_poly, _det, _peel, reduced_burau
 from braidax.conway import _det_bareiss
 
 from conftest import braid_words, exchange_forms
@@ -262,6 +262,67 @@ class TestOracleAgreement:
         assert conway_matches_alexander((1, 0, 1, 0, 0), w(2, 1, 1, 1))
         assert conway_matches_alexander((0, 0, 0), w(3, 1))
         assert not conway_matches_alexander((1, 0, 1, 0, 1), w(2, 1, 1, 1))
+
+
+_UNITS = st.builds(LaurentPoly, st.integers(-3, 3), st.sampled_from([(1,), (-1,)]))
+_ENTRIES = st.one_of(
+    st.just(_ZERO),
+    _UNITS,
+    st.builds(LaurentPoly._trimmed, st.integers(-3, 3), st.lists(st.integers(-3, 3), max_size=4)),
+)
+
+
+@st.composite
+def laurent_matrices(draw):
+    """Square matrices of size 0..5, some of whose columns are made zero or
+    free of units (a unit is doubled)."""
+    n = draw(st.integers(0, 5))
+    m = [[draw(_ENTRIES) for _ in range(n)] for _ in range(n)]
+    for c in draw(st.sets(st.integers(0, n - 1))) if n else ():
+        zero = draw(st.booleans())
+        for row in m:
+            if zero:
+                row[c] = _ZERO
+            elif row[c].coeffs in ((1,), (-1,)):
+                row[c] = row[c] * 2
+    return m
+
+
+class TestDeterminant:
+    @given(laurent_matrices())
+    # a negative, shifted unit pivot in the second row, then a deferred column
+    @example([[LaurentPoly(0, (2, 1)), LaurentPoly(1, (3,))],
+              [LaurentPoly(-2, (-1,)), LaurentPoly(0, (1, 1))]])
+    # a zero column
+    @example([[LaurentPoly(0, (1,)), _ZERO], [LaurentPoly(0, (1, 1)), _ZERO]])
+    # no unit anywhere: Bareiss alone
+    @example([[LaurentPoly(0, (2,)), LaurentPoly(0, (1, 1))],
+              [LaurentPoly(1, (1, 1)), LaurentPoly(0, (3,))]])
+    def test_equals_bareiss(self, m):
+        assert _det([row[:] for row in m]) == _as_poly(_det_bareiss(m))
+
+    def test_unit_pivots_bound_the_work(self, monkeypatch):
+        # every column of sigma_1 .. sigma_99's 99 x 99 matrix but the last
+        # has a unit pivot; full Bareiss on it makes over 600,000 products
+        # of two polynomials
+        products = 0
+        mul = LaurentPoly.__mul__
+
+        def counting(self, other):
+            nonlocal products
+            products += isinstance(other, LaurentPoly)
+            return mul(self, other)
+
+        monkeypatch.setattr(LaurentPoly, "__mul__", counting)
+        assert conway_polynomial(BraidWord(100, tuple(range(1, 100)))) == (1,)
+        assert products <= 1000
+
+    @given(braid_words(max_letters=10, max_strands=6), st.data())
+    def test_unused_generator_gives_zero(self, word, data):
+        i = data.draw(st.integers(1, word.strands - 1))
+        word = BraidWord(word.strands, tuple(k for k in word.letters if abs(k) != i))
+        assert conway_polynomial(word) == (0,)
+        assert skein(closure_diagram(word)) == (0,)
 
 
 class TestExactRoute:

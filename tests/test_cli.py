@@ -278,6 +278,13 @@ class TestExperiment:
         assert (code, out, err) == (2, "", "error: --m-min must not exceed --m-max\n")
         assert not out_dir.exists()
 
+    def test_argument_the_experiment_rejects_leaves_no_out_directory(self, capsys, tmp_path):
+        out_dir = tmp_path / "reports"
+        code, out, err = run(capsys, "experiment", "dn", "--n", "6", "--out", str(out_dir))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out_dir.exists()
+
     def test_prop25_explicit_words_give_the_default_report(self, capsys, tmp_path):
         # the default form, spelled out
         code, _, _ = run(capsys, "experiment", "prop25", "--n", "4", "--alpha", "-1 -2",

@@ -11,13 +11,18 @@ from braidax import (
     Permutation,
     WordError,
     admits_exchange,
+    axis_word,
     canonical_joint_cycle_braid,
     canonical_odd_knot_braid,
     canonical_split_cycle_braid,
+    closure_diagram,
     compose,
+    conway_matches_alexander,
+    conway_polynomial,
     cycle_decomposition,
     cyclic_free_reduce,
     cyclic_rotate,
+    delete_component,
     exchange_split,
     exponent_sum,
     family_member,
@@ -132,6 +137,24 @@ class TestElementaryOps:
     def test_non_int_strand_count_rejected(self, strands):
         with pytest.raises(WordError, match="strand count must be an int"):
             BraidWord(strands, (1,))
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            closure_diagram,
+            axis_word,
+            lambda word: delete_component(word, 1),
+            exchange_split,
+            conway_polynomial,
+            lambda word: conway_matches_alexander((1,), word),
+        ],
+        ids=["closure_diagram", "axis_word", "delete_component", "exchange_split",
+             "conway_polynomial", "conway_matches_alexander"],
+    )
+    @pytest.mark.parametrize("bad", ["1 2", (1, 2), None], ids=["str", "tuple", "None"])
+    def test_word_entry_points_reject_a_non_word(self, entry, bad):
+        with pytest.raises(WordError, match=f"^need a BraidWord, got {type(bad).__name__}$"):
+            entry(bad)
 
 
 class TestPermutations:
