@@ -67,9 +67,6 @@ class LaurentPoly:
             return NotImplemented
         return self.min_exp == other.min_exp and self.coeffs == other.coeffs
 
-    def __hash__(self) -> int:
-        return hash((self.min_exp, self.coeffs))
-
     def __repr__(self) -> str:
         return f"LaurentPoly({self.min_exp}, {self.coeffs})"
 
@@ -288,8 +285,6 @@ def conway_polynomial(w: BraidWord) -> tuple[int, ...]:
     ``(0,)`` for a split closure."""
     _need_word(w)
     n = w.strands
-    if n == 1:
-        return (1,)
     if len({abs(k) for k in w.letters}) < n - 1:
         # sigma_i changes column i-1 alone, so an unused generator leaves
         # that column of rho(b) - I zero: the closure is split

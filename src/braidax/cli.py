@@ -21,7 +21,7 @@ import sys
 import time
 from pathlib import Path
 
-from .burau import OracleError, conway_matches_alexander, conway_polynomial
+from .burau import OracleError, conway_polynomial
 from .conway import SkeinEngine, hoste_lowest
 from .diagram import axis_word, closure_diagram, linking_matrix
 from .experiments import (
@@ -139,39 +139,41 @@ def _cmd_invariant(w: BraidWord, degree: int) -> int:
     closure = closure_diagram(w)
     axis_braid = axis_word(w)
     axis = closure_diagram(axis_braid)
-    full = len(w.letters) <= _FULL_CLOSURE_LETTERS
-    closure_poly = engine.truncated(closure, max(degree, closure.crossings) if full else degree)
+    closure_poly = engine.truncated(closure, degree)
     axis_poly = engine.truncated(axis, degree)
     print(f"word\t{w}")
     print(f"closure_components\t{closure_poly.components}")
-    print(f"closure_nabla\t{' '.join(map(str, closure_poly.coeffs[:degree + 1]))}")
+    print(f"closure_nabla\t{' '.join(map(str, closure_poly.coeffs))}")
     print(f"axis_components\t{axis_poly.components}")
     print(f"axis_nabla\t{' '.join(map(str, axis_poly.coeffs))}")
     lk = linking_matrix(axis)
     for i, row in enumerate(lk):
         print(f"axis_linking_row_{i}\t{' '.join(map(str, row))}")
-    # the axis link's Burau polynomial, zero past its degree, checks both
-    # Hoste's lowest coefficient and the skein window; an OracleError fails both
+    # the axis link's Burau polynomial also checks Hoste's lowest coefficient,
+    # and an OracleError fails both of its checks
     p = axis_poly.components
     formula_low = hoste_lowest(lk)
-    try:
-        burau = conway_polynomial(axis_braid) + (0,) * (p + degree)
-        hoste_miss = None if burau[p - 1] == formula_low else f" {burau[p - 1]} vs {formula_low}"
-        axis_miss = None if burau[:degree + 1] == axis_poly.coeffs else ""
-    except OracleError as exc:
-        hoste_miss = axis_miss = f" ({exc})"
-    ok = _verdict("hoste_check", hoste_miss)
-    if full:
-        try:
-            closure_ok = conway_matches_alexander(closure_poly.coeffs, w)
-            closure_miss = None if closure_ok else ""
-        except OracleError as exc:
-            closure_miss = f" ({exc})"
-        ok = _verdict("burau_check", closure_miss) and ok
+    burau, axis_miss = _burau_check(axis_braid, axis_poly.coeffs, p + degree)
+    if burau is None:
+        hoste_miss = axis_miss
     else:
-        print(f"burau_check\tskipped (word longer than {_FULL_CLOSURE_LETTERS} letters)")
+        hoste_miss = None if burau[p - 1] == formula_low else f" {burau[p - 1]} vs {formula_low}"
+    ok = _verdict("hoste_check", hoste_miss)
+    ok = _verdict("burau_check", _burau_check(w, closure_poly.coeffs, degree + 1)[1]) and ok
     ok = _verdict("axis_burau_check", axis_miss) and ok
     return OK if ok else CHECK_FAILURE
+
+
+def _burau_check(braid: BraidWord, window: tuple[int, ...], zeros: int):
+    """The Burau route's coefficients of the closure of ``braid`` followed by
+    ``zeros`` zeros, at least as many as ``window`` holds, and the mismatch
+    of the skein's ``window`` with them for ``_verdict``; None and the
+    message when the route raises ``OracleError``."""
+    try:
+        burau = conway_polynomial(braid) + (0,) * zeros
+    except OracleError as exc:
+        return None, f" ({exc})"
+    return burau, None if burau[:len(window)] == window else ""
 
 
 def _verdict(name: str, mismatch: str | None) -> bool:
@@ -200,18 +202,15 @@ _OPTIONS = sorted({opt for _, options, _, _ in _EXPERIMENTS.values() for opt in 
 # the largest |m| a family experiment samples, a cap for the same reason
 _M_CAP = 25
 # the largest strand count invariant accepts.  Its cost is the Burau
-# determinant of the n + 1 strand axis word, on the block that has no unit
-# pivot, so it depends on the word: at n = 100, 1 2 .. 99 runs in 0.14 s and
-# a random 300-letter word in 16 s.  Word length stays unbounded
+# determinants of the n strand word and its n + 1 strand axis word, on the
+# blocks that have no unit pivot, so it depends on the word: at n = 100,
+# 1 2 .. 99 runs in 0.2 s and a random 300-letter word in 13 s.  Word
+# length stays unbounded
 _INVARIANT_N_CAP = 100
-# the largest --degree invariant accepts: the skein evaluates no degree
-# above the diagram's crossing count, but the output prints degree + 1
-# numbers per polynomial
+# the largest --degree invariant accepts, since the output prints degree + 1
+# numbers per polynomial.  It bounds no work: the skein's grows with the
+# degree up to the diagram's crossing count
 _DEGREE_CAP = 1000
-# the longest word whose closure's whole polynomial invariant evaluates, to
-# serve both its window and the Burau check; the bound is on the skein
-# evaluation, not Burau
-_FULL_CLOSURE_LETTERS = 16
 
 
 def _flag(option: str) -> str:

@@ -387,6 +387,8 @@ def family_member(form: ExchangeForm, m: int) -> BraidWord:
     empty and the member is the seed word.  The band word kappa needs
     n >= 3 strands, so a form on fewer strands has no family.
     """
+    if not isinstance(form, ExchangeForm):
+        raise WordError(f"need an ExchangeForm, got {type(form).__name__}")
     if type(m) is not int:
         raise WordError(f"m must be an int, got {m!r}")
     kap = kappa_word(form.strands).letters

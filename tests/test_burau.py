@@ -171,6 +171,8 @@ class TestLaurentHelpers:
 
     def test_zero(self):
         assert not LaurentPoly(2, (3,)) - LaurentPoly(2, (3,))
+        with pytest.raises(ZeroDivisionError):
+            LaurentPoly(0, (1,)) // LaurentPoly(0, ())
 
     def test_conway_substitution_of_z(self):
         # nabla = z becomes s - 1/s
@@ -190,6 +192,7 @@ class TestLaurentHelpers:
         assert not p * 0 and not 0 * p
         assert -2 * p == LaurentPoly(-1, (-6, 0, 4))
         assert LaurentPoly(0, (1, 5)) - 1 == LaurentPoly(1, (5,))
+        assert not LaurentPoly(0, (1,)) == 1  # == compares polynomials only
 
     @pytest.mark.parametrize(
         "num,den",

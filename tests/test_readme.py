@@ -22,3 +22,22 @@ def test_library_tour_runs():
         [sys.executable, "-c", block], env=env, capture_output=True, text=True, timeout=120
     )
     assert done.returncode == 0, done.stderr
+
+
+def test_cli_commands_run(tmp_path):
+    """Every command of the CLI block, each in a fresh interpreter in an
+    empty directory, exits 0: a documented command cannot drift."""
+    text = README.read_text()
+    cli = text[text.index("## CLI"):]
+    start = cli.index("```sh\n") + len("```sh\n")
+    lines = cli[start:cli.index("```", start)].splitlines()
+    assert lines
+    env = dict(os.environ, PYTHONPATH=str(Path(braidax.__file__).resolve().parents[1]))
+    for line in lines:
+        program, *argv = line.split()
+        assert program == "braidax", line
+        done = subprocess.run(
+            [sys.executable, "-m", "braidax.cli", *argv],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, (line, done.stderr)

@@ -76,6 +76,7 @@ class TestElementaryOps:
 
     def test_free_reduce(self):
         assert free_reduce(w(2, 1, -1)).letters == ()
+        assert not free_reduce(w(2, 1, -1))  # an empty word is falsy
         assert free_reduce(w(4, 1, 2, -2, 3)).letters == (1, 3)
         already = w(4, 1, 2, 1)
         assert free_reduce(already).letters == already.letters
@@ -388,6 +389,11 @@ class TestFamily:
         with pytest.raises(WordError, match="m must be an int"):
             family_member(form, m)
 
+    @pytest.mark.parametrize("bad", [w(3, 1), (1,), None], ids=["BraidWord", "tuple", "None"])
+    def test_non_form_rejected(self, bad):
+        with pytest.raises(WordError, match=f"^need an ExchangeForm, got {type(bad).__name__}$"):
+            family_member(bad, 1)
+
     def test_family_needs_the_band_word(self):
         form = ExchangeForm(2, BraidWord(2), BraidWord(2))
         for m in (-1, 0, 1):
@@ -404,11 +410,13 @@ class TestFamily:
 
 class TestCriterion:
     def test_corpus_word_applies(self):
-        assert nonconjugacy_criterion(parse_word("-3 -3 -2 1 1 2 -1 3 -2", 4)).applies
+        verdict = nonconjugacy_criterion(parse_word("-3 -3 -2 1 1 2 -1 3 -2", 4))
+        assert verdict.applies and verdict
 
     def test_fixed_first_position(self):
         verdict = nonconjugacy_criterion(w(4, 2, 3, 2))
         assert not verdict.applies and "position 1" in verdict.reason
+        assert not verdict  # a failed verdict is falsy
 
     def test_fixed_last_position(self):
         verdict = nonconjugacy_criterion(w(4, 1, 2))
