@@ -189,7 +189,8 @@ def reduced_burau(w: BraidWord) -> list[list[LaurentPoly]]:
     j = i-1, which becomes t*col_{j-1} - t*col_j + col_{j+1}; by the image
     of sigma_i^-1 it becomes col_{j-1} - t^-1*col_j + t^-1*col_{j+1}.
     Columns outside the matrix count as zero.  Every product is a shift of
-    exponents by 0 or +-1.
+    exponents by 0 or +-1.  A row with zeros in columns j-1, j and j+1
+    keeps its zero in column j, so it is skipped.
     """
     size = w.strands - 1
     m = [[_ONE if r == c else _ZERO for c in range(size)] for r in range(size)]
@@ -199,7 +200,8 @@ def reduced_burau(w: BraidWord) -> list[list[LaurentPoly]]:
         for row in m:
             left = row[j - 1] if j > 0 else _ZERO
             right = row[j + 1] if j < size - 1 else _ZERO
-            row[j] = _shifted_sum(left, row[j], right, *shifts)
+            if left.coeffs or row[j].coeffs or right.coeffs:
+                row[j] = _shifted_sum(left, row[j], right, *shifts)
     return m
 
 

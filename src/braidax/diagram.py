@@ -6,7 +6,9 @@ operation copies them to lists for the kernels and returns a new diagram.
 The arrays follow the port conventions of :mod:`braidax.kernels`.
 :func:`closure_diagram` is the one constructor from a braid: positive letters
 put the strand entering from the smaller position on top, and the crossing
-sign always equals the letter sign.  An axis-addition link is the closure of
+sign always equals the letter sign.  Its diagrams are valid and planar by
+construction, so they skip the checks ``LinkDiagram`` runs on a diagram
+built outside braidax.  An axis-addition link is the closure of
 :func:`axis_word`, whose extra strand is the braid axis, oriented so that it
 links every strand positively.  A component is deleted on the braid word
 (:func:`braidax.words.delete_component`), before the diagram is built.
@@ -18,7 +20,8 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 from .kernels import get_kernels
-from .words import BraidWord, _need_word
+from .words import BraidWord, _need_word, _word
+
 
 class DiagramError(ValueError):
     """Inconsistent diagram data."""
@@ -38,10 +41,11 @@ class LinkDiagram:
     there.  ``free_loops`` must be an int >= 0, and ``entries`` None or a
     tuple whose items are each -1 or an in-port of ``conn``.
 
-    Planarity is not checked.  A pairing that no planar diagram has is
-    accepted, but the skein engine's coefficients of it are no link
-    invariant and can depend on the basepoints.  Every braid-built diagram
-    is planar.
+    These checks run only on a diagram built outside braidax.  Planarity is
+    not checked: a pairing that no planar diagram has is accepted, but the
+    skein engine's coefficients of it are no link invariant and can depend
+    on the basepoints.  A braid-built diagram (``closure_diagram``) is valid
+    and planar by construction and is built without the checks.
     """
 
     conn: tuple[int, ...]
@@ -98,31 +102,45 @@ def closure_diagram(w: BraidWord) -> LinkDiagram:
     """Closure of a braid word: one crossing per letter, bottom position k
     joined back to top position k."""
     _need_word(w)
-    n = w.strands
-    ncross = len(w.letters)
-    conn = [-1] * (4 * ncross)
-    sign = [0] * ncross
-    cur = [-1] * n       # the dangling out-port at each position
-    first_in = [-1] * n  # the first in-port the strand from each top position meets
-    for c, k in enumerate(w.letters):
-        i = abs(k) - 1
-        sign[c] = 1 if k > 0 else -1
-        left = 4 * c if k > 0 else 4 * c + 2  # the in-port of the strand from position i
-        for pos, inp in ((i, left), (i + 1, left ^ 2)):
-            if cur[pos] >= 0:
-                conn[cur[pos]] = inp
-                conn[inp] = cur[pos]
-            else:
-                first_in[pos] = inp
-        cur[i], cur[i + 1] = (left ^ 2) + 1, left + 1
-    loops = 0
-    for p in range(n):
-        if cur[p] >= 0:
-            conn[cur[p]] = first_in[p]
-            conn[first_in[p]] = cur[p]
+    letters = w.letters
+    end = 4 * len(letters)
+    # port end + p stands for top position p until the closing pass: the
+    # first in-port met from p is paired with it, and read back from it
+    conn = [-1] * (end + w.strands)
+    cur = list(range(end, len(conn)))  # the dangling out-port at each position
+    c = 0
+    for k in letters:
+        # a is the in-port of the strand from position i, b of the one from i + 1
+        if k > 0:
+            i, a, b = k - 1, c, c + 2
         else:
+            i, a, b = -k - 1, c + 2, c
+        q = cur[i]
+        conn[q] = a
+        conn[a] = q
+        q = cur[i + 1]
+        conn[q] = b
+        conn[b] = q
+        cur[i] = b + 1
+        cur[i + 1] = a + 1
+        c += 4
+    entries = conn[end:]
+    del conn[end:]
+    loops = 0
+    for q, first in zip(cur, entries):
+        if first < 0:
             loops += 1
-    return LinkDiagram(conn, sign, loops, tuple(first_in))
+        else:
+            conn[q] = first
+            conn[first] = q
+    # valid and planar by construction, so built without __post_init__
+    d = object.__new__(LinkDiagram)
+    fields = d.__dict__
+    fields["conn"] = tuple(conn)
+    fields["sign"] = tuple([1 if k > 0 else -1 for k in letters])
+    fields["free_loops"] = loops
+    fields["entries"] = tuple(entries)
+    return d
 
 
 def axis_word(w: BraidWord) -> BraidWord:
@@ -131,7 +149,7 @@ def axis_word(w: BraidWord) -> BraidWord:
     _need_word(w)
     n = w.strands
     loop = tuple(range(n, 0, -1)) + tuple(range(1, n + 1))
-    return BraidWord(n + 1, w.letters + loop)
+    return _word(n + 1, w.letters + loop)
 
 
 def axis_link_diagram(w: BraidWord) -> LinkDiagram:

@@ -24,7 +24,10 @@ class BraidWord:
     ``letters`` holds nonzero integers; ``k`` means the generator on strands
     (|k|, |k|+1) raised to the power sign(k).  The empty word is the identity.
     The strand count and every letter must be an ``int``; a bool or a float
-    is rejected.
+    is rejected.  These checks run where a word enters braidax: a word that
+    braidax derives from checked words (a product, inverse, mirror, rotation,
+    reduction, twist, family member, split, deleted component or axis word)
+    is built by ``_word`` without checking again.
     """
 
     strands: int
@@ -47,6 +50,16 @@ class BraidWord:
 
     def __str__(self):
         return " ".join(str(k) for k in self.letters)
+
+
+def _word(n: int, letters: tuple[int, ...]) -> BraidWord:
+    """The ``BraidWord`` of a strand count and letter tuple already known to
+    be valid, built without ``__post_init__``."""
+    w = object.__new__(BraidWord)
+    fields = w.__dict__
+    fields["strands"] = n
+    fields["letters"] = letters
+    return w
 
 
 def _need_word(w) -> None:
@@ -126,6 +139,8 @@ class ExchangeForm:
 
     def __post_init__(self):
         n = self.strands
+        _need_word(self.alpha)
+        _need_word(self.beta)
         if self.alpha.strands != n or self.beta.strands != n:
             raise WordError("alpha/beta strand counts must match the form")
         if any(abs(k) == n - 1 for k in self.alpha.letters):
@@ -146,39 +161,45 @@ class ExchangeForm:
 
 def compose(a: BraidWord, b: BraidWord) -> BraidWord:
     """Concatenate two words on the same strand count (group multiplication)."""
+    _need_word(a)
+    _need_word(b)
     if a.strands != b.strands:
         raise WordError(f"strand counts differ: {a.strands} vs {b.strands}")
-    return BraidWord(a.strands, a.letters + b.letters)
+    return _word(a.strands, a.letters + b.letters)
 
 
 def inverse(w: BraidWord) -> BraidWord:
-    return BraidWord(w.strands, tuple(-k for k in reversed(w.letters)))
+    _need_word(w)
+    return _word(w.strands, tuple(-k for k in reversed(w.letters)))
 
 
 def mirror(w: BraidWord) -> BraidWord:
     """Interchange every generator with its inverse (sign flip only)."""
-    return BraidWord(w.strands, tuple(-k for k in w.letters))
+    _need_word(w)
+    return _word(w.strands, tuple(-k for k in w.letters))
 
 
 def cyclic_rotate(w: BraidWord, k: int) -> BraidWord:
     """Move the first k letters to the end (conjugation by the prefix)."""
+    _need_word(w)
     if type(k) is not int:
         raise WordError(f"rotation must be an int, got {k!r}")
     if not w.letters:
         return w
     k %= len(w.letters)
-    return BraidWord(w.strands, w.letters[k:] + w.letters[:k])
+    return _word(w.strands, w.letters[k:] + w.letters[:k])
 
 
 def free_reduce(w: BraidWord) -> BraidWord:
     """Cancel adjacent inverse pairs until none remain."""
+    _need_word(w)
     out: list[int] = []
     for k in w.letters:
         if out and out[-1] == -k:
             out.pop()
         else:
             out.append(k)
-    return BraidWord(w.strands, tuple(out))
+    return _word(w.strands, tuple(out))
 
 
 def cyclic_free_reduce(w: BraidWord) -> BraidWord:
@@ -195,7 +216,7 @@ def cyclic_free_reduce(w: BraidWord) -> BraidWord:
     i = 0
     while 2 * i + 2 <= len(a) and a[i] == -a[-1 - i]:
         i += 1
-    return BraidWord(w.strands, a[i:len(a) - i]) if i else w
+    return _word(w.strands, a[i:len(a) - i]) if i else w
 
 
 def square(w: BraidWord) -> BraidWord:
@@ -284,7 +305,7 @@ def delete_component(w: BraidWord, strand: int) -> BraidWord:
             r = sum(keep[:i]) + 1
             letters.append(r if k > 0 else -r)
         keep[i], keep[i + 1] = keep[i + 1], keep[i]
-    return BraidWord(sum(keep), tuple(letters))
+    return _word(sum(keep), tuple(letters))
 
 
 def strand_linking(w: BraidWord, a_set: Iterable[int], b_set: Iterable[int]) -> int:
@@ -330,7 +351,7 @@ def kappa_word(n: int) -> BraidWord:
     if n < 3:
         raise WordError(f"band word needs n >= 3, got {n}")
     up = tuple(range(1, n - 1))
-    return BraidWord(n, up + up[::-1])
+    return _word(n, up + up[::-1])
 
 
 def admits_exchange(w: BraidWord) -> Admissibility:
@@ -362,9 +383,9 @@ def exchange_split(w: BraidWord) -> ExchangeForm | None:
     has_one = any(abs(k) == 1 for k in w.letters)
     has_top = any(abs(k) == n - 1 for k in w.letters)
     if not has_top:
-        return ExchangeForm(n, w, BraidWord(n))
+        return ExchangeForm(n, w, _word(n, ()))
     if not has_one:
-        return ExchangeForm(n, BraidWord(n), w)
+        return ExchangeForm(n, _word(n, ()), w)
     ext = [i for i, k in enumerate(w.letters) if abs(k) in (1, n - 1)]
     # with both indices present, some top-index letter is followed,
     # cyclically, by an index-1 letter
@@ -377,7 +398,7 @@ def exchange_split(w: BraidWord) -> ExchangeForm | None:
     first_top = next(i for i, k in enumerate(rot) if abs(k) == n - 1)
     if any(abs(k) == 1 for k in rot[first_top:]):
         return None
-    return ExchangeForm(n, BraidWord(n, rot[:first_top]), BraidWord(n, rot[first_top:]))
+    return ExchangeForm(n, _word(n, rot[:first_top]), _word(n, rot[first_top:]))
 
 
 def family_member(form: ExchangeForm, m: int) -> BraidWord:
@@ -394,7 +415,7 @@ def family_member(form: ExchangeForm, m: int) -> BraidWord:
     kap = kappa_word(form.strands).letters
     twist = kap * m if m >= 0 else tuple(-k for k in reversed(kap)) * -m
     untwist = tuple(-k for k in reversed(twist))
-    return BraidWord(form.strands, form.alpha.letters + twist + form.beta.letters + untwist)
+    return _word(form.strands, form.alpha.letters + twist + form.beta.letters + untwist)
 
 
 def nonconjugacy_criterion(w: BraidWord) -> CriterionVerdict:

@@ -12,15 +12,19 @@ from braidax import (
     WordError,
     axis_link_diagram,
     axis_word,
+    canonical_odd_knot_braid,
     closure_diagram,
     component_count,
     conway_polynomial,
     conway_truncated,
     cycle_decomposition,
+    cyclic_free_reduce,
     delete_component,
+    family_member,
     linking_matrix,
     mirror,
     permutation_of,
+    square,
     strand_linking,
 )
 from braidax.kernels import get_kernels
@@ -141,6 +145,36 @@ class TestDiagramChecks:
     def test_good_entries_accepted(self, entries):
         d = closure_diagram(w(2, 1, 1))
         assert LinkDiagram(d.conn, d.sign, 1, entries).entries == entries
+
+
+class TestBraidBuiltDiagrams:
+    """Braid-built words and diagrams skip the constructors' checks; this is
+    the one place those checks see them."""
+
+    @given(braid_words(max_strands=8, max_letters=20))
+    def test_public_constructor_accepts_braid_built_diagrams(self, word):
+        for d in (closure_diagram(word), axis_link_diagram(word)):
+            assert type(d.conn) is tuple and type(d.sign) is tuple and type(d.entries) is tuple
+            again = LinkDiagram(d.conn, d.sign, d.free_loops, d.entries)
+            assert (again.conn, again.sign, again.free_loops, again.entries) == (
+                d.conn, d.sign, d.free_loops, d.entries)
+
+    def test_axis_link_sample_runs_no_check(self, monkeypatch):
+        form = canonical_odd_knot_braid(7)
+        calls = []
+        for cls in (BraidWord, LinkDiagram):
+            def counting(self, check=cls.__post_init__, name=cls.__name__):
+                calls.append(name)
+                check(self)
+            monkeypatch.setattr(cls, "__post_init__", counting)
+        word = cyclic_free_reduce(square(family_member(form, 1)))
+        d = axis_link_diagram(word)
+        assert calls == []
+        assert d.crossings == len(word) + 2 * 7
+        # the counters do see a construction from outside braidax
+        LinkDiagram(d.conn, d.sign, d.free_loops, d.entries)
+        BraidWord(2, (1,))
+        assert calls == ["LinkDiagram", "BraidWord"]
 
 
 class TestAxisConstruction:

@@ -148,14 +148,71 @@ class TestElementaryOps:
             exchange_split,
             conway_polynomial,
             lambda word: conway_matches_alexander((1,), word),
+            lambda word: compose(word, w(3, 1)),
+            lambda word: compose(w(3, 1), word),
+            inverse,
+            mirror,
+            lambda word: cyclic_rotate(word, 1),
+            free_reduce,
+            cyclic_free_reduce,
+            square,
+            lambda word: ExchangeForm(3, word, BraidWord(3)),
+            lambda word: ExchangeForm(3, BraidWord(3), word),
         ],
         ids=["closure_diagram", "axis_word", "delete_component", "exchange_split",
-             "conway_polynomial", "conway_matches_alexander"],
+             "conway_polynomial", "conway_matches_alexander", "compose-left",
+             "compose-right", "inverse", "mirror", "cyclic_rotate", "free_reduce",
+             "cyclic_free_reduce", "square", "form-alpha", "form-beta"],
     )
     @pytest.mark.parametrize("bad", ["1 2", (1, 2), None], ids=["str", "tuple", "None"])
     def test_word_entry_points_reject_a_non_word(self, entry, bad):
+        # a derived word is built unchecked, so every derivation must start
+        # from a checked BraidWord
         with pytest.raises(WordError, match=f"^need a BraidWord, got {type(bad).__name__}$"):
             entry(bad)
+
+
+def _round_trips(word):
+    """The public constructor accepts a derived word and rebuilds it equal."""
+    assert type(word) is BraidWord
+    assert type(word.letters) is tuple
+    assert BraidWord(word.strands, word.letters) == word
+
+
+class TestDerivedWordsRoundTrip:
+    """Derived words skip the letter check; the public constructor, which
+    runs it, must accept each one as it is."""
+
+    @given(braid_words(max_letters=16), braid_words(max_letters=16), st.integers(-20, 20))
+    def test_word_derivations(self, word, other, k):
+        if other.strands == word.strands:
+            _round_trips(compose(word, other))
+        for derived in (inverse(word), mirror(word), cyclic_rotate(word, k), free_reduce(word),
+                        cyclic_free_reduce(word), square(word), axis_word(word)):
+            _round_trips(derived)
+
+    @given(braid_words(max_letters=16), st.data())
+    def test_delete_component(self, word, data):
+        strand = data.draw(st.integers(1, word.strands))
+        try:
+            derived = delete_component(word, strand)
+        except WordError:  # the only component
+            return
+        _round_trips(derived)
+
+    @given(braid_words(max_letters=16))
+    def test_exchange_split(self, word):
+        form = exchange_split(word)
+        if form is not None:
+            _round_trips(form.alpha)
+            _round_trips(form.beta)
+            _round_trips(form.word())
+
+    @given(exchange_forms(), st.integers(-3, 3))
+    def test_family_member_and_twist(self, form, m):
+        _round_trips(kappa_word(form.strands))
+        _round_trips(family_member(form, m))
+        _round_trips(family_member(form.mirrored(), m))
 
 
 class TestPermutations:
