@@ -166,12 +166,11 @@ def _as_poly(x) -> LaurentPoly:
 
 def _shifted_sum(left: LaurentPoly, mid: LaurentPoly, right: LaurentPoly,
                  sl: int, sm: int, sr: int) -> LaurentPoly:
-    """t^sl * left - t^sm * mid + t^sr * right, as one trimmed polynomial."""
+    """t^sl * left - t^sm * mid + t^sr * right, as one trimmed polynomial;
+    at least one of the three is nonzero."""
     terms = [(p.min_exp + sh, p.coeffs, sign)
              for p, sh, sign in ((left, sl, 1), (mid, sm, -1), (right, sr, 1)) if p.coeffs]
-    if len(terms) < 2:
-        if not terms:
-            return _ZERO
+    if len(terms) == 1:
         e, c, sign = terms[0]  # a shifted trimmed polynomial stays trimmed
         return LaurentPoly(e, c if sign > 0 else tuple([-x for x in c]))
     lo = min(e for e, _, _ in terms)

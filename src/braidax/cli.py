@@ -36,7 +36,6 @@ from .words import (
     BraidWord,
     ExchangeForm,
     WordError,
-    admits_exchange,
     canonical_odd_knot_braid,
     cycle_decomposition,
     exchange_split,
@@ -119,11 +118,11 @@ def _cmd_info(w: BraidWord) -> int:
     print(f"permutation\t{cycles}")
     print(f"components\t{dec.count}")
     print(f"exponent_sum\t{exponent_sum(w)}")
-    adm_text = "yes" if admits_exchange(w) else "no"
+    split = exchange_split(w)
+    adm_text = "yes" if w.strands <= 3 or split is not None else "no"
     if w.strands <= 3:
         adm_text += " (degenerate: n <= 3)"
     print(f"exchange_admissible\t{adm_text}")
-    split = exchange_split(w)
     if split is not None:
         print(f"split_alpha\t{split.alpha}")
         print(f"split_beta\t{split.beta}")

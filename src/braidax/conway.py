@@ -68,13 +68,16 @@ a_2 is one order of Polyak and Viro's Gauss-diagram sum over the crossings
 it meets after c, with the node's signs.  One backward pass over the first
 component gives every K_c's pairs that end on it, and one pass over the
 second component from c the rest: O(|first| + children x |second|) in
-place of a walk of the whole knot per child.  An unreduced diagram is still
-a diagram of the link.  In place of a trace, the walk must visit every
-crossing twice.  Smoothing an inter-component crossing never frees a loop:
-that needs each component to pass the crossing alone, an odd count that
-``link_leaf_sum`` reports before any child.  On a pairing no planar diagram
-has, the two orders of the sum can differ, so a_3 there depends on the
-route.
+place of a walk of the whole knot per child.  K_c stays unsimplified, and
+an unreduced diagram is still a diagram of the link.  The node itself has
+been traced and simplified first, so no crossing's two visits are adjacent
+and every self-crossing's smoothing is a Hoste leaf.  The walk counts the
+in-ports it visits only to guard the basepoints a kernels namespace
+returns: the node raises when its walks miss a crossing.  Smoothing an
+inter-component crossing never frees a loop: that needs each component to
+pass the crossing alone, an odd count that ``link_leaf_sum`` reports
+before any child.  On a pairing no planar diagram has, the two orders of
+the sum can differ, so a_3 there depends on the route.
 
 A knot at budget 2, always a root since a two-component node closes its
 knot children itself, is the one-component case of that walk: each
@@ -205,7 +208,13 @@ class SkeinEngine:
             self.hits += 1
             return hit
         if budget == p + 1 and p <= 2:  # every child is closed here, in one walk
-            out = self._close_children(conn, sign, labels, starts, p)
+            out, odd, children, leaves, ports = K.link_leaf_sum(conn, sign, labels, starts)
+            if ports != 2 * len(sign):
+                raise ConwayError(f"node traced {ports} of {2 * len(sign)} in-ports, carried {p}")
+            if odd:
+                raise ConwayError("odd inter-component crossing count")
+            self.nodes += children
+            self.leaves += leaves
             self.memo[key] = out
             return out
         bad_ids = K.chain_scan(conn, starts)
@@ -236,20 +245,6 @@ class SkeinEngine:
                 break
         out = tuple(coeffs)
         self.memo[key] = out
-        return out
-
-    def _close_children(self, conn, sign, labels, starts, p) -> tuple[int, ...]:
-        """a_0..a_{p+1} of a knot (p = 1) or a two-component node (p = 2) at
-        budget p + 1, from one ``link_leaf_sum`` call that closes every child
-        in the node's arrays and writes nothing.  Its walks must visit every
-        crossing twice."""
-        out, odd, children, leaves, ports = self.k.link_leaf_sum(conn, sign, labels, starts)
-        if ports != 2 * len(sign):
-            raise ConwayError(f"node traced {ports} of {2 * len(sign)} in-ports, carried {p}")
-        if odd:
-            raise ConwayError("odd inter-component crossing count")
-        self.nodes += children
-        self.leaves += leaves
         return out
 
 

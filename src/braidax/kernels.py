@@ -38,7 +38,8 @@ one-component case) and the knot children of a link's inter-component
 violations in one sweep of that walk (``_knot_children``): a backward pass
 over the first component and a pass over the second per child.  The walk
 meets the node's descending violations in ``chain_scan`` order, so neither
-node calls ``chain_scan``.
+node calls ``chain_scan``.  It takes a traced node that has been through
+``reidemeister_simplify``, so no crossing's two visits are adjacent.
 
 Every kernel is a plain Python function: the engine reads single items in
 loops, and a list item is read several times faster than an ndarray item.
@@ -122,6 +123,10 @@ def link_leaf_sum(conn, sign, labels, starts):
     budget 3 in one read-only walk of its components, in ``starts`` order,
     and, for the link, one sweep of the walk it records.
 
+    The node has been through ``reidemeister_simplify``: it has no kink, so
+    no crossing's two visits are adjacent, neither arc of a self-crossing
+    is empty, and smoothing one splits off no free loop.
+
     The violations are the crossings first met on their under strand, in
     ``chain_scan`` order.  Smoothing a self-crossing violation c of
     component a splits it into the inner arc A between c's visits and the
@@ -147,9 +152,7 @@ def link_leaf_sum(conn, sign, labels, starts):
       violation, reads negated, and L is final.
 
     A knot has one component, so Y = L = 0 and its a_2 is half the sum of
-    e_c * X over its leaves.  An empty arc is a free loop, which makes the
-    child split: the inner arc when c's visits are adjacent, the outer when
-    c opens and closes the walk (that one sums to 0, since X = 0 and Y = L).
+    e_c * X over its leaves.
 
     The inter-component violations of a link, where the first component
     passes under, have knot children at budget 2, which ``_knot_children``
@@ -161,8 +164,8 @@ def link_leaf_sum(conn, sign, labels, starts):
     count or missed a crossing; ``odd``, nonzero when L, an X, a Y or an arc
     of a knot child is odd; how many children (the node's violations and
     their knot children's) and Hoste leaves the node has; and how many
-    in-ports the walk visited, twice the crossings when it covered the
-    diagram.
+    in-ports the walk visited, twice the crossings when ``starts`` holds one
+    in-port of each component.
     """
     rank = [-1] * len(sign)
     opened_at = [None] * len(sign)  # a violation's walk state when it opened
@@ -173,8 +176,7 @@ def link_leaf_sum(conn, sign, labels, starts):
     for start in starts:
         j = labels[start]
         plus = minus = bad = closed = 0
-        opened = ports = y = 0
-        last0 = -1
+        opened = y = 0
         walk = []
         cur = start
         while True:
@@ -201,15 +203,13 @@ def link_leaf_sum(conn, sign, labels, starts):
                         minus |= bit
                     if cur & 2:  # met first on its under strand
                         children += 1
-                        opened_at[k] = (closed, y, drift, ports)
+                        opened_at[k] = (closed, y, drift)
                         bad |= bit
                     opened += 1
                 else:
                     was = opened_at[k]
-                    if was is not None and ports - was[3] > 1:  # else a free inner arc
+                    if was is not None:  # a violation closes: a Hoste leaf
                         leaves += 1
-                        if not was[3]:
-                            last0 = ports
                         inside = closed ^ was[0]  # the chords closed since it opened
                         cross = ((1 << opened) - (2 << r)) ^ inside
                         switched = inside & bad & ((1 << r) - 1)  # opened before it
@@ -223,12 +223,9 @@ def link_leaf_sum(conn, sign, labels, starts):
                         lin += e * (x + yc)
                         rest += e * ((x + yc) * was[2] - yc * yc)
                     closed |= 1 << r
-            ports += 1
             cur = conn[cur + 1]
             if cur == start:
                 break
-        if last0 == ports - 1:  # the first port's violation closed last
-            leaves -= 1
         walks.append(walk)
         first = False
     odd = (odd | lk) & 1
@@ -262,17 +259,20 @@ def _knot_children(sign, labels, first, second):
       inter-component violation of K_c (the second component passes under)
       with an over-first self-crossing of the first component around its
       visit there.  One backward pass over ``first`` sums them, with the
-      violations and kinks of the first component after each i.
+      violations of the first component after each i.
     * The others touch the second component: two inter-component crossings,
       an inter-component crossing and a self-crossing of the second
       component, or two of those.  One pass over ``second`` from c sums them
       for K_c, with the violations of K_c first met there; an
       inter-component crossing met before i on ``first`` is read over.
 
-    K_c's leaves are its violations less those with adjacent visits (a kink,
-    or an inter-component crossing met just before c on ``second`` and just
-    after it on ``first``) and less the one around the whole walk when c is
-    ``first[0]``.  Bitmasks over positions hold the pairs' other ends.
+    The node has no kink, but K_c is an unsimplified child.  Smoothing c
+    makes the visits of an inter-component crossing adjacent when it is met
+    just before c on ``second`` and just after it on ``first``, and when c
+    is ``first[0]`` it makes the first and last visits of K_c's walk those
+    of one crossing.  Such a violation's smoothing is split, and K_c's
+    leaves are its other violations.  Bitmasks over positions hold the
+    pairs' other ends.
 
     Returns ``(a1, a3, odd, children, leaves)``: the sums over the children
     of c's sign and of its sign times a_2 of K_c; nonzero when an arc of a
@@ -283,9 +283,9 @@ def _knot_children(sign, labels, first, second):
     nf = len(first)
     fpos = [-1] * len(sign)  # an inter-component crossing's position on first
     at = [None] * len(sign)  # a self-crossing's state at its later visit on first
-    kids = []  # (i, c, pairs, violations, kinks) on first after i, for each child
+    kids = []  # (i, c, pairs, violations) on first after i, for each child
     j = labels[first[0]]
-    total = violations = kinks = 0
+    total = violations = 0
     over = 0  # the signs of the inter-component crossings first passes over at or after p
     closed = plus = minus = 0  # bit b: the self-crossing whose later visit is b
     for p in range(nf - 1, -1, -1):
@@ -294,7 +294,7 @@ def _knot_children(sign, labels, first, second):
         if labels[q ^ 2] != j:
             fpos[k] = p
             if q & 2:
-                kids.append((p, k, total, violations, kinks))
+                kids.append((p, k, total, violations))
             else:
                 over += sign[k]
             continue
@@ -311,7 +311,6 @@ def _knot_children(sign, labels, first, second):
         e = sign[k]
         if q & 2:  # a violation: the non-violations first met inside, last met after b
             violations += 1
-            kinks += b == p + 1
             inner = (closed ^ snap) >> (b + 1)
             total += e * (
                 (inner & (plus >> (b + 1))).bit_count() - (inner & (minus >> (b + 1))).bit_count()
@@ -338,8 +337,8 @@ def _knot_children(sign, labels, first, second):
             code[p] = u + ns
     code += [v if v < 0 else v + ns for v in code]
     second = second + second
-    a1 = a3 = odd = children = leaves = 0
-    for i, c, h, ch, adj in kids:
+    a1 = a3 = odd = children = adj = 0  # adj: violations whose visits c made adjacent
+    for i, c, h, ch in kids:
         e = sign[c]
         a1 += e
         pc = seen[c]  # K_c reads second from pc + 1 to end - 1
@@ -381,9 +380,7 @@ def _knot_children(sign, labels, first, second):
             else:  # its later visit; the earlier was at v - ns
                 v -= ns
                 if second[v] & 2:  # a violation of K_c closes
-                    between = p - v - 1
-                    odd |= between
-                    adj += not between
+                    odd |= p - v - 1
                     h += s * ((openp >> v).bit_count() - (openm >> v).bit_count())
                 elif s > 0:
                     openp ^= 1 << v
@@ -391,8 +388,7 @@ def _knot_children(sign, labels, first, second):
                     openm ^= 1 << v
         a3 += e * h
         children += ch
-        leaves += ch - adj
-    return a1, a3, odd, children, leaves
+    return a1, a3, odd, children, children - adj
 
 
 def chain_scan(conn, starts):

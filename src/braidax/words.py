@@ -139,6 +139,8 @@ class ExchangeForm:
 
     def __post_init__(self):
         n = self.strands
+        if type(n) is not int:
+            raise WordError(f"strand count must be an int, got {n!r}")
         _need_word(self.alpha)
         _need_word(self.beta)
         if self.alpha.strands != n or self.beta.strands != n:
@@ -224,6 +226,7 @@ def square(w: BraidWord) -> BraidWord:
 
 
 def exponent_sum(w: BraidWord) -> int:
+    _need_word(w)
     return sum(1 if k > 0 else -1 for k in w.letters)
 
 
@@ -234,6 +237,7 @@ def exponent_sum(w: BraidWord) -> int:
 def permutation_of(w: BraidWord) -> Permutation:
     """Image of the word under the homomorphism sending each generator to the
     transposition of its two strand positions."""
+    _need_word(w)
     at = list(range(w.strands))  # at[p] = strand currently at position p
     for k in w.letters:
         i = abs(k) - 1
@@ -315,6 +319,7 @@ def strand_linking(w: BraidWord, a_set: Iterable[int], b_set: Iterable[int]) -> 
     is half the signed count of crossings between a strand of one set and a
     strand of the other.
     """
+    _need_word(w)
     a, b = frozenset(a_set), frozenset(b_set)
     if a & b:
         raise WordError("strand sets must be disjoint")
@@ -360,6 +365,7 @@ def admits_exchange(w: BraidWord) -> Admissibility:
     finds the split.  Strand counts n <= 3 are degenerate and count as
     admissible.
     """
+    _need_word(w)
     if w.strands <= 3:
         return Admissibility(True)
     return Admissibility(exchange_split(w) is not None)
@@ -424,6 +430,7 @@ def nonconjugacy_criterion(w: BraidWord) -> CriterionVerdict:
     When this holds, iterating the exchange move produces infinitely many
     pairwise non-conjugate braids with the same closure.
     """
+    _need_word(w)
     n = w.strands
     if n <= 3:
         # on 3 strands alpha lies in <s_1> and commutes with kappa = s_1^2,

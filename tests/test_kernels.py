@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -735,22 +736,15 @@ class TestLinkLeafSum:
         assert got[1] == want[1] and (got[1] or got[:4] == want)
         return got
 
-    @given(
-        two_component_diagrams(),
-        st.booleans(),
-        st.none() | st.integers(0, 2**31 - 1),
-    )
+    @given(two_component_diagrams(), st.none() | st.integers(0, 2**31 - 1))
     # a knot child at the basepoint, whose walk starts and ends on one
     # crossing, and so has an arc around it that meets nothing
-    @example(axis_link_diagram(BraidWord(2, (-1,))), False, 1)
+    @example(axis_link_diagram(BraidWord(2, (-1,))), 1)
     # a knot child with a crossing met just before it on the second component
     # and just after it on the first: adjacent visits across the junction
-    @example(closure_diagram(BraidWord(2, (1, 1))), True, 5)
-    # a kink of the first component after a knot child, left in by no
-    # simplification
-    @example(closure_diagram(BraidWord(3, (2, 2, 1))), False, None)
-    def test_matches_the_frame_route(self, d, simplified, seed):
-        node = reduced_node(d) if simplified else d.arrays()
+    @example(closure_diagram(BraidWord(2, (1, 1))), 5)
+    def test_matches_the_frame_route(self, d, seed):
+        node = reduced_node(d)
         if node is None:
             return  # simplifying left a free loop or no crossing
         conn, sign = node
@@ -761,27 +755,6 @@ class TestLinkLeafSum:
         if ncomp != 2:
             return  # simplifying split off a component's crossings
         assert self.check(conn, sign, starts)[1] == 0
-
-    def test_a_violation_around_the_whole_walk_is_a_free_loop(self):
-        # crossing 0 is a kink of component 0, whose walk from in-port 2
-        # meets it first on its under strand and last on its over strand,
-        # with the other component's two crossings between: the arc around
-        # its visits meets nothing, so its smoothing is split, not a leaf
-        conn, sign = [9, 2, 1, 4, 3, 8, 11, 10, 5, 0, 7, 6], [1, 1, 1]
-        assert self.check(conn, sign, [2, 6]) == ((0, 0, 0, 0), 0, 1, 0, 6)
-        assert self.check(conn, sign, [0, 6]) == ((0, 0, 0, 0), 0, 0, 0, 6)
-
-    def test_kink_is_a_free_loop(self):
-        # crossing 2 of this two-component closure is a kink whose under
-        # strand runs straight into its over strand: met first on the
-        # under strand, it is a violation with an empty inner arc
-        d = closure_diagram(BraidWord(3, (-2, -2, 1)))
-        conn, sign = d.arrays()
-        assert conn[4 * 2 + 3] == 4 * 2
-        labels, _, starts = K.trace_inports(conn)
-        assert K.chain_scan(conn, starts) == [1, 2]
-        assert labels[4 * 2] == labels[4 * 2 + 2]
-        assert self.check(conn, sign, starts) == ((0, -1, 0, 0), 0, 3, 0, 6)
 
     def test_odd_arc_count_is_rejected(self):
         # a Gauss code no planar diagram has: the inner arc of crossing 1,
@@ -861,6 +834,38 @@ class TestLinkLeafSum:
         assert len(reads) == 1 and max(reads[0]) == 1
         assert (eng.nodes, eng.leaves) == (324, 323)
         assert "chain_scan" not in kernels.calls and "smooth_inplace" not in kernels.calls
+
+
+class KinkFreeWalkKernels(SimpleNamespace):
+    """The kernels ``base``, with a ``link_leaf_sum`` that first asserts the
+    closing walk's precondition: no crossing's two visits are adjacent, so
+    the node has no kink."""
+
+    def __init__(self, base):
+        super().__init__(**vars(base))
+        walk = base.link_leaf_sum
+
+        def link_leaf_sum(conn, sign, labels, starts):
+            # the strand leaving in-port q meets another crossing next
+            assert all(conn[q + 1] >> 2 != q >> 2 for q in range(0, len(conn), 2))
+            return walk(conn, sign, labels, starts)
+
+        self.link_leaf_sum = link_leaf_sum
+
+
+class TestClosingWalkPrecondition:
+    """Every node the engine walks with ``link_leaf_sum`` has been through
+    ``reidemeister_simplify``, from any basepoints and at any degree."""
+
+    @given(braid_words(max_letters=12), st.booleans(), st.none() | st.integers(0, 2**31 - 1))
+    # at full degree a smoothing leaves a kink in a two-component child at
+    # budget 3, which only the child's own simplification removes
+    @example(BraidWord(3, (1, 1, 2, -1, 2, 2)), False, None)
+    def test_no_walked_node_has_adjacent_visits(self, word, axis, seed):
+        d = axis_link_diagram(word) if axis else closure_diagram(word)
+        base = K if seed is None else ShuffledStartsKernels(seed)
+        for degree in (3, d.crossings):
+            SkeinEngine(KinkFreeWalkKernels(base)).truncated(d, degree)
 
 
 def knot_leaf_reference(conn, sign, start):
@@ -990,9 +995,8 @@ def knot_case(conn, sign, start):
 
 @st.composite
 def knot_pairings(draw, max_crossings=7):
-    """A one-component port pairing, planar or not, as ``(conn, sign,
-    start)``: the walk visits every in-port once, in a drawn order from
-    ``start``."""
+    """A one-component port pairing, planar or not, as ``(conn, sign)``:
+    the walk visits every in-port once, in a drawn order."""
     n = draw(st.integers(1, max_crossings))
     walk = draw(st.permutations(range(0, 4 * n, 2)))
     conn = [0] * (4 * n)
@@ -1000,7 +1004,7 @@ def knot_pairings(draw, max_crossings=7):
         conn[q + 1] = nxt
         conn[nxt] = q + 1
     sign = draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))
-    return conn, sign, walk[0]
+    return conn, sign
 
 
 class TestKnotLeafSum:
@@ -1008,11 +1012,10 @@ class TestKnotLeafSum:
     one-sweep knot kernel it absorbed (kept as ``knot_leaf_sum_reference``'s
     walk-then-arcs form) and against the per-leaf route."""
 
-    @given(knot_words(), st.booleans(), st.data())
-    def test_matches_the_walk_then_arcs_kernel(self, word, simplified, data):
-        d = closure_diagram(word)
-        node = reduced_node(d) if simplified else d.arrays()
-        if node is None or not node[1]:
+    @given(knot_words(), st.data())
+    def test_matches_the_walk_then_arcs_kernel(self, word, data):
+        node = reduced_node(closure_diagram(word))
+        if node is None:
             return  # a crossing-free unknot
         conn, sign = node
         start = data.draw(st.sampled_from(range(0, len(conn), 2)))
@@ -1020,11 +1023,10 @@ class TestKnotLeafSum:
         assert rest[0] == 0 and total % 2 == 0
         assert knot_case(conn, sign, start) == ((1, 0, total >> 1), *rest)
 
-    @given(knot_words(), st.booleans(), st.data())
-    def test_matches_the_per_leaf_route(self, word, simplified, data):
-        d = closure_diagram(word)
-        node = reduced_node(d) if simplified else d.arrays()
-        if node is None or not node[1]:
+    @given(knot_words(), st.data())
+    def test_matches_the_per_leaf_route(self, word, data):
+        node = reduced_node(closure_diagram(word))
+        if node is None:
             return  # a crossing-free unknot
         conn, sign = node
         start = data.draw(st.sampled_from(range(0, len(conn), 2)))
@@ -1035,13 +1037,12 @@ class TestKnotLeafSum:
         assert (coeffs[2], children, leaves) == want
         assert sign == before  # read-only: the node flips the signs itself
 
-    @given(knot_words(), st.booleans(), st.data())
-    def test_each_order_is_half_the_total(self, word, simplified, data):
+    @given(knot_words(), st.data())
+    def test_each_order_is_half_the_total(self, word, data):
         # Polyak and Viro: on a planar diagram each order of the pairs gives
         # a_2, the order _knot_children closes a link's knot children with
-        d = closure_diagram(word)
-        node = reduced_node(d) if simplified else d.arrays()
-        if node is None or not node[1]:
+        node = reduced_node(closure_diagram(word))
+        if node is None:
             return  # a crossing-free unknot
         conn, sign = node
         start = data.draw(st.sampled_from(range(0, len(conn), 2)))
@@ -1049,34 +1050,29 @@ class TestKnotLeafSum:
         assert half_sums(conn, sign, start) == (a2, a2)
 
     @settings(max_examples=300)
-    @given(knot_pairings())
-    def test_matches_the_reference_on_any_pairing(self, pairing):
-        # most pairings have no planar diagram, and many have an odd arc
-        conn, sign, start = pairing
+    @given(knot_pairings(), st.data())
+    def test_matches_the_reference_on_any_pairing(self, pairing, data):
+        # most pairings have no planar diagram, and many have an odd arc;
+        # the kernel walks the node the pairing simplifies to
+        d = LinkDiagram(*pairing)
+        node = reduced_node(d)
+        if node is None:
+            assert SkeinEngine().truncated(d, 2).coeffs == (1, 0, 0)
+            return
+        conn, sign = node
+        start = data.draw(st.sampled_from(range(0, len(conn), 2)))
         total, *rest = knot_leaf_sum_reference(conn, sign[:], start)
         coeffs, *got = knot_case(conn, sign, start)
         assert got == rest
         assert coeffs == (None if rest[0] else (1, 0, total >> 1))
-        # the engine closes the node the pairing simplifies to, from that
-        # node's basepoint, and raises exactly when an arc there is odd;
-        # simplifying keeps the arcs' parities, not which are violations
-        node = reduced_node(LinkDiagram(conn, sign))
-        total, odd = (0, 0) if node is None else knot_leaf_sum_reference(
-            node[0], node[1][:], K.trace_inports(node[0])[2][0]
-        )[:2]
+        # the engine closes that node from its basepoint, and raises exactly
+        # when an arc there is odd
+        total, odd = knot_leaf_sum_reference(conn, sign[:], K.trace_inports(conn)[2][0])[:2]
         if odd:
             with pytest.raises(ConwayError, match="odd inter-component crossing count"):
-                SkeinEngine().truncated(LinkDiagram(conn, sign), 2)
+                SkeinEngine().truncated(d, 2)
         else:
-            assert SkeinEngine().truncated(LinkDiagram(conn, sign), 2).coeffs == (1, 0, total >> 1)
-
-    def test_a_violation_around_the_whole_walk_is_a_free_loop(self):
-        # from in-port 6 of this two-crossing unknot both crossings are
-        # violations, and crossing 1 is met first and last: the arc around
-        # its visits meets nothing, so neither smoothing is a leaf
-        conn, sign = closure_diagram(BraidWord(3, (1, 2))).arrays()
-        assert knot_leaf_sum_reference(conn, sign[:], 6) == (0, 0, 2, 0, 4)
-        assert knot_case(conn, sign, 6) == ((1, 0, 0), 0, 2, 0, 4)
+            assert SkeinEngine().truncated(d, 2).coeffs == (1, 0, total >> 1)
 
     def test_odd_arc_count_is_rejected(self):
         # a Gauss code no planar diagram has: walking from in-port 0, the

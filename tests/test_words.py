@@ -158,11 +158,17 @@ class TestElementaryOps:
             square,
             lambda word: ExchangeForm(3, word, BraidWord(3)),
             lambda word: ExchangeForm(3, BraidWord(3), word),
+            permutation_of,
+            exponent_sum,
+            admits_exchange,
+            nonconjugacy_criterion,
+            lambda word: strand_linking(word, (1,), (2,)),
         ],
         ids=["closure_diagram", "axis_word", "delete_component", "exchange_split",
              "conway_polynomial", "conway_matches_alexander", "compose-left",
              "compose-right", "inverse", "mirror", "cyclic_rotate", "free_reduce",
-             "cyclic_free_reduce", "square", "form-alpha", "form-beta"],
+             "cyclic_free_reduce", "square", "form-alpha", "form-beta", "permutation_of",
+             "exponent_sum", "admits_exchange", "nonconjugacy_criterion", "strand_linking"],
     )
     @pytest.mark.parametrize("bad", ["1 2", (1, 2), None], ids=["str", "tuple", "None"])
     def test_word_entry_points_reject_a_non_word(self, entry, bad):
@@ -419,6 +425,12 @@ class TestExchange:
             ExchangeForm(4, BraidWord(4), w(4, 1))
         with pytest.raises(WordError, match="strand counts must match"):
             ExchangeForm(4, BraidWord(3), BraidWord(4))
+
+    @pytest.mark.parametrize("n, strands", [(4.0, 4), (True, 1)], ids=["float", "bool"])
+    def test_form_needs_an_int_strand_count(self, n, strands):
+        # alpha.strands == n holds for 4 == 4.0 and 1 == True
+        with pytest.raises(WordError, match=f"^strand count must be an int, got {n!r}$"):
+            ExchangeForm(n, BraidWord(strands), BraidWord(strands))
 
 
 class TestFamily:
