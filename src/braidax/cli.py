@@ -36,11 +36,11 @@ from .words import (
     BraidWord,
     ExchangeForm,
     WordError,
+    _criterion,
     canonical_odd_knot_braid,
     cycle_decomposition,
     exchange_split,
     exponent_sum,
-    nonconjugacy_criterion,
     parse_word,
     permutation_of,
 )
@@ -111,14 +111,14 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_info(w: BraidWord) -> int:
     perm = permutation_of(w)
     dec = cycle_decomposition(perm)
-    verdict = nonconjugacy_criterion(w)
+    split = exchange_split(w)
+    verdict = _criterion(w.strands, split, perm)
     cycles = " ".join("(" + " ".join(map(str, c)) + ")" for c in dec.cycles)
     print(f"strands\t{w.strands}")
     print(f"word\t{w}")
     print(f"permutation\t{cycles}")
     print(f"components\t{dec.count}")
     print(f"exponent_sum\t{exponent_sum(w)}")
-    split = exchange_split(w)
     adm_text = "yes" if w.strands <= 3 or split is not None else "no"
     if w.strands <= 3:
         adm_text += " (degenerate: n <= 3)"

@@ -24,8 +24,12 @@ trace; the other leaves close in their parent and are never built.
 
 Every other node runs one pipeline: Reidemeister simplification,
 ``compact``, a trace that must find p components, the split check and the
-memo.  A knot at budget 2 and a two-component node at budget 3 then close
-every child in their own arrays, in one ``link_leaf_sum`` call (below).
+memo.  The root reuses the trace ``truncated`` made of its diagram unless
+simplifying removed a crossing, so a root is traced once when it is already
+reduced.  A knot at budget 2 and a two-component node at budget 3 then close
+every child in their own arrays, in one ``link_leaf_sum`` call (below),
+whose walk is also their split check: a link whose first component meets
+no inter-component crossing is split, and is worth 0 with no memo entry.
 Any other node lists its descending violations in one ``chain_scan`` walk,
 and each violation's child is copied, smoothed and recursed on before the
 violation is switched.  It is switched only at its own step, so the node
@@ -62,13 +66,15 @@ at budget 2, with the violations before c switched.  One
 ``link_leaf_sum`` call closes them all in the node's arrays and writes
 nothing: no copy, smoothing, simplification, ``compact``, trace, split
 check, memo entry or ``chain_scan`` call.  Its walk of the two components
-sums the triangle leaves and records the in-ports it visits.  Walked from
-the node's basepoint, K_c meets every switched crossing first over, so its
-a_2 is one order of Polyak and Viro's Gauss-diagram sum over the crossings
-it meets after c, with the node's signs.  One backward pass over the first
-component gives every K_c's pairs that end on it, and one pass over the
-second component from c the rest: O(|first| + children x |second|) in
-place of a walk of the whole knot per child.  K_c stays unsimplified, and
+sums the triangle leaves.  Walked from the node's basepoint, K_c meets
+every switched crossing first over, so its a_2 is one order of Polyak and
+Viro's Gauss-diagram sum over the crossings it meets after c, with the
+node's signs.  The pairs that end on the first component are chords of it,
+and count for K_c when they open after c, so the walk files each one under
+the number of knot children met before it opened, and one suffix sum gives
+every K_c its share.  The walk records the second component, and one pass
+over it from c gives the rest: O(|first| + |second| + children x |second|)
+in place of a walk of the whole knot per child.  K_c stays unsimplified, and
 an unreduced diagram is still a diagram of the link.  The node itself has
 been traced and simplified first, so no crossing's two visits are adjacent
 and every self-crossing's smoothing is a Hoste leaf.  The walk counts the
@@ -166,22 +172,25 @@ class SkeinEngine:
         if max_degree < 0:
             raise ConwayError("max_degree must be >= 0")
         conn, sign = d.arrays()
-        p = d.free_loops + self.k.trace_inports(conn)[1]
+        trace = self.k.trace_inports(conn)
+        p = d.free_loops + trace[1]
         # each smoothing spends a crossing and raises the degree by one, so
         # no coefficient above the crossing count is nonzero
         m = min(max_degree, len(sign))
         top = m - (m + p + 1) % 2  # the last m with m + p odd
         if top < max(p - 1, 0):
             return TruncatedPoly(max_degree, (0,) * (max_degree + 1), p)
-        coeffs = self._eval(conn, sign, d.free_loops, p, top, None)
+        coeffs = self._eval(conn, sign, d.free_loops, p, top, None, trace)
         return TruncatedPoly(max_degree, coeffs + (0,) * (max_degree - top), p)
 
     # -- internals ---------------------------------------------------------
 
-    def _eval(self, conn, sign, loops, p, budget, todo) -> tuple[int, ...]:
+    def _eval(self, conn, sign, loops, p, budget, todo, trace=None) -> tuple[int, ...]:
         """Coefficients a_0..a_budget of a node, with budget + p odd and
         budget >= p - 1; ``todo`` lists the crossings that can be a kink or
-        a clasp (``None``: any of them)."""
+        a clasp (``None``: any of them), and ``trace`` is the root's
+        ``trace_inports`` of ``conn``, reused when simplifying removes no
+        crossing."""
         K = self.k
         self.nodes += 1
         zero = (0,) * (budget + 1)
@@ -194,21 +203,26 @@ class SkeinEngine:
             return zero  # crossing-free loop beside crossings: split link
         if 0 in sign:
             conn, sign = K.compact(conn, sign)
-        labels, ncomp, starts = K.trace_inports(conn)
+            trace = None
+        labels, ncomp, starts = trace or K.trace_inports(conn)
         if ncomp != p:
             raise ConwayError(f"node traced {ncomp} components, carried {p}")
         if budget < p:  # a Hoste leaf at budget p - 1
             self.leaves += 1
             return zero[:-1] + (_tree_sum(K.linking_counts(sign, labels, p)),)
-        if ncomp >= 2 and K.split_components(conn, labels, ncomp):
+        closing = budget == p + 1 and p <= 2  # every child is closed here, in one walk
+        if ncomp >= 2 and not closing and K.split_components(conn, labels, ncomp):
             return zero
         key = (tuple(conn), tuple(sign), budget)
         hit = self.memo.get(key)
         if hit is not None:
             self.hits += 1
             return hit
-        if budget == p + 1 and p <= 2:  # every child is closed here, in one walk
-            out, odd, children, leaves, ports = K.link_leaf_sum(conn, sign, labels, starts)
+        if closing:
+            walked = K.link_leaf_sum(conn, sign, labels, starts)
+            if walked is None:
+                return zero  # the walk's split check: no memo entry, as above
+            out, odd, children, leaves, ports = walked
             if ports != 2 * len(sign):
                 raise ConwayError(f"node traced {ports} of {2 * len(sign)} in-ports, carried {p}")
             if odd:

@@ -35,11 +35,14 @@ their parent with no copy, arc slice or determinant: ``link_leaf_sum``
 closes every child of a knot at budget 2 or a two-component node at
 budget 3, the self-crossing leaves in one read-only walk (a knot is its
 one-component case) and the knot children of a link's inter-component
-violations in one sweep of that walk (``_knot_children``): a backward pass
-over the first component and a pass over the second per child.  The walk
+violations from what that walk files and records (``_knot_children``): the
+first component's share of every child comes from one suffix sum, the
+second's from a pass over the second component per child.  The walk
 meets the node's descending violations in ``chain_scan`` order, so neither
-node calls ``chain_scan``.  It takes a traced node that has been through
-``reidemeister_simplify``, so no crossing's two visits are adjacent.
+node calls ``chain_scan``, and it finds a split link itself, so neither
+node calls ``split_components``.  It takes a traced node that has been
+through ``reidemeister_simplify``, so no crossing's two visits are
+adjacent.
 
 Every kernel is a plain Python function: the engine reads single items in
 loops, and a list item is read several times faster than an ndarray item.
@@ -51,6 +54,7 @@ returns its ``starts`` shuffled and re-picked must not change a coefficient.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from types import SimpleNamespace
 
 
@@ -121,7 +125,7 @@ def linking_counts(sign, labels, ncomp):
 def link_leaf_sum(conn, sign, labels, starts):
     """Close every child of a knot at budget 2 or a two-component node at
     budget 3 in one read-only walk of its components, in ``starts`` order,
-    and, for the link, one sweep of the walk it records.
+    and, for the link, one pass over the second component per knot child.
 
     The node has been through ``reidemeister_simplify``: it has no kink, so
     no crossing's two visits are adjacent, neither arc of a self-crossing
@@ -156,39 +160,59 @@ def link_leaf_sum(conn, sign, labels, starts):
 
     The inter-component violations of a link, where the first component
     passes under, have knot children at budget 2, which ``_knot_children``
-    closes from the two recorded walks.
+    closes.  Their terms that lie on the first component alone are pairs of
+    chords of it, and count for a child exactly when the chord opens after
+    the child's crossing.  So the walk files each such term, and each
+    violation of the first component, under the number of knot children
+    met before its chord opened, and it records every inter-component
+    crossing's position on the first component and the second component's
+    walk.
 
-    Returns ``(coeffs, odd, children, leaves, ports)``: the node's
-    coefficients, ``(1, 0, a2)`` for a knot or ``(0, a1, 0, a3)`` for a
-    link, exact when ``odd`` is 0 and ``None`` when the walk found an odd
-    count or missed a crossing; ``odd``, nonzero when L, an X, a Y or an arc
-    of a knot child is odd; how many children (the node's violations and
-    their knot children's) and Hoste leaves the node has; and how many
+    Returns ``None`` for a link whose first component meets no
+    inter-component crossing: the link is split, worth 0, and no child is
+    closed.  Otherwise returns ``(coeffs, odd, children, leaves, ports)``:
+    the node's coefficients, ``(1, 0, a2)`` for a knot or ``(0, a1, 0, a3)``
+    for a link, exact when ``odd`` is 0 and ``None`` when the walk found an
+    odd count or missed a crossing; ``odd``, nonzero when L, an X, a Y or an
+    arc of a knot child is odd; how many children (the node's violations
+    and their knot children's) and Hoste leaves the node has; and how many
     in-ports the walk visited, twice the crossings when ``starts`` holds one
     in-port of each component.
     """
     rank = [-1] * len(sign)
     opened_at = [None] * len(sign)  # a violation's walk state when it opened
+    filed = [None] * len(sign)  # a non-violation's bucket and over sum when it opened
+    fpos = [-1] * len(sign)  # an inter-component crossing's position on the first component
+    kids = []  # the knot children (position, crossing), in walk order
+    pairs = [0]  # bucket t: the pair terms of the chords opened after t knot children
+    viols = [0]  # bucket t: the violations among those chords
+    nk = 0  # knot children met so far; 0 off the first component, which files nothing
     lk = drift = 0  # L at the start, and its change by the switches so far
-    lin = rest = odd = leaves = children = 0  # the total is lk * lin + rest
-    walks = []
+    over = 0  # the signs of the inter-component crossings the first component passes over
+    lin = rest = odd = leaves = children = pos = 0  # the total is lk * lin + rest
+    second = []
     first = True
     for start in starts:
         j = labels[start]
         plus = minus = bad = closed = 0
         opened = y = 0
-        walk = []
         cur = start
         while True:
-            walk.append(cur)
             k = cur >> 2
             if labels[cur ^ 2] != j:
                 s = sign[k]
                 if first:
+                    fpos[k] = pos
                     lk += s
                     if cur & 2:  # the first component passes under: a violation
                         drift -= 2 * s
                         children += 1
+                        kids.append((pos, k))
+                        pairs.append(0)
+                        viols.append(0)
+                        nk += 1
+                    else:
+                        over += s
                 elif not cur & 2:  # switched before this component's leaves
                     s = -s
                 y += s
@@ -203,132 +227,122 @@ def link_leaf_sum(conn, sign, labels, starts):
                         minus |= bit
                     if cur & 2:  # met first on its under strand
                         children += 1
-                        opened_at[k] = (closed, y, drift)
+                        opened_at[k] = (closed, y, drift, nk)
                         bad |= bit
+                    elif nk:
+                        filed[k] = (nk, over)
                     opened += 1
                 else:
                     was = opened_at[k]
+                    e = sign[k]
                     if was is not None:  # a violation closes: a Hoste leaf
                         leaves += 1
                         inside = closed ^ was[0]  # the chords closed since it opened
-                        cross = ((1 << opened) - (2 << r)) ^ inside
+                        since = (1 << opened) - (2 << r)  # the chords opened since
+                        cross = since ^ inside
                         switched = inside & bad & ((1 << r) - 1)  # opened before it
                         x = (
                             (cross & plus).bit_count() - (cross & minus).bit_count()
                             - 2 * ((switched & plus).bit_count() - (switched & minus).bit_count())
                         )
                         yc = y - was[1]
-                        e = sign[k]
                         odd |= x | yc
                         lin += e * (x + yc)
                         rest += e * ((x + yc) * was[2] - yc * yc)
+                        t = was[3]
+                        if t:  # its pairs with the non-violations opened inside, still open
+                            since &= ~(inside | bad)
+                            pairs[t] += e * (
+                                (since & plus).bit_count() - (since & minus).bit_count()
+                            )
+                            viols[t] += 1
+                    else:
+                        f = filed[k]
+                        if f is not None:  # its pairs with the over-first crossings inside
+                            pairs[f[0]] += e * (over - f[1])
                     closed |= 1 << r
+            if first:
+                pos += 1
+            else:
+                second.append(cur)
             cur = conn[cur + 1]
             if cur == start:
                 break
-        walks.append(walk)
+        if first and len(starts) > 1 and pos == opened + closed.bit_count():
+            return None  # every visit was a self-crossing's: split
         first = False
+        nk = 0
     odd = (odd | lk) & 1
-    ports = sum(map(len, walks))
+    ports = pos + len(second)
     if odd or ports != 2 * len(sign):
         return None, odd, children, leaves, ports  # the node raises: no child is closed
-    if len(walks) == 1:  # a knot: no inter-component crossing, and no knot child
+    if len(starts) == 1:  # a knot: no inter-component crossing, and no knot child
         return (1, 0, lin >> 1), 0, children, leaves, ports
-    a1, a3, odd, kids, kleaves = _knot_children(sign, labels, *walks)
+    a1, a3, odd, kchildren, kleaves = _knot_children(sign, pos, fpos, kids, pairs, viols, second)
     a3 += (lk * lin + rest) >> 2
-    return (0, a1, 0, a3), odd & 1, children + kids, leaves + kleaves, ports
+    return (0, a1, 0, a3), odd & 1, children + kchildren, leaves + kleaves, ports
 
 
-def _knot_children(sign, labels, first, second):
-    """The knot children of a two-component node at budget 3, from the
-    in-ports its components visit, ``first`` and ``second``, in walk order.
+def _knot_children(sign, nf, fpos, kids, pairs, viols, second):
+    """The knot children of a two-component node at budget 3, from what
+    ``link_leaf_sum`` filed on its first component of ``nf`` in-ports
+    and from the in-ports its second component visits, in walk order.
 
-    The child of an inter-component violation c, at position i of
-    ``first``, is the knot K_c walked from ``first[0]``: ``first[:i]``,
-    then ``second`` from c round to c, then ``first[i + 1:]``.  Every
-    violation before c is switched, and those are the violations ``first``
-    meets before i, so each crossing K_c meets first in ``first[:i]`` reads
-    over.  So K_c's violations are those it meets first after i, with the
-    node's signs, and its a_2 is the sum of e_x * e_y over the pairs of
-    them met x, y, x, y with x a violation and y not: one order of Polyak
-    and Viro's Gauss-diagram sum (IMRN 1994), which on a planar diagram
-    alone is a_2.  The pairs fall in two kinds:
+    The child of an inter-component violation c, at position i of the
+    first component's walk, is the knot K_c walked from the node's first
+    basepoint: the first component up to c, then ``second`` from c round to
+    c, then the first component after c.  Every violation before c is
+    switched, and those are the violations the first component meets
+    before i, so each crossing K_c meets first before i reads over.  So
+    K_c's violations are those it meets first after i, with the node's
+    signs, and its a_2 is the sum of e_x * e_y over the pairs of them met x,
+    y, x, y with x a violation and y not: one order of Polyak and Viro's
+    Gauss-diagram sum (IMRN 1994), which on a planar diagram alone is a_2.
+    The pairs fall in two kinds:
 
-    * Those whose crossings both end on ``first`` after i depend on i
-      alone: two self-crossings of the first component, or an
-      inter-component violation of K_c (the second component passes under)
-      with an over-first self-crossing of the first component around its
-      visit there.  One backward pass over ``first`` sums them, with the
-      violations of the first component after each i.
+    * Those whose crossings both end on the first component after i: two
+      self-crossings of the first component, or an inter-component
+      violation of K_c (the second component passes under) with an
+      over-first self-crossing of the first component around its visit
+      there.  Each such term is a chord of the first component, and it
+      counts for K_c when the chord opens after i.  ``link_leaf_sum`` filed
+      it, and each of the first component's violations, in ``pairs`` and
+      ``viols`` under the number t of knot children met before the chord
+      opened, so K_c, the m-th child in ``kids``, takes the buckets past m:
+      one suffix sum over the children.
     * The others touch the second component: two inter-component crossings,
       an inter-component crossing and a self-crossing of the second
       component, or two of those.  One pass over ``second`` from c sums them
       for K_c, with the violations of K_c first met there; an
-      inter-component crossing met before i on ``first`` is read over.
+      inter-component crossing met before i on the first component, at
+      ``fpos``, is read over.
 
     The node has no kink, but K_c is an unsimplified child.  Smoothing c
     makes the visits of an inter-component crossing adjacent when it is met
-    just before c on ``second`` and just after it on ``first``, and when c
-    is ``first[0]`` it makes the first and last visits of K_c's walk those
-    of one crossing.  Such a violation's smoothing is split, and K_c's
-    leaves are its other violations.  Bitmasks over positions hold the
-    pairs' other ends.
+    just before c on ``second`` and just after it on the first component,
+    and when c is at position 0 it makes the first and last visits of K_c's
+    walk those of one crossing.  Such a violation's smoothing is split, and
+    K_c's leaves are its other violations.  Bitmasks over positions hold
+    the pairs' other ends.
 
     Returns ``(a1, a3, odd, children, leaves)``: the sums over the children
     of c's sign and of its sign times a_2 of K_c; nonzero when an arc of a
-    violation of some K_c meets an odd number of ports (on ``first`` that
-    arc is a self-crossing leaf's, whose parity the node already checks);
-    and the children and leaves of the K_c.
+    violation of some K_c meets an odd number of ports (on the first
+    component that arc is a self-crossing leaf's, whose parity the node
+    already checks); and the children and leaves of the K_c.
     """
-    nf = len(first)
-    fpos = [-1] * len(sign)  # an inter-component crossing's position on first
-    at = [None] * len(sign)  # a self-crossing's state at its later visit on first
-    kids = []  # (i, c, pairs, violations) on first after i, for each child
-    j = labels[first[0]]
-    total = violations = 0
-    over = 0  # the signs of the inter-component crossings first passes over at or after p
-    closed = plus = minus = 0  # bit b: the self-crossing whose later visit is b
-    for p in range(nf - 1, -1, -1):
-        q = first[p]
-        k = q >> 2
-        if labels[q ^ 2] != j:
-            fpos[k] = p
-            if q & 2:
-                kids.append((p, k, total, violations))
-            else:
-                over += sign[k]
-            continue
-        was = at[k]
-        if was is None:  # its later visit, met first going back
-            at[k] = (p, over, closed)
-            if q & 2:  # under here, so over at its earlier visit: not a violation
-                if sign[k] > 0:
-                    plus |= 1 << p
-                else:
-                    minus |= 1 << p
-            continue
-        b, o, snap = was
-        e = sign[k]
-        if q & 2:  # a violation: the non-violations first met inside, last met after b
-            violations += 1
-            inner = (closed ^ snap) >> (b + 1)
-            total += e * (
-                (inner & (plus >> (b + 1))).bit_count() - (inner & (minus >> (b + 1))).bit_count()
-            )
-        else:  # the inter-component violations of K_c inside
-            total += e * (over - o)
-        closed |= 1 << b
     # second, twice round; code holds at a self-crossing's position the
     # position of its next visit, at an inter-component crossing's the
-    # complement (~) of its position on first
+    # complement (~) of its position on the first component
     ns = len(second)
     code = [0] * ns
     seen = [-1] * len(sign)  # a crossing's earlier position on second
     for p, q in enumerate(second):
         k = q >> 2
         u = seen[k]
-        if labels[q ^ 2] == j:
-            code[p] = ~fpos[k]
+        f = fpos[k]
+        if f >= 0:
+            code[p] = ~f
             seen[k] = p
         elif u < 0:
             seen[k] = p
@@ -338,7 +352,13 @@ def _knot_children(sign, labels, first, second):
     code += [v if v < 0 else v + ns for v in code]
     second = second + second
     a1 = a3 = odd = children = adj = 0  # adj: violations whose visits c made adjacent
-    for i, c, h, ch in kids:
+    h0 = ch0 = 0  # the first-component terms and violations of the chords opened after c
+    for m in range(len(kids) - 1, -1, -1):
+        i, c = kids[m]
+        h0 += pairs[m + 1]
+        ch0 += viols[m + 1]
+        h = h0
+        ch = ch0
         e = sign[c]
         a1 += e
         pc = seen[c]  # K_c reads second from pc + 1 to end - 1
@@ -519,13 +539,36 @@ def reidemeister_simplify(conn, sign, todo=None):
 
 
 def compact(conn, sign):
-    """Drop removed crossings and renumber the rest, preserving order."""
-    live = [c for c, s in enumerate(sign) if s]
-    first = [0] * len(sign)  # new first port of each live crossing
-    for k, c in enumerate(live):
-        first[c] = 4 * k
-    new_conn = [first[q >> 2] + (q & 3) for c in live for q in conn[4 * c : 4 * c + 4]]
-    return new_conn, [sign[c] for c in live]
+    """Drop removed crossings and renumber the rest, preserving order.
+
+    Removed crossings come in runs.  The live crossings between two runs
+    move down by four ports for each removed crossing before them, so one
+    range slice renumbers their ports, one slice of ``conn`` keeps them, and
+    one ``itemgetter`` call renumbers all the kept ports: the Python work is
+    per run and per removed crossing, none per live one.
+    """
+    n = len(sign)
+    renum = [0] * len(conn)  # a live port's new number
+    ports = []  # the live crossings' ports, in order
+    lo = shift = c = 0  # lo: the first port of the live run
+    left = sign.count(0)
+    while left:
+        c = sign.index(0, c)
+        end = c + 1
+        while end < n and not sign[end]:
+            end += 1
+        left -= end - c
+        q = 4 * c
+        renum[lo:q] = range(lo - shift, q - shift)
+        ports += conn[lo:q]
+        shift += 4 * (end - c)
+        lo = 4 * end
+        c = end
+    renum[lo:] = range(lo - shift, len(conn) - shift)
+    ports += conn[lo:]
+    if not ports:
+        return [], []
+    return list(itemgetter(*ports)(renum)), list(filter(None, sign))
 
 
 KERNELS = SimpleNamespace(

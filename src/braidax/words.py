@@ -431,14 +431,20 @@ def nonconjugacy_criterion(w: BraidWord) -> CriterionVerdict:
     pairwise non-conjugate braids with the same closure.
     """
     _need_word(w)
-    n = w.strands
+    if w.strands <= 3:
+        return _criterion(w.strands, None, None)
+    return _criterion(w.strands, exchange_split(w), permutation_of(w))
+
+
+def _criterion(n: int, split: ExchangeForm | None, p: Permutation | None) -> CriterionVerdict:
+    """``nonconjugacy_criterion`` of an n-strand word from its
+    ``exchange_split`` and its permutation, which are not read at n <= 3."""
     if n <= 3:
         # on 3 strands alpha lies in <s_1> and commutes with kappa = s_1^2,
         # so every family member is conjugate to the seed; below, no kappa
         return CriterionVerdict(False, "exchange move is degenerate for n <= 3")
-    if not admits_exchange(w):
+    if split is None:
         return CriterionVerdict(False, "no exchange-move splitting")
-    p = permutation_of(w)
     if p(1) == 1:
         return CriterionVerdict(False, "permutation fixes position 1")
     if p(n) == n:

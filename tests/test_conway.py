@@ -279,21 +279,23 @@ class CarriedCountEngine(SkeinEngine):
     """Checks at every node that the component count handed down by the
     smoothing rule equals a fresh trace of the node's diagram, and that the
     node's budget is at least that count less one with budget + p odd: the
-    root asks only for such a degree, and a smoothing keeps both."""
+    root asks only for such a degree, and a smoothing keeps both.  The trace
+    the root is handed labels the root's own diagram."""
 
-    def _eval(self, conn, sign, loops, p, budget, todo):
+    def _eval(self, conn, sign, loops, p, budget, todo, trace=None):
         assert budget >= p - 1 and (budget + p) % 2
         c, _ = get_kernels().compact(conn, sign)
         assert p == get_kernels().trace_inports(c)[1] + loops
-        return super()._eval(conn, sign, loops, p, budget, todo)
+        assert trace is None or trace[:2] == get_kernels().trace_inports(conn)[:2]
+        return super()._eval(conn, sign, loops, p, budget, todo, trace)
 
 
 class MiscountingEngine(SkeinEngine):
     """Hands every node one component too many, budget to match: a slip in
     the carried count that reaches the leaves."""
 
-    def _eval(self, conn, sign, loops, p, budget, todo):
-        return super()._eval(conn, sign, loops, p + 1, budget + 1, todo)
+    def _eval(self, conn, sign, loops, p, budget, todo, trace=None):
+        return super()._eval(conn, sign, loops, p + 1, budget + 1, todo, trace)
 
 
 class BudgetLoggingEngine(SkeinEngine):
@@ -303,9 +305,9 @@ class BudgetLoggingEngine(SkeinEngine):
         super().__init__()
         self.budgets = []
 
-    def _eval(self, conn, sign, loops, p, budget, todo):
+    def _eval(self, conn, sign, loops, p, budget, todo, trace=None):
         self.budgets.append(budget)
-        return super()._eval(conn, sign, loops, p, budget, todo)
+        return super()._eval(conn, sign, loops, p, budget, todo, trace)
 
 
 class StopCountingKernels(SimpleNamespace):
@@ -368,11 +370,26 @@ class TestLeafFirstEngine:
         kernels = CountingKernels()
         eng = SkeinEngine(kernels)
         # the Hopf link at budget 1 is a Hoste leaf at the root, closed by
-        # one linking_counts call right after the root node's trace
+        # one linking_counts call right after the root node's trace: the
+        # trace truncated made, since simplifying removes no crossing
         assert eng.truncated(closure_diagram(w(2, 1, 1)), 1).coeffs == (0, 1)
+        assert kernels.calls == {
+            "trace_inports": 1,
+            "reidemeister_simplify": 1,
+            "linking_counts": 1,
+        }
+        assert (eng.nodes, eng.leaves) == (1, 1)
+
+    def test_a_root_that_loses_a_crossing_is_traced_again(self):
+        # the kink sigma_2 leaves the Hopf link: the compacted root is
+        # traced anew, and the trace truncated made is not reused
+        kernels = CountingKernels()
+        eng = SkeinEngine(kernels)
+        assert eng.truncated(closure_diagram(w(3, 1, 1, 2)), 1).coeffs == (0, 1)
         assert kernels.calls == {
             "trace_inports": 2,
             "reidemeister_simplify": 1,
+            "compact": 1,
             "linking_counts": 1,
         }
         assert (eng.nodes, eng.leaves) == (1, 1)
@@ -384,7 +401,7 @@ class TestLeafFirstEngine:
         # is a Hoste leaf, closed with no chain_scan or switch
         assert eng.truncated(closure_diagram(w(2, 1, 1, 1)), 2).coeffs == (1, 0, 1)
         assert kernels.calls == {
-            "trace_inports": 2,
+            "trace_inports": 1,
             "reidemeister_simplify": 1,
             "link_leaf_sum": 1,
         }

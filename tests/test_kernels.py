@@ -80,16 +80,26 @@ class TestCompact:
         LinkDiagram(got_conn, got_sign)  # the constructor checks the arc pairing
         return got_conn, got_sign
 
-    @given(braid_words(max_letters=10), st.booleans(), st.data())
-    def test_matches_loop_after_surgery(self, word, axis, data):
+    @given(
+        braid_words(max_letters=10),
+        st.booleans(),
+        st.lists(st.integers(0, 2**16), max_size=3),
+        st.booleans(),
+    )
+    # every crossing but the last removed, one run from crossing 0: a
+    # simplified diagram never has one crossing, so no draw reaches it
+    @example(BraidWord(3, (1, 2, 1, 2)), False, [0, 0, 0], False)
+    def test_matches_loop_after_surgery(self, word, axis, picks, simplify):
+        # each pick smooths the live crossing it indexes, modulo their count
         d = axis_link_diagram(word) if axis else closure_diagram(word)
         conn, sign = d.arrays()
-        for _ in range(data.draw(st.integers(0, 3))):
+        for pick in picks:
             live = live_crossings(sign)
             if not live:
                 break
-            K.smooth_inplace(conn, sign, data.draw(st.sampled_from(live)), [])
-        K.reidemeister_simplify(conn, sign)
+            K.smooth_inplace(conn, sign, live[pick % len(live)], [])
+        if simplify:
+            K.reidemeister_simplify(conn, sign)
         self.check(conn, sign)
 
     def test_nothing_removed_is_identity(self):
@@ -730,6 +740,9 @@ class TestLinkLeafSum:
         before = (conn[:], sign[:])
         got = K.link_leaf_sum(conn, sign, labels, starts)
         assert (conn, sign) == before  # read-only: the node closes its children in place
+        if K.split_components(conn, labels, 2):
+            assert got is None  # the walk's split check: no child is closed
+            return (None, 0)
         assert got[4] == len(conn) // 2
         want = link_node_reference(conn, sign, labels, starts)
         # an odd count has no tree sum: the engine raises before reading it
@@ -866,6 +879,248 @@ class TestClosingWalkPrecondition:
         base = K if seed is None else ShuffledStartsKernels(seed)
         for degree in (3, d.crossings):
             SkeinEngine(KinkFreeWalkKernels(base)).truncated(d, degree)
+
+
+def two_pass_leaf_sum_reference(conn, sign, labels, starts):
+    """``link_leaf_sum`` as it was before its walk filed the knot
+    children's first-component terms: it records both walks and hands them
+    to ``two_pass_children_reference``.  Kept as the reference the kernel
+    must match on every node that is not split."""
+    rank = [-1] * len(sign)
+    opened_at = [None] * len(sign)  # a violation's walk state when it opened
+    lk = drift = 0  # L at the start, and its change by the switches so far
+    lin = rest = odd = leaves = children = 0  # the total is lk * lin + rest
+    walks = []
+    first = True
+    for start in starts:
+        j = labels[start]
+        plus = minus = bad = closed = 0
+        opened = y = 0
+        walk = []
+        cur = start
+        while True:
+            walk.append(cur)
+            k = cur >> 2
+            if labels[cur ^ 2] != j:
+                s = sign[k]
+                if first:
+                    lk += s
+                    if cur & 2:  # the first component passes under: a violation
+                        drift -= 2 * s
+                        children += 1
+                elif not cur & 2:  # switched before this component's leaves
+                    s = -s
+                y += s
+            else:
+                r = rank[k]
+                if r < 0:
+                    rank[k] = opened
+                    bit = 1 << opened
+                    if sign[k] > 0:
+                        plus |= bit
+                    else:
+                        minus |= bit
+                    if cur & 2:  # met first on its under strand
+                        children += 1
+                        opened_at[k] = (closed, y, drift)
+                        bad |= bit
+                    opened += 1
+                else:
+                    was = opened_at[k]
+                    if was is not None:  # a violation closes: a Hoste leaf
+                        leaves += 1
+                        inside = closed ^ was[0]  # the chords closed since it opened
+                        cross = ((1 << opened) - (2 << r)) ^ inside
+                        switched = inside & bad & ((1 << r) - 1)  # opened before it
+                        x = (
+                            (cross & plus).bit_count() - (cross & minus).bit_count()
+                            - 2 * ((switched & plus).bit_count() - (switched & minus).bit_count())
+                        )
+                        yc = y - was[1]
+                        e = sign[k]
+                        odd |= x | yc
+                        lin += e * (x + yc)
+                        rest += e * ((x + yc) * was[2] - yc * yc)
+                    closed |= 1 << r
+            cur = conn[cur + 1]
+            if cur == start:
+                break
+        walks.append(walk)
+        first = False
+    odd = (odd | lk) & 1
+    ports = sum(map(len, walks))
+    if odd or ports != 2 * len(sign):
+        return None, odd, children, leaves, ports  # the node raises: no child is closed
+    if len(walks) == 1:  # a knot: no inter-component crossing, and no knot child
+        return (1, 0, lin >> 1), 0, children, leaves, ports
+    a1, a3, odd, kids, kleaves = two_pass_children_reference(sign, labels, *walks)
+    a3 += (lk * lin + rest) >> 2
+    return (0, a1, 0, a3), odd & 1, children + kids, leaves + kleaves, ports
+
+
+def two_pass_children_reference(sign, labels, first, second):
+    """``_knot_children`` as it was: one backward pass over the
+    recorded first walk sums each child's first-component terms, then one
+    pass over ``second`` per child."""
+    nf = len(first)
+    fpos = [-1] * len(sign)  # an inter-component crossing's position on first
+    at = [None] * len(sign)  # a self-crossing's state at its later visit on first
+    kids = []  # (i, c, pairs, violations) on first after i, for each child
+    j = labels[first[0]]
+    total = violations = 0
+    over = 0  # the signs of the inter-component crossings first passes over at or after p
+    closed = plus = minus = 0  # bit b: the self-crossing whose later visit is b
+    for p in range(nf - 1, -1, -1):
+        q = first[p]
+        k = q >> 2
+        if labels[q ^ 2] != j:
+            fpos[k] = p
+            if q & 2:
+                kids.append((p, k, total, violations))
+            else:
+                over += sign[k]
+            continue
+        was = at[k]
+        if was is None:  # its later visit, met first going back
+            at[k] = (p, over, closed)
+            if q & 2:  # under here, so over at its earlier visit: not a violation
+                if sign[k] > 0:
+                    plus |= 1 << p
+                else:
+                    minus |= 1 << p
+            continue
+        b, o, snap = was
+        e = sign[k]
+        if q & 2:  # a violation: the non-violations first met inside, last met after b
+            violations += 1
+            inner = (closed ^ snap) >> (b + 1)
+            total += e * (
+                (inner & (plus >> (b + 1))).bit_count() - (inner & (minus >> (b + 1))).bit_count()
+            )
+        else:  # the inter-component violations of K_c inside
+            total += e * (over - o)
+        closed |= 1 << b
+    # second, twice round; code holds at a self-crossing's position the
+    # position of its next visit, at an inter-component crossing's the
+    # complement (~) of its position on first
+    ns = len(second)
+    code = [0] * ns
+    seen = [-1] * len(sign)  # a crossing's earlier position on second
+    for p, q in enumerate(second):
+        k = q >> 2
+        u = seen[k]
+        if labels[q ^ 2] == j:
+            code[p] = ~fpos[k]
+            seen[k] = p
+        elif u < 0:
+            seen[k] = p
+        else:
+            code[u] = p
+            code[p] = u + ns
+    code += [v if v < 0 else v + ns for v in code]
+    second = second + second
+    a1 = a3 = odd = children = adj = 0  # adj: violations whose visits c made adjacent
+    for i, c, h, ch in kids:
+        e = sign[c]
+        a1 += e
+        pc = seen[c]  # K_c reads second from pc + 1 to end - 1
+        end = pc + ns
+        openp = openm = 0  # bit p: a non-violation of K_c open at p
+        xp = xm = 0  # bit f: an inter-component violation of K_c, closing on first at f
+        for p in range(pc + 1, end):
+            v = code[p]
+            if v < 0 and ~v < i:
+                continue  # an inter-component crossing met first before c: reads over
+            q = second[p]
+            s = sign[q >> 2]
+            if v < 0:
+                f = ~v
+                if q & 2:  # a violation of K_c
+                    ch += 1
+                    between = end - 2 - p + f - i
+                    odd |= between
+                    if not between or not i and p == pc + 1 and f == nf - 1:
+                        adj += 1  # adjacent across the junction, or around the walk
+                    if s > 0:
+                        xp |= 1 << f
+                    else:
+                        xm |= 1 << f
+                else:  # the violations met before it and closing before it
+                    low = (1 << f) - 1
+                    h += s * ((xp & low).bit_count() - (xm & low).bit_count())
+                    if s > 0:
+                        openp |= 1 << p
+                    else:
+                        openm |= 1 << p
+            elif v < end:  # its earlier visit in K_c
+                if q & 2:
+                    ch += 1
+                elif s > 0:
+                    openp |= 1 << p
+                else:
+                    openm |= 1 << p
+            else:  # its later visit; the earlier was at v - ns
+                v -= ns
+                if second[v] & 2:  # a violation of K_c closes
+                    odd |= p - v - 1
+                    h += s * ((openp >> v).bit_count() - (openm >> v).bit_count())
+                elif s > 0:
+                    openp ^= 1 << v
+                else:
+                    openm ^= 1 << v
+        a3 += e * h
+        children += ch
+    return a1, a3, odd, children, children - adj
+
+
+class ComparedWalkKernels(SimpleNamespace):
+    """The kernels ``base``, with a ``link_leaf_sum`` that checks every
+    node the engine walks against the two-pass reference, and counts them."""
+
+    def __init__(self, base):
+        super().__init__(**vars(base))
+        self.walked = self.split = 0
+        walk = base.link_leaf_sum
+
+        def link_leaf_sum(conn, sign, labels, starts):
+            got = walk(conn, sign, labels, starts)
+            self.walked += 1
+            if len(starts) == 2 and K.split_components(conn, labels, 2):
+                self.split += 1
+                assert got is None
+            else:
+                assert got == two_pass_leaf_sum_reference(conn, sign, labels, starts)
+            return got
+
+        self.link_leaf_sum = link_leaf_sum
+
+
+class TestFiledWalk:
+    """The walk that files the knot children's first-component terms
+    against the two-pass form it replaced, on every simplified, compacted
+    node the engine walks, from any basepoints; and its split check against
+    ``split_components``."""
+
+    @given(braid_words(max_letters=12), st.booleans(), st.none() | st.integers(0, 2**31 - 1))
+    @example(BraidWord(4, (1, 1, 1, 3, 3, 3)), False, None)
+    def test_matches_the_two_pass_kernel(self, word, axis, seed):
+        d = axis_link_diagram(word) if axis else closure_diagram(word)
+        base = K if seed is None else ShuffledStartsKernels(seed)
+        for degree in (3, d.crossings):
+            SkeinEngine(ComparedWalkKernels(base)).truncated(d, degree)
+
+    def test_a_split_closing_node_is_zero_with_no_child(self):
+        # two trefoils side by side: the root is a two-component node at
+        # budget 3, and its first component meets no inter-component
+        # crossing; the engine returns zeros with the counts the
+        # split_components check gave, and no memo entry
+        d = closure_diagram(BraidWord(4, (1, 1, 1, 3, 3, 3)))
+        kernels = ComparedWalkKernels(CountingKernels())
+        eng = SkeinEngine(kernels)
+        assert eng.truncated(d, 3).coeffs == (0, 0, 0, 0)
+        assert (eng.nodes, eng.hits, eng.leaves) == (1, 0, 0)
+        assert (kernels.walked, kernels.split) == (1, 1)
+        assert "split_components" not in kernels.calls and not eng.memo
 
 
 def knot_leaf_reference(conn, sign, start):
