@@ -16,7 +16,6 @@ from .words import (
     compose,
     cycle_decomposition,
     cyclic_free_reduce,
-    cyclic_rotate,
     delete_component,
     exchange_split,
     exponent_sum,

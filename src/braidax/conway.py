@@ -19,8 +19,8 @@ when that m is below p - 1, and pads with zeros.  A switch keeps
 (p, budget) and a smoothing moves them to (p +- 1, budget - 1), so
 budget + p keeps its parity down the tree: every node has budget p - 1, a
 Hoste leaf whose a_{p-1} is one ``linking_counts`` call, or at least
-p + 1.  The root and every built child close so, the leaf right after its
-trace; the other leaves close in their parent and are never built.
+p + 1.  Only a root closes so, right after its trace; every other leaf
+closes in its parent and is never built.
 
 Every other node runs one pipeline: Reidemeister simplification,
 ``compact``, a trace that must find p components, the split check and the
@@ -31,9 +31,10 @@ every child in their own arrays, in one ``link_leaf_sum`` call (below),
 whose walk is also their split check: a link whose first component meets
 no inter-component crossing is split, and is worth 0 with no memo entry.
 Any other node lists its descending violations in one ``chain_scan`` walk,
-and each violation's child is copied, smoothed and recursed on before the
-violation is switched.  It is switched only at its own step, so the node
-reads its sign from ``sign`` when it comes to it.
+and each violation's child is closed in the node's arrays (a Hoste leaf,
+below) or copied, smoothed and recursed on, before the violation is
+switched.  It is switched only at its own step, so the node reads its sign
+from ``sign`` when it comes to it.
 
 Each kink or cancelling clasp is removed once, in the node whose move made
 it, by one worklist kernel (``reidemeister_simplify`` with a ``todo`` list).
@@ -52,9 +53,21 @@ which is already set.  Nothing reads the node's arrays after its last
 child, so that violation is not switched.
 
 Smoothing a self-crossing adds a component and spends one degree, so at
-budget p + 1 that child is a Hoste leaf.  At p >= 3 that leaf is built and
-closed after its trace; at p = 1 and p = 2 each closes in one read-only walk
-of its node.
+budget p + 1 that child is a Hoste leaf.  At p = 1 and p = 2 each closes in
+one read-only walk of its node (below).  At p >= 3 the node closes each in
+its own arrays as its chain reaches it, and builds nothing: no copy,
+smoothing, simplification, ``compact`` or trace.  Smoothing self-crossing c
+of component a splits it into the arc A from c's over-out to its under-in
+and the rest R.  One ``arc_counts`` walk of A sums its signed crossings
+with every other component, and with R: the self-crossings of a that A
+passes once.  The leaf's doubled linking counts are then the node's, with
+R's row less A's, and a_p is their tree sum.  Linking numbers survive
+Reidemeister moves, so the leaf needs no simplification.  The node reads its
+own counts with one ``linking_counts`` call at its first leaf, and a switch
+of an inter-component crossing moves them by -2e; settling a switch removes
+kinks, which link nothing, and clasps, whose two crossings cancel.  A leaf
+whose built child would simplify to a free loop beside its crossings is
+closed the same way and is worth 0, since that loop links nothing.
 
 A two-component node at budget 3, the node every a_3 of a knot's axis link
 and every a_4 of a two-cycle link runs through, builds no child.
@@ -125,6 +138,8 @@ class TruncatedPoly:
             raise ConwayError("need exactly max_degree+1 coefficients")
 
     def __getitem__(self, m: int) -> int:
+        if type(m) is not int:
+            raise ConwayError(f"coefficient index must be an int, got {m!r}")
         if not (0 <= m <= self.max_degree):
             raise ConwayError(f"coefficient {m} outside computed window 0..{self.max_degree}")
         return self.coeffs[m]
@@ -140,10 +155,12 @@ class SkeinEngine:
     the root of a knot's axis link closes every child itself.
 
     ``nodes`` counts every node, closed children included, ``hits`` the memo
-    hits, and ``leaves`` the Hoste leaves, closed from linking numbers after
-    their trace (the root or a built child) or in their parent's walk.  A
-    child that has a free loop, before or after its simplification, is
-    split and not a Hoste leaf.
+    hits, and ``leaves`` the Hoste leaves: a root's, closed from linking
+    numbers after its trace, and every other, closed in its parent without
+    being built or simplified.  A root left with a free loop by its
+    simplification is split and not a Hoste leaf.  A leaf closed in its
+    parent counts even when its built child would have simplified to a free
+    loop; its tree sum is then 0.
 
     Every kernel call goes through ``kernels`` (``get_kernels()`` by
     default).  Each node resolves its crossings from the basepoints its
@@ -233,23 +250,41 @@ class SkeinEngine:
             return out
         bad_ids = K.chain_scan(conn, starts)
         coeffs = [1 if p == 1 else 0] + [0] * budget
+        # at budget p + 1, here p >= 3, a self-crossing's child is a Hoste
+        # leaf, closed from the node's doubled linking counts, read at its
+        # first leaf and then moved only by a switched inter-component
+        # crossing: a settled clasp's two crossings cancel
+        counts = None
         last = len(bad_ids) - 1
         for i, c in enumerate(bad_ids):
             e = sign[c]  # c is switched only at its own step, below
             if not e:
                 continue  # removed by an earlier switch's simplification
-            bconn = conn[:]
-            bsign = sign[:]
-            btodo = []
-            bloops = K.smooth_inplace(bconn, bsign, c, btodo)
-            # smoothing a self-crossing splits its component, any other joins two
-            bp = p + 1 if labels[4 * c] == labels[4 * c + 2] else p - 1
-            sub = self._eval(bconn, bsign, bloops, bp, budget - 1, btodo)
-            for j in range(1, budget + 1):
-                coeffs[j] += e * sub[j - 1]
+            a = labels[4 * c]
+            b = labels[4 * c + 2]
+            if a == b and budget == p + 1:
+                if counts is None:
+                    counts = K.linking_counts(sign, labels, p)
+                self.nodes += 1
+                self.leaves += 1
+                row = K.arc_counts(conn, sign, labels, c, p)
+                coeffs[budget] += e * _leaf_tree_sum(counts, a, row)
+            else:
+                bconn = conn[:]
+                bsign = sign[:]
+                btodo = []
+                bloops = K.smooth_inplace(bconn, bsign, c, btodo)
+                # smoothing a self-crossing splits its component, any other joins two
+                bp = p + 1 if a == b else p - 1
+                sub = self._eval(bconn, bsign, bloops, bp, budget - 1, btodo)
+                for j in range(1, budget + 1):
+                    coeffs[j] += e * sub[j - 1]
             if i == last:
                 break  # nothing reads the node's arrays after its last child
             K.switch_inplace(conn, sign, c)
+            if counts is not None and a != b:
+                counts[a][b] -= 2 * e
+                counts[b][a] -= 2 * e
             # settle the switch once, for every later child: a kink or clasp
             # it made holds c, found from c or from the crossing feeding one
             # of its in-ports
@@ -269,6 +304,24 @@ def _tree_sum(counts: list[list[int]]) -> int:
     # the cofactor of n rows is a minor of order n - 1, so halving every
     # entry divides it by 2^(n - 1)
     return _det_bareiss(_laplacian_minor(counts)) >> (len(counts) - 1)
+
+
+def _leaf_tree_sum(counts: list[list[int]], a: int, row: list[int]) -> int:
+    """Hoste's lowest coefficient of the leaf that splits component a of a
+    node with doubled counts ``counts`` into an arc, with doubled counts
+    ``row`` (``row[a]`` with the rest of a), and the rest."""
+    if any(x & 1 for x in row) or any(x & 1 for r in counts for x in r):
+        raise ConwayError("odd inter-component crossing count")
+    # the cofactor that deletes the rest of a: each other component keeps
+    # its Laplacian row, since its counts with the rest and the arc sum to
+    # those with a, and the arc takes row and column a; halving its p rows
+    # of doubled counts divides it by 2^p
+    m = [[-x for x in r] for r in counts]
+    for b, r in enumerate(counts):
+        m[b][b] = sum(r)
+        m[b][a] = m[a][b] = -row[b]
+    m[a][a] = sum(row)
+    return _det_bareiss(m) >> len(row)
 
 
 def conway_truncated(d: LinkDiagram, max_degree: int) -> TruncatedPoly:

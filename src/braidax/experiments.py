@@ -16,10 +16,8 @@ differences are direction-independent.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from importlib import resources
 from math import factorial
 
 from .conway import SkeinEngine
@@ -106,6 +104,8 @@ class ExperimentReport:
     notes: tuple[str, ...] = ()
 
     def to_json(self) -> str:
+        import json  # imported here: nothing else in braidax needs it
+
         return json.dumps(asdict(self), sort_keys=True, indent=2, default=str) + "\n"
 
     def to_tsv(self) -> str:
@@ -444,6 +444,8 @@ def joint_cycle_check(
 def load_corpus(path=None) -> list[tuple[str, str]]:
     """Rows (knot_name, word) of the bundled 4-braid corpus, or of a TSV file."""
     if path is None:
+        from importlib import resources  # imported here: only the bundled corpus needs it
+
         text = resources.files("braidax.data").joinpath("table8.tsv").read_text()
     else:
         try:

@@ -29,20 +29,22 @@ read-only kernels accept tuples too (a ``LinkDiagram`` holds tuples); the
 in-place ones need lists.
 
 ``linking_counts`` reads the labels of a ``trace_inports`` call the caller
-has already made, so ``linking_matrix`` and a Hoste leaf the engine builds
-walk their diagram once after its trace.  The other Hoste leaves close in
-their parent with no copy, arc slice or determinant: ``link_leaf_sum``
-closes every child of a knot at budget 2 or a two-component node at
-budget 3, the self-crossing leaves in one read-only walk (a knot is its
-one-component case) and the knot children of a link's inter-component
-violations from what that walk files and records (``_knot_children``): the
-first component's share of every child comes from one suffix sum, the
-second's from a pass over the second component per child.  The walk
-meets the node's descending violations in ``chain_scan`` order, so neither
-node calls ``chain_scan``, and it finds a split link itself, so neither
-node calls ``split_components``.  It takes a traced node that has been
-through ``reidemeister_simplify``, so no crossing's two visits are
-adjacent.
+has already made, so ``linking_matrix``, a root Hoste leaf and a node of
+three or more components walk their diagram once after its trace.  Every
+other Hoste leaf closes in its parent with no copy.  In a node of three or
+more components, a self-crossing's leaf comes from those counts and one
+``arc_counts`` walk of the arc its smoothing splits off.
+``link_leaf_sum`` closes every child of a knot at budget 2 or a
+two-component node at budget 3, with no determinant: the self-crossing
+leaves in one read-only walk (a knot is its one-component case) and the
+knot children of a link's inter-component violations from what that walk
+files and records (``_knot_children``): the first component's share of
+every child comes from one suffix sum, the second's from a pass over the
+second component per child.  The walk meets the node's descending
+violations in ``chain_scan`` order, so neither node calls ``chain_scan``,
+and it finds a split link itself, so neither node calls
+``split_components``.  It takes a traced node that has been through
+``reidemeister_simplify``, so no crossing's two visits are adjacent.
 
 Every kernel is a plain Python function: the engine reads single items in
 loops, and a list item is read several times faster than an ndarray item.
@@ -108,8 +110,10 @@ def linking_counts(sign, labels, ncomp):
     """Twice the linking numbers of the ``ncomp`` traced components.
 
     ``labels`` is the ``trace_inports`` labeling of the same compacted
-    diagram.  Returns rows: ``counts[a][b]`` is the signed count of the
-    crossings between components a and b.
+    diagram, or of it before switches and removals, which keep each
+    crossing's pair of components (a removed crossing has sign 0).  Returns
+    rows: ``counts[a][b]`` is the signed count of the crossings between
+    components a and b.
     """
     counts = [[0] * ncomp for _ in range(ncomp)]
     for c in range(len(sign)):
@@ -120,6 +124,38 @@ def linking_counts(sign, labels, ncomp):
             counts[a][b] += s
             counts[b][a] += s
     return counts
+
+
+def arc_counts(conn, sign, labels, c, p):
+    """Twice the linking numbers of the arc that smoothing self-crossing c
+    splits off its component a, with every other component and with the
+    rest of a, in one walk of the arc and without smoothing it.
+
+    ``labels`` is the node's ``trace_inports`` labeling, made before its
+    switches and removals: a switch exchanges a crossing's in-port roles but
+    not its pair of components, so the other strand at in-port q lies on
+    ``labels[q] ^ labels[q ^ 2] ^ a``.  c itself is not switched yet, and
+    the arc runs from its over-out to its under-in, which its smoothing
+    joins.  Returns a row of ``p`` counts: ``row[b]`` with component b, and
+    ``row[a]`` with the rest of a, the self-crossings the arc passes once.
+    """
+    a = labels[4 * c]
+    row = [0] * p
+    once = set()  # the self-crossings of a met once on the arc so far
+    end = 4 * c + 2
+    q = conn[end - 1]
+    while q != end:
+        s = sign[q >> 2]
+        b = labels[q] ^ labels[q ^ 2] ^ a
+        if b != a:
+            row[b] += s
+        elif q >> 2 in once:
+            row[a] -= s  # its second visit: a crossing of the arc with itself
+        else:
+            once.add(q >> 2)
+            row[a] += s
+        q = conn[q + 1]
+    return row
 
 
 def link_leaf_sum(conn, sign, labels, starts):
@@ -576,6 +612,7 @@ KERNELS = SimpleNamespace(
     trace_inports=trace_inports,
     split_components=split_components,
     linking_counts=linking_counts,
+    arc_counts=arc_counts,
     link_leaf_sum=link_leaf_sum,
     chain_scan=chain_scan,
     switch_inplace=switch_inplace,

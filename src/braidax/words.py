@@ -9,8 +9,8 @@ position of the strand starting there.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence  # loaded by dataclasses already, unlike typing
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 
 class WordError(ValueError):
@@ -179,17 +179,6 @@ def mirror(w: BraidWord) -> BraidWord:
     """Interchange every generator with its inverse (sign flip only)."""
     _need_word(w)
     return _word(w.strands, tuple(-k for k in w.letters))
-
-
-def cyclic_rotate(w: BraidWord, k: int) -> BraidWord:
-    """Move the first k letters to the end (conjugation by the prefix)."""
-    _need_word(w)
-    if type(k) is not int:
-        raise WordError(f"rotation must be an int, got {k!r}")
-    if not w.letters:
-        return w
-    k %= len(w.letters)
-    return _word(w.strands, w.letters[k:] + w.letters[:k])
 
 
 def free_reduce(w: BraidWord) -> BraidWord:

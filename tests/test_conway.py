@@ -16,6 +16,7 @@ from braidax import (
     SkeinEngine,
     TruncatedPoly,
     axis_link_diagram,
+    axis_sequence,
     axis_word,
     canonical_odd_knot_braid,
     closure_diagram,
@@ -127,6 +128,14 @@ class TestBaseValues:
         poly = conway_truncated(closure_diagram(w(2, 1, 1, 1)), 2)
         with pytest.raises(ConwayError):
             poly[3]
+
+    @pytest.mark.parametrize("m", [True, False, 1.0, "1", None], ids=repr)
+    def test_window_index_must_be_an_int(self, m):
+        # True would read a_1, and a float or a string would escape as a
+        # TypeError from the tuple or the comparison
+        poly = conway_truncated(closure_diagram(w(2, 1, 1, 1)), 2)
+        with pytest.raises(ConwayError, match="coefficient index must be an int"):
+            poly[m]
 
     def test_window_needs_one_coefficient_per_degree(self):
         with pytest.raises(ConwayError, match="exactly max_degree"):
@@ -507,23 +516,33 @@ class TestLeafFirstEngine:
     @pytest.mark.parametrize(
         "run, nodes, hits, leaves, switches",
         [
-            (lambda eng: squared_family_check(9, engine=eng), 414, 0, 384, 0),
-            (lambda eng: joint_cycle_check(5, engine=eng), 580, 8, 444, 47),
-            (lambda eng: two_cycle_check(2, 3, engine=eng), 1357, 17, 1033, 76),
+            (lambda eng: squared_family_check(9, engine=eng).passed, 414, 0, 384, 0),
+            (lambda eng: joint_cycle_check(5, engine=eng).passed, 580, 8, 445, 47),
+            (lambda eng: two_cycle_check(2, 3, engine=eng).passed, 1357, 17, 1033, 76),
+            # a_5 of the axis links of the canonical 9-strand knot family at
+            # m = -2..2, the values the Burau route gives
+            (
+                lambda eng: axis_sequence(
+                    canonical_odd_knot_braid(9), False, range(-2, 3), 5, engine=eng
+                ).values == (-56, -14, 0, -14, -56),
+                71782, 337, 63877, 2269,
+            ),
         ],
-        ids=["squared_family_9", "joint_cycle_5", "two_cycle_2_3"],
+        ids=["squared_family_9", "joint_cycle_5", "two_cycle_2_3", "odd_knot_9_a5"],
     )
     def test_pinned_node_counts(self, run, nodes, hits, leaves, switches):
-        # leaves: the linking_counts calls of the engine that built every
-        # leaf (in joint_cycle_5 one four-component leaf child simplifies to
-        # a free loop beside 6 crossings: split, so no Hoste leaf);
-        # switches: a node switches crossings in conn only up to its last
-        # built child, and after it flips their signs alone; a two-component
-        # node at budget 3 builds none, so the a_3 of a knot's axis link
-        # switches nothing in conn
+        # leaves: every Hoste leaf, closed at the root, in a two-component
+        # node's walk or in its three-or-more-component parent's arrays.  A
+        # leaf closed in its parent is never simplified, so in joint_cycle_5
+        # the four-component leaf whose built child would simplify to a free
+        # loop beside 6 crossings counts as one, worth 0: that loop links
+        # nothing.  switches: a node switches in conn each violation before
+        # its last child; a two-component node at budget 3 closes its
+        # children in one walk, so the a_3 of a knot's axis link switches
+        # nothing in conn
         kernels = CountingKernels()
         eng = SkeinEngine(kernels)
-        assert run(eng).passed
+        assert run(eng)
         assert (eng.nodes, eng.hits, eng.leaves) == (nodes, hits, leaves)
         assert kernels.calls.get("switch_inplace", 0) == switches
 

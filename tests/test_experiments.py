@@ -1,8 +1,12 @@
 """Exact fits, family experiments, and the corpus harness."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from math import factorial, prod
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -478,6 +482,21 @@ class TestReports:
         data = json.loads(r1.to_json())
         assert "runtime" not in data
         assert data["passed"] is True
+
+    def test_import_leaves_json_unloaded(self):
+        # only to_json needs json, so import braidax does not pay for it
+        script = (
+            "import sys\n"
+            "import braidax\n"
+            "assert 'json' not in sys.modules, 'json'\n"
+            "braidax.squared_family_check(5).to_json()\n"
+            "assert 'json' in sys.modules\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(braidax.__file__).resolve().parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
 
     def test_tsv_shape(self, engine):
         text = squared_family_check(5, engine=engine).to_tsv()

@@ -26,7 +26,7 @@ from braidax import (
     full_conway,
     permutation_of,
 )
-from braidax.conway import _det_bareiss, _laplacian_minor, _tree_sum
+from braidax.conway import _det_bareiss, _laplacian_minor, _leaf_tree_sum, _tree_sum
 from braidax.kernels import get_kernels, splice_out
 
 from conftest import CountingKernels, ShuffledStartsKernels, braid_words
@@ -619,7 +619,7 @@ class TestLeafCounts:
         for j in range(p):
             row = data.draw(st.lists(even, min_size=p, max_size=p))
             value = bordered_value(counts, j, row)
-            assert value == _tree_sum(child_rows(counts, j, row))
+            assert value == _tree_sum(child_rows(counts, j, row)) == _leaf_tree_sum(counts, j, row)
             if p == 2:
                 # the triangle's tree sum x*l + y*(l - y) that link_leaf_sum
                 # adds, from doubled counts: four times the value
@@ -629,12 +629,151 @@ class TestLeafCounts:
             odd_row[data.draw(st.integers(0, p - 1))] += 1
             with pytest.raises(ConwayError, match="odd inter-component crossing count"):
                 bordered_value(counts, j, odd_row)
+            with pytest.raises(ConwayError, match="odd inter-component crossing count"):
+                _leaf_tree_sum(counts, j, odd_row)
         if p > 1:
             m, n = data.draw(st.permutations(range(p)))[:2]
             counts[m][n] += 1
             counts[n][m] += 1
             with pytest.raises(ConwayError, match="odd inter-component crossing count"):
                 bordered_value(counts, 0, [0] * p)
+            with pytest.raises(ConwayError, match="odd inter-component crossing count"):
+                _leaf_tree_sum(counts, 0, [0] * p)
+
+
+def built_leaf_reference(conn, sign, c):
+    """The Hoste leaf of self-crossing c built as a child, the route a
+    three-or-more-component node's closing in its own arrays replaces: copy,
+    smooth, simplify, compact, trace, ``linking_counts`` and the tree sum.
+    Returns ``(value, rows)``, or ``(None, None)`` when simplifying frees a
+    loop: that child is split."""
+    conn, sign = conn[:], sign[:]
+    todo = []
+    loops = K.smooth_inplace(conn, sign, c, todo)
+    if loops + K.reidemeister_simplify(conn, sign, todo):
+        return None, None
+    conn, sign = K.compact(conn, sign)
+    labels, ncomp, _ = K.trace_inports(conn)
+    rows = K.linking_counts(sign, labels, ncomp)
+    return _tree_sum(rows), rows
+
+
+def leaf_steps(conn, sign, labels, starts, p):
+    """Run a node's chain at budget p + 1 as ``_eval`` does, switching and
+    settling each violation in ``conn`` and ``sign`` and moving the doubled
+    linking counts by -2e at each inter-component switch, and yield
+    ``(c, counts)`` at each self-crossing violation, before its switch."""
+    counts = K.linking_counts(sign, labels, p)
+    for c in K.chain_scan(conn, starts):
+        e = sign[c]
+        if not e:
+            continue
+        a, b = labels[4 * c], labels[4 * c + 2]
+        if a == b:
+            yield c, counts
+        K.switch_inplace(conn, sign, c)
+        if a != b:
+            counts[a][b] -= 2 * e
+            counts[b][a] -= 2 * e
+        if K.reidemeister_simplify(conn, sign, [conn[4 * c] >> 2, conn[4 * c + 2] >> 2, c]):
+            return
+
+
+def many_component_diagrams():
+    def cycles(word):
+        return cycle_decomposition(permutation_of(word)).count
+
+    return st.one_of(
+        braid_words(min_strands=3, min_letters=6, max_letters=14).filter(
+            lambda w: cycles(w) >= 3
+        ).map(closure_diagram),
+        braid_words(min_strands=3, min_letters=4, max_letters=10).filter(
+            lambda w: cycles(w) >= 2
+        ).map(axis_link_diagram),
+    )
+
+
+class TestArcCounts:
+    """A node at budget p + 1 with p >= 3 closes each self-crossing
+    violation's Hoste leaf in its own arrays, from its doubled linking
+    counts and one ``arc_counts`` walk: against building the child."""
+
+    def check(self, conn, sign, starts):
+        """Every leaf of the node's chain from ``starts``; returns how many
+        built children simplified to a free loop."""
+        labels, p, _ = K.trace_inports(conn)
+        assert p >= 3
+        freed = 0
+        for c, counts in leaf_steps(conn, sign, labels, starts, p):
+            # a switch moves the counts by -2e, and a settled clasp's two
+            # crossings cancel
+            assert counts == K.linking_counts(sign, labels, p)
+            before = (conn[:], sign[:])
+            row = K.arc_counts(conn, sign, labels, c, p)
+            assert (conn, sign) == before
+            got = _leaf_tree_sum(counts, labels[4 * c], row)
+            want, rows = built_leaf_reference(conn, sign, c)
+            if rows is None:
+                # the built child is split; the free loop links nothing, so
+                # the leaf's tree sum is 0
+                freed += 1
+                assert got == 0
+                continue
+            assert got == want
+            # the same matrix up to numbering the components
+            mine = child_rows(counts, labels[4 * c], row)
+            assert sorted(map(sorted, mine)) == sorted(map(sorted, rows))
+        return freed
+
+    @settings(max_examples=150)
+    @given(many_component_diagrams(), st.none() | st.integers(0, 2**31 - 1))
+    def test_matches_building_the_child(self, d, seed):
+        node = reduced_node(d)
+        if node is None:
+            return  # simplifying left a free loop or no crossing
+        conn, sign = node
+        # the traced basepoints, or the components in a seeded order, each
+        # from a seeded in-port of its own
+        trace = K.trace_inports if seed is None else ShuffledStartsKernels(seed).trace_inports
+        _, p, starts = trace(conn)
+        if p < 3:
+            return  # simplifying split off a component's crossings
+        self.check(conn, sign, starts)
+
+    def test_a_free_loop_leaf_is_a_zero_leaf(self):
+        # a four-component node, one of whose leaves has a built child that
+        # simplifies to a free loop beside its crossings: the engine closes
+        # it as a Hoste leaf worth 0, with the same coefficients
+        word = BraidWord(5, (-2, -3, -2, -1, -4, -4, -1))
+        conn, sign = reduced_node(closure_diagram(word))
+        labels, p, starts = K.trace_inports(conn)
+        assert p == 4
+        assert self.check(conn, sign, starts) == 1
+        eng = SkeinEngine()
+        assert eng.truncated(closure_diagram(word), 5).coeffs == (0, 0, 0, -1, 0, 0)
+        assert conway_polynomial(word) == (0, 0, 0, -1)
+        assert (eng.nodes, eng.hits, eng.leaves) == (6, 0, 1)
+
+    def test_odd_arc_count_is_rejected(self):
+        # a pairing no planar diagram has: three components whose doubled
+        # counts are even, and whose one violation, a self-crossing of
+        # component 0, has an arc that meets component 2 once
+        conn = [9, 4, 15, 14, 1, 12, 17, 18, 13, 0, 19, 16, 5, 8, 3, 2, 11, 6, 7, 10]
+        sign = [-1, -1, -1, 1, -1]
+        labels, p, starts = K.trace_inports(conn)
+        assert p == 3 and K.chain_scan(conn, starts) == [4]
+        counts = K.linking_counts(sign, labels, p)
+        assert not is_odd(counts)
+        row = K.arc_counts(conn, sign, labels, 4, p)
+        assert is_odd([row])
+        with pytest.raises(ConwayError, match="odd inter-component crossing count"):
+            built_leaf_reference(conn, sign, 4)
+        with pytest.raises(ConwayError, match="odd inter-component crossing count"):
+            _leaf_tree_sum(counts, labels[16], row)
+        eng = SkeinEngine()
+        with pytest.raises(ConwayError, match="odd inter-component crossing count"):
+            eng.truncated(LinkDiagram(conn, sign), 4)
+        assert (eng.nodes, eng.leaves) == (2, 1)
 
 
 def shuffled_starts(data, conn, labels, ncomp):

@@ -21,7 +21,6 @@ from braidax import (
     conway_polynomial,
     cycle_decomposition,
     cyclic_free_reduce,
-    cyclic_rotate,
     delete_component,
     exchange_split,
     exponent_sum,
@@ -44,6 +43,11 @@ def w(n, *letters):
     return BraidWord(n, letters)
 
 
+def rotate(word, k):
+    """Move the first k letters to the end: a conjugate of the word."""
+    return BraidWord(word.strands, word.letters[k:] + word.letters[:k])
+
+
 class TestElementaryOps:
     def test_compose_concatenates(self):
         assert compose(w(4, 1, 2), w(4, 3)).letters == (1, 2, 3)
@@ -64,15 +68,6 @@ class TestElementaryOps:
 
     def test_inverse_antihomomorphism(self):
         assert inverse(w(3, 1, 2)).letters == (-2, -1)
-
-    def test_cyclic_rotate(self):
-        assert cyclic_rotate(w(4, 1, 2, 3), 1).letters == (2, 3, 1)
-
-    @pytest.mark.parametrize("k", [1.0, True, "1", None])
-    def test_cyclic_rotate_non_int_rejected(self, k):
-        # True would rotate by 1, and a float would slice the letters
-        with pytest.raises(WordError, match="rotation must be an int"):
-            cyclic_rotate(w(4, 1, 2, 3), k)
 
     def test_free_reduce(self):
         assert free_reduce(w(2, 1, -1)).letters == ()
@@ -152,7 +147,6 @@ class TestElementaryOps:
             lambda word: compose(w(3, 1), word),
             inverse,
             mirror,
-            lambda word: cyclic_rotate(word, 1),
             free_reduce,
             cyclic_free_reduce,
             square,
@@ -166,7 +160,7 @@ class TestElementaryOps:
         ],
         ids=["closure_diagram", "axis_word", "delete_component", "exchange_split",
              "conway_polynomial", "conway_matches_alexander", "compose-left",
-             "compose-right", "inverse", "mirror", "cyclic_rotate", "free_reduce",
+             "compose-right", "inverse", "mirror", "free_reduce",
              "cyclic_free_reduce", "square", "form-alpha", "form-beta", "permutation_of",
              "exponent_sum", "admits_exchange", "nonconjugacy_criterion", "strand_linking"],
     )
@@ -189,11 +183,11 @@ class TestDerivedWordsRoundTrip:
     """Derived words skip the letter check; the public constructor, which
     runs it, must accept each one as it is."""
 
-    @given(braid_words(max_letters=16), braid_words(max_letters=16), st.integers(-20, 20))
-    def test_word_derivations(self, word, other, k):
+    @given(braid_words(max_letters=16), braid_words(max_letters=16))
+    def test_word_derivations(self, word, other):
         if other.strands == word.strands:
             _round_trips(compose(word, other))
-        for derived in (inverse(word), mirror(word), cyclic_rotate(word, k), free_reduce(word),
+        for derived in (inverse(word), mirror(word), free_reduce(word),
                         cyclic_free_reduce(word), square(word), axis_word(word)):
             _round_trips(derived)
 
@@ -397,7 +391,7 @@ class TestExchange:
     def test_admissibility_rotation_invariant(self, word):
         base = bool(admits_exchange(word))
         for k in range(len(word.letters)):
-            assert bool(admits_exchange(cyclic_rotate(word, k))) == base
+            assert bool(admits_exchange(rotate(word, k))) == base
 
     @given(braid_words(min_strands=3, max_strands=6))
     def test_split_is_rotation_of_input(self, word):
@@ -414,7 +408,7 @@ class TestExchange:
             return
         rejoined = form.word().letters
         rotations = {
-            cyclic_rotate(word, k).letters for k in range(max(1, len(word.letters)))
+            rotate(word, k).letters for k in range(max(1, len(word.letters)))
         }
         assert rejoined in rotations
 
