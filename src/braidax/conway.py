@@ -109,18 +109,18 @@ All coefficients are exact integers; there is no floating point here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable
 
 from .diagram import LinkDiagram, _need_diagram
 from .kernels import get_kernels
+from .words import _Value
 
 
 class ConwayError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class TruncatedPoly:
+class TruncatedPoly(_Value):
     """Coefficients a_0..a_max_degree of the Conway polynomial.
 
     Coefficients beyond ``max_degree`` are unknown, not zero.  ``components``
@@ -129,13 +129,19 @@ class TruncatedPoly:
     those zeros without evaluating them.
     """
 
-    max_degree: int
-    coeffs: tuple[int, ...]
-    components: int
+    _fields = ("max_degree", "coeffs", "components")
 
-    def __post_init__(self):
-        if len(self.coeffs) != self.max_degree + 1:
+    def __init__(self, max_degree: int, coeffs: Iterable[int], components: int):
+        coeffs = tuple(coeffs)
+        if len(coeffs) != max_degree + 1:
             raise ConwayError("need exactly max_degree+1 coefficients")
+        fields = self.__dict__
+        fields["max_degree"] = max_degree
+        fields["coeffs"] = coeffs
+        fields["components"] = components
+
+    def __iter__(self):
+        return iter(self.coeffs)
 
     def __getitem__(self, m: int) -> int:
         if type(m) is not int:

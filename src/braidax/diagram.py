@@ -16,19 +16,18 @@ links every strand positively.  A component is deleted on the braid word
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable
 from operator import itemgetter
 
 from .kernels import get_kernels
-from .words import BraidWord, _need_word, _word
+from .words import BraidWord, _need_word, _Value, _word
 
 
 class DiagramError(ValueError):
     """Inconsistent diagram data."""
 
 
-@dataclass(frozen=True, eq=False)
-class LinkDiagram:
+class LinkDiagram(_Value):
     """A link diagram: crossing signs, the arc pairing of ports, and a count
     of crossing-free loop components.  It is built only from a ``conn`` that
     pairs every out-port with one in-port, both ways, and signs of +1 or -1:
@@ -46,20 +45,21 @@ class LinkDiagram:
     skein engine's coefficients of it are no link invariant and can depend
     on the basepoints.  A braid-built diagram (``closure_diagram``) is valid
     and planar by construction and is built without the checks.
+
+    Two diagrams are equal only when they are the same object.
     """
 
-    conn: tuple[int, ...]
-    sign: tuple[int, ...]
-    free_loops: int = 0
-    entries: tuple[int, ...] | None = None
+    _fields = ("conn", "sign", "free_loops", "entries")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
-    def __post_init__(self):
+    def __init__(self, conn: Iterable[int], sign: Iterable[int], free_loops: int = 0,
+                 entries: tuple[int, ...] | None = None):
         # frozen here, so a diagram built from the kernels' lists is a value
-        conn = tuple(self.conn)
-        object.__setattr__(self, "conn", conn)
-        object.__setattr__(self, "sign", tuple(self.sign))
+        conn = tuple(conn)
+        sign = tuple(sign)
         n = len(conn)
-        if n != 4 * len(self.sign):
+        if n != 4 * len(sign):
             raise DiagramError("conn must hold four ports per crossing")
         # the out-ports reach every in-port once, and each in-port leads back
         outs = conn[1::2]
@@ -68,17 +68,16 @@ class LinkDiagram:
             or itemgetter(*outs)(conn) != tuple(range(1, n, 2))
         ):
             raise DiagramError("conn must pair each out-port with one in-port, both ways")
-        if not set(self.sign) <= {1, -1}:
+        if not set(sign) <= {1, -1}:
             raise DiagramError("crossing signs must be +1 or -1")
-        loops = self.free_loops
-        if type(loops) is not int or loops < 0:
-            raise DiagramError(f"free_loops must be an int >= 0, got {loops!r}")
-        entries = self.entries
+        if type(free_loops) is not int or free_loops < 0:
+            raise DiagramError(f"free_loops must be an int >= 0, got {free_loops!r}")
         if entries is not None and (
             type(entries) is not tuple
             or any(type(q) is not int or q != -1 and (q & 1 or not 0 <= q < n) for q in entries)
         ):
             raise DiagramError(f"entries must be None or a tuple of -1 and in-ports, got {entries!r}")
+        self.__dict__.update(conn=conn, sign=sign, free_loops=free_loops, entries=entries)
 
     @property
     def crossings(self) -> int:
@@ -133,7 +132,7 @@ def closure_diagram(w: BraidWord) -> LinkDiagram:
         else:
             conn[q] = first
             conn[first] = q
-    # valid and planar by construction, so built without __post_init__
+    # valid and planar by construction, so built without the checks of __init__
     d = object.__new__(LinkDiagram)
     fields = d.__dict__
     fields["conn"] = tuple(conn)

@@ -16,7 +16,7 @@ differences are direction-independent.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from collections.abc import Iterable
 from fractions import Fraction
 from math import factorial
 
@@ -26,6 +26,7 @@ from .words import (
     BraidWord,
     ExchangeForm,
     WordError,
+    _Value,
     cycle_decomposition,
     cyclic_free_reduce,
     canonical_joint_cycle_braid,
@@ -52,16 +53,15 @@ class FitError(ExperimentError):
         self.offending_m = offending_m
 
 
-@dataclass(frozen=True)
-class CoefficientSequence:
+class CoefficientSequence(_Value):
     """Values of one Conway coefficient along a contiguous range of m."""
 
-    m_start: int
-    values: tuple[int, ...]
+    _fields = ("m_start", "values")
 
-    def __post_init__(self):
-        if type(self.m_start) is not int:
-            raise ExperimentError(f"m_start must be an int, got {self.m_start!r}")
+    def __init__(self, m_start: int, values: Iterable[int]):
+        if type(m_start) is not int:
+            raise ExperimentError(f"m_start must be an int, got {m_start!r}")
+        self.__dict__.update(m_start=m_start, values=tuple(values))
 
     @property
     def m_values(self) -> tuple[int, ...]:
@@ -76,12 +76,14 @@ class CoefficientSequence:
         return self.values[i]
 
 
-@dataclass(frozen=True)
-class PolynomialFit:
+class PolynomialFit(_Value):
     """Exact polynomial in the power basis that every sample lies on, with
     rational coefficients from the leading finite differences."""
 
-    coeffs: tuple[Fraction, ...]  # coeffs[k] multiplies m^k
+    _fields = ("coeffs",)
+
+    def __init__(self, coeffs: Iterable[Fraction]):
+        self.__dict__["coeffs"] = tuple(coeffs)  # coeffs[k] multiplies m^k
 
     def coefficient(self, k: int) -> Fraction:
         if type(k) is not int:
@@ -91,22 +93,22 @@ class PolynomialFit:
         return self.coeffs[k] if k < len(self.coeffs) else Fraction(0)
 
 
-@dataclass(frozen=True)
-class ExperimentReport:
+class ExperimentReport(_Value):
     """Outcome of one experiment: parameters, targets with their origin,
     computed values, and a verdict."""
 
-    experiment: str
-    parameters: dict
-    expected: dict
-    computed: dict
-    passed: bool
-    notes: tuple[str, ...] = ()
+    _fields = ("experiment", "parameters", "expected", "computed", "passed", "notes")
+
+    def __init__(self, experiment: str, parameters: dict, expected: dict, computed: dict,
+                 passed: bool, notes: tuple[str, ...] = ()):
+        self.__dict__.update(experiment=experiment, parameters=parameters, expected=expected,
+                             computed=computed, passed=passed, notes=notes)
 
     def to_json(self) -> str:
         import json  # imported here: nothing else in braidax needs it
 
-        return json.dumps(asdict(self), sort_keys=True, indent=2, default=str) + "\n"
+        fields = dict(zip(self._fields, self._values()))
+        return json.dumps(fields, sort_keys=True, indent=2, default=str) + "\n"
 
     def to_tsv(self) -> str:
         lines = [f"experiment\t{self.experiment}"]
@@ -154,7 +156,7 @@ def axis_sequence(
             w = delete_component(w, delete_strand)
         d = axis_link_diagram(cyclic_free_reduce(w))
         vals.append(eng.truncated(d, degree)[degree])
-    return CoefficientSequence(ms[0], tuple(vals))
+    return CoefficientSequence(ms[0], vals)
 
 
 def fit_polynomial(seq: CoefficientSequence, degree_bound: int) -> PolynomialFit:
@@ -194,7 +196,7 @@ def fit_polynomial(seq: CoefficientSequence, degree_bound: int) -> PolynomialFit
             lead = _differences(lead)
         coeffs[k] = Fraction(lead[0], factorial(k))
         rest = [r - coeffs[k] * m**k for r, m in zip(rest, ms)]
-    return PolynomialFit(tuple(coeffs))
+    return PolynomialFit(coeffs)
 
 
 def _differences(values) -> list:

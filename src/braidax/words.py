@@ -9,16 +9,55 @@ position of the strand starting there.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence  # loaded by dataclasses already, unlike typing
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence  # already loaded by re, which fractions imports
 
 
 class WordError(ValueError):
     """Invalid braid word, strand count, or letter index."""
 
 
-@dataclass(frozen=True)
-class BraidWord:
+class _Value:
+    """Base of braidax's immutable records.
+
+    A record names its fields in ``_fields`` and stores them through
+    ``__dict__`` in its own ``__init__``, after its checks.  Records of one
+    class are equal when their fields are, hash by their fields, print as
+    ``Name(field=value, ...)``, and refuse to set or delete an attribute.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        d = self.__dict__
+        return tuple([d[f] for f in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        d = self.__dict__
+        return f"{type(self).__name__}({', '.join(f'{f}={d[f]!r}' for f in self._fields)})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+def _items(values, what: str) -> tuple:
+    try:
+        return tuple(values)
+    except TypeError:
+        raise WordError(f"{what} must be iterable, got {values!r}") from None
+
+
+class BraidWord(_Value):
     """A word in the Artin generators of the braid group on ``strands`` strands.
 
     ``letters`` holds nonzero integers; ``k`` means the generator on strands
@@ -30,20 +69,21 @@ class BraidWord:
     is built by ``_word`` without checking again.
     """
 
-    strands: int
-    letters: tuple[int, ...] = ()
+    _fields = ("strands", "letters")
 
-    def __post_init__(self):
-        n = self.strands
-        if type(n) is not int:
-            raise WordError(f"strand count must be an int, got {n!r}")
-        if n < 1:
-            raise WordError(f"strand count must be positive, got {n}")
-        object.__setattr__(self, "letters", tuple(self.letters))
-        for pos, k in enumerate(self.letters):
-            if type(k) is not int or k == 0 or abs(k) >= n:
-                why = f"out of range for {n} strands" if type(k) is int else "is not an int"
+    def __init__(self, strands: int, letters: Iterable[int] = ()):
+        if type(strands) is not int:
+            raise WordError(f"strand count must be an int, got {strands!r}")
+        if strands < 1:
+            raise WordError(f"strand count must be positive, got {strands}")
+        letters = _items(letters, "letters")
+        for pos, k in enumerate(letters):
+            if type(k) is not int or k == 0 or abs(k) >= strands:
+                why = f"out of range for {strands} strands" if type(k) is int else "is not an int"
                 raise WordError(f"letter {k!r} at position {pos} {why}")
+        fields = self.__dict__
+        fields["strands"] = strands
+        fields["letters"] = letters
 
     def __len__(self):
         return len(self.letters)
@@ -54,7 +94,7 @@ class BraidWord:
 
 def _word(n: int, letters: tuple[int, ...]) -> BraidWord:
     """The ``BraidWord`` of a strand count and letter tuple already known to
-    be valid, built without ``__post_init__``."""
+    be valid, built without the checks of ``BraidWord.__init__``."""
     w = object.__new__(BraidWord)
     fields = w.__dict__
     fields["strands"] = n
@@ -67,23 +107,23 @@ def _need_word(w) -> None:
         raise WordError(f"need a BraidWord, got {type(w).__name__}")
 
 
-@dataclass(frozen=True)
-class Permutation:
+class Permutation(_Value):
     """A permutation of {1..n}, stored as the image tuple (1-indexed)."""
 
-    images: tuple[int, ...]
+    _fields = ("images",)
 
-    def __post_init__(self):
-        n = len(self.images)
-        if sorted(self.images) != list(range(1, n + 1)):
-            raise WordError(f"not a bijection of 1..{n}: {self.images}")
+    def __init__(self, images: Iterable[int]):
+        images = _items(images, "images")
+        n = len(images)
+        if any(type(k) is not int for k in images) or sorted(images) != list(range(1, n + 1)):
+            raise WordError(f"not a bijection of 1..{n}: {images}")
+        self.__dict__["images"] = images
 
     def __call__(self, k: int) -> int:
         return self.images[k - 1]
 
 
-@dataclass(frozen=True)
-class CycleDecomposition:
+class CycleDecomposition(_Value):
     """Disjoint cycles of a permutation, covering {1..n}.
 
     When the permutation is a single n-cycle and the normalized writing was
@@ -92,28 +132,31 @@ class CycleDecomposition:
     ``one_index`` is the position l with x_l = 1.
     """
 
-    cycles: tuple[tuple[int, ...], ...]
-    normalized: tuple[int, ...] | None = None
-    one_index: int | None = None
+    _fields = ("cycles", "normalized", "one_index")
+
+    def __init__(self, cycles: tuple[tuple[int, ...], ...],
+                 normalized: tuple[int, ...] | None = None, one_index: int | None = None):
+        self.__dict__.update(cycles=cycles, normalized=normalized, one_index=one_index)
 
     @property
     def count(self) -> int:
         return len(self.cycles)
 
 
-@dataclass(frozen=True)
-class Admissibility:
+class Admissibility(_Value):
     """Result of the exchange-move admissibility test.  On n <= 3 strands
     the move is trivial and the test returns admissible by convention."""
 
-    admissible: bool
+    _fields = ("admissible",)
+
+    def __init__(self, admissible: bool):
+        self.__dict__["admissible"] = admissible
 
     def __bool__(self):
         return self.admissible
 
 
-@dataclass(frozen=True)
-class CriterionVerdict:
+class CriterionVerdict(_Value):
     """Whether a word meets the non-conjugacy criterion.
 
     The criterion: the word has at least 4 strands, admits an exchange move
@@ -121,34 +164,34 @@ class CriterionVerdict:
     names the first failed condition, or is None when the criterion applies.
     """
 
-    applies: bool
-    reason: str | None = None
+    _fields = ("applies", "reason")
+
+    def __init__(self, applies: bool, reason: str | None = None):
+        self.__dict__.update(applies=applies, reason=reason)
 
     def __bool__(self):
         return self.applies
 
 
-@dataclass(frozen=True)
-class ExchangeForm:
+class ExchangeForm(_Value):
     """A braid split as alpha * beta with alpha avoiding the last generator
     and beta avoiding the first, the seed of an exchange-move family."""
 
-    strands: int
-    alpha: BraidWord
-    beta: BraidWord
+    _fields = ("strands", "alpha", "beta")
 
-    def __post_init__(self):
-        n = self.strands
+    def __init__(self, strands: int, alpha: BraidWord, beta: BraidWord):
+        n = strands
         if type(n) is not int:
             raise WordError(f"strand count must be an int, got {n!r}")
-        _need_word(self.alpha)
-        _need_word(self.beta)
-        if self.alpha.strands != n or self.beta.strands != n:
+        _need_word(alpha)
+        _need_word(beta)
+        if alpha.strands != n or beta.strands != n:
             raise WordError("alpha/beta strand counts must match the form")
-        if any(abs(k) == n - 1 for k in self.alpha.letters):
+        if any(abs(k) == n - 1 for k in alpha.letters):
             raise WordError(f"alpha may not use generator {n - 1}")
-        if any(abs(k) == 1 for k in self.beta.letters):
+        if any(abs(k) == 1 for k in beta.letters):
             raise WordError("beta may not use generator 1")
+        self.__dict__.update(strands=n, alpha=alpha, beta=beta)
 
     def word(self) -> BraidWord:
         return compose(self.alpha, self.beta)
@@ -234,7 +277,7 @@ def permutation_of(w: BraidWord) -> Permutation:
     images = [0] * w.strands
     for p, strand in enumerate(at, 1):
         images[strand] = p
-    return Permutation(tuple(images))
+    return Permutation(images)
 
 
 def cycle_decomposition(p: Permutation, normalized: bool = False) -> CycleDecomposition:

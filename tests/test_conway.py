@@ -137,6 +137,12 @@ class TestBaseValues:
         with pytest.raises(ConwayError, match="coefficient index must be an int"):
             poly[m]
 
+    def test_iterates_its_window(self):
+        # without __iter__, iteration indexed past the window and raised
+        poly = conway_truncated(closure_diagram(w(2, 1, 1, 1)), 2)
+        assert list(poly) == list(poly.coeffs) == [1, 0, 1]
+        assert 1 in poly and 7 not in poly
+
     def test_window_needs_one_coefficient_per_degree(self):
         with pytest.raises(ConwayError, match="exactly max_degree"):
             TruncatedPoly(2, (1, 0), 1)

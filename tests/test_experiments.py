@@ -474,6 +474,36 @@ class TestCorpus:
             corpus_check()
 
 
+DN5_JSON = """{
+  "computed": {
+    "second_differences": [
+      -40
+    ],
+    "sequence": [
+      -15,
+      5,
+      -15
+    ]
+  },
+  "expected": {
+    "origin": "closed form -40-72k-32k^2 (n=5+4k) / 56+88k+32k^2 (n=7+4k)",
+    "second_difference": -40
+  },
+  "experiment": "dn",
+  "notes": [],
+  "parameters": {
+    "m_range": [
+      -1,
+      0,
+      1
+    ],
+    "n": 5
+  },
+  "passed": true
+}
+"""
+
+
 class TestReports:
     def test_json_deterministic_and_runtime_free(self, engine):
         r1 = squared_family_check(5, engine=engine)
@@ -483,12 +513,17 @@ class TestReports:
         assert "runtime" not in data
         assert data["passed"] is True
 
+    def test_json_bytes_pinned(self, engine):
+        assert squared_family_check(5, engine=engine).to_json() == DN5_JSON
+
     def test_import_leaves_json_unloaded(self):
-        # only to_json needs json, so import braidax does not pay for it
+        # only to_json needs json, so import braidax does not pay for it; the
+        # records are plain classes, so dataclasses and inspect stay unloaded
         script = (
             "import sys\n"
             "import braidax\n"
-            "assert 'json' not in sys.modules, 'json'\n"
+            "for name in ('json', 'dataclasses', 'inspect'):\n"
+            "    assert name not in sys.modules, name\n"
             "braidax.squared_family_check(5).to_json()\n"
             "assert 'json' in sys.modules\n"
         )

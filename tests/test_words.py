@@ -1,5 +1,7 @@
 """Braid words, permutations, and exchange-move structure."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -7,8 +9,15 @@ from hypothesis import strategies as st
 from braidax import (
     Admissibility,
     BraidWord,
+    CoefficientSequence,
+    CriterionVerdict,
+    CycleDecomposition,
     ExchangeForm,
+    ExperimentReport,
+    LinkDiagram,
     Permutation,
+    PolynomialFit,
+    TruncatedPoly,
     WordError,
     admits_exchange,
     axis_word,
@@ -134,6 +143,12 @@ class TestElementaryOps:
         with pytest.raises(WordError, match="strand count must be an int"):
             BraidWord(strands, (1,))
 
+    @pytest.mark.parametrize("letters", [None, 5, 1.5])
+    def test_non_iterable_letters_rejected(self, letters):
+        # tuple() would escape as a bare TypeError
+        with pytest.raises(WordError, match=f"^letters must be iterable, got {letters!r}$"):
+            BraidWord(3, letters)
+
     @pytest.mark.parametrize(
         "entry",
         [
@@ -219,6 +234,18 @@ class TestPermutations:
     def test_non_bijection_rejected(self):
         with pytest.raises(WordError, match="not a bijection"):
             Permutation((1, 1, 3))
+
+    @pytest.mark.parametrize("images", [(1, "a"), (True, 2), (1.0, 2)], ids=repr)
+    def test_non_int_images_rejected(self, images):
+        # sorted() would escape as a bare TypeError on (1, "a"), and a bool
+        # or a float would pass as the int it equals
+        with pytest.raises(WordError, match="^not a bijection of 1..2"):
+            Permutation(images)
+
+    @pytest.mark.parametrize("images", [None, 3])
+    def test_non_iterable_images_rejected(self, images):
+        with pytest.raises(WordError, match=f"^images must be iterable, got {images!r}$"):
+            Permutation(images)
 
     def test_single_generator_is_transposition(self):
         assert permutation_of(w(2, 1)).images == (2, 1)
@@ -597,3 +624,106 @@ class TestParsing:
 
     def test_int_and_string_tokens_mix(self):
         assert parse_word([1, "-2", " 3 "], 4).letters == (1, -2, 3)
+
+
+# Each record twice, built from separate but equal arguments.
+RECORDS = {
+    "BraidWord": lambda: BraidWord(3, (1, -2)),
+    "Permutation": lambda: Permutation((2, 1, 3)),
+    "CycleDecomposition": lambda: CycleDecomposition(((1, 3, 2),), (2, 1, 3), 2),
+    "Admissibility": lambda: Admissibility(True),
+    "CriterionVerdict": lambda: CriterionVerdict(False, "no exchange-move splitting"),
+    "ExchangeForm": lambda: canonical_odd_knot_braid(5),
+    "TruncatedPoly": lambda: TruncatedPoly(2, (1, 0, 1), 1),
+    "CoefficientSequence": lambda: CoefficientSequence(-1, (-15, 5, -15)),
+    "PolynomialFit": lambda: PolynomialFit((Fraction(1), Fraction(-1, 2))),
+}
+
+
+class TestRecords:
+    """The immutable records keep the repr, equality, hashing and
+    frozenness of value types."""
+
+    def test_reprs(self):
+        assert repr(w(3, 1, -2)) == "BraidWord(strands=3, letters=(1, -2))"
+        assert repr(canonical_odd_knot_braid(5)) == (
+            "ExchangeForm(strands=5, alpha=BraidWord(strands=5, letters=(-1,)), "
+            "beta=BraidWord(strands=5, letters=(-3, -2, -4)))"
+        )
+        assert repr(TruncatedPoly(2, (1, 0, 1), 1)) == (
+            "TruncatedPoly(max_degree=2, coeffs=(1, 0, 1), components=1)"
+        )
+        assert repr(cycle_decomposition(permutation_of(w(3, 1)))) == (
+            "CycleDecomposition(cycles=((1, 2), (3,)), normalized=None, one_index=None)"
+        )
+
+    @pytest.mark.parametrize("make", RECORDS.values(), ids=RECORDS.keys())
+    def test_equal_records_hash_alike(self, make):
+        a, b = make(), make()
+        assert a is not b and a == b and not a != b
+        assert hash(a) == hash(b)
+        assert a != object() and len({a, b}) == 1
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda seq: BraidWord(3, seq((1, -2))),
+            lambda seq: Permutation(seq((2, 1))),
+            lambda seq: TruncatedPoly(1, seq((0, 1)), 2),
+            lambda seq: CoefficientSequence(0, seq((1, 2))),
+            lambda seq: PolynomialFit(seq((Fraction(1, 2),))),
+        ],
+        ids=["BraidWord", "Permutation", "TruncatedPoly", "CoefficientSequence", "PolynomialFit"],
+    )
+    def test_records_hold_tuples(self, make):
+        # a record built from a list would differ from its tuple twin and
+        # fail to hash
+        a, b = make(list), make(tuple)
+        assert a == b and hash(a) == hash(b)
+
+    def test_equality_needs_the_same_class(self):
+        assert Admissibility(True) != CriterionVerdict(True)
+        assert w(3, 1) != w(4, 1) and w(3, 1) != w(3, -1)
+
+    def test_report_compares_field_by_field(self):
+        def report(passed):
+            return ExperimentReport("dn", {"n": 5}, {}, {"sequence": [1]}, passed, ("a",))
+
+        assert report(True) == report(True) and report(True) != report(False)
+        with pytest.raises(TypeError):  # a dict field makes it unhashable
+            hash(report(True))
+
+    @pytest.mark.parametrize("make", RECORDS.values(), ids=RECORDS.keys())
+    def test_fields_are_frozen(self, make):
+        rec = make()
+        name = next(iter(vars(rec)))
+        with pytest.raises(AttributeError):
+            setattr(rec, name, None)
+        with pytest.raises(AttributeError):
+            delattr(rec, name)
+        with pytest.raises(AttributeError):
+            rec.extra = 1
+        assert make() == rec
+
+    def test_diagram_is_frozen_and_compares_by_identity(self):
+        d = closure_diagram(w(2, 1, 1))
+        with pytest.raises(AttributeError):
+            d.sign = (1, 1)
+        with pytest.raises(AttributeError):
+            del d.conn
+        twin = LinkDiagram(d.conn, d.sign, d.free_loops, d.entries)
+        assert d == d and d != twin and hash(d) != hash(twin)
+
+    def test_keyword_construction(self):
+        assert BraidWord(strands=3, letters=(1,)) == w(3, 1)
+        assert BraidWord(strands=3) == BraidWord(3, ())
+        assert ExchangeForm(strands=3, alpha=w(3, 1), beta=w(3, 2)) == ExchangeForm(3, w(3, 1), w(3, 2))
+        assert CycleDecomposition(cycles=((1,),)) == CycleDecomposition(((1,),), None, None)
+        assert CriterionVerdict(applies=True).reason is None
+        assert TruncatedPoly(max_degree=0, coeffs=(1,), components=1) == TruncatedPoly(0, (1,), 1)
+        assert CoefficientSequence(m_start=0, values=(1,)) == CoefficientSequence(0, (1,))
+        assert PolynomialFit(coeffs=(Fraction(1),)).coefficient(0) == 1
+        d = LinkDiagram(conn=(1, 0, 3, 2), sign=(1,))
+        assert (d.free_loops, d.entries) == (0, None)
+        r = ExperimentReport(experiment="x", parameters={}, expected={}, computed={}, passed=True)
+        assert r.notes == ()
