@@ -20,7 +20,10 @@ Otherwise the matrix is built by column operations, each entry one sum of
 shifted neighbours.  Its determinant eliminates on unit entries +-t^k first,
 which need no division, and hands only the block without unit pivots to the
 fraction-free elimination that evaluates Hoste's cofactor
-(``conway._det_bareiss``).  The division and the peeling are exact: anything
+(``conway._det_bareiss``).  Each step of building the matrix, of subtracting
+I and of the unit-pivot elimination writes one coefficient list and trims
+it once (``_shifted_sum``, ``_less_one``, ``_submul``): no product
+polynomial is built only to be subtracted.  The division and the peeling are exact: anything
 left over raises ``OracleError`` instead of returning a wrong polynomial.
 """
 
@@ -168,16 +171,29 @@ def _shifted_sum(left: LaurentPoly, mid: LaurentPoly, right: LaurentPoly,
                  sl: int, sm: int, sr: int) -> LaurentPoly:
     """t^sl * left - t^sm * mid + t^sr * right, as one trimmed polynomial;
     at least one of the three is nonzero."""
-    terms = [(p.min_exp + sh, p.coeffs, sign)
-             for p, sh, sign in ((left, sl, 1), (mid, sm, -1), (right, sr, 1)) if p.coeffs]
-    if len(terms) == 1:
-        e, c, sign = terms[0]  # a shifted trimmed polynomial stays trimmed
-        return LaurentPoly(e, c if sign > 0 else tuple([-x for x in c]))
-    lo = min(e for e, _, _ in terms)
-    out = [0] * (max(e + len(c) for e, c, _ in terms) - lo)
-    for e, c, sign in terms:
-        for i, x in enumerate(c, e - lo):
-            out[i] += sign * x
+    a, b, c = left.coeffs, mid.coeffs, right.coeffs
+    ea, eb, ec = left.min_exp + sl, mid.min_exp + sm, right.min_exp + sr
+    # a shifted trimmed polynomial stays trimmed; a zero operand takes a
+    # nonzero one's exponent, so that it moves neither bound
+    if not b:
+        if not c:
+            return LaurentPoly(ea, a)
+        if not a:
+            return LaurentPoly(ec, c)
+        eb = ea
+    elif not a:
+        if not c:
+            return LaurentPoly(eb, tuple([-x for x in b]))
+        ea = eb
+    elif not c:
+        ec = eb
+    lo = min(ea, eb, ec)
+    out = [0] * (max(ea + len(a), eb + len(b), ec + len(c)) - lo)
+    out[ea - lo:ea - lo + len(a)] = a
+    for i, x in enumerate(b, eb - lo):
+        out[i] -= x
+    for i, x in enumerate(c, ec - lo):
+        out[i] += x
     return LaurentPoly._trimmed(lo, out)
 
 
@@ -231,6 +247,32 @@ def _peel(min_exp: int, coeffs: list[int]) -> tuple[int, ...]:
     raise OracleError(f"{LaurentPoly(min_exp, tuple(coeffs))!r} is no polynomial in s - 1/s")
 
 
+def _submul(a: LaurentPoly, x: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
+    """a - x * q, as one trimmed polynomial, for nonzero x and q."""
+    b, c, p = x.coeffs, q.coeffs, a.coeffs
+    e = x.min_exp + q.min_exp
+    lo, hi = e, e + len(b) + len(c) - 1
+    if p:
+        lo, hi = min(lo, a.min_exp), max(hi, a.min_exp + len(p))
+    out = [0] * (hi - lo)
+    out[a.min_exp - lo:a.min_exp - lo + len(p)] = p
+    for i, u in enumerate(b, e - lo):
+        if u:
+            for j, y in enumerate(c, i):
+                out[j] -= u * y
+    return LaurentPoly._trimmed(lo, out)
+
+
+def _less_one(p: LaurentPoly) -> LaurentPoly:
+    """p - 1, as one trimmed polynomial."""
+    c, e = p.coeffs, p.min_exp
+    lo = min(e, 0)
+    out = [0] * (max(e + len(c), 1) - lo)
+    out[e - lo:e - lo + len(c)] = c
+    out[-lo] -= 1
+    return LaurentPoly._trimmed(lo, out)
+
+
 def _det(m: list[list[LaurentPoly]]) -> LaurentPoly:
     """Exact determinant of the square matrix ``m``, which it consumes,
     eliminating on unit pivots +-t^k before any fraction-free step.
@@ -269,7 +311,7 @@ def _det(m: list[list[LaurentPoly]]) -> LaurentPoly:
             x = row[c]
             if x:
                 for j, q in scaled:
-                    row[j] = row[j] - x * q
+                    row[j] = _submul(row[j], x, q)
     if not m:
         return LaurentPoly(shift, (sign,))
     if len(m) == 1:  # one deferred entry is its own determinant
@@ -292,7 +334,7 @@ def conway_polynomial(w: BraidWord) -> tuple[int, ...]:
         return (0,)
     m = reduced_burau(w)
     for i, row in enumerate(m):
-        row[i] = row[i] - _ONE
+        row[i] = _less_one(row[i])
     det = _det(m)
     if not det:
         return (0,)

@@ -113,7 +113,7 @@ from collections.abc import Iterable
 
 from .diagram import LinkDiagram, _need_diagram
 from .kernels import get_kernels
-from .words import _Value
+from .words import _items, _Value
 
 
 class ConwayError(ValueError):
@@ -132,7 +132,7 @@ class TruncatedPoly(_Value):
     _fields = ("max_degree", "coeffs", "components")
 
     def __init__(self, max_degree: int, coeffs: Iterable[int], components: int):
-        coeffs = tuple(coeffs)
+        coeffs = _items(coeffs, "coeffs", ConwayError)
         if len(coeffs) != max_degree + 1:
             raise ConwayError("need exactly max_degree+1 coefficients")
         fields = self.__dict__

@@ -20,7 +20,7 @@ from collections.abc import Iterable
 from operator import itemgetter
 
 from .kernels import get_kernels
-from .words import BraidWord, _need_word, _Value, _word
+from .words import BraidWord, _items, _need_word, _Value, _word
 
 
 class DiagramError(ValueError):
@@ -56,8 +56,8 @@ class LinkDiagram(_Value):
     def __init__(self, conn: Iterable[int], sign: Iterable[int], free_loops: int = 0,
                  entries: tuple[int, ...] | None = None):
         # frozen here, so a diagram built from the kernels' lists is a value
-        conn = tuple(conn)
-        sign = tuple(sign)
+        conn = _items(conn, "conn", DiagramError)
+        sign = _items(sign, "sign", DiagramError)
         n = len(conn)
         if n != 4 * len(sign):
             raise DiagramError("conn must hold four ports per crossing")

@@ -26,6 +26,7 @@ from .words import (
     BraidWord,
     ExchangeForm,
     WordError,
+    _items,
     _Value,
     cycle_decomposition,
     cyclic_free_reduce,
@@ -54,14 +55,18 @@ class FitError(ExperimentError):
 
 
 class CoefficientSequence(_Value):
-    """Values of one Conway coefficient along a contiguous range of m."""
+    """Values of one Conway coefficient along a contiguous range of m; every
+    value is an int (a bool is rejected)."""
 
     _fields = ("m_start", "values")
 
     def __init__(self, m_start: int, values: Iterable[int]):
         if type(m_start) is not int:
             raise ExperimentError(f"m_start must be an int, got {m_start!r}")
-        self.__dict__.update(m_start=m_start, values=tuple(values))
+        values = _items(values, "values", ExperimentError)
+        if any(type(v) is not int for v in values):
+            raise ExperimentError(f"values must be ints, got {values!r}")
+        self.__dict__.update(m_start=m_start, values=values)
 
     @property
     def m_values(self) -> tuple[int, ...]:
@@ -83,7 +88,8 @@ class PolynomialFit(_Value):
     _fields = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[Fraction]):
-        self.__dict__["coeffs"] = tuple(coeffs)  # coeffs[k] multiplies m^k
+        # coeffs[k] multiplies m^k
+        self.__dict__["coeffs"] = _items(coeffs, "coeffs", ExperimentError)
 
     def coefficient(self, k: int) -> Fraction:
         if type(k) is not int:
@@ -186,17 +192,20 @@ def fit_polynomial(seq: CoefficientSequence, degree_bound: int) -> PolynomialFit
             offending_m=m,
         )
     # peel the power coefficients off from the top: the k-th difference of a
-    # polynomial of degree k is k! times its leading coefficient
+    # polynomial of degree k is k! times its leading coefficient.  The
+    # samples are ints, so the polynomial is integer-valued and d! times it
+    # has integer coefficients (d = degree_bound): every division is exact.
+    scale = factorial(degree_bound)
     ms = seq.m_values
-    rest = list(vals)
-    coeffs = [Fraction(0)] * (degree_bound + 1)
+    rest = [scale * v for v in vals]
+    coeffs = [0] * (degree_bound + 1)
     for k in range(degree_bound, -1, -1):
-        lead = rest
+        lead = rest[:k + 1]
         for _ in range(k):
             lead = _differences(lead)
-        coeffs[k] = Fraction(lead[0], factorial(k))
-        rest = [r - coeffs[k] * m**k for r, m in zip(rest, ms)]
-    return PolynomialFit(coeffs)
+        c = coeffs[k] = lead[0] // factorial(k)
+        rest = [r - c * m**k for r, m in zip(rest, ms)]
+    return PolynomialFit([Fraction(c, scale) for c in coeffs])
 
 
 def _differences(values) -> list:

@@ -50,11 +50,12 @@ class _Value:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
-def _items(values, what: str) -> tuple:
+def _items(values, what: str, error: type[ValueError] = WordError) -> tuple:
+    """``tuple(values)``; a non-iterable raises ``error`` with a one-line message."""
     try:
         return tuple(values)
     except TypeError:
-        raise WordError(f"{what} must be iterable, got {values!r}") from None
+        raise error(f"{what} must be iterable, got {values!r}") from None
 
 
 class BraidWord(_Value):
@@ -551,7 +552,7 @@ def parse_word(text: str | Sequence[int | str], strands: int) -> BraidWord:
     the tokens are checked here; ``BraidWord`` checks the strand count, then
     the letters.
     """
-    tokens = text.split() if isinstance(text, str) else list(text)
+    tokens = text.split() if isinstance(text, str) else _items(text, "tokens")
     letters = []
     for pos, tok in enumerate(tokens):
         try:

@@ -7,7 +7,15 @@ import pytest
 from hypothesis import assume
 from hypothesis import strategies as st
 
-from braidax import BraidWord, ExchangeForm, SkeinEngine, cycle_decomposition, permutation_of
+from braidax import (
+    BraidWord,
+    ExchangeForm,
+    LaurentPoly,
+    SkeinEngine,
+    cycle_decomposition,
+    permutation_of,
+)
+from braidax.burau import _ZERO
 from braidax.kernels import get_kernels
 
 # the skein engine's run time varies a lot between examples; no deadlines
@@ -51,6 +59,19 @@ def exchange_forms(draw, min_strands=4, max_strands=6, max_letters=5, max_cycles
     if max_cycles is not None:
         assume(cycle_decomposition(permutation_of(form.word())).count <= max_cycles)
     return form
+
+
+def laurent_polys(max_terms=30):
+    """Trimmed integer Laurent polynomials: zero, units +-t^k, and up to
+    ``max_terms`` coefficients from a lowest exponent in -8..8, with internal
+    zeros."""
+    coeffs = st.lists(st.one_of(st.just(0), st.integers(-3, 3), st.integers(-10**6, 10**6)),
+                      max_size=max_terms)
+    return st.one_of(
+        st.just(_ZERO),
+        st.builds(LaurentPoly, st.integers(-8, 8), st.sampled_from([(1,), (-1,)])),
+        st.builds(LaurentPoly._trimmed, st.integers(-8, 8), coeffs),
+    )
 
 
 @pytest.fixture(scope="session")

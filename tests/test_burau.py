@@ -2,7 +2,7 @@
 engine."""
 
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from braidax import (
@@ -10,6 +10,7 @@ from braidax import (
     LaurentPoly,
     axis_link_diagram,
     axis_word,
+    canonical_joint_cycle_braid,
     canonical_odd_knot_braid,
     closure_diagram,
     component_count,
@@ -17,14 +18,27 @@ from braidax import (
     conway_polynomial,
     conway_truncated,
     cyclic_free_reduce,
+    cycle_decomposition,
+    delete_component,
     family_member,
     full_conway,
+    permutation_of,
     square,
 )
-from braidax.burau import _ZERO, OracleError, _as_poly, _det, _peel, reduced_burau
+from braidax.burau import (
+    _ZERO,
+    OracleError,
+    _as_poly,
+    _det,
+    _less_one,
+    _peel,
+    _shifted_sum,
+    _submul,
+    reduced_burau,
+)
 from braidax.conway import _det_bareiss
 
-from conftest import braid_words, exchange_forms
+from conftest import braid_words, exchange_forms, laurent_polys
 
 
 def w(n, *letters):
@@ -267,20 +281,12 @@ class TestOracleAgreement:
         assert not conway_matches_alexander((1, 0, 1, 0, 1), w(2, 1, 1, 1))
 
 
-_UNITS = st.builds(LaurentPoly, st.integers(-3, 3), st.sampled_from([(1,), (-1,)]))
-_ENTRIES = st.one_of(
-    st.just(_ZERO),
-    _UNITS,
-    st.builds(LaurentPoly._trimmed, st.integers(-3, 3), st.lists(st.integers(-3, 3), max_size=4)),
-)
-
-
 @st.composite
 def laurent_matrices(draw):
     """Square matrices of size 0..5, some of whose columns are made zero or
     free of units (a unit is doubled)."""
     n = draw(st.integers(0, 5))
-    m = [[draw(_ENTRIES) for _ in range(n)] for _ in range(n)]
+    m = [[draw(laurent_polys()) for _ in range(n)] for _ in range(n)]
     for c in draw(st.sets(st.integers(0, n - 1))) if n else ():
         zero = draw(st.booleans())
         for row in m:
@@ -328,7 +334,73 @@ class TestDeterminant:
         assert skein(closure_diagram(word)) == (0,)
 
 
+def _t(k):
+    return LaurentPoly(k, (1,))
+
+
+_NONZERO = laurent_polys().filter(bool)
+_SHIFTS = st.integers(-2, 2)
+
+
+class TestKernels:
+    """Each fused kernel equals the ``LaurentPoly`` expression it replaces."""
+
+    @given(laurent_polys(), _NONZERO, _NONZERO)
+    def test_submul(self, a, x, q):
+        assert _submul(a, x, q) == a - x * q
+
+    @given(laurent_polys(), _NONZERO, _NONZERO)
+    def test_submul_cancels(self, rest, x, q):
+        # the result is rest: zero, or a polynomial that lost end terms
+        assert _submul(x * q + rest, x, q) == rest
+
+    @given(laurent_polys(), laurent_polys(), laurent_polys(), _SHIFTS, _SHIFTS, _SHIFTS)
+    def test_shifted_sum(self, left, mid, right, sl, sm, sr):
+        assume(left or mid or right)
+        want = left * _t(sl) - mid * _t(sm) + right * _t(sr)
+        assert _shifted_sum(left, mid, right, sl, sm, sr) == want
+
+    @given(laurent_polys(), laurent_polys(), laurent_polys(), _SHIFTS, _SHIFTS, _SHIFTS)
+    def test_shifted_sum_cancels(self, left, right, rest, sl, sm, sr):
+        # mid is chosen so that the sum is rest
+        mid = (left * _t(sl) + right * _t(sr) - rest) * _t(-sm)
+        assume(left or mid or right)
+        assert _shifted_sum(left, mid, right, sl, sm, sr) == rest
+
+    @given(laurent_polys())
+    @example(_ZERO)
+    @example(LaurentPoly(0, (1,)))  # to zero
+    @example(LaurentPoly(0, (1, 0, 4)))  # loses its lowest term
+    @example(LaurentPoly(-2, (3, 0, 1)))  # loses its highest term
+    @example(LaurentPoly(3, (-1,)))
+    @example(LaurentPoly(-5, (2, 7)))
+    def test_less_one(self, p):
+        assert _less_one(p) == p - 1
+
+
+def _route_words():
+    """Degree and word of the samples that ``dn`` 5 and 7 and ``eq54`` 5
+    evaluate on their default windows: the squared members, and for ``eq54``
+    the squared members less each middle component in turn."""
+    for n in (5, 7):
+        for m in (-1, 0, 1):
+            word = square(family_member(canonical_odd_knot_braid(n), m))
+            yield pytest.param(3, word, id=f"dn{n}-m{m}")
+    form = canonical_joint_cycle_braid(5)
+    cycles = cycle_decomposition(permutation_of(square(form.word()))).cycles
+    for strand in (min(c) for c in cycles if set(c) <= set(range(3, 5))):
+        for m in (-1, 0, 1, 2):
+            word = delete_component(square(family_member(form, m)), strand)
+            yield pytest.param(4, word, id=f"eq54_5-strand{strand}-m{m}")
+
+
 class TestExactRoute:
+    @pytest.mark.parametrize("degree,word", list(_route_words()))
+    def test_equals_skein_window_on_experiment_samples(self, engine, degree, word):
+        word = cyclic_free_reduce(word)
+        window = engine.truncated(axis_link_diagram(word), degree).coeffs
+        assert (conway_polynomial(axis_word(word)) + (0,) * degree)[:degree + 1] == window
+
     @given(braid_words(max_letters=8, max_strands=5))
     def test_equals_skein_on_closures_and_axis_links(self, word):
         assert conway_polynomial(word) == skein(closure_diagram(word))

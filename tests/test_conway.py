@@ -147,6 +147,12 @@ class TestBaseValues:
         with pytest.raises(ConwayError, match="exactly max_degree"):
             TruncatedPoly(2, (1, 0), 1)
 
+    @pytest.mark.parametrize("coeffs", [None, 5, 1.5])
+    def test_non_iterable_window_rejected(self, coeffs):
+        # tuple() would escape as a bare TypeError
+        with pytest.raises(ConwayError, match=f"^coeffs must be iterable, got {coeffs!r}$"):
+            TruncatedPoly(1, coeffs, 2)
+
 
 class TestEngineEquivalences:
     @given(braid_words(max_letters=8))

@@ -111,6 +111,14 @@ class TestDiagramChecks:
         with pytest.raises(DiagramError, match=r"\+1 or -1"):
             LinkDiagram((1, 0, 3, 2), sign)
 
+    @pytest.mark.parametrize(
+        "conn,sign,what", [(None, (), "conn"), ((), None, "sign"), (4, (1,), "conn")]
+    )
+    def test_non_iterable_arrays_rejected(self, conn, sign, what):
+        # tuple() would escape as a bare TypeError
+        with pytest.raises(DiagramError, match=f"^{what} must be iterable, got "):
+            LinkDiagram(conn, sign)
+
     def test_wrong_length_rejected(self):
         with pytest.raises(DiagramError, match="four ports per crossing"):
             LinkDiagram((1, 0, 3), (1,))

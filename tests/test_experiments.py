@@ -5,7 +5,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
-from math import factorial, prod
+from math import comb, factorial, prod
 from pathlib import Path
 
 import pytest
@@ -95,6 +95,54 @@ class TestFitPolynomial:
     def test_sequence_records_reject_a_non_int(self, call):
         with pytest.raises(ExperimentError, match="must be an int, got "):
             call()
+
+    @pytest.mark.parametrize(
+        "call,message",
+        [
+            (lambda: CoefficientSequence(0, None), "values must be iterable, got None"),
+            (lambda: CoefficientSequence(0, 3), "values must be iterable, got 3"),
+            (lambda: PolynomialFit(None), "coeffs must be iterable, got None"),
+            (lambda: CoefficientSequence(0, (1, True)), "values must be ints, got (1, True)"),
+            (lambda: CoefficientSequence(0, (1, 2.0)), "values must be ints, got (1, 2.0)"),
+            (lambda: CoefficientSequence(0, ("1",)), "values must be ints, got ('1',)"),
+            (lambda: CoefficientSequence(0, (Fraction(1),)), "values must be ints, got "),
+        ],
+        ids=["values-none", "values-int", "coeffs-none", "bool", "float", "str", "fraction"],
+    )
+    def test_sequence_records_reject_bad_fields(self, call, message):
+        # tuple() would escape as a bare TypeError, and a non-int value
+        # would reach fit_polynomial's integer arithmetic
+        with pytest.raises(ExperimentError) as exc:
+            call()
+        assert str(exc.value).startswith(message)
+
+    @given(
+        st.integers(0, 6),
+        st.lists(st.integers(-20, 20), min_size=7, max_size=7),
+        st.integers(-5, 5),
+        st.integers(0, 3),
+    )
+    def test_matches_the_fraction_peel(self, degree, newton, m_start, spare):
+        # every integer-valued polynomial of degree <= 6, from its Newton
+        # coefficients; the power ones may be fractions with denominators
+        # up to 6!
+        def fraction_peel(values, ms):
+            rest = list(values)
+            coeffs = [Fraction(0)] * (degree + 1)
+            for k in range(degree, -1, -1):
+                lead = rest
+                for _ in range(k):
+                    lead = [b - a for a, b in zip(lead, lead[1:])]
+                coeffs[k] = Fraction(lead[0], factorial(k))
+                rest = [r - coeffs[k] * m**k for r, m in zip(rest, ms)]
+            return tuple(coeffs)
+
+        ms = range(m_start, m_start + degree + 2 + spare)
+        values = [sum(c * comb(m - m_start, j) for j, c in enumerate(newton[: degree + 1]))
+                  for m in ms]
+        fit = fit_polynomial(self.seq(values, m_start), degree)
+        assert fit.coeffs == fraction_peel(values, ms)
+        assert all(type(c) is Fraction for c in fit.coeffs)
 
     def test_fit_failure_names_offender(self):
         with pytest.raises(FitError) as exc:

@@ -622,6 +622,12 @@ class TestParsing:
         with pytest.raises(WordError, match="is not an integer"):
             parse_word(tokens, 4)
 
+    @pytest.mark.parametrize("text", [None, 5])
+    def test_non_iterable_text_rejected(self, text):
+        # list() would escape as a bare TypeError
+        with pytest.raises(WordError, match=f"^tokens must be iterable, got {text!r}$"):
+            parse_word(text, 4)
+
     def test_int_and_string_tokens_mix(self):
         assert parse_word([1, "-2", " 3 "], 4).letters == (1, -2, 3)
 
