@@ -36,11 +36,11 @@ from .words import (
     BraidWord,
     ExchangeForm,
     WordError,
-    _criterion,
     canonical_odd_knot_braid,
     cycle_decomposition,
     exchange_split,
     exponent_sum,
+    nonconjugacy_criterion,
     parse_word,
     permutation_of,
 )
@@ -109,10 +109,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_info(w: BraidWord) -> int:
-    perm = permutation_of(w)
-    dec = cycle_decomposition(perm)
+    dec = cycle_decomposition(permutation_of(w))
     split = exchange_split(w)
-    verdict = _criterion(w.strands, split, perm)
+    verdict = nonconjugacy_criterion(w)
     cycles = " ".join("(" + " ".join(map(str, c)) + ")" for c in dec.cycles)
     print(f"strands\t{w.strands}")
     print(f"word\t{w}")

@@ -113,7 +113,7 @@ from collections.abc import Iterable
 
 from .diagram import LinkDiagram, _need_diagram
 from .kernels import get_kernels
-from .words import _items, _Value
+from .words import _int, _items, _Value
 
 
 class ConwayError(ValueError):
@@ -144,9 +144,7 @@ class TruncatedPoly(_Value):
         return iter(self.coeffs)
 
     def __getitem__(self, m: int) -> int:
-        if type(m) is not int:
-            raise ConwayError(f"coefficient index must be an int, got {m!r}")
-        if not (0 <= m <= self.max_degree):
+        if not 0 <= _int(m, "coefficient index", ConwayError) <= self.max_degree:
             raise ConwayError(f"coefficient {m} outside computed window 0..{self.max_degree}")
         return self.coeffs[m]
 
@@ -190,9 +188,7 @@ class SkeinEngine:
         basepoints ``kernels.trace_inports`` returns.
         """
         _need_diagram(d)
-        if type(max_degree) is not int:
-            raise ConwayError(f"max_degree must be an int, got {max_degree!r}")
-        if max_degree < 0:
+        if _int(max_degree, "max_degree", ConwayError) < 0:
             raise ConwayError("max_degree must be >= 0")
         conn, sign = d.arrays()
         trace = self.k.trace_inports(conn)
@@ -350,7 +346,7 @@ def _as_lk_rows(rows: list | tuple) -> list[list[int]]:
     if not isinstance(rows, (list, tuple)) or not all(isinstance(r, (list, tuple)) for r in rows):
         raise ConwayError("linking matrix must be a list of rows")
     out = [list(row) for row in rows]
-    if any(isinstance(x, bool) or not isinstance(x, int) for row in out for x in row):
+    if any(type(x) is not int for row in out for x in row):
         raise ConwayError("linking numbers must be ints")
     p = len(out)
     if any(len(row) != p or row[i] for i, row in enumerate(out)):

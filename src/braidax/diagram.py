@@ -31,7 +31,8 @@ class LinkDiagram(_Value):
     """A link diagram: crossing signs, the arc pairing of ports, and a count
     of crossing-free loop components.  It is built only from a ``conn`` that
     pairs every out-port with one in-port, both ways, and signs of +1 or -1:
-    a walk along anything else may never return.
+    a walk along anything else may never return.  Every port and sign must
+    be an ``int``; a bool or a float is rejected.
 
     A braid-built diagram keeps ``entries``, the first in-port met from each
     top position (-1 for a crossing-free strand), so the axis's entry comes
@@ -61,14 +62,15 @@ class LinkDiagram(_Value):
         n = len(conn)
         if n != 4 * len(sign):
             raise DiagramError("conn must hold four ports per crossing")
-        # the out-ports reach every in-port once, and each in-port leads back
+        # int ports only; the out-ports reach every in-port once, and each
+        # in-port leads back
         outs = conn[1::2]
-        if n and (
+        if any(type(q) is not int for q in conn) or n and (
             sorted(outs) != list(range(0, n, 2))
             or itemgetter(*outs)(conn) != tuple(range(1, n, 2))
         ):
             raise DiagramError("conn must pair each out-port with one in-port, both ways")
-        if not set(sign) <= {1, -1}:
+        if any(type(e) is not int for e in sign) or not set(sign) <= {1, -1}:
             raise DiagramError("crossing signs must be +1 or -1")
         if type(free_loops) is not int or free_loops < 0:
             raise DiagramError(f"free_loops must be an int >= 0, got {free_loops!r}")

@@ -19,6 +19,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from fractions import Fraction
 from math import factorial
+from os import fspath
 
 from .conway import SkeinEngine
 from .diagram import axis_link_diagram
@@ -26,6 +27,7 @@ from .words import (
     BraidWord,
     ExchangeForm,
     WordError,
+    _int,
     _items,
     _Value,
     cycle_decomposition,
@@ -61,8 +63,7 @@ class CoefficientSequence(_Value):
     _fields = ("m_start", "values")
 
     def __init__(self, m_start: int, values: Iterable[int]):
-        if type(m_start) is not int:
-            raise ExperimentError(f"m_start must be an int, got {m_start!r}")
+        _int(m_start, "m_start", ExperimentError)
         values = _items(values, "values", ExperimentError)
         if any(type(v) is not int for v in values):
             raise ExperimentError(f"values must be ints, got {values!r}")
@@ -73,9 +74,7 @@ class CoefficientSequence(_Value):
         return tuple(range(self.m_start, self.m_start + len(self.values)))
 
     def value_at(self, m: int) -> int:
-        if type(m) is not int:
-            raise ExperimentError(f"m must be an int, got {m!r}")
-        i = m - self.m_start
+        i = _int(m, "m", ExperimentError) - self.m_start
         if not 0 <= i < len(self.values):
             raise ExperimentError(f"m={m} outside the sampled range {self.m_values}")
         return self.values[i]
@@ -92,9 +91,7 @@ class PolynomialFit(_Value):
         self.__dict__["coeffs"] = _items(coeffs, "coeffs", ExperimentError)
 
     def coefficient(self, k: int) -> Fraction:
-        if type(k) is not int:
-            raise ExperimentError(f"k must be an int, got {k!r}")
-        if k < 0:
+        if _int(k, "k", ExperimentError) < 0:
             raise ExperimentError(f"no coefficient of m^{k}")
         return self.coeffs[k] if k < len(self.coeffs) else Fraction(0)
 
@@ -146,11 +143,10 @@ def axis_sequence(
     With ``delete_strand`` the component through that top position of the
     unreduced word is deleted before evaluating.
     """
-    ms = list(m_range)
+    ms = _items(m_range, "m_range", ExperimentError)
     for m in ms:
-        if type(m) is not int:
-            raise ExperimentError(f"m must be an int, got {m!r}")
-    if not ms or ms != list(range(ms[0], ms[0] + len(ms))):
+        _int(m, "m", ExperimentError)
+    if not ms or ms != tuple(range(ms[0], ms[0] + len(ms))):
         raise ExperimentError("m_range must be a nonempty contiguous range")
     eng = engine if engine is not None else SkeinEngine()
     vals = []
@@ -175,6 +171,8 @@ def fit_polynomial(seq: CoefficientSequence, degree_bound: int) -> PolynomialFit
     """
     if type(degree_bound) is not int or degree_bound < 0:
         raise ExperimentError(f"degree_bound must be an int >= 0, got {degree_bound!r}")
+    if not isinstance(seq, CoefficientSequence):
+        raise ExperimentError(f"need a CoefficientSequence, got {type(seq).__name__}")
     vals = seq.values
     if len(vals) < degree_bound + 2:
         raise ExperimentError(
@@ -253,11 +251,11 @@ def progression_check(
     """
     if form is None:
         form = ExchangeForm(4, BraidWord(4, (-1, -2)), BraidWord(4, (-3,)))
-    n = form.strands
-    ms = list(m_range)
+    ms = list(_items(m_range, "m_range", ExperimentError))
     if len(ms) < 2:
         raise ExperimentError("need at least two m values for a first difference")
-    word = form.word()
+    word = family_member(form, 0)  # the seed word; family_member checks the form
+    n = word.strands
     perm = permutation_of(word)
     dec = cycle_decomposition(perm, normalized=True)  # errors unless a knot
     l = dec.one_index
@@ -308,7 +306,7 @@ def squared_family_check(
     """
     form = canonical_odd_knot_braid(n)
     target = second_difference_target(n)
-    ms = list(m_range)
+    ms = list(_items(m_range, "m_range", ExperimentError))
     if len(ms) < 3:
         raise ExperimentError("need at least three m values for a second difference")
     seq = axis_sequence(form, True, ms, 3, engine)
@@ -337,7 +335,7 @@ def two_cycle_check(
     A sequence that is not cubic fails the report with ``fit_error`` and
     ends the sampling; the quadratic sum is reported only when both fit.
     """
-    ms = list(m_range)
+    ms = list(_items(m_range, "m_range", ExperimentError))
     if len(ms) < 5:
         raise ExperimentError("need at least 5 samples for the cubic fit")
     form = canonical_split_cycle_braid(n1, n2)
@@ -399,7 +397,7 @@ def joint_cycle_check(
     A sequence that is not quadratic fails the report with ``fit_error``
     and ends the sampling; the choices are compared only when both fit.
     """
-    ms = list(m_range)
+    ms = list(_items(m_range, "m_range", ExperimentError))
     if len(ms) < 4:
         raise ExperimentError("need at least 4 samples for the quadratic fit")
     form = canonical_joint_cycle_braid(n)
@@ -453,16 +451,19 @@ def joint_cycle_check(
 
 
 def load_corpus(path=None) -> list[tuple[str, str]]:
-    """Rows (knot_name, word) of the bundled 4-braid corpus, or of a TSV file."""
+    """Rows (knot_name, word) of the bundled 4-braid corpus, or of the TSV
+    file at ``path``, a str, bytes or os.PathLike: a file descriptor is no path."""
     if path is None:
         from importlib import resources  # imported here: only the bundled corpus needs it
 
         text = resources.files("braidax.data").joinpath("table8.tsv").read_text()
     else:
+        # fspath raises TypeError on an int, which open would take as a file
+        # descriptor; ValueError covers a decode error and a NUL in the path
         try:
-            with open(path) as f:
+            with open(fspath(path)) as f:
                 text = f.read()
-        except (OSError, UnicodeDecodeError) as exc:
+        except (OSError, ValueError, TypeError) as exc:
             raise ExperimentError(f"cannot read corpus: {exc}") from exc
     rows = []
     lines = text.splitlines()

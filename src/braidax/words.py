@@ -58,6 +58,14 @@ def _items(values, what: str, error: type[ValueError] = WordError) -> tuple:
         raise error(f"{what} must be iterable, got {values!r}") from None
 
 
+def _int(value, what: str, error: type[ValueError] = WordError) -> int:
+    """``value`` when it is an int; a bool, a float or anything else raises
+    ``error`` with a one-line message."""
+    if type(value) is not int:
+        raise error(f"{what} must be an int, got {value!r}")
+    return value
+
+
 class BraidWord(_Value):
     """A word in the Artin generators of the braid group on ``strands`` strands.
 
@@ -73,9 +81,7 @@ class BraidWord(_Value):
     _fields = ("strands", "letters")
 
     def __init__(self, strands: int, letters: Iterable[int] = ()):
-        if type(strands) is not int:
-            raise WordError(f"strand count must be an int, got {strands!r}")
-        if strands < 1:
+        if _int(strands, "strand count") < 1:
             raise WordError(f"strand count must be positive, got {strands}")
         letters = _items(letters, "letters")
         for pos, k in enumerate(letters):
@@ -181,9 +187,7 @@ class ExchangeForm(_Value):
     _fields = ("strands", "alpha", "beta")
 
     def __init__(self, strands: int, alpha: BraidWord, beta: BraidWord):
-        n = strands
-        if type(n) is not int:
-            raise WordError(f"strand count must be an int, got {n!r}")
+        n = _int(strands, "strand count")
         _need_word(alpha)
         _need_word(beta)
         if alpha.strands != n or beta.strands != n:
@@ -288,6 +292,8 @@ def cycle_decomposition(p: Permutation, normalized: bool = False) -> CycleDecomp
     cycle is then rewritten to end on n and the position of the entry 1 is
     reported.
     """
+    if not isinstance(p, Permutation):
+        raise WordError(f"need a Permutation, got {type(p).__name__}")
     n = len(p.images)
     seen = [False] * (n + 1)
     cycles = []
@@ -323,9 +329,7 @@ def delete_component(w: BraidWord, strand: int) -> BraidWord:
     """
     _need_word(w)
     n = w.strands
-    if type(strand) is not int:
-        raise WordError(f"strand must be an int, got {strand!r}")
-    if not 1 <= strand <= n:
+    if not 1 <= _int(strand, "strand") <= n:
         raise WordError(f"strand {strand} out of range for {n} strands")
     p = permutation_of(w)
     keep = [True] * n  # whether the strand at each position survives
@@ -353,7 +357,7 @@ def strand_linking(w: BraidWord, a_set: Iterable[int], b_set: Iterable[int]) -> 
     strand of the other.
     """
     _need_word(w)
-    a, b = frozenset(a_set), frozenset(b_set)
+    a, b = frozenset(_items(a_set, "a_set")), frozenset(_items(b_set, "b_set"))
     if a & b:
         raise WordError("strand sets must be disjoint")
     cyc = {frozenset(c) for c in cycle_decomposition(permutation_of(w)).cycles}
@@ -384,9 +388,7 @@ def strand_linking(w: BraidWord, a_set: Iterable[int], b_set: Iterable[int]) -> 
 def kappa_word(n: int) -> BraidWord:
     """The pure band braid (sigma_1 .. sigma_{n-2})(sigma_{n-2} .. sigma_1)
     conjugating one side of an exchange move."""
-    if type(n) is not int:
-        raise WordError(f"strand count must be an int, got {n!r}")
-    if n < 3:
+    if _int(n, "strand count") < 3:
         raise WordError(f"band word needs n >= 3, got {n}")
     up = tuple(range(1, n - 1))
     return _word(n, up + up[::-1])
@@ -449,8 +451,7 @@ def family_member(form: ExchangeForm, m: int) -> BraidWord:
     """
     if not isinstance(form, ExchangeForm):
         raise WordError(f"need an ExchangeForm, got {type(form).__name__}")
-    if type(m) is not int:
-        raise WordError(f"m must be an int, got {m!r}")
+    _int(m, "m")
     kap = kappa_word(form.strands).letters
     twist = kap * m if m >= 0 else tuple(-k for k in reversed(kap)) * -m
     untwist = tuple(-k for k in reversed(twist))
@@ -464,20 +465,14 @@ def nonconjugacy_criterion(w: BraidWord) -> CriterionVerdict:
     pairwise non-conjugate braids with the same closure.
     """
     _need_word(w)
-    if w.strands <= 3:
-        return _criterion(w.strands, None, None)
-    return _criterion(w.strands, exchange_split(w), permutation_of(w))
-
-
-def _criterion(n: int, split: ExchangeForm | None, p: Permutation | None) -> CriterionVerdict:
-    """``nonconjugacy_criterion`` of an n-strand word from its
-    ``exchange_split`` and its permutation, which are not read at n <= 3."""
+    n = w.strands
     if n <= 3:
         # on 3 strands alpha lies in <s_1> and commutes with kappa = s_1^2,
         # so every family member is conjugate to the seed; below, no kappa
         return CriterionVerdict(False, "exchange move is degenerate for n <= 3")
-    if split is None:
+    if exchange_split(w) is None:
         return CriterionVerdict(False, "no exchange-move splitting")
+    p = permutation_of(w)
     if p(1) == 1:
         return CriterionVerdict(False, "permutation fixes position 1")
     if p(n) == n:
@@ -498,7 +493,7 @@ def canonical_odd_knot_braid(n: int) -> ExchangeForm:
     exactly in the middle position, the configuration where the axis-link
     degree-3 coefficient alone cannot separate the family.
     """
-    if n < 5 or n % 2 == 0:
+    if _int(n, "n") < 5 or n % 2 == 0:
         raise WordError(f"need odd n >= 5, got {n}")
     alpha = BraidWord(n, (-1,))
     odds = tuple(-i for i in range(3, n - 1, 2))
@@ -517,7 +512,7 @@ def canonical_joint_cycle_braid(n: int) -> ExchangeForm:
     positions 2 and n.  All strand-linking numbers among strands 1, 2, n and
     the middle cycle vanish for this construction.
     """
-    if n < 4:
+    if _int(n, "n") < 4:
         raise WordError(f"need n >= 4, got {n}")
     alpha = BraidWord(n, (1,))
     wprime = tuple(range(3, n - 1))
@@ -529,9 +524,7 @@ def canonical_joint_cycle_braid(n: int) -> ExchangeForm:
 def canonical_split_cycle_braid(n1: int, n2: int) -> ExchangeForm:
     """Seed with permutation cycles exactly (1..n1) and (n1+1..n1+n2):
     alpha = sigma_1 .. sigma_{n1-1}, beta = sigma_{n1+1} .. sigma_{n-1}."""
-    if type(n1) is not int or type(n2) is not int:
-        raise WordError(f"cycle lengths must be ints, got {n1!r} and {n2!r}")
-    if n1 < 2 or n2 < 2:
+    if _int(n1, "cycle length") < 2 or _int(n2, "cycle length") < 2:
         raise WordError("both cycle lengths must be >= 2")
     n = n1 + n2
     alpha = BraidWord(n, tuple(range(1, n1)))

@@ -278,7 +278,15 @@ class TestOracleAgreement:
     def test_trailing_zeros(self):
         assert conway_matches_alexander((1, 0, 1, 0, 0), w(2, 1, 1, 1))
         assert conway_matches_alexander((0, 0, 0), w(3, 1))
+        assert conway_matches_alexander((), w(3, 1))
         assert not conway_matches_alexander((1, 0, 1, 0, 1), w(2, 1, 1, 1))
+        assert not conway_matches_alexander((1,), w(2, 1, 1, 1))
+
+    @pytest.mark.parametrize("coeffs", [5, None, 1.5])
+    def test_non_iterable_coeffs_rejected(self, coeffs):
+        # list() would escape as a bare TypeError
+        with pytest.raises(OracleError, match=f"^coeffs must be iterable, got {coeffs!r}$"):
+            conway_matches_alexander(coeffs, w(2, 1, 1, 1))
 
 
 @st.composite

@@ -60,21 +60,6 @@ class TestInfo:
         assert "components\t1" in out
         assert "nonconjugacy_criterion\tapplies" in out
 
-    def test_splits_the_word_once(self, capsys, monkeypatch):
-        # the criterion reads the split and the permutation info has made
-        calls = []
-        split = braidax.words.exchange_split
-
-        def counted(w):
-            calls.append(w)
-            return split(w)
-
-        monkeypatch.setattr(braidax.words, "exchange_split", counted)
-        monkeypatch.setattr(braidax.cli, "exchange_split", counted)
-        code, out, _ = run(capsys, "info", "--n", "4", "--", "-3", "-3", "-2", "1", "1", "2", "-1", "3", "-2")
-        assert code == 0 and "nonconjugacy_criterion\tapplies" in out
-        assert len(calls) == 1
-
     def test_forbidden_pattern(self, capsys):
         code, out, _ = run(capsys, "info", "--n", "4", "--", "1", "3", "1", "3")
         assert code == 0

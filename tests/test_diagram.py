@@ -99,15 +99,21 @@ class TestDiagramChecks:
             (1, 0, 3, 4),  # out-port 3 past the last port
             (1, 0, 3, -2),  # out-port 3 into a negative port
             (-1, 0, 3, 2),  # in-port 0 arced to a negative port
+            (1.0, 0, 3, 2),  # a float port, equal to the right int
+            (True, 0, 3, 2),  # a bool port, equal to the right int
+            (1, "a", 3, 2),  # a string out-port, which sorted() would not take
         ],
-        ids=["all-zero", "non-involution", "out-to-out", "out-self", "past-end", "negative-out", "negative-in"],
+        ids=["all-zero", "non-involution", "out-to-out", "out-self", "past-end", "negative-out",
+             "negative-in", "float-port", "bool-port", "str-port"],
     )
     def test_malformed_conn_rejected(self, conn):
         with pytest.raises(DiagramError, match="out-port with one in-port"):
             LinkDiagram(conn, (1,))
 
-    @pytest.mark.parametrize("sign", [(0,), (2,), (-3,)])
+    @pytest.mark.parametrize("sign", [(0,), (2,), (-3,), (1.0,), (True,), (-1.0,), ([1],)])
     def test_bad_sign_rejected(self, sign):
+        # a float or bool sign used to be stored as given, and an unhashable
+        # one escaped from set() as a bare TypeError
         with pytest.raises(DiagramError, match=r"\+1 or -1"):
             LinkDiagram((1, 0, 3, 2), sign)
 

@@ -106,12 +106,15 @@ class TestFitPolynomial:
             (lambda: CoefficientSequence(0, (1, 2.0)), "values must be ints, got (1, 2.0)"),
             (lambda: CoefficientSequence(0, ("1",)), "values must be ints, got ('1',)"),
             (lambda: CoefficientSequence(0, (Fraction(1),)), "values must be ints, got "),
+            (lambda: fit_polynomial([1, 2, 3, 4], 1), "need a CoefficientSequence, got list"),
         ],
-        ids=["values-none", "values-int", "coeffs-none", "bool", "float", "str", "fraction"],
+        ids=["values-none", "values-int", "coeffs-none", "bool", "float", "str", "fraction",
+             "fit-list"],
     )
     def test_sequence_records_reject_bad_fields(self, call, message):
-        # tuple() would escape as a bare TypeError, and a non-int value
-        # would reach fit_polynomial's integer arithmetic
+        # tuple() would escape as a bare TypeError, a non-int value would
+        # reach fit_polynomial's integer arithmetic, and a non-sequence its
+        # read of seq.values
         with pytest.raises(ExperimentError) as exc:
             call()
         assert str(exc.value).startswith(message)
@@ -308,12 +311,22 @@ class TestJointCycleTargets:
         lambda: two_cycle_check(2.0, 2),
         lambda: joint_cycle_check(4.5),
         lambda: squared_family_check(5.0),
+        lambda: squared_family_check("7"),
+        lambda: joint_cycle_check("6"),
     ],
 )
 def test_non_int_sizes_rejected(call):
-    # a float size used to give a target of 0.0 or a TypeError traceback
-    with pytest.raises((ExperimentError, WordError)):
+    # a float size used to give a target of 0.0 or a TypeError traceback,
+    # and a string size a TypeError from the comparison
+    with pytest.raises((ExperimentError, WordError),
+                       match=r"(must be an int|need an (odd )?int n >= \d), got "):
         call()
+
+
+def test_progression_check_rejects_a_non_form():
+    # reading form.strands escaped as a bare AttributeError
+    with pytest.raises(WordError, match="^need an ExchangeForm, got str$"):
+        progression_check("x")
 
 
 @pytest.mark.parametrize(
@@ -339,10 +352,18 @@ def test_non_int_m_rejected(call):
         (lambda: squared_family_check(5, m_range=range(2)), "at least three m values"),
         (lambda: two_cycle_check(2, 2, m_range=range(4)), "at least 5 samples"),
         (lambda: joint_cycle_check(4, m_range=range(3)), "at least 4 samples"),
+        (lambda: progression_check(m_range=5), "^m_range must be iterable, got 5$"),
+        (lambda: squared_family_check(5, 5), "^m_range must be iterable, got 5$"),
+        (lambda: two_cycle_check(2, 2, 3), "^m_range must be iterable, got 3$"),
+        (lambda: joint_cycle_check(4, None), "^m_range must be iterable, got None$"),
+        (lambda: axis_sequence(canonical_odd_knot_braid(5), False, 5, 3),
+         "^m_range must be iterable, got 5$"),
     ],
-    ids=["prop25", "dn", "lemma64", "eq54"],
+    ids=["prop25", "dn", "lemma64", "eq54", "prop25-int", "dn-int", "lemma64-int",
+         "eq54-None", "axis_sequence-int"],
 )
 def test_too_few_m_values_rejected(call, match):
+    # a non-iterable m_range, which has no m values, escaped as a bare TypeError
     with pytest.raises(ExperimentError, match=match):
         call()
 
@@ -484,6 +505,24 @@ class TestCorpus:
     def test_unreadable_path(self, tmp_path):
         with pytest.raises(ExperimentError, match="cannot read corpus"):
             load_corpus(tmp_path / "missing.tsv")
+
+    @pytest.mark.parametrize("read", [load_corpus, corpus_check])
+    def test_a_file_descriptor_is_not_a_path(self, tmp_path, read):
+        # open() would read the descriptor and close it
+        path = tmp_path / "corpus.tsv"
+        path.write_text("X\t1 3\n")
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            with pytest.raises(ExperimentError, match="^cannot read corpus: .* not int$"):
+                read(fd)
+            os.fstat(fd)  # still open
+        finally:
+            os.close(fd)
+
+    @pytest.mark.parametrize("path", [3.5, ["corpus.tsv"], "a\0b"], ids=["float", "list", "nul"])
+    def test_a_non_path_is_rejected(self, path):
+        with pytest.raises(ExperimentError, match="^cannot read corpus: "):
+            load_corpus(path)
 
     def test_row_needs_two_fields(self, tmp_path):
         path = tmp_path / "corpus.tsv"

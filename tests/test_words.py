@@ -247,6 +247,12 @@ class TestPermutations:
         with pytest.raises(WordError, match=f"^images must be iterable, got {images!r}$"):
             Permutation(images)
 
+    @pytest.mark.parametrize("p", [(2, 1), None, w(2, 1)], ids=["tuple", "None", "BraidWord"])
+    def test_cycle_decomposition_rejects_a_non_permutation(self, p):
+        # reading p.images would escape as a bare AttributeError
+        with pytest.raises(WordError, match=f"^need a Permutation, got {type(p).__name__}$"):
+            cycle_decomposition(p)
+
     def test_single_generator_is_transposition(self):
         assert permutation_of(w(2, 1)).images == (2, 1)
 
@@ -340,6 +346,17 @@ class TestStrandLinking:
     def test_rejects_split_cycle(self):
         with pytest.raises(WordError):
             strand_linking(w(2, 1), {1}, {2})  # (1 2) is one cycle
+
+    @pytest.mark.parametrize(
+        "a_set,b_set,what",
+        [(3, {1, 2}, "a_set"), ({1, 2}, 3, "b_set"), (None, {3}, "a_set")],
+        ids=["a-int", "b-int", "a-None"],
+    )
+    def test_rejects_a_non_iterable_set(self, a_set, b_set, what):
+        # frozenset() would escape as a bare TypeError
+        bad = a_set if what == "a_set" else b_set
+        with pytest.raises(WordError, match=f"^{what} must be iterable, got {bad!r}$"):
+            strand_linking(w(3, 1, 1), a_set, b_set)
 
     @given(braid_words(min_strands=3, max_strands=6, max_letters=10))
     def test_symmetry_and_additivity(self, word):
@@ -553,10 +570,13 @@ class TestCanonicalFamilies:
             lambda: canonical_joint_cycle_braid(5.0),
             lambda: canonical_split_cycle_braid(2.0, 2),
             lambda: canonical_split_cycle_braid(2, True),
+            lambda: canonical_odd_knot_braid("7"),
+            lambda: canonical_joint_cycle_braid("6"),
         ],
     )
     def test_non_int_sizes_rejected(self, build):
-        with pytest.raises(WordError):
+        # a string size would escape as a TypeError from the comparison
+        with pytest.raises(WordError, match="^(n|cycle length) must be an int, got "):
             build()
 
     def test_joint_cycle_braid_needs_four_strands(self):
